@@ -3,7 +3,7 @@
 //! sensitivity experiments (Figures 5-7), where every cell of the grid
 //! consumes the same instruction stream.
 //!
-//! Three layers are measured, each against its own control:
+//! Two layers are measured, each against its own control:
 //!
 //! * **Shared traces** — the sweep executed with one materialized
 //!   instruction trace shared by all runs, versus per-run live
@@ -11,12 +11,6 @@
 //!   result memoization so every cell really simulates;
 //!   `plan_over_pergen_speedup` is the per-generation wall-clock over
 //!   the shared-trace wall-clock.
-//! * **Gang execution** — the shared-trace sweep with same-trace cells
-//!   fused into lockstep gangs (the default), versus per-gang-free
-//!   scheduling (`--no-gang` behaviour).  `gang_over_pergang_speedup`
-//!   is the gang-free wall-clock over the ganged wall-clock, and the
-//!   `prefix_cycles_saved` counter reports the warm-up simulation the
-//!   default-on prefix forking avoided.
 //! * **Result memoization** — the same plan executed twice on one
 //!   engine with the result cache enabled; the repeat is served
 //!   entirely from memoized outcomes (`repeat_result_cache_hits` out of
@@ -77,17 +71,6 @@ fn main() {
     );
     let (pergen_outcomes, pergen) = pergen_engine.execute_with_stats(&plan);
 
-    // --- A/B: gang-free scheduling vs lockstep gangs, both over shared
-    // traces.  The gang-free control runs first for the same reason.
-    let pergang_engine = ExperimentEngine::from_settings(
-        &settings
-            .clone()
-            .with_share_traces(true)
-            .with_result_cache(false)
-            .with_gang(false),
-    );
-    let (pergang_outcomes, pergang) = pergang_engine.execute_with_stats(&plan);
-
     let shared_engine = ExperimentEngine::from_settings(
         &settings
             .clone()
@@ -102,29 +85,14 @@ fn main() {
             "shared traces must not change simulated results"
         );
     }
-    for (a, b) in pergang_outcomes.iter().zip(&shared_outcomes) {
-        assert_eq!(
-            a.result, b.result,
-            "gang execution must not change simulated results"
-        );
-    }
     let plan_over_pergen = if shared.wall_seconds > 0.0 {
         pergen.wall_seconds / shared.wall_seconds
-    } else {
-        0.0
-    };
-    let gang_over_pergang = if shared.wall_seconds > 0.0 {
-        pergang.wall_seconds / shared.wall_seconds
     } else {
         0.0
     };
     println!(
         "per-run generation: {:.3}s wall, {} runs",
         pergen.wall_seconds, pergen.runs
-    );
-    println!(
-        "gang-free sharing:  {:.3}s wall, {} runs",
-        pergang.wall_seconds, pergang.runs
     );
     println!(
         "shared trace:       {:.3}s wall, {} runs ({} materialization(s), {} trace hits, peak {} KiB)",
@@ -135,10 +103,6 @@ fn main() {
         shared.trace_peak_bytes / 1024
     );
     println!("shared vs per-run generation: {plan_over_pergen:.3}x");
-    println!(
-        "ganged vs gang-free:          {gang_over_pergang:.3}x ({} gang(s), {} member(s), {} prefix cycles saved)",
-        shared.gang_batches, shared.gang_members, shared.prefix_cycles_saved
-    );
 
     // --- Repeat plan on one engine: the second execution is served from
     // the result cache.
@@ -175,8 +139,6 @@ fn main() {
                 pergen.cumulative_seconds.into(),
             ),
             ("plan_over_pergen_speedup", plan_over_pergen.into()),
-            ("pergang_wall_seconds", pergang.wall_seconds.into()),
-            ("gang_over_pergang_speedup", gang_over_pergang.into()),
             ("cold_wall_seconds", cold.wall_seconds.into()),
             ("repeat_wall_seconds", warm.wall_seconds.into()),
             ("repeat_over_cold_speedup", repeat_over_cold.into()),

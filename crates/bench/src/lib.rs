@@ -53,19 +53,13 @@ pub fn settings_from_env() -> ExperimentSettings {
     if bool_flag(std::env::args(), "--no-result-cache") {
         settings = settings.with_result_cache(false);
     }
-    if bool_flag(std::env::args(), "--gang") {
-        settings = settings.with_gang(true);
-    }
-    if bool_flag(std::env::args(), "--no-gang") {
-        settings = settings.with_gang(false);
-    }
     settings
 }
 
 /// Returns whether `name` appears as a bare flag in the argument list
-/// (used for `--no-trace-share` / `--no-result-cache` /
-/// `--gang` / `--no-gang`; the matching environment escape hatches are
-/// `MCD_NO_TRACE_SHARE=1` / `MCD_NO_RESULT_CACHE=1` / `MCD_NO_GANG=1`).
+/// (used for `--no-trace-share` / `--no-result-cache`; the matching
+/// environment escape hatches are `MCD_NO_TRACE_SHARE=1` /
+/// `MCD_NO_RESULT_CACHE=1`).
 pub fn bool_flag(args: impl IntoIterator<Item = String>, name: &str) -> bool {
     args.into_iter().any(|a| a == name)
 }
@@ -144,11 +138,6 @@ pub fn write_bench_json(
     doc.insert("trace_cache_hits", stats.trace_cache_hits);
     doc.insert("trace_materializations", stats.trace_materializations);
     doc.insert("trace_peak_bytes", stats.trace_peak_bytes);
-    doc.insert("checkpoint_prefixes", stats.checkpoint_prefixes);
-    doc.insert("checkpoint_restores", stats.checkpoint_restores);
-    doc.insert("prefix_cycles_saved", stats.prefix_cycles_saved);
-    doc.insert("gang_batches", stats.gang_batches);
-    doc.insert("gang_members", stats.gang_members);
     for (key, value) in extras {
         doc.insert(key, value.clone());
     }
@@ -274,15 +263,11 @@ mod tests {
             trace_cache_hits: 12,
             trace_materializations: 3,
             trace_peak_bytes: 640_000,
-            checkpoint_prefixes: 1,
-            checkpoint_restores: 2,
-            prefix_cycles_saved: 10_000,
-            gang_batches: 2,
-            gang_members: 7,
             wall_seconds: 2.0,
             cumulative_seconds: 6.0,
             simulated_instructions: 900_000,
             aggregate_mips: 0.45,
+            ..EngineStats::default()
         };
         let path = write_bench_json("unit", &stats, &[("benchmarks", 3u64.into())]);
         let text = std::fs::read_to_string(path).unwrap();
@@ -298,14 +283,12 @@ mod tests {
             "\"trace_cache_hits\": 12",
             "\"trace_materializations\": 3",
             "\"trace_peak_bytes\": 640000",
-            "\"checkpoint_prefixes\": 1",
-            "\"checkpoint_restores\": 2",
-            "\"prefix_cycles_saved\": 10000",
-            "\"gang_batches\": 2",
-            "\"gang_members\": 7",
             "\"benchmarks\": 3",
         ] {
             assert!(text.contains(needle), "missing {needle} in {text}");
+        }
+        for gone in ["gang_", "checkpoint_", "prefix_cycles"] {
+            assert!(!text.contains(gone), "stale {gone} key in {text}");
         }
     }
 
@@ -317,17 +300,5 @@ mod tests {
             "--no-trace-share"
         ));
         assert!(!bool_flag(args(&["bin"]), "--no-result-cache"));
-    }
-
-    #[test]
-    fn gang_flags_are_detected() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(bool_flag(args(&["bin", "--no-gang"]), "--no-gang"));
-        assert!(bool_flag(args(&["bin", "--gang"]), "--gang"));
-        assert!(!bool_flag(args(&["bin"]), "--no-gang"));
-        // `--gang` must not shadow `--no-gang` detection or vice versa.
-        let both = args(&["bin", "--gang", "--jobs", "2"]);
-        assert!(bool_flag(both.clone(), "--gang"));
-        assert!(!bool_flag(both, "--no-gang"));
     }
 }

@@ -329,11 +329,14 @@ impl FrequencyController for OfflineController {
     }
 
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
+        // Capacities are clamped by the bytes left (an interval encodes
+        // at least its 8-byte length, an entry 9 bytes), so a corrupt
+        // length fails on EOF instead of aborting on allocation.
         let n = r.usize()?;
-        let mut schedule = Vec::with_capacity(n);
+        let mut schedule = Vec::with_capacity(n.min(r.remaining() / 8));
         for _ in 0..n {
             let m = r.usize()?;
-            let mut interval = Vec::with_capacity(m);
+            let mut interval = Vec::with_capacity(m.min(r.remaining() / 9));
             for _ in 0..m {
                 let idx = r.u8()?;
                 if usize::from(idx) >= DomainId::ALL.len() {

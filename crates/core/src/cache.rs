@@ -27,13 +27,6 @@
 //!   telemetry is excluded from [`mcd_sim::SimResult`] equality, so a
 //!   served repeat is bit-identical to a fresh simulation.
 //!
-//! A third layer, [`CheckpointCache`], holds *warm-up prefix snapshots*:
-//! same-workload runs whose configurations are indistinguishable before
-//! the first control-interval boundary (identical base machine and
-//! initial domain frequencies) share the serialized machine state of one
-//! warmed-up prefix instead of each re-simulating it (see
-//! `snapshot::fork_prefix` and `BenchmarkRunner::begin_prefixed`).
-//!
 //! **Invalidation.**  Keys hash the complete simulated-behaviour input
 //! set and nothing else; any knob that changes simulated behaviour is
 //! part of the key, and knobs that do not (worker count, slice length,
@@ -44,7 +37,7 @@
 //! long as their engine/runner, so cross-process staleness cannot arise.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Mutex, Weak};
 
 use mcd_workloads::{SharedTrace, WorkloadSpec};
 use serde::Serialize;
@@ -440,132 +433,6 @@ impl ResultCache {
     }
 }
 
-/// What a [`CheckpointCache::claim`] resolved to.
-#[derive(Debug)]
-pub enum CheckpointClaim {
-    /// First claimant of the key: run the warm-up prefix yourself, then
-    /// [`CheckpointCache::publish`] the snapshot (or
-    /// [`CheckpointCache::abandon`] the key if the prefix turned out not
-    /// to be shareable).  Siblings block on the key until one of the two
-    /// happens.
-    Owner,
-    /// A sibling already published the warm-up snapshot: restore it.
-    Ready(Arc<Vec<u8>>),
-    /// The warm-up was abandoned (the run finished inside the prefix, or
-    /// the prefix crossed an interval boundary): begin fresh.
-    Fresh,
-}
-
-#[derive(Debug)]
-enum CheckpointSlot {
-    /// The owner is running the warm-up prefix; claimants wait.
-    Building,
-    /// The published warm-up snapshot bytes.
-    Ready(Arc<Vec<u8>>),
-    /// Deterministically unshareable; claimants begin fresh.
-    Dead,
-}
-
-#[derive(Debug, Default)]
-struct CheckpointInner {
-    // Ordered map, per the workspace's hash-iteration lint (keyed
-    // lookups only today, but nothing on a result-affecting path may
-    // carry unordered iteration order).
-    slots: BTreeMap<u128, CheckpointSlot>,
-    published: u64,
-    restored: u64,
-    abandoned: u64,
-}
-
-/// Counters of a [`CheckpointCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct CheckpointCacheStats {
-    /// Warm-up prefix snapshots published (one simulation of the shared
-    /// prefix each).
-    pub published: u64,
-    /// Claims served from a published snapshot (runs that skipped the
-    /// shared prefix).
-    pub restored: u64,
-    /// Keys whose warm-up turned out not to be shareable.
-    pub abandoned: u64,
-}
-
-/// A plan-level cache of warm-up prefix snapshots, keyed by the stable
-/// hash of everything that determines the machine's trajectory up to the
-/// first control-interval boundary (see `BenchmarkRunner::prefix_key`).
-///
-/// The first claimant of a key becomes its *owner* and simulates the
-/// prefix; concurrent claimants block until the owner publishes the
-/// snapshot (they then restore it) or abandons the key (they then begin
-/// fresh).  Blocking is deliberate: the prefix is short by construction,
-/// and a non-blocking miss would re-simulate exactly the work the cache
-/// exists to share.
-#[derive(Debug, Default)]
-pub struct CheckpointCache {
-    inner: Mutex<CheckpointInner>,
-    ready: Condvar,
-}
-
-impl CheckpointCache {
-    /// Resolves `key`: the first claimant becomes the owner, later ones
-    /// block until the key is published or abandoned.
-    pub fn claim(&self, key: u128) -> CheckpointClaim {
-        let mut inner = self.inner.lock().expect("checkpoint cache poisoned");
-        loop {
-            match inner.slots.get(&key) {
-                None => {
-                    inner.slots.insert(key, CheckpointSlot::Building);
-                    return CheckpointClaim::Owner;
-                }
-                Some(CheckpointSlot::Ready(bytes)) => {
-                    let bytes = Arc::clone(bytes);
-                    inner.restored += 1;
-                    return CheckpointClaim::Ready(bytes);
-                }
-                Some(CheckpointSlot::Dead) => return CheckpointClaim::Fresh,
-                Some(CheckpointSlot::Building) => {
-                    inner = self.ready.wait(inner).expect("checkpoint cache poisoned");
-                }
-            }
-        }
-    }
-
-    /// Publishes the owner's warm-up snapshot and wakes blocked
-    /// claimants.
-    pub fn publish(&self, key: u128, bytes: Vec<u8>) {
-        let mut inner = self.inner.lock().expect("checkpoint cache poisoned");
-        inner
-            .slots
-            .insert(key, CheckpointSlot::Ready(Arc::new(bytes)));
-        inner.published += 1;
-        drop(inner);
-        self.ready.notify_all();
-    }
-
-    /// Marks `key` unshareable and wakes blocked claimants (they begin
-    /// fresh).  Also the owner's unwind path: a warm-up that panics must
-    /// not leave siblings blocked forever.
-    pub fn abandon(&self, key: u128) {
-        let mut inner = self.inner.lock().expect("checkpoint cache poisoned");
-        if !matches!(inner.slots.get(&key), Some(CheckpointSlot::Ready(_))) {
-            inner.slots.insert(key, CheckpointSlot::Dead);
-            inner.abandoned += 1;
-        }
-        drop(inner);
-        self.ready.notify_all();
-    }
-
-    /// A snapshot of the cache's counters.
-    pub fn stats(&self) -> CheckpointCacheStats {
-        let inner = self.inner.lock().expect("checkpoint cache poisoned");
-        CheckpointCacheStats {
-            published: inner.published,
-            restored: inner.restored,
-            abandoned: inner.abandoned,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,46 +556,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.materializations, 1);
         assert_eq!(stats.hits, 1);
-    }
-
-    #[test]
-    fn checkpoint_cache_hands_ownership_once_and_serves_publishes() {
-        let cache = CheckpointCache::default();
-        assert!(matches!(cache.claim(1), CheckpointClaim::Owner));
-        cache.publish(1, vec![0xaa, 0xbb]);
-        match cache.claim(1) {
-            CheckpointClaim::Ready(bytes) => assert_eq!(&*bytes, &vec![0xaa, 0xbb]),
-            other => panic!("expected Ready, got {other:?}"),
-        }
-        // Abandoned keys send claimants down the fresh path...
-        assert!(matches!(cache.claim(2), CheckpointClaim::Owner));
-        cache.abandon(2);
-        assert!(matches!(cache.claim(2), CheckpointClaim::Fresh));
-        // ...but never clobber an already-published snapshot.
-        cache.abandon(1);
-        assert!(matches!(cache.claim(1), CheckpointClaim::Ready(_)));
-        let stats = cache.stats();
-        assert_eq!(stats.published, 1);
-        assert_eq!(stats.restored, 2);
-        assert_eq!(stats.abandoned, 1);
-    }
-
-    #[test]
-    fn checkpoint_claimants_block_until_the_owner_resolves() {
-        let cache = Arc::new(CheckpointCache::default());
-        assert!(matches!(cache.claim(7), CheckpointClaim::Owner));
-        let waiter = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || match cache.claim(7) {
-                CheckpointClaim::Ready(bytes) => bytes.len(),
-                other => panic!("expected Ready, got {other:?}"),
-            })
-        };
-        // Publish after the waiter has (very likely) blocked; the
-        // condvar loop makes the race benign either way.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        cache.publish(7, vec![1, 2, 3]);
-        assert_eq!(waiter.join().expect("waiter must not panic"), 3);
     }
 
     #[test]

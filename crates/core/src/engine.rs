@@ -47,9 +47,8 @@ use std::time::Instant;
 use mcd_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::CheckpointCache;
 use crate::experiments::ExperimentSettings;
-use crate::runner::{BenchmarkRunner, ConfigKind, GangRun, PausableRun, RunOutcome};
+use crate::runner::{BenchmarkRunner, ConfigKind, PausableRun, RunOutcome};
 
 /// Resolves the number of worker threads: an explicit request wins, then
 /// the `MCD_JOBS` environment variable, then the host's available
@@ -127,32 +126,6 @@ pub fn max_live_runs(explicit: Option<usize>, workers: usize) -> usize {
         .unwrap_or(4 * workers.max(1))
 }
 
-/// Resolves the warm-up prefix length for checkpoint forking, in kernel
-/// steps: an explicit request wins, then the `MCD_PREFIX_CYCLES`
-/// environment variable, then the auto-pick — half the control interval
-/// (in kernel steps), which keeps the warm-up inside control interval 0
-/// for every workload the suite commits fewer than two instructions per
-/// step on average (and degrades gracefully to fresh construction via
-/// the abandon path otherwise).  `0` — explicit, via the environment, or
-/// from a degenerate zero-length interval — disables forking.
-///
-/// # Panics
-///
-/// Panics on an unparseable `MCD_PREFIX_CYCLES` (matching
-/// [`slice_cycles`]: a requested knob must not be silently rewritten).
-pub fn prefix_cycles(explicit: Option<u64>, interval_instructions: u64) -> Option<u64> {
-    explicit
-        .or_else(|| {
-            std::env::var("MCD_PREFIX_CYCLES").ok().map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    panic!("MCD_PREFIX_CYCLES must be a non-negative integer, got {v:?}")
-                })
-            })
-        })
-        .or(Some(interval_instructions / 2))
-        .filter(|&n| n > 0)
-}
-
 /// Parses an `MCD_NO_*` disable knob: unset or `0` leaves the feature
 /// enabled, `1` disables it.
 ///
@@ -187,61 +160,6 @@ pub fn trace_sharing_enabled(explicit: Option<bool>) -> bool {
     explicit
         .or_else(|| env_disabled_knob("MCD_NO_TRACE_SHARE"))
         .unwrap_or(true)
-}
-
-/// Resolves whether same-trace grid cells execute as lockstep gangs
-/// (see [`crate::runner::GangRun`]): an explicit request wins, then the
-/// `MCD_NO_GANG` environment variable (`1` disables), then enabled.
-/// Gang formation additionally requires trace sharing — without a shared
-/// trace there is no common window to lockstep over — so disabling
-/// sharing implicitly disables gangs.
-pub fn gang_enabled(explicit: Option<bool>) -> bool {
-    explicit
-        .or_else(|| env_disabled_knob("MCD_NO_GANG"))
-        .unwrap_or(true)
-}
-
-/// Resolves whether gangs step their members with the batched
-/// data-level sweep (one pass per lockstep window feeding every due
-/// member in fixed order — see [`crate::runner::GangRun::step`]) instead
-/// of the legacy round-robin pick loop: an explicit request wins, then
-/// the `MCD_NO_GANG_BATCH` environment variable (`1` falls back to
-/// round-robin), then enabled.  Scheduling-only — either path yields
-/// bit-identical results (golden-diffed via `MCD_GOLDEN_BATCH`).
-pub fn gang_batch_enabled(explicit: Option<bool>) -> bool {
-    explicit
-        .or_else(|| env_disabled_knob("MCD_NO_GANG_BATCH"))
-        .unwrap_or(true)
-}
-
-/// Default lockstep window of gang execution, in trace instructions.
-/// 4096 `DynInst`s are a few hundred KiB — small enough to stay resident
-/// in a per-core L2 while every gang member streams through the span,
-/// large enough that the round-robin hand-off cost is noise.
-pub const DEFAULT_GANG_WINDOW_INSTS: u64 = 4_096;
-
-/// Resolves the gang lockstep window in trace instructions: an explicit
-/// request wins, then the `MCD_GANG_WINDOW` environment variable, then
-/// [`DEFAULT_GANG_WINDOW_INSTS`].  The window is scheduling-only — it
-/// may never affect a `SimResult` (golden-gang-diffed and proptested).
-///
-/// # Panics
-///
-/// Panics on a zero window or an unparseable `MCD_GANG_WINDOW`
-/// (matching [`slice_cycles`]: a requested knob must not be silently
-/// rewritten).
-pub fn gang_window_insts(explicit: Option<u64>) -> u64 {
-    let resolved = explicit
-        .or_else(|| {
-            std::env::var("MCD_GANG_WINDOW").ok().map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    panic!("MCD_GANG_WINDOW must be a positive integer, got {v:?}")
-                })
-            })
-        })
-        .unwrap_or(DEFAULT_GANG_WINDOW_INSTS);
-    assert!(resolved > 0, "gang window must be positive, got 0");
-    resolved
 }
 
 /// Estimated relative host cost of simulating `bench`, used to order
@@ -312,45 +230,30 @@ where
         .collect()
 }
 
-/// One schedulable unit on the slice deque: a solo run, or a gang of
-/// same-trace runs that advances through its shared trace in lockstep
-/// windows.  Either way the unit occupies exactly one deque entry and
-/// one admission slot.
-enum SliceJob {
-    /// A singleton group — the historical per-run scheduling unit.
-    Run(Box<PausableRun>),
-    /// A `GangSlice`: one slice budget spent cooperatively across the
-    /// gang's members (see [`GangRun::step`]).
-    Gang(Box<GangRun>),
-}
-
 /// Shared state of one [`run_sliced`] execution: the admission queue and
-/// the deque of parked jobs, plus the liveness bookkeeping the workers
+/// the deque of parked runs, plus the liveness bookkeeping the workers
 /// block on.
 struct SliceQueue {
     state: Mutex<SliceState>,
     ready: Condvar,
-    /// Maximum groups begun-but-unfinished at any moment (`usize::MAX`
-    /// for unbounded — the resolved form of the `0` knob value).  A gang
-    /// counts as *one* residency unit: its members share one trace
-    /// window, so their marginal footprint is machine state only.
+    /// Maximum runs begun-but-unfinished at any moment (`usize::MAX` for
+    /// unbounded — the resolved form of the `0` knob value).
     max_live: usize,
 }
 
 struct SliceState {
-    /// Groups not yet begun, in admission-priority order (see
-    /// [`run_sliced`]); the claiming worker constructs the simulators,
-    /// so construction parallelizes across workers.
+    /// Jobs not yet begun, in admission-priority order (see
+    /// [`run_sliced`]); the claiming worker constructs the simulator, so
+    /// construction parallelizes across workers.
     pending: VecDeque<usize>,
-    /// Paused jobs, each tagged with its group index.  `pop_front` /
-    /// `push_back` rotates fairly through the admitted groups, so every
-    /// admitted group makes continuous progress while any worker is
-    /// free.
-    parked: VecDeque<(usize, SliceJob)>,
-    /// Groups begun but not yet finished (parked or currently stepped) —
+    /// Paused runs, each tagged with its job slot.  `pop_front` /
+    /// `push_back` rotates fairly through the admitted runs, so every
+    /// admitted run makes continuous progress while any worker is free.
+    parked: VecDeque<(usize, Box<PausableRun>)>,
+    /// Runs begun but not yet finished (parked or currently stepped) —
     /// the quantity the admission cap bounds.
     admitted: usize,
-    /// Groups not yet finished (pending, parked or currently stepped).
+    /// Jobs not yet finished (pending, parked or currently stepped).
     live: usize,
     /// Set when a worker unwound mid-slice, so blocked workers exit
     /// instead of waiting for a task that will never finish.
@@ -358,42 +261,42 @@ struct SliceState {
 }
 
 impl SliceQueue {
-    /// Blocks until a task can be claimed; `None` once no live groups
+    /// Blocks until a task can be claimed; `None` once no live jobs
     /// remain (or a sibling worker panicked).  Admission-first under the
-    /// cap: while fewer than `max_live` groups are resident, new groups
-    /// are claimed in admission-priority order (incrementing `admitted`);
-    /// otherwise workers rotate through the parked jobs.  With an
+    /// cap: while fewer than `max_live` runs are resident, new jobs are
+    /// claimed in admission-priority order (incrementing `admitted`);
+    /// otherwise workers rotate through the parked runs.  With an
     /// unbounded cap this reproduces the historical single-deque FIFO
-    /// exactly: all groups begin before any paused job is resumed.
-    fn claim(&self) -> Option<(usize, Option<SliceJob>)> {
+    /// exactly: all jobs begin before any paused run is resumed.
+    fn claim(&self) -> Option<(usize, Option<Box<PausableRun>>)> {
         let mut state = self.state.lock().expect("slice queue poisoned");
         loop {
             if state.poisoned || state.live == 0 {
                 return None;
             }
             if state.admitted < self.max_live {
-                if let Some(group) = state.pending.pop_front() {
+                if let Some(slot) = state.pending.pop_front() {
                     state.admitted += 1;
-                    return Some((group, None));
+                    return Some((slot, None));
                 }
             }
-            if let Some((group, job)) = state.parked.pop_front() {
-                return Some((group, Some(job)));
+            if let Some((slot, run)) = state.parked.pop_front() {
+                return Some((slot, Some(run)));
             }
             state = self.ready.wait(state).expect("slice queue poisoned");
         }
     }
 
-    /// Parks a paused job at the back of the deque for any worker to pick
+    /// Parks a paused run at the back of the deque for any worker to pick
     /// up.
-    fn park(&self, group: usize, job: SliceJob) {
+    fn park(&self, slot: usize, run: Box<PausableRun>) {
         let mut state = self.state.lock().expect("slice queue poisoned");
-        state.parked.push_back((group, job));
+        state.parked.push_back((slot, run));
         drop(state);
         self.ready.notify_one();
     }
 
-    /// Marks one group finished; opens an admission slot, and wakes every
+    /// Marks one run finished; opens an admission slot, and wakes every
     /// blocked worker when it was the last.
     fn retire(&self) {
         let mut state = self.state.lock().expect("slice queue poisoned");
@@ -434,52 +337,37 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// Executes the jobs named by `groups` to completion on `workers` scoped
-/// threads, `slice_cycles` kernel steps at a time, and returns the
-/// outcomes **in job-slot order** (the slots of all groups together must
-/// be a permutation of `0..n`).  Each group's boxed state flows through
-/// a shared deque: a worker claims a task — constructing the
-/// simulator(s) via `begin(slot)` on the group's *first* claim, so
-/// construction parallelizes across workers and overlaps with other
-/// groups' slices — steps one slice, then either parks the job again
-/// (paused) or retires it (finished), recording outcomes and calling
-/// `on_finish` as members complete.  A panic in any slice propagates.
+/// Executes jobs `0..n` to completion on `workers` scoped threads,
+/// `slice_cycles` kernel steps at a time, and returns the outcomes **in
+/// job order**.  Each run's boxed state flows through a shared deque: a
+/// worker claims a task — constructing the simulator via `begin(slot)` on
+/// the job's first claim, so construction parallelizes across workers and
+/// overlaps with other runs' slices — steps one slice, then either parks
+/// the run again (paused) or retires it (finished), recording the outcome
+/// and calling `on_finish`.  A panic in any slice propagates.
 ///
-/// A singleton group is the historical per-run scheduling unit.  A
-/// multi-member group becomes a [`GangRun`]: its members are constructed
-/// together (so under checkpoint forking the first member publishes the
-/// class's warm-up snapshot and its siblings restore it immediately) and
-/// each claimed slice budget is spent cooperatively across the members
-/// in lockstep trace windows.  Grouping is scheduling-only: membership
-/// and window size never affect a `SimResult`.
-///
-/// `max_live` bounds *residency in groups*: at most that many groups are
-/// begun but unfinished at any moment, with `0` meaning unbounded.  A
-/// gang deliberately counts once — its members share one hot trace
-/// window, so admitting the gang whole is what preserves the locality
-/// the grouping exists for.  Unbounded admission reproduces the
-/// historical behaviour — every group starts at plan start and rotates
-/// fairly, so the plan's wall-clock approaches
+/// `max_live` bounds residency: at most that many runs are begun but
+/// unfinished at any moment, with `0` meaning unbounded.  Unbounded
+/// admission reproduces the historical behaviour — every run starts at
+/// plan start and rotates fairly, so the plan's wall-clock approaches
 /// `max(total_work / workers, longest_run)` at the cost of O(jobs) peak
-/// memory.  A bounded cap admits groups as residency slots free up,
-/// cutting peak memory; the default of `4 * workers` (see
-/// [`max_live_runs`]) over-admits enough that a long run in the first
-/// admission wave cannot recreate the late-long-run tail for typical
-/// plans.  Admitted groups always rotate fairly regardless of the cap.
+/// memory.  A bounded cap admits runs as residency slots free up, cutting
+/// peak memory; the default of `4 * workers` (see [`max_live_runs`])
+/// over-admits enough that a long run in the first admission wave cannot
+/// recreate the late-long-run tail for typical plans.  Admitted runs
+/// always rotate fairly regardless of the cap.
 ///
-/// `priority(g)` orders *admission* by group index: groups are begun
-/// highest priority first (ties in plan order), so expensive runs (see
+/// `priority(slot)` orders *admission*: jobs are begun highest priority
+/// first (ties in plan order), so expensive runs (see
 /// [`admission_priority`]) enter in the first wave instead of landing
 /// behind the cap at the plan's tail and serializing it.  Priority never
-/// affects results — outcomes stay in job-slot order and each run is a
-/// pure function of its inputs.
-#[allow(clippy::too_many_arguments)] // internal scheduler entry point; the knobs are the signature
+/// affects results — outcomes stay in job order and each run is a pure
+/// function of its inputs.
 pub(crate) fn run_sliced<B, F, P>(
     workers: usize,
     slice_cycles: u64,
     max_live: usize,
-    groups: &[Vec<usize>],
-    gang_window_insts: u64,
+    n: usize,
     priority: P,
     begin: B,
     on_finish: F,
@@ -489,76 +377,38 @@ where
     F: Fn(&RunOutcome) + Sync,
     P: Fn(usize) -> u64,
 {
-    let n: usize = groups.iter().map(|g| g.len()).sum();
     if n == 0 {
         return Vec::new();
     }
-    debug_assert!(
-        {
-            let mut slots: Vec<usize> = groups.iter().flatten().copied().collect();
-            slots.sort_unstable();
-            slots == (0..n).collect::<Vec<_>>()
-        },
-        "group slots must be a permutation of 0..n"
-    );
-    let mut admission_order: Vec<usize> = (0..groups.len()).collect();
+    let mut admission_order: Vec<usize> = (0..n).collect();
     // Stable sort: equal priorities keep plan order.
-    admission_order.sort_by_key(|&g| std::cmp::Reverse(priority(g)));
+    admission_order.sort_by_key(|&slot| std::cmp::Reverse(priority(slot)));
     let queue = SliceQueue {
         state: Mutex::new(SliceState {
             pending: admission_order.into(),
             parked: VecDeque::new(),
             admitted: 0,
-            live: groups.len(),
+            live: n,
             poisoned: false,
         }),
         ready: Condvar::new(),
         max_live: if max_live == 0 { usize::MAX } else { max_live },
     };
     let slots: Mutex<Vec<Option<RunOutcome>>> = Mutex::new((0..n).map(|_| None).collect());
-    let record = |slot: usize, outcome: RunOutcome| {
-        on_finish(&outcome);
-        slots.lock().expect("result slots poisoned")[slot] = Some(outcome);
-    };
 
     std::thread::scope(|scope| {
-        for _ in 0..workers.clamp(1, groups.len()) {
+        for _ in 0..workers.clamp(1, n) {
             scope.spawn(|| {
                 let _guard = PoisonOnPanic(&queue);
-                while let Some((group, job)) = queue.claim() {
-                    let job = job.unwrap_or_else(|| match groups[group].as_slice() {
-                        [slot] => SliceJob::Run(Box::new(begin(*slot))),
-                        members => {
-                            // Members are constructed back-to-back on one
-                            // worker: under checkpoint forking the first
-                            // member of each warm-up class publishes its
-                            // snapshot before the siblings claim it.
-                            let mut gang = Box::new(GangRun::new(gang_window_insts));
-                            for &slot in members {
-                                gang.push(slot, Box::new(begin(slot)));
-                            }
-                            SliceJob::Gang(gang)
+                while let Some((slot, run)) = queue.claim() {
+                    let mut run = run.unwrap_or_else(|| Box::new(begin(slot)));
+                    match run.step(slice_cycles) {
+                        None => queue.park(slot, run),
+                        Some(outcome) => {
+                            on_finish(&outcome);
+                            slots.lock().expect("result slots poisoned")[slot] = Some(outcome);
+                            queue.retire();
                         }
-                    });
-                    let parked = match job {
-                        SliceJob::Run(mut run) => match run.step(slice_cycles) {
-                            None => Some(SliceJob::Run(run)),
-                            Some(outcome) => {
-                                record(groups[group][0], outcome);
-                                None
-                            }
-                        },
-                        SliceJob::Gang(mut gang) => {
-                            gang.step(slice_cycles);
-                            for (slot, outcome) in gang.take_finished() {
-                                record(slot, outcome);
-                            }
-                            (!gang.is_done()).then_some(SliceJob::Gang(gang))
-                        }
-                    };
-                    match parked {
-                        Some(job) => queue.park(group, job),
-                        None => queue.retire(),
                     }
                 }
             });
@@ -684,21 +534,17 @@ pub struct EngineStats {
     /// Simulated MIPS of the plan as a whole
     /// (`simulated_instructions / wall_seconds / 1e6`).
     pub aggregate_mips: f64,
-    /// Warm-up prefix snapshots published by checkpoint forking (one
-    /// shared-prefix simulation each; zero when forking is disabled).
-    pub checkpoint_prefixes: u64,
-    /// Runs that restored a published warm-up snapshot instead of
-    /// re-simulating the shared prefix.
-    pub checkpoint_restores: u64,
-    /// Warm-up kernel steps the plan did not re-simulate thanks to
-    /// checkpoint forking (`checkpoint_restores x prefix_cycles`).
-    pub prefix_cycles_saved: u64,
-    /// Multi-member lockstep gangs the scheduler formed (groups of
-    /// same-trace cells stepped through shared windows; zero when gangs
-    /// are disabled or no trace is shared by two or more jobs).
+    /// Always 0.  Gang execution was removed; the field stays only
+    /// because the out-of-workspace benchmark package (`perfbench/`)
+    /// still reads it, and goes with the next change to that package.
     pub gang_batches: u64,
-    /// Jobs executed as gang members (summed over `gang_batches`).
+    /// Always 0; kept for `perfbench/` like [`Self::gang_batches`].
     pub gang_members: u64,
+    /// Always 0.  Warm-up prefix forking was removed; kept for
+    /// `perfbench/` like [`Self::gang_batches`].
+    pub checkpoint_restores: u64,
+    /// Always 0; kept for `perfbench/` like [`Self::checkpoint_restores`].
+    pub prefix_cycles_saved: u64,
 }
 
 /// Executes [`RunPlan`]s against one experiment configuration.
@@ -708,26 +554,6 @@ pub struct ExperimentEngine {
     workers: usize,
     slice_cycles: u64,
     max_live_runs: usize,
-    /// Warm-up prefix length for checkpoint forking; `None` disables.
-    prefix_cycles: Option<u64>,
-    /// Whether same-trace cells execute as lockstep gangs.
-    gang: bool,
-    /// Lockstep window of gang execution, in trace instructions.
-    gang_window_insts: u64,
-    /// Warm-up checkpoint snapshots, shared by all plans this engine
-    /// executes (keys embed everything result-affecting, so reuse across
-    /// plans is exactly as sound as reuse within one).
-    checkpoints: CheckpointCache,
-}
-
-/// Gang-formation bookkeeping of one scheduling wave, summed into
-/// [`EngineStats`] across the plan's phases.
-#[derive(Debug, Default, Clone, Copy)]
-struct GangTally {
-    /// Multi-member gangs formed.
-    batches: u64,
-    /// Members across those gangs.
-    members: u64,
 }
 
 impl ExperimentEngine {
@@ -748,10 +574,6 @@ impl ExperimentEngine {
             workers,
             slice_cycles: slice_cycles(settings.slice_cycles),
             max_live_runs: max_live_runs(settings.max_live_runs, workers),
-            prefix_cycles: prefix_cycles(settings.prefix_cycles, settings.interval_instructions),
-            gang: gang_enabled(settings.gang),
-            gang_window_insts: gang_window_insts(None),
-            checkpoints: CheckpointCache::default(),
         }
     }
 
@@ -772,66 +594,27 @@ impl ExperimentEngine {
         self.max_live_runs
     }
 
-    /// The warm-up prefix length for checkpoint forking; `None` when
-    /// forking is disabled.
-    pub fn prefix_cycles(&self) -> Option<u64> {
-        self.prefix_cycles
-    }
-
-    /// Whether same-trace cells execute as lockstep gangs.
-    pub fn gang(&self) -> bool {
-        self.gang
-    }
-
-    /// The gang lockstep window in trace instructions.
-    pub fn gang_window_insts(&self) -> u64 {
-        self.gang_window_insts
-    }
-
     /// The runner backing this engine (shares its profile cache).
     pub fn runner(&self) -> &BenchmarkRunner {
         &self.runner
     }
 
-    /// Executes `specs` to completion and returns outcomes in spec order
-    /// (plus the wave's gang-formation tally): serially for a single
-    /// worker, through the work-stealing slice scheduler otherwise.
+    /// Executes `specs` to completion and returns outcomes in spec order:
+    /// serially through [`BenchmarkRunner::run`] for a single worker,
+    /// through the work-stealing slice scheduler otherwise.
     ///
     /// On the parallel path the result cache is probed once per job up
     /// front (the serial path probes inside [`BenchmarkRunner::run`]);
-    /// only the misses are scheduled, with their expected trace leases
+    /// only the misses are scheduled, each as its own run admitted in
+    /// [`admission_priority`] order, with their expected trace leases
     /// registered so same-workload runs share one materialization even
-    /// when the admission cap keeps them from overlapping.  Misses that
-    /// share one trace key form a lockstep gang (when gangs are enabled);
-    /// each group is admitted as one unit, ordered by the maximum
-    /// [`admission_priority`] of its members.
-    fn execute_jobs(&self, specs: &[JobSpec]) -> (Vec<RunOutcome>, GangTally) {
+    /// when the admission cap keeps them from overlapping.
+    fn execute_jobs(&self, specs: &[JobSpec]) -> Vec<RunOutcome> {
         if self.workers == 1 {
-            let outcomes = specs
+            return specs
                 .iter()
-                .map(|job| match self.prefix_cycles {
-                    None => self.runner.run(job.benchmark, &job.config),
-                    Some(prefix) => {
-                        if let Some(hit) = self.runner.cached_result(job.benchmark, &job.config) {
-                            self.runner.note_outcome(&hit);
-                            return hit;
-                        }
-                        let mut run = self.runner.begin_prefixed(
-                            job.benchmark,
-                            &job.config,
-                            &self.checkpoints,
-                            prefix,
-                        );
-                        let outcome = run
-                            .step(u64::MAX)
-                            .expect("an unbounded slice runs to completion");
-                        self.runner.note_outcome(&outcome);
-                        self.runner.memoize(&outcome);
-                        outcome
-                    }
-                })
+                .map(|job| self.runner.run(job.benchmark, &job.config))
                 .collect();
-            return (outcomes, GangTally::default());
         }
         let mut outcomes: Vec<Option<RunOutcome>> = specs
             .iter()
@@ -845,82 +628,33 @@ impl ExperimentEngine {
         let misses: Vec<usize> = (0..specs.len())
             .filter(|&i| outcomes[i].is_none())
             .collect();
-        let mut tally = GangTally::default();
-        if !misses.is_empty() {
-            // Groups of miss indices `j` (0..misses.len()): one group per
-            // trace key when gangs are on, singletons otherwise.  Gangs
-            // require a shared trace — the lockstep window is a span of
-            // it — so a trace-sharing-disabled engine never groups.
-            // Ordered (`BTreeMap`): iterated below, and iteration on a
-            // result path must be deterministic (the audit's
-            // hash-iteration lint) even though membership itself is
-            // scheduling-only.
-            let groups: Vec<Vec<usize>> = match self.runner.trace_cache() {
-                Some(cache) => {
-                    let mut uses: BTreeMap<crate::cache::TraceKey, Vec<usize>> = BTreeMap::new();
-                    for (j, &i) in misses.iter().enumerate() {
-                        uses.entry(self.runner.trace_key(specs[i].benchmark))
-                            .or_default()
-                            .push(j);
-                    }
-                    for (key, members) in &uses {
-                        cache.register(*key, members.len());
-                    }
-                    if self.gang {
-                        uses.into_values().collect()
-                    } else {
-                        (0..misses.len()).map(|j| vec![j]).collect()
-                    }
-                }
-                None => (0..misses.len()).map(|j| vec![j]).collect(),
-            };
-            for group in groups.iter().filter(|g| g.len() > 1) {
-                tally.batches += 1;
-                tally.members += group.len() as u64;
-            }
-            let priorities: Vec<u64> = groups
-                .iter()
-                .map(|group| {
-                    group
-                        .iter()
-                        .map(|&j| admission_priority(specs[misses[j]].benchmark))
-                        .max()
-                        .expect("groups are non-empty")
-                })
-                .collect();
-            let fresh = run_sliced(
-                self.workers,
-                self.slice_cycles,
-                self.max_live_runs,
-                &groups,
-                self.gang_window_insts,
-                |g| priorities[g],
-                |j| {
-                    let job = &specs[misses[j]];
-                    match self.prefix_cycles {
-                        Some(prefix) => self.runner.begin_prefixed(
-                            job.benchmark,
-                            &job.config,
-                            &self.checkpoints,
-                            prefix,
-                        ),
-                        None => self.runner.begin(job.benchmark, &job.config),
-                    }
-                },
-                |outcome| {
-                    self.runner.note_outcome(outcome);
-                    self.runner.memoize(outcome);
-                },
-            );
-            for (j, outcome) in fresh.into_iter().enumerate() {
-                outcomes[misses[j]] = Some(outcome);
+        if let Some(cache) = self.runner.trace_cache() {
+            for &i in &misses {
+                cache.register(self.runner.trace_key(specs[i].benchmark), 1);
             }
         }
-        let outcomes = outcomes
+        let fresh = run_sliced(
+            self.workers,
+            self.slice_cycles,
+            self.max_live_runs,
+            misses.len(),
+            |j| admission_priority(specs[misses[j]].benchmark),
+            |j| {
+                let job = &specs[misses[j]];
+                self.runner.begin(job.benchmark, &job.config)
+            },
+            |outcome| {
+                self.runner.note_outcome(outcome);
+                self.runner.memoize(outcome);
+            },
+        );
+        for (j, outcome) in fresh.into_iter().enumerate() {
+            outcomes[misses[j]] = Some(outcome);
+        }
+        outcomes
             .into_iter()
             .map(|o| o.expect("every job resolved by cache or simulation"))
-            .collect();
-        (outcomes, tally)
+            .collect()
     }
 
     /// Executes the plan and returns its outcomes in plan order.
@@ -933,7 +667,6 @@ impl ExperimentEngine {
         let started = Instant::now();
         let results_before = self.runner.result_cache_stats();
         let traces_before = self.runner.trace_cache_stats();
-        let checkpoints_before = self.checkpoints.stats();
 
         // Phase 1 — prerequisite profiling runs, deduplicated through the
         // shared cache.  The baseline outcome itself is kept so that a
@@ -950,8 +683,8 @@ impl ExperimentEngine {
                 config: ConfigKind::BaselineMcd,
             })
             .collect();
-        let (prerequisite_outcomes, prerequisite_tally) = self.execute_jobs(&prerequisites);
-        let baseline_outcomes: BTreeMap<Benchmark, RunOutcome> = prerequisite_outcomes
+        let baseline_outcomes: BTreeMap<Benchmark, RunOutcome> = self
+            .execute_jobs(&prerequisites)
             .into_iter()
             .map(|o| (o.benchmark, o))
             .collect();
@@ -963,8 +696,7 @@ impl ExperimentEngine {
             job.config == ConfigKind::BaselineMcd && baseline_outcomes.contains_key(&job.benchmark)
         };
         let fresh: Vec<JobSpec> = plan.jobs.iter().filter(|j| !reused(j)).cloned().collect();
-        let (fresh_outcomes, fresh_tally) = self.execute_jobs(&fresh);
-        let mut fresh_outcomes = fresh_outcomes.into_iter();
+        let mut fresh_outcomes = self.execute_jobs(&fresh).into_iter();
         let outcomes: Vec<RunOutcome> = plan
             .jobs
             .iter()
@@ -997,7 +729,6 @@ impl ExperimentEngine {
         let runs = simulated.len();
         let results_after = self.runner.result_cache_stats();
         let traces_after = self.runner.trace_cache_stats();
-        let checkpoints_after = self.checkpoints.stats();
         // Per-run host stats already aggregate across each run's slices
         // (regardless of which workers executed them), so the plan-level
         // cumulative cost is a plain sum.
@@ -1029,12 +760,10 @@ impl ExperimentEngine {
             } else {
                 0.0
             },
-            checkpoint_prefixes: checkpoints_after.published - checkpoints_before.published,
-            checkpoint_restores: checkpoints_after.restored - checkpoints_before.restored,
-            prefix_cycles_saved: (checkpoints_after.restored - checkpoints_before.restored)
-                * self.prefix_cycles.unwrap_or(0),
-            gang_batches: prerequisite_tally.batches + fresh_tally.batches,
-            gang_members: prerequisite_tally.members + fresh_tally.members,
+            gang_batches: 0,
+            gang_members: 0,
+            checkpoint_restores: 0,
+            prefix_cycles_saved: 0,
         };
         (outcomes, stats)
     }
@@ -1098,13 +827,11 @@ mod tests {
         let finished = AtomicUsize::new(0);
         // A small slice forces every run through many park/claim cycles;
         // construction happens lazily on each job's first claim.
-        let singletons: Vec<Vec<usize>> = (0..specs.len()).map(|i| vec![i]).collect();
         let outcomes = run_sliced(
             2,
             2_000,
             0, // unbounded residency
-            &singletons,
-            DEFAULT_GANG_WINDOW_INSTS,
+            specs.len(),
             |_| 0,
             |i| {
                 begun.fetch_add(1, Ordering::Relaxed);
@@ -1154,13 +881,11 @@ mod tests {
         let cap = 2usize;
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let singletons: Vec<Vec<usize>> = (0..specs.len()).map(|i| vec![i]).collect();
         let capped = run_sliced(
             2,
             1_000,
             cap,
-            &singletons,
-            DEFAULT_GANG_WINDOW_INSTS,
+            specs.len(),
             |_| 0,
             |i| {
                 let now = live.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1181,8 +906,7 @@ mod tests {
             2,
             1_000,
             0,
-            &singletons,
-            DEFAULT_GANG_WINDOW_INSTS,
+            specs.len(),
             |_| 0,
             |i| {
                 let (b, c) = &specs[i];
@@ -1237,8 +961,6 @@ mod tests {
             max_live_runs: None,
             share_traces: None,
             result_cache: None,
-            prefix_cycles: None,
-            gang: None,
         };
         let engine = ExperimentEngine::from_settings(&settings);
         assert_eq!(engine.slice_cycles(), 3_000);
@@ -1283,13 +1005,11 @@ mod tests {
         ];
         let priorities = [1u64, 3, 2];
         let begun: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let singletons: Vec<Vec<usize>> = (0..specs.len()).map(|i| vec![i]).collect();
         let outcomes = run_sliced(
             1,
             1_000,
             1,
-            &singletons,
-            DEFAULT_GANG_WINDOW_INSTS,
+            specs.len(),
             |i| priorities[i],
             |i| {
                 begun.lock().unwrap().push(i);
@@ -1311,252 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_forking_restores_all_but_one_warm_up_with_identical_results() {
-        // Four cells of one benchmark in a single warm-up equivalence
-        // class (baseline MCD and three Attack/Decay variants all start
-        // every domain at the maximum frequency on the MCD machine):
-        // exactly one simulates the shared prefix, the other three must
-        // restore its checkpoint — and results must be bit-identical to
-        // an engine with forking disabled.
-        let variant = |decay: f64| {
-            let mut p = mcd_control::AttackDecayParams::paper_defaults();
-            p.decay = decay;
-            ConfigKind::AttackDecay(p)
-        };
-        let plan = RunPlan::new()
-            .job(Benchmark::Gzip, ConfigKind::BaselineMcd)
-            .job(Benchmark::Gzip, variant(0.005))
-            .job(Benchmark::Gzip, variant(0.010))
-            .job(Benchmark::Gzip, variant(0.015));
-        let base = ExperimentSettings {
-            benchmarks: vec![Benchmark::Gzip],
-            instructions: 20_000,
-            interval_instructions: 10_000,
-            seed: 5,
-            global_search_iters: 1,
-            parallel: true,
-            jobs: Some(2),
-            slice_cycles: Some(3_000),
-            max_live_runs: None,
-            share_traces: None,
-            result_cache: None,
-            prefix_cycles: Some(2_000),
-            gang: None,
-        };
-        let forking = ExperimentEngine::from_settings(&base);
-        assert_eq!(forking.prefix_cycles(), Some(2_000));
-        let (forked, stats) = forking.execute_with_stats(&plan);
-        assert_eq!(
-            stats.checkpoint_prefixes, 1,
-            "one warm-up simulation per equivalence class"
-        );
-        assert_eq!(
-            stats.checkpoint_restores,
-            plan.jobs.len() as u64 - 1,
-            "every other cell of the class must restore the checkpoint"
-        );
-        assert_eq!(
-            stats.prefix_cycles_saved,
-            2_000 * (plan.jobs.len() as u64 - 1),
-            "each restore saves one prefix of warm-up simulation"
-        );
-
-        // Forking defaults on (auto-picked from the interval), so the
-        // control must disable it explicitly with the 0 sentinel.
-        let mut control_settings = base.clone();
-        control_settings.prefix_cycles = Some(0);
-        let control = ExperimentEngine::from_settings(&control_settings);
-        assert_eq!(control.prefix_cycles(), None);
-        let (fresh, control_stats) = control.execute_with_stats(&plan);
-        assert_eq!(control_stats.checkpoint_prefixes, 0);
-        assert_eq!(control_stats.checkpoint_restores, 0);
-        assert_eq!(control_stats.prefix_cycles_saved, 0);
-        for (a, b) in forked.iter().zip(&fresh) {
-            assert_eq!(
-                a.result, b.result,
-                "prefix forking must never change a result"
-            );
-        }
-    }
-
-    #[test]
-    fn prefix_forking_is_identical_on_the_serial_path() {
-        // workers == 1 takes the serial execute_jobs path; the same
-        // class sharing must hold (sequentially: owner first, then three
-        // restores), with identical results.
-        let plan = RunPlan::new()
-            .job(Benchmark::Adpcm, ConfigKind::BaselineMcd)
-            .job(
-                Benchmark::Adpcm,
-                ConfigKind::AttackDecay(mcd_control::AttackDecayParams::paper_defaults()),
-            );
-        let base = ExperimentSettings {
-            benchmarks: vec![Benchmark::Adpcm],
-            instructions: 15_000,
-            interval_instructions: 10_000,
-            seed: 9,
-            global_search_iters: 1,
-            parallel: false,
-            jobs: None,
-            slice_cycles: None,
-            max_live_runs: None,
-            share_traces: None,
-            result_cache: None,
-            prefix_cycles: Some(2_000),
-            gang: None,
-        };
-        let forking = ExperimentEngine::from_settings(&base);
-        let (forked, stats) = forking.execute_with_stats(&plan);
-        assert_eq!(stats.checkpoint_prefixes, 1);
-        assert_eq!(stats.checkpoint_restores, 1);
-        let mut control_settings = base.clone();
-        control_settings.prefix_cycles = Some(0);
-        let (fresh, _) =
-            ExperimentEngine::from_settings(&control_settings).execute_with_stats(&plan);
-        for (a, b) in forked.iter().zip(&fresh) {
-            assert_eq!(a.result, b.result);
-        }
-    }
-
-    #[test]
-    fn prefix_cycles_resolution_order() {
-        // Explicit request wins; 0 disables; the default auto-picks half
-        // the control interval in kernel steps (the MCD_PREFIX_CYCLES
-        // branch is exercised by the CI workflow).
-        assert_eq!(prefix_cycles(Some(5_000), 10_000), Some(5_000));
-        assert_eq!(prefix_cycles(Some(0), 10_000), None);
-        if std::env::var("MCD_PREFIX_CYCLES").is_err() {
-            assert_eq!(prefix_cycles(None, 10_000), Some(5_000));
-            // A degenerate interval cannot host a warm-up prefix.
-            assert_eq!(prefix_cycles(None, 1), None);
-        }
-    }
-
-    #[test]
-    fn gang_window_resolution_order() {
-        // Explicit request wins; the default applies when neither the
-        // request nor the environment decide (the MCD_GANG_WINDOW branch
-        // is exercised by the CI golden-gang matrix).
-        assert_eq!(gang_window_insts(Some(123)), 123);
-        if std::env::var("MCD_GANG_WINDOW").is_err() {
-            assert_eq!(gang_window_insts(None), DEFAULT_GANG_WINDOW_INSTS);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "gang window must be positive")]
-    fn zero_gang_window_is_rejected() {
-        let _ = gang_window_insts(Some(0));
-    }
-
-    #[test]
-    fn gangs_form_per_trace_key_with_identical_results() {
-        // Four grid cells of one benchmark share one trace key, so the
-        // default-on gang scheduler must fuse them into a single gang of
-        // four — and produce exactly the results of a gang-free engine.
-        let variant = |decay: f64| {
-            let mut p = mcd_control::AttackDecayParams::paper_defaults();
-            p.decay = decay;
-            ConfigKind::AttackDecay(p)
-        };
-        let plan = RunPlan::new()
-            .job(Benchmark::Gzip, ConfigKind::BaselineMcd)
-            .job(Benchmark::Gzip, variant(0.005))
-            .job(Benchmark::Gzip, variant(0.010))
-            .job(Benchmark::Gzip, variant(0.015));
-        let base = ExperimentSettings {
-            benchmarks: vec![Benchmark::Gzip],
-            instructions: 20_000,
-            interval_instructions: 10_000,
-            seed: 5,
-            global_search_iters: 1,
-            parallel: true,
-            jobs: Some(2),
-            slice_cycles: Some(3_000),
-            max_live_runs: None,
-            share_traces: None,
-            result_cache: None,
-            prefix_cycles: None,
-            gang: None,
-        };
-        let ganged = ExperimentEngine::from_settings(&base);
-        assert!(ganged.gang(), "gang execution defaults on");
-        let (with_gangs, stats) = ganged.execute_with_stats(&plan);
-        assert_eq!(stats.gang_batches, 1, "one trace key, one gang");
-        assert_eq!(stats.gang_members, 4, "every cell joined the gang");
-
-        let solo = ExperimentEngine::from_settings(&base.clone().with_gang(false));
-        assert!(!solo.gang());
-        let (without_gangs, solo_stats) = solo.execute_with_stats(&plan);
-        assert_eq!(solo_stats.gang_batches, 0);
-        assert_eq!(solo_stats.gang_members, 0);
-        for (a, b) in with_gangs.iter().zip(&without_gangs) {
-            assert_eq!(
-                a.result, b.result,
-                "gang membership must never change a result"
-            );
-        }
-    }
-
-    #[test]
-    fn a_gang_is_one_admission_unit_with_identical_results() {
-        // One worker and a residency cap of ONE GROUP: the two-member gang
-        // must still admit both of its runs together (a gang is a single
-        // residency unit), and the begin order shows the gang claiming
-        // both members before the singleton job starts.
-        let runner = BenchmarkRunner::new(5_000, 11);
-        let specs = [
-            (Benchmark::Adpcm, ConfigKind::BaselineMcd),
-            (Benchmark::Adpcm, ConfigKind::FullySynchronous),
-            (Benchmark::Gzip, ConfigKind::BaselineMcd),
-        ];
-        let groups: Vec<Vec<usize>> = vec![vec![0, 1], vec![2]];
-        let begun: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let ganged = run_sliced(
-            1,
-            1_000,
-            1,
-            &groups,
-            256,
-            |_| 0,
-            |i| {
-                begun.lock().unwrap().push(i);
-                let (b, c) = &specs[i];
-                runner.begin(*b, c)
-            },
-            |_| {},
-        );
-        assert_eq!(
-            *begun.lock().unwrap(),
-            vec![0, 1, 2],
-            "the gang admits all members together, ahead of the singleton"
-        );
-        assert_eq!(ganged.len(), 3);
-        let singletons: Vec<Vec<usize>> = (0..specs.len()).map(|i| vec![i]).collect();
-        let solo = run_sliced(
-            1,
-            1_000,
-            1,
-            &singletons,
-            256,
-            |_| 0,
-            |i| {
-                let (b, c) = &specs[i];
-                runner.begin(*b, c)
-            },
-            |_| {},
-        );
-        for ((spec, a), b) in specs.iter().zip(&ganged).zip(&solo) {
-            assert_eq!(a.benchmark, spec.0);
-            assert_eq!(a.config, spec.1);
-            assert_eq!(
-                a.result, b.result,
-                "gang scheduling must never change a result"
-            );
-        }
-    }
-
-    #[test]
     fn repeat_plan_is_served_entirely_from_the_result_cache() {
         let settings = ExperimentSettings {
             benchmarks: vec![Benchmark::Adpcm],
@@ -1570,8 +1044,6 @@ mod tests {
             max_live_runs: None,
             share_traces: None,
             result_cache: None,
-            prefix_cycles: None,
-            gang: None,
         };
         let engine = ExperimentEngine::from_settings(&settings);
         let plan = RunPlan::suite(&[Benchmark::Adpcm]);
@@ -1610,8 +1082,6 @@ mod tests {
             max_live_runs: None,
             share_traces: None,
             result_cache: None,
-            prefix_cycles: None,
-            gang: None,
         };
         let cached = ExperimentEngine::from_settings(&base);
         let uncached = ExperimentEngine::from_settings(

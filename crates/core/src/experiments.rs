@@ -61,19 +61,6 @@ pub struct ExperimentSettings {
     /// `MCD_NO_RESULT_CACHE=1`).  Host-side telemetry aside, a served
     /// repeat is bit-identical to a fresh simulation.
     pub result_cache: Option<bool>,
-    /// Warm-up prefix length in kernel steps for checkpoint forking:
-    /// runs whose configurations are indistinguishable over the prefix
-    /// share one warmed-up machine snapshot instead of each
-    /// re-simulating it (None: the `MCD_PREFIX_CYCLES` environment
-    /// variable, then auto-picked as half the control interval;
-    /// `Some(0)` explicitly disables).  The fork contract keeps results
-    /// bit-identical, so this never affects simulated results.
-    pub prefix_cycles: Option<u64>,
-    /// Gang execution: step same-trace grid cells cooperatively through
-    /// shared trace windows under one scheduler slot (None: enabled
-    /// unless `MCD_NO_GANG=1`).  Gang membership and window size are
-    /// scheduling-only and never affect simulated results.
-    pub gang: Option<bool>,
 }
 
 impl ExperimentSettings {
@@ -99,8 +86,6 @@ impl ExperimentSettings {
             max_live_runs: None,
             share_traces: None,
             result_cache: None,
-            prefix_cycles: None,
-            gang: None,
         }
     }
 
@@ -119,8 +104,6 @@ impl ExperimentSettings {
             max_live_runs: None,
             share_traces: None,
             result_cache: None,
-            prefix_cycles: None,
-            gang: None,
         }
     }
 
@@ -168,19 +151,6 @@ impl ExperimentSettings {
     /// Builder-style enable/disable of result memoization.
     pub fn with_result_cache(mut self, result_cache: bool) -> Self {
         self.result_cache = Some(result_cache);
-        self
-    }
-
-    /// Builder-style override of the warm-up prefix length for
-    /// checkpoint forking (`0` disables).
-    pub fn with_prefix_cycles(mut self, prefix_cycles: u64) -> Self {
-        self.prefix_cycles = Some(prefix_cycles);
-        self
-    }
-
-    /// Builder-style enable/disable of gang execution.
-    pub fn with_gang(mut self, gang: bool) -> Self {
-        self.gang = Some(gang);
         self
     }
 
@@ -804,8 +774,6 @@ mod tests {
             max_live_runs: None,
             share_traces: None,
             result_cache: None,
-            prefix_cycles: None,
-            gang: None,
         }
     }
 
@@ -923,8 +891,6 @@ mod tests {
             max_live_runs: None,
             share_traces: None,
             result_cache: None,
-            prefix_cycles: None,
-            gang: None,
         });
         let fig = figure4::from_outcomes(&outcomes);
         assert_eq!(fig.rows.len(), 2);
@@ -967,8 +933,6 @@ mod tests {
             max_live_runs: None,
             share_traces: None,
             result_cache: None,
-            prefix_cycles: None,
-            gang: None,
         };
         let sweep = sensitivity::sweep_decay(&settings, &[0.0005, 0.0075]);
         assert_eq!(sweep.points.len(), 2);

@@ -18,12 +18,9 @@
 //!   matches a target performance degradation.
 //! * [`mod@snapshot`] — the versioned binary snapshot codec: serialize a
 //!   paused [`runner::PausableRun`] (machine + stream cursor + controller
-//!   state) and restore it bit-identically, in this process or another;
-//!   `fork_prefix` swaps in a different controller at restore time for
-//!   warm-up sharing.
-//! * [`cache`] — the engine-owned caches: shared instruction traces,
-//!   content-addressed result memoization, and the checkpoint cache that
-//!   coordinates prefix forking across same-warm-up grid cells.
+//!   state) and restore it bit-identically, in this process or another.
+//! * [`cache`] — the engine-owned caches: shared instruction traces and
+//!   content-addressed result memoization.
 //! * [`bundle`] — verifiable run bundles: a manifest-hashed directory of
 //!   run identity, snapshot chain and result digest, with
 //!   [`bundle::replay_verify`] restoring every snapshot
@@ -58,18 +55,12 @@ pub mod runner;
 pub mod snapshot;
 
 pub use bundle::{replay_verify, write_bundle, BundleError, BundleReport, BundleSpec};
-pub use cache::{
-    result_key, CheckpointCache, CheckpointCacheStats, CheckpointClaim, ResultCache,
-    ResultCacheStats, TraceCache, TraceCacheStats, TraceKey,
-};
+pub use cache::{result_key, ResultCache, ResultCacheStats, TraceCache, TraceCacheStats, TraceKey};
 pub use engine::{
-    admission_priority, gang_enabled, gang_window_insts, parallel_map, prefix_cycles,
-    result_caching_enabled, slice_cycles, trace_sharing_enabled, worker_count, EngineStats,
-    ExperimentEngine, JobSpec, RunPlan, DEFAULT_GANG_WINDOW_INSTS, DEFAULT_SLICE_CYCLES,
+    admission_priority, parallel_map, result_caching_enabled, slice_cycles, trace_sharing_enabled,
+    worker_count, EngineStats, ExperimentEngine, JobSpec, RunPlan, DEFAULT_SLICE_CYCLES,
 };
 pub use experiments::ExperimentSettings;
 pub use metrics::{suite_average, Comparison, RunMetrics};
-pub use runner::{BenchmarkRunner, ConfigKind, GangRun, PausableRun, RunOutcome, RunStream};
-pub use snapshot::{
-    fork_prefix, restore, restore_with, snapshot, SnapshotHeader, SNAPSHOT_VERSION,
-};
+pub use runner::{BenchmarkRunner, ConfigKind, PausableRun, RunOutcome, RunStream};
+pub use snapshot::{restore, restore_with, snapshot, SnapshotHeader, SNAPSHOT_VERSION};

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use mcd_clock::{DomainId, MegaHertz, OperatingPointTable};
+use mcd_clock::{MegaHertz, OperatingPointTable};
 use mcd_control::{
     AttackDecayController, AttackDecayParams, FixedController, FrequencyController,
     GlobalScalingController, OfflineController, OfflineProfile,
@@ -20,11 +20,9 @@ use mcd_workloads::{Benchmark, TraceCursor, WorkloadGenerator};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{
-    hash_spec, result_key, CheckpointCache, CheckpointClaim, ResultCache, ResultCacheStats,
-    StableHasher, TraceCache, TraceCacheStats, TraceKey,
+    result_key, ResultCache, ResultCacheStats, TraceCache, TraceCacheStats, TraceKey,
 };
-use crate::engine::{gang_batch_enabled, result_caching_enabled, trace_sharing_enabled};
-use crate::snapshot::{fork_prefix, snapshot};
+use crate::engine::{result_caching_enabled, trace_sharing_enabled};
 
 /// Which of the paper's configurations to run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -132,25 +130,6 @@ impl std::fmt::Debug for PausableRun {
 }
 
 impl PausableRun {
-    /// Packages an externally built machine and stream as a pausable run
-    /// (used by the golden harness and the gang proptests to drive
-    /// hand-constructed members through [`GangRun`]; the engine's runs
-    /// come from [`BenchmarkRunner::begin`]).
-    pub fn from_parts(
-        benchmark: Benchmark,
-        config: ConfigKind,
-        cpu: McdProcessor,
-        stream: RunStream,
-    ) -> Self {
-        PausableRun {
-            benchmark,
-            config,
-            cpu,
-            stream,
-            trace_bytes: 0,
-        }
-    }
-
     /// The benchmark this run executes.
     pub fn benchmark(&self) -> Benchmark {
         self.benchmark
@@ -161,31 +140,15 @@ impl PausableRun {
         &self.config
     }
 
-    /// Committed instructions so far (snapshot naming, prefix forking).
+    /// Committed instructions so far.
     pub fn committed_instructions(&self) -> u64 {
         self.cpu.committed_instructions()
-    }
-
-    /// Zero-based index of the control interval currently accumulating.
-    /// See [`McdProcessor::interval_index`] for the prefix-fork contract.
-    pub fn interval_index(&self) -> u64 {
-        self.cpu.interval_index()
     }
 
     /// Whether the run has finished (a finished run must not be stepped
     /// or snapshotted).
     pub fn is_done(&self) -> bool {
         self.cpu.is_done()
-    }
-
-    /// The shared-trace position of this run's stream, or `None` when
-    /// the stream generates live.  Gang execution uses this to hold
-    /// same-trace members inside one lockstep window.
-    pub fn trace_position(&self) -> Option<u64> {
-        match &self.stream {
-            RunStream::Live(_) => None,
-            RunStream::Trace(c) => Some(c.position()),
-        }
     }
 
     /// Runs at most `max_cycles` kernel steps.  Returns `None` when the
@@ -203,237 +166,6 @@ impl PausableRun {
                 })
             }
         }
-    }
-}
-
-/// One member of a [`GangRun`]: the run plus the caller's slot id for
-/// its outcome (`None` once finished).
-#[derive(Debug)]
-struct GangMember {
-    slot: usize,
-    run: Option<Box<PausableRun>>,
-}
-
-/// K same-workload runs stepped cooperatively through one shared trace
-/// in lockstep windows.
-///
-/// A gang occupies a single scheduler slot: members advance round-robin,
-/// and a member whose cursor has moved past the common window waits for
-/// the laggard to catch up, so all members read the same hot `DynInst`
-/// span (see [`mcd_workloads::SharedTrace::window`]) and the span stays
-/// cache-resident instead of being re-streamed once per run.
-///
-/// Membership, member order and the window size are scheduling decisions
-/// only: each member's machine still consumes its own full stream through
-/// `run_for`, whose pause boundaries are invisible in results by the
-/// pause/resume contract — so every member's [`RunOutcome`] is
-/// bit-identical to running it alone.
-#[derive(Debug)]
-pub struct GangRun {
-    members: Vec<GangMember>,
-    finished: Vec<(usize, RunOutcome)>,
-    /// Round-robin pick cursor over `members` (legacy stepping only).
-    next: usize,
-    live: usize,
-    window_insts: u64,
-    /// Whether stepping uses the batched data-level sweep (default) or
-    /// the legacy round-robin pick loop.  Scheduling-only: both paths
-    /// yield bit-identical member results.
-    batched: bool,
-}
-
-impl GangRun {
-    /// Creates an empty gang with the given lockstep window length (in
-    /// trace instructions).  The stepping discipline defaults from
-    /// [`gang_batch_enabled`] (batched unless `MCD_NO_GANG_BATCH=1`);
-    /// override with [`GangRun::with_batched`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `window_insts` is zero.
-    pub fn new(window_insts: u64) -> Self {
-        assert!(window_insts > 0, "gang window length must be positive");
-        GangRun {
-            members: Vec::new(),
-            finished: Vec::new(),
-            next: 0,
-            live: 0,
-            window_insts,
-            batched: gang_batch_enabled(None),
-        }
-    }
-
-    /// Forces the stepping discipline: `true` for the batched data-level
-    /// sweep, `false` for the legacy round-robin pick loop.
-    pub fn with_batched(mut self, batched: bool) -> Self {
-        self.batched = batched;
-        self
-    }
-
-    /// Whether stepping uses the batched data-level sweep.
-    pub fn batched(&self) -> bool {
-        self.batched
-    }
-
-    /// Adds a member; `slot` tags the member's outcome in
-    /// [`Self::take_finished`].
-    pub fn push(&mut self, slot: usize, run: Box<PausableRun>) {
-        assert!(!run.is_done(), "a finished run cannot join a gang");
-        self.members.push(GangMember {
-            slot,
-            run: Some(run),
-        });
-        self.live += 1;
-    }
-
-    /// Number of members ever added.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the gang has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Members still running.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Whether every member has finished.
-    pub fn is_done(&self) -> bool {
-        self.live == 0
-    }
-
-    /// The lockstep window length in trace instructions.
-    pub fn window_insts(&self) -> u64 {
-        self.window_insts
-    }
-
-    /// Runs the gang for at most `max_cycles` kernel steps in total,
-    /// spent in window-sized chunks across live members (members ahead
-    /// of the laggard's window stand aside so the shared span stays
-    /// hot).  Call repeatedly until [`Self::is_done`]; finished members
-    /// accumulate in [`Self::take_finished`].
-    ///
-    /// Two stepping disciplines exist (see [`GangRun::with_batched`]):
-    /// the batched data-level sweep walks the laggard's annotation/trace
-    /// window once and feeds every due member's frontend in fixed member
-    /// order before moving on, while the legacy path picks one member
-    /// per chunk round-robin.  Which discipline runs is a scheduling
-    /// decision only — member results are bit-identical either way
-    /// (diffed by the `MCD_GOLDEN_BATCH` golden mode).
-    pub fn step(&mut self, max_cycles: u64) {
-        if self.batched {
-            self.step_batched(max_cycles);
-        } else {
-            self.step_round_robin(max_cycles);
-        }
-    }
-
-    /// Batched data-level stepping: each outer sweep fixes the laggard's
-    /// window, then steps *every* member due for that window one chunk
-    /// in member order, so the window's `DynInst` span and annotation
-    /// rows are walked while maximally hot instead of once per
-    /// round-robin hand-off.
-    fn step_batched(&mut self, max_cycles: u64) {
-        let mut budget = max_cycles;
-        let window = self.window_insts;
-        while budget > 0 && self.live > 0 {
-            // The sweep serves the laggard's window (`None` when no
-            // member reads a shared trace; every member is then due).
-            let laggard = self
-                .members
-                .iter()
-                .filter_map(|m| m.run.as_ref())
-                .filter_map(|r| r.trace_position())
-                .map(|pos| pos / window)
-                .min();
-            for idx in 0..self.members.len() {
-                if budget == 0 {
-                    break;
-                }
-                let member = &mut self.members[idx];
-                let Some(run) = member.run.as_mut() else {
-                    continue;
-                };
-                let ahead = match (laggard, run.trace_position()) {
-                    (Some(lag), Some(pos)) => pos / window > lag,
-                    _ => false,
-                };
-                if ahead {
-                    continue;
-                }
-                // One chunk of kernel steps roughly covers one trace
-                // window (commit rate is at most one instruction per
-                // step on average); the ratio is a locality heuristic
-                // with no result impact.
-                let chunk = window.min(budget);
-                if let Some(outcome) = run.step(chunk) {
-                    self.finished.push((member.slot, outcome));
-                    member.run = None;
-                    self.live -= 1;
-                }
-                budget -= chunk;
-            }
-            // Termination: the laggard member itself is live and never
-            // "ahead", so every sweep with remaining budget steps at
-            // least one member.
-        }
-    }
-
-    /// Legacy stepping: one member per chunk, picked round-robin.
-    fn step_round_robin(&mut self, max_cycles: u64) {
-        let mut budget = max_cycles;
-        while budget > 0 && self.live > 0 {
-            let chunk = self.window_insts.min(budget);
-            let idx = self.pick();
-            let member = &mut self.members[idx];
-            let run = member.run.as_mut().expect("picked member is live");
-            if let Some(outcome) = run.step(chunk) {
-                self.finished.push((member.slot, outcome));
-                member.run = None;
-                self.live -= 1;
-            }
-            budget -= chunk;
-        }
-    }
-
-    /// The next live member to step: round-robin, skipping members whose
-    /// trace cursor has already left the laggard's window.  Live-stream
-    /// members (no shared trace) are always eligible.
-    fn pick(&mut self) -> usize {
-        debug_assert!(self.live > 0);
-        let laggard = self
-            .members
-            .iter()
-            .filter_map(|m| m.run.as_ref())
-            .filter_map(|r| r.trace_position())
-            .map(|pos| pos / self.window_insts)
-            .min();
-        let n = self.members.len();
-        for _ in 0..n {
-            let idx = self.next;
-            self.next = (self.next + 1) % n;
-            let Some(run) = self.members[idx].run.as_ref() else {
-                continue;
-            };
-            let ahead = match (laggard, run.trace_position()) {
-                (Some(lag), Some(pos)) => pos / self.window_insts > lag,
-                _ => false,
-            };
-            if !ahead {
-                return idx;
-            }
-        }
-        unreachable!("a live gang always has an eligible member (the laggard itself)")
-    }
-
-    /// Drains the outcomes of members that finished since the last call,
-    /// tagged with their slot ids.
-    pub fn take_finished(&mut self) -> Vec<(usize, RunOutcome)> {
-        std::mem::take(&mut self.finished)
     }
 }
 
@@ -678,136 +410,6 @@ impl BenchmarkRunner {
         }
     }
 
-    /// The warm-up equivalence class of `(bench, kind)` plus the prefix
-    /// length, as a stable hash: two cells get the same key exactly when
-    /// their machines are bit-identical for the first `prefix_cycles`
-    /// kernel steps.  Controllers influence a run only through their
-    /// initial domain frequencies (at construction) and through
-    /// `interval_update` (at control-interval boundaries), so up to the
-    /// first boundary the trajectory is determined by the workload, the
-    /// runner's settings, the base machine (fully synchronous vs MCD)
-    /// and those initial frequencies — which is precisely what the key
-    /// hashes.  The configuration *kind* is deliberately excluded:
-    /// aliasing across kinds inside one class is the point.
-    pub fn prefix_key(&self, bench: Benchmark, kind: &ConfigKind, prefix_cycles: u64) -> u128 {
-        let cfg = self.sim_config(kind);
-        let controller = self.controller(bench, kind);
-        // Resolve the initial frequency of every domain exactly as the
-        // processor's constructor does (nearest operating point; the
-        // external bus and unpinned domains fall back to config values).
-        let table = OperatingPointTable::from_params(&cfg.clock);
-        let max_freq = table.max_point().freq_mhz;
-        let mut h = StableHasher::new();
-        h.write_str("prefix-checkpoint");
-        h.write_u64(prefix_cycles);
-        let spec_hash = hash_spec(&bench.spec());
-        h.write_u64(spec_hash as u64);
-        h.write_u64((spec_hash >> 64) as u64);
-        h.write_u64(cfg.seed);
-        h.write_u64(cfg.max_instructions);
-        h.write_u64(cfg.interval_instructions);
-        h.write_bool(cfg.record_traces);
-        // The base-machine branch of `sim_config`.
-        h.write_bool(matches!(
-            kind,
-            ConfigKind::FullySynchronous | ConfigKind::GlobalScaling { .. }
-        ));
-        for &d in DomainId::ALL.iter() {
-            let initial = controller
-                .initial_freq_mhz(d)
-                .map(|f| table.nearest(f).freq_mhz)
-                .unwrap_or(if d == DomainId::External {
-                    cfg.clock.external_freq_mhz
-                } else {
-                    max_freq
-                });
-            h.write_f64(initial);
-        }
-        h.finish()
-    }
-
-    /// [`Self::begin`] through a warm-up checkpoint cache: the first run
-    /// of each warm-up equivalence class (see [`Self::prefix_key`])
-    /// simulates the first `prefix_cycles` kernel steps and publishes a
-    /// snapshot of the warmed machine; every later run of the class
-    /// restores that snapshot and swaps in its own controller instead of
-    /// re-simulating the prefix.  Results are bit-identical to
-    /// [`Self::begin`] by the prefix-fork contract
-    /// (`snapshot::fork_prefix`).
-    ///
-    /// Degenerate prefixes are handled by abandoning the key: a run that
-    /// finishes inside the prefix, or a prefix that crosses the first
-    /// control-interval boundary, is not shareable, and all runs of the
-    /// class fall back to fresh construction (the abandoning owner
-    /// re-begins from scratch, trading one wasted warm-up for the
-    /// invariant that a returned run never needs special stepping).
-    pub fn begin_prefixed(
-        &self,
-        bench: Benchmark,
-        kind: &ConfigKind,
-        checkpoints: &CheckpointCache,
-        prefix_cycles: u64,
-    ) -> PausableRun {
-        let key = self.prefix_key(bench, kind, prefix_cycles);
-        match checkpoints.claim(key) {
-            CheckpointClaim::Ready(bytes) => {
-                let controller = self.controller(bench, kind);
-                fork_prefix(&bytes, kind, controller, self.traces.as_deref()).expect(
-                    "a published warm-up snapshot always forks: it was taken in \
-                     interval 0 from bytes this process just produced",
-                )
-            }
-            CheckpointClaim::Fresh => self.begin(bench, kind),
-            CheckpointClaim::Owner => {
-                // Unwind safety: if the warm-up panics, the key must not
-                // leave sibling claimants blocked forever.
-                struct AbandonOnDrop<'a> {
-                    cache: &'a CheckpointCache,
-                    key: u128,
-                    armed: bool,
-                }
-                impl Drop for AbandonOnDrop<'_> {
-                    fn drop(&mut self) {
-                        if self.armed {
-                            self.cache.abandon(self.key);
-                        }
-                    }
-                }
-                let mut guard = AbandonOnDrop {
-                    cache: checkpoints,
-                    key,
-                    armed: true,
-                };
-                let mut run = self.begin(bench, kind);
-                match run.step(prefix_cycles) {
-                    Some(_) => {
-                        // Finished inside the prefix: nothing shareable,
-                        // and a finished run must not be returned.  The
-                        // guard abandons the key; siblings and this call
-                        // begin fresh.
-                        drop(guard);
-                        self.begin(bench, kind)
-                    }
-                    None if run.interval_index() == 0 => {
-                        checkpoints.publish(key, snapshot(&run));
-                        guard.armed = false;
-                        run
-                    }
-                    None => {
-                        // Crossed the first interval boundary: the
-                        // controller has acted, so the state is no
-                        // longer configuration-independent.  Keep the
-                        // warmed run for ourselves (it is *this*
-                        // configuration's own trajectory), abandon the
-                        // key for everyone else.
-                        drop(guard);
-                        run
-                    }
-                }
-            }
-        }
-    }
-
     /// Records a finished outcome: baseline-MCD runs cache their activity
     /// profile for the off-line oracle.  Called by `run` and by the
     /// experiment engine's slice scheduler when a run completes.
@@ -958,113 +560,6 @@ mod tests {
             fresh.profile_for(Benchmark::Gzip).len(),
             whole.result.profile.len()
         );
-    }
-
-    #[test]
-    fn prefix_keys_partition_configs_into_warm_up_classes() {
-        let runner = BenchmarkRunner::new(10_000, 7);
-        let base = runner.prefix_key(Benchmark::Gzip, &ConfigKind::BaselineMcd, 2_000);
-        // Same class: Attack/Decay starts every domain at the maximum
-        // frequency on the same MCD machine.
-        assert_eq!(
-            base,
-            runner.prefix_key(
-                Benchmark::Gzip,
-                &ConfigKind::AttackDecay(AttackDecayParams::paper_defaults()),
-                2_000,
-            )
-        );
-        // Different base machine (fully synchronous vs MCD).
-        let sync = runner.prefix_key(Benchmark::Gzip, &ConfigKind::FullySynchronous, 2_000);
-        assert_ne!(base, sync);
-        // Different initial frequencies (global scaling pins every
-        // domain below the maximum).
-        assert_ne!(
-            sync,
-            runner.prefix_key(
-                Benchmark::Gzip,
-                &ConfigKind::GlobalScaling { freq_mhz: 800.0 },
-                2_000,
-            )
-        );
-        // Different workload, different prefix length.
-        assert_ne!(
-            base,
-            runner.prefix_key(Benchmark::Adpcm, &ConfigKind::BaselineMcd, 2_000)
-        );
-        assert_ne!(
-            base,
-            runner.prefix_key(Benchmark::Gzip, &ConfigKind::BaselineMcd, 4_000)
-        );
-    }
-
-    #[test]
-    fn unshareable_prefixes_are_abandoned_without_changing_results() {
-        use crate::cache::CheckpointCache;
-
-        // A prefix long enough to cross the first control-interval
-        // boundary is not shareable: the owner keeps its own warmed run,
-        // the key is abandoned, and siblings begin fresh.
-        let runner = BenchmarkRunner::new(25_000, 7)
-            .with_interval(1_000)
-            .with_result_caching(false);
-        let kind = ConfigKind::BaselineMcd;
-        let whole = runner.run(Benchmark::Gzip, &kind);
-
-        let checkpoints = CheckpointCache::default();
-        let mut owner = runner.begin_prefixed(Benchmark::Gzip, &kind, &checkpoints, 20_000);
-        assert!(
-            owner.interval_index() > 0,
-            "the prefix must have crossed an interval boundary"
-        );
-        let mut sibling = runner.begin_prefixed(Benchmark::Gzip, &kind, &checkpoints, 20_000);
-        assert_eq!(sibling.interval_index(), 0, "siblings begin fresh");
-        let stats = checkpoints.stats();
-        assert_eq!(stats.published, 0);
-        assert_eq!(stats.abandoned, 1);
-        for run in [&mut owner, &mut sibling] {
-            let outcome = run
-                .step(u64::MAX)
-                .expect("an unbounded slice runs to completion");
-            assert_eq!(outcome.result, whole.result);
-        }
-    }
-
-    #[test]
-    fn gang_members_finish_bit_identical_to_solo_runs() {
-        let runner = BenchmarkRunner::new(10_000, 7).with_result_caching(false);
-        let kinds = [
-            ConfigKind::BaselineMcd,
-            ConfigKind::AttackDecay(AttackDecayParams::paper_defaults()),
-            ConfigKind::GlobalScaling { freq_mhz: 750.0 },
-        ];
-        let solo: Vec<_> = kinds
-            .iter()
-            .map(|k| runner.run(Benchmark::Gzip, k))
-            .collect();
-        // The same three cells as one gang over the shared trace,
-        // stepped in small lockstep windows across many budget slices.
-        let mut gang = GangRun::new(512);
-        for (slot, k) in kinds.iter().enumerate() {
-            gang.push(slot, Box::new(runner.begin(Benchmark::Gzip, k)));
-        }
-        assert_eq!(gang.len(), 3);
-        assert_eq!(gang.live(), 3);
-        assert_eq!(gang.window_insts(), 512);
-        let mut outcomes: Vec<Option<RunOutcome>> = (0..3).map(|_| None).collect();
-        while !gang.is_done() {
-            gang.step(2_048);
-            for (slot, o) in gang.take_finished() {
-                outcomes[slot] = Some(o);
-            }
-        }
-        for (slot, expected) in solo.iter().enumerate() {
-            let got = outcomes[slot].as_ref().expect("every member finished");
-            assert_eq!(
-                got.result, expected.result,
-                "gang membership changed slot {slot}"
-            );
-        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ use mcd_control::{
     AttackDecayController, AttackDecayParams, FixedController, FrequencyController,
     GlobalScalingController, OfflineController, OfflineProfile,
 };
+use mcd_isa::DynInst;
 use mcd_sim::{McdProcessor, SimConfig};
 use mcd_workloads::{Benchmark, SharedTrace, WorkloadGenerator};
 use serde::codec::{ByteReader, ByteWriter, CodecError, Result as CodecResult};
@@ -101,21 +102,44 @@ fn save_config(w: &mut ByteWriter, kind: &ConfigKind) {
     }
 }
 
+/// Decodes a configuration, rejecting parameters its controller's
+/// constructor would refuse (corrupt bytes must surface as an error, not
+/// as a constructor panic).
 fn load_config(r: &mut ByteReader<'_>) -> CodecResult<ConfigKind> {
+    let invalid = |what, v: f64| CodecError::BadTag {
+        what,
+        got: v.to_bits(),
+    };
     Ok(match r.u8()? {
         0 => ConfigKind::FullySynchronous,
         1 => ConfigKind::BaselineMcd,
-        2 => ConfigKind::AttackDecay(AttackDecayParams {
-            deviation_threshold: r.f64()?,
-            reaction_change: r.f64()?,
-            decay: r.f64()?,
-            perf_deg_threshold: r.f64()?,
-            endstop_count: r.u32()?,
-        }),
-        3 => ConfigKind::OfflineDynamic {
-            target_degradation: r.f64()?,
-        },
-        4 => ConfigKind::GlobalScaling { freq_mhz: r.f64()? },
+        2 => {
+            let params = AttackDecayParams {
+                deviation_threshold: r.f64()?,
+                reaction_change: r.f64()?,
+                decay: r.f64()?,
+                perf_deg_threshold: r.f64()?,
+                endstop_count: r.u32()?,
+            };
+            if params.validate().is_err() {
+                return Err(invalid("snapshot attack/decay parameters", params.decay));
+            }
+            ConfigKind::AttackDecay(params)
+        }
+        3 => {
+            let target_degradation = r.f64()?;
+            if target_degradation.is_nan() || target_degradation < 0.0 {
+                return Err(invalid("snapshot degradation target", target_degradation));
+            }
+            ConfigKind::OfflineDynamic { target_degradation }
+        }
+        4 => {
+            let freq_mhz = r.f64()?;
+            if freq_mhz.is_nan() || freq_mhz <= 0.0 {
+                return Err(invalid("snapshot global frequency", freq_mhz));
+            }
+            ConfigKind::GlobalScaling { freq_mhz }
+        }
         got => {
             return Err(CodecError::BadTag {
                 what: "snapshot config kind",
@@ -178,14 +202,23 @@ impl SnapshotHeader {
                 got: u64::from(bench_idx),
             });
         }
-        Ok(SnapshotHeader {
+        let header = SnapshotHeader {
             benchmark: Benchmark::ALL[usize::from(bench_idx)],
             config: load_config(r)?,
             seed: r.u64()?,
             instructions: r.u64()?,
             interval_instructions: r.u64()?,
             record_traces: r.bool()?,
-        })
+        };
+        // The constructors `restore` rebuilds from this identity panic on
+        // an invalid configuration; corrupt bytes must surface here.
+        if header.sim_config().validate().is_err() {
+            return Err(CodecError::BadTag {
+                what: "snapshot run identity",
+                got: header.instructions,
+            });
+        }
+        Ok(header)
     }
 
     /// Parses just the header of a snapshot, without restoring the run
@@ -242,8 +275,7 @@ impl SnapshotHeader {
 ///
 /// The bytes are a pure function of the run's identity and position —
 /// snapshotting the same run at the same cycle always yields the same
-/// bytes, which is what the bundle verifier's content hashes and the
-/// engine's prefix-fork cache rely on.
+/// bytes, which is what the bundle verifier's content hashes rely on.
 ///
 /// # Panics
 ///
@@ -280,8 +312,7 @@ pub fn restore(bytes: &[u8]) -> CodecResult<PausableRun> {
 }
 
 /// [`restore`], leasing trace-backed streams from `traces` so that many
-/// restores of same-workload snapshots share one materialization (the
-/// engine's prefix-fork path).
+/// restores of same-workload snapshots share one materialization.
 ///
 /// # Errors
 ///
@@ -291,15 +322,23 @@ pub fn restore_with(bytes: &[u8], traces: Option<&TraceCache>) -> CodecResult<Pa
     let mut r = ByteReader::new(bytes);
     let header = SnapshotHeader::load(&mut r)?;
     let spec = header.benchmark.spec();
-    let stream = match r.u8()? {
-        0 => RunStream::Live(WorkloadGenerator::load(
-            &mut r,
-            &spec,
-            header.seed,
-            header.instructions,
-        )?),
+    let (stream, trace_bytes) = match r.u8()? {
+        0 => {
+            let generator =
+                WorkloadGenerator::load(&mut r, &spec, header.seed, header.instructions)?;
+            (RunStream::Live(generator), r.u64()?)
+        }
         1 => {
             let pos = r.u64()?;
+            let trace_bytes = r.u64()?;
+            // The recorded trace size bounds the budget it can hold, so a
+            // corrupt budget cannot drive a huge materialization.
+            if header.instructions > trace_bytes / std::mem::size_of::<DynInst>() as u64 {
+                return Err(CodecError::BadTag {
+                    what: "snapshot trace size",
+                    got: trace_bytes,
+                });
+            }
             let trace = match traces {
                 Some(cache) => cache.lease(&spec, header.seed, header.instructions),
                 None => Arc::new(SharedTrace::materialize(
@@ -315,7 +354,7 @@ pub fn restore_with(bytes: &[u8], traces: Option<&TraceCache>) -> CodecResult<Pa
                     got: pos,
                 });
             }
-            RunStream::Trace(cursor)
+            (RunStream::Trace(cursor), trace_bytes)
         }
         got => {
             return Err(CodecError::BadTag {
@@ -324,7 +363,6 @@ pub fn restore_with(bytes: &[u8], traces: Option<&TraceCache>) -> CodecResult<Pa
             })
         }
     };
-    let trace_bytes = r.u64()?;
     let cpu = McdProcessor::load(&mut r, header.sim_config(), header.controller_skeleton())?;
     r.finish()?;
     Ok(PausableRun {
@@ -334,47 +372,6 @@ pub fn restore_with(bytes: &[u8], traces: Option<&TraceCache>) -> CodecResult<Pa
         stream,
         trace_bytes,
     })
-}
-
-/// Restores a warm-up snapshot *for a different configuration*: the
-/// engine's prefix-fork path.  `controller` is the target
-/// configuration's freshly constructed controller; it replaces the one
-/// the snapshot was taken under, and the run is re-labelled as `target`.
-///
-/// This is sound only in the window where the two configurations are
-/// still indistinguishable: controllers influence the machine solely
-/// through their initial domain frequencies (at construction) and
-/// through `interval_update` (at control-interval boundaries), so before
-/// the first boundary two runs with the same base machine, seed, stream
-/// and initial frequencies are in *identical* states — and the target
-/// controller, never having been invoked, is in its freshly constructed
-/// state.  The caller guarantees the base-machine/initial-frequency
-/// match by keying checkpoints on them (see
-/// `BenchmarkRunner::prefix_key`); this function enforces the boundary
-/// half of the contract.
-///
-/// # Errors
-///
-/// Returns a decode error on malformed bytes, or a
-/// [`CodecError::BadTag`] (`"prefix fork past interval zero"`) when the
-/// snapshot was taken after the first interval boundary.
-pub fn fork_prefix(
-    bytes: &[u8],
-    target: &ConfigKind,
-    controller: Box<dyn FrequencyController>,
-    traces: Option<&TraceCache>,
-) -> CodecResult<PausableRun> {
-    let mut run = restore_with(bytes, traces)?;
-    let interval = run.interval_index();
-    if interval != 0 {
-        return Err(CodecError::BadTag {
-            what: "prefix fork past interval zero",
-            got: interval,
-        });
-    }
-    run.cpu.replace_controller(controller);
-    run.config = target.clone();
-    Ok(run)
 }
 
 #[cfg(test)]
@@ -489,72 +486,6 @@ mod tests {
         assert!(matches!(
             restore(&trailing),
             Err(CodecError::TrailingBytes { .. })
-        ));
-    }
-
-    #[test]
-    fn forked_prefix_is_bit_identical_to_a_fresh_run_of_the_target() {
-        // BaselineMcd and Attack/Decay share the warm-up equivalence
-        // class: same base machine, and both start every domain at the
-        // maximum frequency.
-        let runner = BenchmarkRunner::new(12_000, 42)
-            .with_trace_sharing(false)
-            .with_result_caching(false);
-        let target = ConfigKind::AttackDecay(AttackDecayParams::paper_defaults());
-        let whole = runner.run(Benchmark::Gzip, &target);
-
-        let mut warmup = runner.begin(Benchmark::Gzip, &ConfigKind::BaselineMcd);
-        assert!(warmup.step(4_000).is_none());
-        assert_eq!(warmup.interval_index(), 0, "prefix must stay in interval 0");
-        let bytes = snapshot(&warmup);
-        drop(warmup);
-
-        let table = OperatingPointTable::default();
-        let controller = Box::new(AttackDecayController::new(
-            AttackDecayParams::paper_defaults(),
-            &table,
-        ));
-        let mut forked =
-            fork_prefix(&bytes, &target, controller, None).expect("prefix fork succeeds");
-        assert_eq!(forked.config(), &target);
-        let outcome = loop {
-            if let Some(o) = forked.step(4_096) {
-                break o;
-            }
-        };
-        assert_eq!(outcome.config, target);
-        assert_eq!(outcome.result, whole.result);
-    }
-
-    #[test]
-    fn forking_past_the_first_interval_boundary_is_rejected() {
-        let runner = BenchmarkRunner::new(25_000, 7)
-            .with_interval(1_000)
-            .with_trace_sharing(false)
-            .with_result_caching(false);
-        let mut run = runner.begin(Benchmark::Gzip, &ConfigKind::BaselineMcd);
-        assert!(run.step(20_000).is_none());
-        assert!(
-            run.interval_index() > 0,
-            "the warm-up must have crossed an interval boundary"
-        );
-        let bytes = snapshot(&run);
-        let table = OperatingPointTable::default();
-        let controller = Box::new(AttackDecayController::new(
-            AttackDecayParams::paper_defaults(),
-            &table,
-        ));
-        assert!(matches!(
-            fork_prefix(
-                &bytes,
-                &ConfigKind::AttackDecay(AttackDecayParams::paper_defaults()),
-                controller,
-                None,
-            ),
-            Err(CodecError::BadTag {
-                what: "prefix fork past interval zero",
-                ..
-            })
         ));
     }
 

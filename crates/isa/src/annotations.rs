@@ -8,9 +8,9 @@
 //! per trace* at materialization and consumed by every replaying run.
 //!
 //! [`TraceAnnotations`] is that sidecar, laid out struct-of-arrays so a
-//! lockstep gang walking one trace window touches a handful of dense,
-//! append-ordered arrays instead of re-deriving per-member state from the
-//! array-of-structs instruction records.
+//! replaying run touches a handful of dense, append-ordered arrays instead
+//! of re-deriving per-run state from the array-of-structs instruction
+//! records.
 //!
 //! # Equivalence contract
 //!
@@ -42,8 +42,8 @@ pub const ANN_HAS_DST: u8 = 1 << 5;
 ///
 /// Rows are indexed by the instruction's program-order sequence number,
 /// which for a materialized trace equals its trace index (the builder
-/// asserts this), so annotation lookups survive cursor seeks, checkpoint
-/// restores and prefix forks without translation.
+/// asserts this), so annotation lookups survive cursor seeks and
+/// checkpoint restores without translation.
 #[derive(Debug, Clone, Default)]
 pub struct TraceAnnotations {
     /// CSR row offsets: instruction `i`'s dependence edges are

@@ -28,6 +28,28 @@ impl MemInfo {
         MemInfo { addr, size }
     }
 
+    /// Decodes an access serialized as its address (`u64`) then size
+    /// (`u8`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a decode error on truncation, or when the access would
+    /// wrap the address space (its last byte is computed by
+    /// [`MemInfo::filter_mask64`]).
+    pub fn load(r: &mut serde::codec::ByteReader<'_>) -> serde::codec::Result<Self> {
+        let mem = MemInfo {
+            addr: r.u64()?,
+            size: r.u8()?,
+        };
+        if mem.addr.checked_add(u64::from(mem.size.max(1))).is_none() {
+            return Err(serde::codec::CodecError::BadTag {
+                what: "memory access address",
+                got: mem.addr,
+            });
+        }
+        Ok(mem)
+    }
+
     /// The cache-line address for a given line size (power of two).
     pub fn line_addr(&self, line_bytes: u64) -> u64 {
         debug_assert!(line_bytes.is_power_of_two());
@@ -300,10 +322,7 @@ impl DynInst {
             }
         }
         let mem = if r.bool()? {
-            Some(MemInfo {
-                addr: r.u64()?,
-                size: r.u8()?,
-            })
+            Some(MemInfo::load(r)?)
         } else {
             None
         };

@@ -192,6 +192,25 @@ impl BranchPredictor {
             btb_ways: r.usize()?,
             ras_depth: r.usize()?,
         };
+        // Every table entry is serialized below (1 byte per counter, 2
+        // per history, 18 per BTB entry), so a table the remaining bytes
+        // cannot hold is corrupt; reject it before allocating.
+        let room = r.remaining();
+        let fits = [
+            (Some(config.bimodal_entries), 1),
+            (Some(config.l1_entries), 2),
+            (Some(config.l2_entries), 1),
+            (Some(config.chooser_entries), 1),
+            (config.btb_sets.checked_mul(config.btb_ways), 18),
+        ]
+        .iter()
+        .all(|&(entries, bytes)| entries.is_some_and(|n| (1..=room / bytes).contains(&n)));
+        if !fits || config.ras_depth > u16::MAX as usize {
+            return Err(serde::codec::CodecError::BadTag {
+                what: "branch predictor geometry",
+                got: room as u64,
+            });
+        }
         let mut p = BranchPredictor::new(config);
         for c in &mut p.bimodal {
             *c = r.u8()?;

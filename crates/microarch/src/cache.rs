@@ -283,7 +283,16 @@ impl Cache {
             line_bytes: r.u64()?,
             latency_cycles: r.u32()?,
         };
-        if config.validate().is_err() {
+        // Each line is serialized below in 14 bytes, so a geometry with
+        // more lines than the remaining bytes can hold is corrupt; the
+        // checked product keeps `validate` clear of overflow.
+        let plausible = config
+            .line_bytes
+            .checked_mul(config.ways as u64)
+            .is_some_and(|way_bytes| way_bytes > 0)
+            && config.validate().is_ok()
+            && config.size_bytes / config.line_bytes <= (r.remaining() / 14) as u64;
+        if !plausible {
             return Err(serde::codec::CodecError::BadTag {
                 what: "cache geometry",
                 got: config.size_bytes,

@@ -198,14 +198,26 @@ impl FuPool {
     /// Returns a decode error on truncation or invalid unit-kind codes.
     pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
         let n_kinds = r.usize()?;
-        let mut units = Vec::with_capacity(n_kinds);
+        // A unit-table row encodes 9 bytes (kind tag + count).
+        let mut units = Vec::with_capacity(n_kinds.min(r.remaining() / 9));
+        let mut total_units = 0usize;
         for _ in 0..n_kinds {
             let code = r.u8()?;
             let kind = FuKind::from_code(code).ok_or(serde::codec::CodecError::BadTag {
                 what: "functional-unit kind",
                 got: u64::from(code),
             })?;
-            units.push((kind, r.usize()?));
+            let count = r.usize()?;
+            total_units = total_units.saturating_add(count);
+            units.push((kind, count));
+        }
+        // Each unit's busy time follows as 8 bytes; reject counts the
+        // remaining bytes cannot hold before allocating for them.
+        if total_units > r.remaining() / 8 {
+            return Err(serde::codec::CodecError::BadTag {
+                what: "functional-unit count",
+                got: total_units as u64,
+            });
         }
         let mut pool = FuPool::new(FuPoolConfig { units });
         for (_, slots) in &mut pool.busy_until {

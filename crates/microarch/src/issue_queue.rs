@@ -157,10 +157,10 @@ impl IssueQueue {
     /// count.
     pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
         let capacity = r.usize()?;
-        if capacity == 0 {
+        if capacity == 0 || capacity > u16::MAX as usize {
             return Err(serde::codec::CodecError::BadTag {
                 what: "issue queue capacity",
-                got: 0,
+                got: capacity as u64,
             });
         }
         let len = r.usize()?;

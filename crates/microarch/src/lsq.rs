@@ -511,10 +511,7 @@ impl LoadStoreQueue {
         for _ in 0..len {
             let seq = r.u64()?;
             let is_store = r.bool()?;
-            let mem = MemInfo {
-                addr: r.u64()?,
-                size: r.u8()?,
-            };
+            let mem = MemInfo::load(r)?;
             q.entries.push(LsqEntry {
                 seq,
                 is_store,

@@ -198,13 +198,19 @@ impl ReorderBuffer {
     /// Returns a decode error on truncation or invalid op codes.
     pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
         let capacity = r.usize()?;
-        if capacity == 0 {
+        if capacity == 0 || capacity > u16::MAX as usize {
             return Err(serde::codec::CodecError::BadTag {
                 what: "rob capacity",
-                got: 0,
+                got: capacity as u64,
             });
         }
         let len = r.usize()?;
+        if len > capacity {
+            return Err(serde::codec::CodecError::BadTag {
+                what: "rob length",
+                got: len as u64,
+            });
+        }
         let mut entries = VecDeque::with_capacity(capacity);
         for _ in 0..len {
             let seq = r.u64()?;

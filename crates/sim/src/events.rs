@@ -142,6 +142,9 @@ pub struct TimelineEvent {
 }
 
 impl TimelineEvent {
+    /// Size of one [`TimelineEvent::save`] record: time, seq, kind tag.
+    const ENCODED_BYTES: usize = 8 + 8 + 1;
+
     /// Serializes the event for checkpointing.
     pub fn save(&self, w: &mut ByteWriter) {
         w.put_u64(self.time);
@@ -383,23 +386,25 @@ impl Timeline {
         }
         for bucket in &mut tl.buckets {
             let n = r.usize()?;
-            bucket.reserve(n);
+            bucket.reserve(n.min(r.remaining() / TimelineEvent::ENCODED_BYTES));
             for _ in 0..n {
                 bucket.push(TimelineEvent::load(r)?);
             }
         }
         let n = r.usize()?;
-        tl.overflow.reserve(n);
+        tl.overflow
+            .reserve(n.min(r.remaining() / TimelineEvent::ENCODED_BYTES));
         for _ in 0..n {
             tl.overflow.push(TimelineEvent::load(r)?);
         }
         let n = r.usize()?;
-        tl.lane.reserve(n);
+        tl.lane
+            .reserve(n.min(r.remaining() / TimelineEvent::ENCODED_BYTES));
         for _ in 0..n {
             tl.lane.push_back(TimelineEvent::load(r)?);
         }
         let n = r.usize()?;
-        tl.ready.seqs.reserve(n);
+        tl.ready.seqs.reserve(n.min(r.remaining() / 8));
         for _ in 0..n {
             tl.ready.seqs.push(r.u64()?);
         }

@@ -543,10 +543,11 @@ impl InFlightTable {
     /// count that disagrees with the occupied slots.
     pub(crate) fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
         let capacity = r.usize()?;
-        if capacity == 0 {
+        // Every slot encodes at least its occupancy byte.
+        if capacity == 0 || capacity > r.remaining() {
             return Err(CodecError::BadTag {
                 what: "in-flight capacity",
-                got: 0,
+                got: capacity as u64,
             });
         }
         let live = r.usize()?;
@@ -596,7 +597,7 @@ impl InFlightTable {
             };
             let mispredicted = r.bool()?;
             let n_consumers = r.usize()?;
-            let mut consumers = Vec::with_capacity(n_consumers);
+            let mut consumers = Vec::with_capacity(n_consumers.min(r.remaining() / 8));
             for _ in 0..n_consumers {
                 consumers.push(r.u64()?);
             }

@@ -825,7 +825,7 @@ impl McdProcessor {
     }
 
     /// Committed-instruction count so far (used by the snapshot container
-    /// for bundle naming and prefix-fork bookkeeping).
+    /// for bundle naming).
     pub fn committed_instructions(&self) -> u64 {
         self.committed
     }
@@ -834,38 +834,6 @@ impl McdProcessor {
     /// stepped or snapshotted-for-resume).
     pub fn is_done(&self) -> bool {
         self.run_state.done
-    }
-
-    /// Zero-based index of the control interval currently accumulating.
-    ///
-    /// A checkpoint is shareable across controller configurations only
-    /// while this is still 0: controllers act exclusively at interval
-    /// boundaries, so before the first boundary the runs differ only in
-    /// their initial domain frequencies (which the prefix key hashes).
-    pub fn interval_index(&self) -> u64 {
-        self.interval_index
-    }
-
-    /// Replaces the frequency controller in place (the prefix-fork path:
-    /// a warm-up checkpoint restored for a different configuration swaps
-    /// in that configuration's freshly constructed controller).
-    ///
-    /// Sound only in the window where the two runs are still
-    /// indistinguishable: before the first interval boundary, and only
-    /// for a controller whose initial domain frequencies match the ones
-    /// this machine was built with (the caller's prefix key hashes them).
-    ///
-    /// # Panics
-    ///
-    /// Panics after the first interval boundary — past it the departing
-    /// controller has already steered the machine, so swapping would
-    /// splice one configuration's trajectory onto another's state.
-    pub fn replace_controller(&mut self, controller: Box<dyn FrequencyController>) {
-        assert_eq!(
-            self.interval_index, 0,
-            "controller swap after an interval boundary"
-        );
-        self.controller = controller;
     }
 
     fn finish(&mut self) -> SimResult {

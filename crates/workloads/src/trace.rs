@@ -106,27 +106,6 @@ impl SharedTrace {
         &self.insts
     }
 
-    /// The instructions of the fixed-size window `index` when the trace
-    /// is divided into consecutive spans of `window_insts` instructions
-    /// (the final window may be shorter; an index past the end yields an
-    /// empty slice).  Gang execution steps same-trace runs through these
-    /// spans in lockstep so the hot `DynInst` range stays cache-resident
-    /// across members.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `window_insts` is zero.
-    pub fn window(&self, index: u64, window_insts: u64) -> &[DynInst] {
-        assert!(window_insts > 0, "window length must be positive");
-        let lo = index
-            .saturating_mul(window_insts)
-            .min(self.insts.len() as u64) as usize;
-        let hi = (lo as u64)
-            .saturating_add(window_insts)
-            .min(self.insts.len() as u64) as usize;
-        &self.insts[lo..hi]
-    }
-
     /// A cursor positioned at the start of the trace.
     pub fn cursor(self: &Arc<Self>) -> TraceCursor {
         TraceCursor {
@@ -156,20 +135,6 @@ impl TraceCursor {
     /// Instructions consumed so far.
     pub fn position(&self) -> u64 {
         self.pos as u64
-    }
-
-    /// The index of the fixed-size trace window the cursor currently
-    /// reads from, under a division of the trace into spans of
-    /// `window_insts` instructions (see [`SharedTrace::window`]).  Gang
-    /// execution uses this to keep same-trace members inside one shared
-    /// window.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `window_insts` is zero.
-    pub fn window_index(&self, window_insts: u64) -> u64 {
-        assert!(window_insts > 0, "window length must be positive");
-        self.pos as u64 / window_insts
     }
 
     /// Repositions the cursor (used when restoring a checkpointed run).
@@ -255,27 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn windows_tile_the_trace_and_track_the_cursor() {
-        let spec = Benchmark::Gzip.spec();
-        let trace = Arc::new(SharedTrace::materialize(&spec, 42, 100));
-        // Windows of 32 tile the 100-instruction trace: 32/32/32/4.
-        assert_eq!(trace.window(0, 32).len(), 32);
-        assert_eq!(trace.window(2, 32).len(), 32);
-        assert_eq!(trace.window(3, 32).len(), 4);
-        assert!(trace.window(4, 32).is_empty());
-        assert_eq!(trace.window(1, 32)[0], trace.insts()[32]);
-        // The cursor's window index advances with its position.
-        let mut cursor = trace.cursor();
-        assert_eq!(cursor.window_index(32), 0);
-        for _ in 0..33 {
-            cursor.next_inst();
-        }
-        assert_eq!(cursor.window_index(32), 1);
-        assert!(cursor.seek(96));
-        assert_eq!(cursor.window_index(32), 3);
-    }
-
-    #[test]
     fn annotations_are_exposed_and_match_a_fresh_build() {
         let spec = Benchmark::Gzip.spec();
         let trace = Arc::new(SharedTrace::materialize(&spec, 42, 500));
@@ -295,12 +239,5 @@ mod tests {
         // A live generator has no sidecar.
         let live = WorkloadGenerator::new(&spec, 42, 500);
         assert!(live.annotations().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_window_length_is_rejected() {
-        let trace = SharedTrace::materialize(&Benchmark::Gzip.spec(), 1, 16);
-        let _ = trace.window(0, 0);
     }
 }

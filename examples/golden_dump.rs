@@ -48,38 +48,11 @@
 //! MCD_GOLDEN_CKPT=20000 cargo run --release --example golden_dump > ckpt.txt
 //! diff unsliced.txt ckpt.txt        # any output = a restore changed behaviour
 //! ```
-//!
-//! **Gang mode:** setting `MCD_GOLDEN_GANG=<window insts>` steps each
-//! benchmark's baseline and synchronous runs as one [`mcd::core::GangRun`]
-//! — cooperatively, round-robin over lockstep trace windows of the given
-//! length — instead of one after the other.  The output must be
-//! byte-identical to the default mode, alone and stacked with the other
-//! three modes: gang membership and window size are scheduling decisions
-//! and may never affect a `SimResult`:
-//!
-//! ```sh
-//! MCD_GOLDEN_GANG=512 cargo run --release --example golden_dump > gang.txt
-//! diff unsliced.txt gang.txt        # any output = ganging changed behaviour
-//! ```
-//!
-//! **Batch mode:** setting `MCD_GOLDEN_BATCH=<0|1>` (effective together
-//! with `MCD_GOLDEN_GANG`) forces the gang's stepping discipline: `1`
-//! selects the batched data-level sweep, `0` the legacy round-robin pick
-//! loop, unset the engine default.  Both dumps must be byte-identical to
-//! the default mode — the stepping discipline is a scheduling decision
-//! and may never affect a `SimResult`:
-//!
-//! ```sh
-//! MCD_GOLDEN_GANG=512 MCD_GOLDEN_BATCH=1 cargo run --release --example golden_dump > b1.txt
-//! MCD_GOLDEN_GANG=512 MCD_GOLDEN_BATCH=0 cargo run --release --example golden_dump > b0.txt
-//! diff unsliced.txt b1.txt && diff unsliced.txt b0.txt
-//! ```
 
 use mcd::clock::OperatingPointTable;
 use mcd::control::{
     AttackDecayController, AttackDecayParams, FixedController, FrequencyController,
 };
-use mcd::core::{ConfigKind, GangRun, PausableRun, RunStream};
 use mcd::isa::{DynInst, InstructionStream};
 use mcd::sim::{McdProcessor, SimConfig, SimResult, StepOutcome};
 use mcd::workloads::{Benchmark, SharedTrace, TraceCursor, WorkloadGenerator};
@@ -124,31 +97,6 @@ fn golden_ckpt() -> Option<u64> {
     Some(steps)
 }
 
-/// The gang window length selected by `MCD_GOLDEN_GANG`, if any.  Same
-/// abort-on-typo policy as [`golden_slice`]: a silently ignored value
-/// would make the gang-vs-solo CI diff certify gang execution vacuously.
-fn golden_gang() -> Option<u64> {
-    let value = std::env::var("MCD_GOLDEN_GANG").ok()?;
-    let insts: u64 = value
-        .parse()
-        .unwrap_or_else(|_| panic!("MCD_GOLDEN_GANG must be a positive integer, got {value:?}"));
-    assert!(insts > 0, "MCD_GOLDEN_GANG must be positive, got 0");
-    Some(insts)
-}
-
-/// The gang stepping discipline forced by `MCD_GOLDEN_BATCH`, if any.
-/// Same abort-on-typo policy as [`golden_trace`]: a silently ignored
-/// value would make the batched-vs-round-robin CI diff compare two runs
-/// of the same discipline and certify batching vacuously.
-fn golden_batch() -> Option<bool> {
-    match std::env::var("MCD_GOLDEN_BATCH") {
-        Err(_) => None,
-        Ok(v) if v == "0" => Some(false),
-        Ok(v) if v == "1" => Some(true),
-        Ok(v) => panic!("MCD_GOLDEN_BATCH must be 0 or 1, got {v:?}"),
-    }
-}
-
 /// Either stream the golden matrix runs under, unified so the checkpoint
 /// path can serialize whichever one is live (the generator's full cursor
 /// state, or the shared-trace cursor's position).
@@ -191,20 +139,15 @@ fn run_to_completion<S: InstructionStream>(cpu: &mut McdProcessor, mut stream: S
     }
 }
 
-/// One golden run after the optional checkpoint round-trip: either the
-/// machine and stream ready to execute to completion, or — when the
-/// checkpoint position lies past the run's end — the finished result.
-enum Prepared {
-    Finished(Box<SimResult>),
-    Ready(Box<McdProcessor>, GoldenStream),
-}
-
-fn prepare(
+/// Runs one golden configuration — through the optional checkpoint
+/// round-trip — to completion and prints its result.
+fn dump(
+    name: &str,
     bench: Benchmark,
     insts: u64,
     cfg: SimConfig,
     make_ctrl: &dyn Fn() -> Box<dyn FrequencyController>,
-) -> Prepared {
+) {
     let spec = bench.spec();
     let trace = golden_trace().then(|| Arc::new(SharedTrace::materialize(&spec, 42, insts)));
     let mut stream = match &trace {
@@ -217,7 +160,8 @@ fn prepare(
         if let StepOutcome::Finished(r) = cpu.run_for(&mut stream, ckpt_steps) {
             // The checkpoint lands past the end of this run; the finished
             // result is already the unsliced one.
-            return Prepared::Finished(Box::new(r));
+            print_result(name, &r);
+            return;
         }
         // Serialize the paused machine and its stream, drop the live
         // objects, and rebuild both from the bytes alone (plus the run
@@ -248,77 +192,8 @@ fn prepare(
         r.finish().expect("no trailing checkpoint bytes");
     }
 
-    Prepared::Ready(Box::new(cpu), stream)
-}
-
-fn dump(
-    name: &str,
-    bench: Benchmark,
-    insts: u64,
-    cfg: SimConfig,
-    make_ctrl: &dyn Fn() -> Box<dyn FrequencyController>,
-) {
-    match prepare(bench, insts, cfg, make_ctrl) {
-        Prepared::Finished(r) => print_result(name, &r),
-        Prepared::Ready(mut cpu, stream) => {
-            let r = run_to_completion(&mut cpu, stream);
-            print_result(name, &r);
-        }
-    }
-}
-
-/// Dumps one benchmark's baseline and synchronous runs by stepping them
-/// as a single gang (the `MCD_GOLDEN_GANG` mode).  Members that already
-/// finished inside the checkpoint prefix bypass the gang; everything is
-/// printed in the same order as the solo path, so the dump must be
-/// byte-identical to it.
-fn dump_gang(name: &str, bench: Benchmark, window_insts: u64) {
-    let jobs = [
-        (
-            name.to_string(),
-            SimConfig::baseline_mcd(20_000),
-            ConfigKind::BaselineMcd,
-        ),
-        (
-            format!("{name}_sync"),
-            SimConfig::fully_synchronous(20_000),
-            ConfigKind::FullySynchronous,
-        ),
-    ];
-    let mut gang = match golden_batch() {
-        Some(batched) => GangRun::new(window_insts).with_batched(batched),
-        None => GangRun::new(window_insts),
-    };
-    let mut results: Vec<Option<Box<SimResult>>> = jobs.iter().map(|_| None).collect();
-    for (slot, (_, cfg, kind)) in jobs.iter().enumerate() {
-        match prepare(bench, 20_000, cfg.clone(), &|| {
-            Box::new(FixedController::at_max())
-        }) {
-            Prepared::Finished(r) => results[slot] = Some(r),
-            Prepared::Ready(cpu, stream) => {
-                let stream = match stream {
-                    GoldenStream::Live(g) => RunStream::Live(g),
-                    GoldenStream::Traced(c) => RunStream::Trace(c),
-                };
-                gang.push(
-                    slot,
-                    Box::new(PausableRun::from_parts(bench, kind.clone(), *cpu, stream)),
-                );
-            }
-        }
-    }
-    // The slice mode bounds each gang call exactly like a scheduler slot
-    // would; otherwise one call drives the gang to completion.
-    let budget = golden_slice().unwrap_or(u64::MAX);
-    while !gang.is_done() {
-        gang.step(budget);
-    }
-    for (slot, outcome) in gang.take_finished() {
-        results[slot] = Some(Box::new(outcome.result));
-    }
-    for ((label, _, _), result) in jobs.iter().zip(results) {
-        print_result(label, &result.expect("every gang member finished"));
-    }
+    let r = run_to_completion(&mut cpu, stream);
+    print_result(name, &r);
 }
 
 fn print_result(name: &str, r: &SimResult) {
@@ -349,22 +224,16 @@ fn main() {
         ("swim", Benchmark::Swim),
         ("mcf", Benchmark::Mcf),
     ] {
-        if let Some(window_insts) = golden_gang() {
-            dump_gang(name, b, window_insts);
-        } else {
-            dump(name, b, 20_000, SimConfig::baseline_mcd(20_000), &|| {
-                Box::new(FixedController::at_max())
-            });
-            dump(
-                &format!("{name}_sync"),
-                b,
-                20_000,
-                SimConfig::fully_synchronous(20_000),
-                &|| Box::new(FixedController::at_max()),
-            );
-        }
-        // The Attack/Decay run has its own budget and trace recording;
-        // it stays on the solo path in every mode.
+        dump(name, b, 20_000, SimConfig::baseline_mcd(20_000), &|| {
+            Box::new(FixedController::at_max())
+        });
+        dump(
+            &format!("{name}_sync"),
+            b,
+            20_000,
+            SimConfig::fully_synchronous(20_000),
+            &|| Box::new(FixedController::at_max()),
+        );
         let mut cfg = SimConfig::baseline_mcd(60_000);
         cfg.record_traces = true;
         let table = OperatingPointTable::from_params(&cfg.clock);

@@ -68,7 +68,7 @@ def engine_scaling(doc):
 
 
 def plan_scaling(doc):
-    print("### Plan scaling (shared traces + gangs + result memoization)\n")
+    print("### Plan scaling (shared traces + result memoization)\n")
     ratio = doc.get("plan_over_pergen_speedup")
     print(f"- workers: **{doc.get('workers')}**, jobs: {doc.get('plan_jobs')} "
           f"(same-workload sweep)")
@@ -80,17 +80,6 @@ def plan_scaling(doc):
     if ratio is not None:
         print(f"- **plan_over_pergen_speedup: {ratio:.3f}x** "
               "(track in ROADMAP's plan-scaling baseline)")
-    gang_ratio = doc.get("gang_over_pergang_speedup")
-    if gang_ratio is not None:
-        print(f"- gangs: {doc.get('gang_batches')} batch(es), "
-              f"{doc.get('gang_members')} member(s); ganged wall "
-              f"{doc.get('wall_seconds', 0):.2f}s vs gang-free "
-              f"{doc.get('pergang_wall_seconds', 0):.2f}s "
-              f"(**gang_over_pergang_speedup: {gang_ratio:.3f}x**)")
-    saved = doc.get("prefix_cycles_saved")
-    if saved is not None:
-        print(f"- prefix forking: {doc.get('checkpoint_restores')} restore(s), "
-              f"**{saved} warm-up kernel steps saved**")
     hits = doc.get("repeat_result_cache_hits")
     misses = doc.get("repeat_result_cache_misses")
     if hits is not None:

@@ -29,8 +29,6 @@ fn quick_settings(benchmarks: Vec<Benchmark>) -> ExperimentSettings {
         max_live_runs: None,
         share_traces: None,
         result_cache: None,
-        prefix_cycles: None,
-        gang: None,
     }
 }
 

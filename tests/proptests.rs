@@ -1,13 +1,15 @@
 //! Property-based tests over the core data structures and invariants of the
 //! reproduction, spanning several crates.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
 
 use mcd::clock::{DomainId, OperatingPointTable, SyncWindow};
 use mcd::control::{
     AttackDecayController, AttackDecayParams, DomainSample, FrequencyController, IntervalSample,
 };
-use mcd::core::{restore_with, snapshot, BenchmarkRunner, ConfigKind, GangRun};
+use mcd::core::{restore, restore_with, snapshot, BenchmarkRunner, ConfigKind};
 use mcd::isa::{InstructionStream, MemInfo, Reg};
 use mcd::microarch::{
     Cache, CacheConfig, IssueQueue, LoadStoreQueue, LsqIssue, ReorderBuffer, RobEntry,
@@ -613,8 +615,8 @@ proptest! {
     /// holding a mid-trace cursor (shared-trace replay) — serializing the
     /// paused run to bytes, dropping the live run, and restoring from the
     /// bytes must leave the final `SimResult` bit-identical to the
-    /// uninterrupted run.  This is the contract both the run-bundle
-    /// verifier and the checkpoint prefix-fork rest on.
+    /// uninterrupted run.  This is the contract the run-bundle verifier
+    /// rests on.
     #[test]
     fn snapshot_restore_chains_are_bit_identical(
         raw_pauses in proptest::collection::vec((0u8..4, 0u64..45_000), 1..6),
@@ -680,85 +682,6 @@ proptest! {
         );
         prop_assert_eq!(outcome.result.committed_instructions, insts);
     }
-
-    /// Gang-execution bit-identity: for *any* gang size, lockstep window
-    /// length and sequence of step budgets, every member of a
-    /// [`GangRun`] must finish with a `SimResult` bit-identical to the
-    /// same run executed alone.  Gang membership, member order, window
-    /// size and step granularity are scheduling decisions only — this is
-    /// the invariant that lets the engine fuse a plan's same-trace grid
-    /// cells into one scheduler slot.  Both stepping disciplines are
-    /// exercised: the batched laggard-window sweep and the legacy
-    /// pick-one round-robin.
-    #[test]
-    fn gang_execution_is_bit_identical_to_solo_runs(
-        decay_steps in proptest::collection::vec(1u32..21, 2..6),
-        window_sel in 0u8..4,
-        raw_budgets in proptest::collection::vec((0u8..4, 0u64..45_000), 1..6),
-        seed in 0u64..1_000,
-        batch_sel in 0u8..2,
-    ) {
-        // Window classes: degenerate single-instruction windows, small
-        // windows (many hand-offs), mid-size, and windows larger than
-        // the whole trace (plain round-robin).
-        let window_insts = match window_sel {
-            0 => 1,
-            1 => 64,
-            2 => 1_000,
-            _ => 1 << 20,
-        };
-        let budgets: Vec<u64> = raw_budgets
-            .iter()
-            .map(|&(class, magnitude)| match class {
-                0 => 1,
-                1 => 2 + magnitude % 200,
-                2 => 5_000 + magnitude,
-                _ => 1_000_000 + magnitude,
-            })
-            .collect();
-        let insts = 3_000;
-        // Trace sharing stays on (the gang's members hold cursors into
-        // one trace, exercising the lockstep window bookkeeping); result
-        // caching off so every member actually simulates.
-        let runner = BenchmarkRunner::new(insts, seed)
-            .with_interval(500)
-            .with_result_caching(false);
-        let kinds: Vec<ConfigKind> = decay_steps
-            .iter()
-            .map(|&d| {
-                let mut p = AttackDecayParams::paper_defaults();
-                p.decay = f64::from(d) / 1_000.0;
-                ConfigKind::AttackDecay(p)
-            })
-            .collect();
-        let solo: Vec<_> = kinds
-            .iter()
-            .map(|k| runner.run(Benchmark::Gzip, k))
-            .collect();
-
-        let mut gang = GangRun::new(window_insts).with_batched(batch_sel == 1);
-        for (slot, kind) in kinds.iter().enumerate() {
-            gang.push(slot, Box::new(runner.begin(Benchmark::Gzip, kind)));
-        }
-        let mut i = 0usize;
-        while !gang.is_done() {
-            gang.step(budgets[i % budgets.len()]);
-            i += 1;
-        }
-        let mut finished = gang.take_finished();
-        finished.sort_by_key(|&(slot, _)| slot);
-        prop_assert_eq!(finished.len(), kinds.len());
-        for ((slot, outcome), reference) in finished.iter().zip(&solo) {
-            prop_assert!(
-                outcome.result == reference.result,
-                "gang member {} (window {}, budgets {:?}) diverged from its solo run",
-                slot,
-                window_insts,
-                budgets
-            );
-            prop_assert_eq!(outcome.result.committed_instructions, insts);
-        }
-    }
 }
 
 proptest! {
@@ -803,5 +726,58 @@ proptest! {
         let expected_mem = (load + store) / mix.total();
         let observed_mem = mem_ops as f64 / count as f64;
         prop_assert!((observed_mem - expected_mem).abs() < 0.08);
+    }
+}
+
+/// A snapshot of an off-line oracle run paused mid-flight: the bytes
+/// carry the oracle's per-interval schedule and a populated in-flight
+/// window (consumer lists included), the deepest decode paths a restore
+/// walks.  Built once and shared by every corruption case.
+fn offline_snapshot() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let runner = BenchmarkRunner::new(6_000, 3)
+            .with_interval(500)
+            .with_trace_sharing(false)
+            .with_result_caching(false);
+        let kind = ConfigKind::OfflineDynamic {
+            target_degradation: 0.05,
+        };
+        let mut run = runner.begin(Benchmark::Gzip, &kind);
+        assert!(run.step(4_000).is_none(), "run must pause mid-flight");
+        snapshot(&run)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Corrupt snapshot bytes surface as a typed error, never as a panic
+    /// or an allocation abort: every truncation is rejected, and
+    /// overwriting any 8-byte-aligned word with a large value (a
+    /// plausible corrupted length, capacity or parameter) restores or
+    /// fails cleanly.  Half the cases aim at the header and the first
+    /// component codecs, where identity and geometry fields live.
+    #[test]
+    fn corrupt_snapshots_fail_cleanly(
+        pick in 0u64..u64::MAX,
+        near_front in 0u8..2,
+        shift in 0u32..64,
+    ) {
+        let bytes = offline_snapshot();
+        let cut = (pick % bytes.len() as u64) as usize;
+        prop_assert!(
+            restore(&bytes[..cut]).is_err(),
+            "truncation at byte {} restored",
+            cut
+        );
+
+        let words = bytes.len() / 8;
+        let word = (pick % if near_front == 1 { 64 } else { words as u64 }) as usize;
+        let mut mutated = bytes.to_vec();
+        mutated[word * 8..word * 8 + 8].copy_from_slice(&(u64::MAX >> shift).to_le_bytes());
+        // Ok or Err are both acceptable; reaching the next line at all
+        // is the property.
+        let _ = restore(&mutated);
     }
 }
