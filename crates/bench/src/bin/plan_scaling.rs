@@ -132,7 +132,6 @@ fn main() {
         &shared,
         &[
             ("plan_jobs", (plan.jobs.len() as u64).into()),
-            ("serial_fallback", (settings.workers() == 1).into()),
             ("pergen_wall_seconds", pergen.wall_seconds.into()),
             (
                 "pergen_cumulative_seconds",

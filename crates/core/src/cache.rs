@@ -17,8 +17,8 @@
 //!   registered entries stay pinned (strong) until their last lease, so
 //!   same-workload runs share one materialization even when the
 //!   admission cap keeps them from overlapping.  A tiny most-recent ring
-//!   additionally serves serial loops (bisection, sweeps) that re-run
-//!   one workload back to back.
+//!   additionally keeps the last leased traces alive between
+//!   registrations.
 //! * [`ResultCache`] — the profile cache generalized: a memoization map
 //!   from a *stable content hash* of `(workload spec, configuration,
 //!   seed, instruction budget, interval length, trace recording)` to the
@@ -49,10 +49,13 @@ use crate::runner::{ConfigKind, RunOutcome};
 /// older scheme can never alias.
 pub const KEY_VERSION: u8 = 1;
 
-/// Traces kept strongly referenced in the most-recent ring, serving
-/// serial same-workload loops (the global-scaling bisection, sensitivity
-/// sweeps) that the plan-level registration does not cover.  Bounded and
-/// small: the ring is a bonus, registration is the mechanism.
+/// Traces kept strongly referenced in the most-recent ring.  The engine
+/// registers leases per scheduling wave, so the ring is what carries a
+/// trace from a plan's profiling wave into its plan wave on small plans,
+/// and what lets [`crate::snapshot::restore_with`] re-lease a recently
+/// used trace instead of materializing it again.  Bounded and small (at
+/// most two ~1 MiB traces): the ring is a bonus, registration is the
+/// mechanism.
 const RECENT_TRACES: usize = 2;
 
 /// An incremental FNV-1a (128-bit) hasher over a canonical byte

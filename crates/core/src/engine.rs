@@ -14,6 +14,10 @@
 //! wall-clock approaches `max(total_work / workers, longest_run)` instead
 //! of `queue_delay + longest_run`.
 //!
+//! The engine is the only way a plan of runs executes, whatever the
+//! worker count: the Table 6 / Figure 4 suite, each round of the
+//! `Global(...)` frequency search and each Figure 5–7 sweep are plans.
+//!
 //! The scheduler keeps the properties the experiments rely on:
 //!
 //! 1. **Deterministic results.**  Each job is a pure function of the
@@ -40,7 +44,6 @@
 //!    the scheduler's peak memory.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -184,50 +187,6 @@ pub fn admission_priority(bench: Benchmark) -> u64 {
         weight += p.weight * cost;
     }
     (weight * 1_000.0) as u64
-}
-
-/// Applies `f` to every item on `workers` scoped threads and returns the
-/// results **in item order** (not completion order).  Items are handed out
-/// through an atomic cursor, so long and short jobs mix freely; a panic in
-/// any job propagates.
-pub fn parallel_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = f(i, &items[i]);
-                slots.lock().expect("result slots poisoned")[i] = Some(result);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("result slots poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every index was processed"))
-        .collect()
 }
 
 /// Shared state of one [`run_sliced`] execution: the admission queue and
@@ -502,10 +461,8 @@ impl RunPlan {
 pub struct EngineStats {
     /// Worker threads used.
     pub workers: usize,
-    /// Slice granularity the plan actually executed with, in kernel steps
-    /// (`u64::MAX` means run-at-a-time — reported both for an explicit
-    /// `u64::MAX` request and for single-worker executions, which take the
-    /// serial path and never slice).
+    /// Slice granularity the plan executed with, in kernel steps
+    /// (`u64::MAX` means run-at-a-time).
     pub slice_cycles: u64,
     /// Simulations actually executed (including prerequisite profiling
     /// runs, excluding jobs served from the result cache).
@@ -561,11 +518,7 @@ impl ExperimentEngine {
     /// granularity, instruction budget, control-interval length, seed)
     /// with a fresh profile cache.
     pub fn from_settings(settings: &ExperimentSettings) -> Self {
-        let workers = if settings.parallel {
-            worker_count(settings.jobs)
-        } else {
-            1
-        };
+        let workers = worker_count(settings.jobs);
         ExperimentEngine {
             runner: BenchmarkRunner::new(settings.instructions, settings.seed)
                 .with_interval(settings.interval_instructions)
@@ -599,23 +552,16 @@ impl ExperimentEngine {
         &self.runner
     }
 
-    /// Executes `specs` to completion and returns outcomes in spec order:
-    /// serially through [`BenchmarkRunner::run`] for a single worker,
-    /// through the work-stealing slice scheduler otherwise.
+    /// Executes `specs` to completion through the work-stealing slice
+    /// scheduler (one worker included) and returns outcomes in spec
+    /// order.
     ///
-    /// On the parallel path the result cache is probed once per job up
-    /// front (the serial path probes inside [`BenchmarkRunner::run`]);
-    /// only the misses are scheduled, each as its own run admitted in
+    /// The result cache is probed once per job up front; only the misses
+    /// are scheduled, each as its own run admitted in
     /// [`admission_priority`] order, with their expected trace leases
     /// registered so same-workload runs share one materialization even
     /// when the admission cap keeps them from overlapping.
     fn execute_jobs(&self, specs: &[JobSpec]) -> Vec<RunOutcome> {
-        if self.workers == 1 {
-            return specs
-                .iter()
-                .map(|job| self.runner.run(job.benchmark, &job.config))
-                .collect();
-        }
         let mut outcomes: Vec<Option<RunOutcome>> = specs
             .iter()
             .map(|job| self.runner.cached_result(job.benchmark, &job.config))
@@ -628,6 +574,15 @@ impl ExperimentEngine {
         let misses: Vec<usize> = (0..specs.len())
             .filter(|&i| outcomes[i].is_none())
             .collect();
+        // Registration is per call, i.e. per phase of `execute_with_stats`,
+        // on purpose.  Registering the whole plan before the profiling
+        // wave would let the plan wave reuse the profiling wave's traces
+        // (halving `trace_materializations` on a 30-benchmark suite), but
+        // it pins every trace across the profiling wave: the trace cache's
+        // peak grows from ~2 MiB to ~26 MiB there and the process peak RSS
+        // by about a third.  A per-phase pin holds a trace only from its
+        // first to its last lease within the phase; the cache's small
+        // recent ring bridges the two waves on small plans.
         if let Some(cache) = self.runner.trace_cache() {
             for &i in &misses {
                 cache.register(self.runner.trace_key(specs[i].benchmark), 1);
@@ -739,13 +694,7 @@ impl ExperimentEngine {
             .sum();
         let stats = EngineStats {
             workers: self.workers,
-            // The serial path never slices; report run-at-a-time rather
-            // than a granularity that was not exercised.
-            slice_cycles: if self.workers == 1 {
-                u64::MAX
-            } else {
-                self.slice_cycles
-            },
+            slice_cycles: self.slice_cycles,
             runs,
             result_cache_hits: results_after.hits - results_before.hits,
             result_cache_misses: results_after.misses - results_before.misses,
@@ -772,19 +721,7 @@ impl ExperimentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order_and_runs_everything() {
-        let items: Vec<u64> = (0..37).collect();
-        let doubled = parallel_map(4, &items, |i, &x| {
-            assert_eq!(i as u64, x);
-            x * 2
-        });
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        // Degenerate pool sizes.
-        assert_eq!(parallel_map(1, &items, |_, &x| x), items);
-        assert!(parallel_map::<u64, u64, _>(8, &[], |_, &x| x).is_empty());
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn worker_count_resolution_order() {
@@ -815,8 +752,6 @@ mod tests {
 
     #[test]
     fn run_sliced_interleaves_runs_and_preserves_input_order() {
-        use std::sync::atomic::AtomicUsize;
-
         let runner = BenchmarkRunner::new(6_000, 9);
         let specs = [
             (Benchmark::Adpcm, ConfigKind::BaselineMcd),
@@ -861,8 +796,6 @@ mod tests {
 
     #[test]
     fn admission_cap_bounds_peak_residency_with_identical_results() {
-        use std::sync::atomic::AtomicUsize;
-
         // Six jobs, two workers, a cap of two: at most two runs may be
         // begun-but-unfinished at any instant, and the capped schedule
         // must produce exactly the outcomes of the unbounded one.
@@ -955,7 +888,6 @@ mod tests {
             interval_instructions: 1_000,
             seed: 5,
             global_search_iters: 1,
-            parallel: true,
             jobs: Some(2),
             slice_cycles: Some(3_000),
             max_live_runs: None,
@@ -1038,7 +970,6 @@ mod tests {
             interval_instructions: 1_000,
             seed: 5,
             global_search_iters: 1,
-            parallel: true,
             jobs: Some(2),
             slice_cycles: Some(3_000),
             max_live_runs: None,
@@ -1076,7 +1007,6 @@ mod tests {
             interval_instructions: 1_000,
             seed: 9,
             global_search_iters: 1,
-            parallel: true,
             jobs: Some(2),
             slice_cycles: Some(2_000),
             max_live_runs: None,

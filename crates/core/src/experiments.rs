@@ -8,15 +8,16 @@
 //! | [`traces`] | Figures 2 and 3 — `epic decode` load/store and floating-point traces |
 //! | [`sensitivity`] | Figures 5, 6 and 7 — parameter sensitivity sweeps |
 
+use mcd_clock::{MegaHertz, OperatingPointTable};
 use mcd_control::AttackDecayParams;
 use mcd_sim::SimResult;
 use mcd_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{parallel_map, EngineStats, ExperimentEngine, RunPlan};
+use crate::engine::{EngineStats, ExperimentEngine, RunPlan};
 use crate::metrics::{suite_average, Comparison};
 use crate::report::{pct, ratio, TextTable};
-use crate::runner::{BenchmarkRunner, ConfigKind};
+use crate::runner::{BenchmarkRunner, ConfigKind, RunOutcome};
 
 /// Settings shared by all experiments: which benchmarks to run, how many
 /// instructions per run, and how much effort to spend matching the global
@@ -35,10 +36,8 @@ pub struct ExperimentSettings {
     pub seed: u64,
     /// Bisection iterations when matching a global-scaling frequency.
     pub global_search_iters: usize,
-    /// Run benchmarks on parallel threads.
-    pub parallel: bool,
-    /// Worker threads when `parallel` (None: the `MCD_JOBS` environment
-    /// variable, then the host's available parallelism).
+    /// Worker threads of the experiment engine (None: the `MCD_JOBS`
+    /// environment variable, then the host's available parallelism).
     pub jobs: Option<usize>,
     /// Kernel steps per scheduling slice of the work-stealing engine
     /// (None: the `MCD_SLICE_CYCLES` environment variable, then
@@ -80,7 +79,6 @@ impl ExperimentSettings {
             interval_instructions: 1_000,
             seed: 42,
             global_search_iters: 3,
-            parallel: true,
             jobs: None,
             slice_cycles: None,
             max_live_runs: None,
@@ -98,7 +96,6 @@ impl ExperimentSettings {
             interval_instructions: 1_000,
             seed: 42,
             global_search_iters: 4,
-            parallel: true,
             jobs: None,
             slice_cycles: None,
             max_live_runs: None,
@@ -121,7 +118,6 @@ impl ExperimentSettings {
 
     /// Builder-style override of the worker count.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.parallel = jobs > 1;
         self.jobs = Some(jobs);
         self
     }
@@ -156,11 +152,7 @@ impl ExperimentSettings {
 
     /// The worker count these settings resolve to.
     pub fn workers(&self) -> usize {
-        if self.parallel {
-            crate::engine::worker_count(self.jobs)
-        } else {
-            1
-        }
+        crate::engine::worker_count(self.jobs)
     }
 }
 
@@ -321,34 +313,151 @@ pub mod table6 {
     }
 
     /// Runs the Table 6 experiment, also returning the suite engine's
-    /// host-side statistics (the `Global(...)` search runs are not part of
-    /// the returned stats).
+    /// host-side statistics (the `Global(...)` search plans are not part
+    /// of the returned stats).
     pub fn run_with_stats(settings: &ExperimentSettings) -> (Table6, EngineStats) {
         let (outcomes, stats) = run_suite_with_stats(settings);
         let mut rows = mcd_rows(&outcomes);
 
-        let mcd_targets: Vec<(String, f64)> = rows
+        // One search over every (algorithm, benchmark) cell.  Its engine
+        // is created only now, after the suite's engine and its caches
+        // are dropped, so the two never hold memory at the same time.
+        let targets: Vec<(String, f64)> = rows
             .iter()
             .map(|r| (r.algorithm.clone(), r.perf_degradation.max(0.0)))
             .collect();
+        let cells: Vec<(Benchmark, f64, &SimResult)> = targets
+            .iter()
+            .flat_map(|&(_, target)| outcomes.iter().map(move |o| (o.benchmark, target, &o.sync)))
+            .collect();
+        let engine = ExperimentEngine::from_settings(settings);
+        let scaled = global_matching(&engine, &cells, settings.global_search_iters);
 
-        for (label, target) in mcd_targets {
-            let runner = BenchmarkRunner::new(settings.instructions, settings.seed)
-                .with_interval(settings.interval_instructions);
-            let comparisons: Vec<Comparison> =
-                parallel_map(settings.workers(), &outcomes, |_, o| {
-                    let (_, scaled) = runner.find_global_matching(
-                        o.benchmark,
-                        target,
-                        &o.sync,
-                        settings.global_search_iters,
-                    );
-                    Comparison::vs(&scaled.result, &o.sync)
-                });
+        let n = outcomes.len();
+        for (k, (label, _)) in targets.iter().enumerate() {
+            let comparisons: Vec<Comparison> = scaled[k * n..(k + 1) * n]
+                .iter()
+                .zip(&outcomes)
+                .map(|((_, run), o)| Comparison::vs(&run.result, &o.sync))
+                .collect();
             rows.push(average_row(&format!("Global ({label})"), &comparisons));
         }
 
         (Table6 { rows }, stats)
+    }
+
+    /// The bisection state of one `(target, benchmark)` cell of the
+    /// global-frequency search.
+    struct Bisection {
+        bench: Benchmark,
+        /// Elapsed time the scaled run should reach, in picoseconds.
+        target_time: f64,
+        lo: MegaHertz,
+        hi: MegaHertz,
+        guess: MegaHertz,
+        probes_left: usize,
+        /// `(relative time error, frequency, run)` of the best probe.
+        best: Option<(f64, MegaHertz, RunOutcome)>,
+    }
+
+    impl Bisection {
+        fn new(
+            table: &OperatingPointTable,
+            bench: Benchmark,
+            target_degradation: f64,
+            sync_reference: &SimResult,
+            iters: usize,
+        ) -> Self {
+            let (f_min, f_max) = (table.min_point().freq_mhz, table.max_point().freq_mhz);
+            Bisection {
+                bench,
+                target_time: sync_reference.elapsed_ps as f64 * (1.0 + target_degradation),
+                lo: f_min,
+                hi: f_max,
+                // A fully compute-bound workload degrades in inverse
+                // proportion to frequency.
+                guess: (f_max / (1.0 + target_degradation)).clamp(f_min, f_max),
+                probes_left: iters.max(1),
+                best: None,
+            }
+        }
+
+        /// The frequency of the next probe, or `None` once the search is
+        /// over.
+        fn next_probe(&self, table: &OperatingPointTable) -> Option<MegaHertz> {
+            (self.probes_left > 0).then(|| table.nearest(self.guess).freq_mhz)
+        }
+
+        /// Folds in the run at `freq`: keeps it if it is the closest match
+        /// so far (the first one wins a tie), halves the bracket, and ends
+        /// the search once the bracket is narrower than 1/320 of the
+        /// table's span.
+        fn observe(&mut self, table: &OperatingPointTable, freq: MegaHertz, run: RunOutcome) {
+            let time = run.result.elapsed_ps as f64;
+            let err = (time - self.target_time).abs() / self.target_time;
+            if self.best.as_ref().is_none_or(|(e, _, _)| err < *e) {
+                self.best = Some((err, freq, run));
+            }
+            if time > self.target_time {
+                // Too slow: raise the frequency.
+                self.lo = freq;
+            } else {
+                self.hi = freq;
+            }
+            self.guess = (self.lo + self.hi) / 2.0;
+            self.probes_left -= 1;
+            let span = table.max_point().freq_mhz - table.min_point().freq_mhz;
+            if self.hi - self.lo < span / 320.0 {
+                self.probes_left = 0;
+            }
+        }
+    }
+
+    /// Finds, for every `(benchmark, target_degradation, sync_reference)`
+    /// cell, the global frequency at which the fully synchronous processor
+    /// suffers approximately `target_degradation` relative to
+    /// `sync_reference` (its own run at the maximum frequency), and returns
+    /// that frequency with the matching run, in cell order.
+    ///
+    /// Each cell runs a short bisection over the operating-point table
+    /// with at most `iters` probes, and at least one (4 gives a match
+    /// within a few tenths of a percent, the paper's own granularity).  The cells advance in lock
+    /// step: each round is one [`RunPlan`] holding the next probe of every
+    /// unfinished cell, executed on `engine`, so probes that snap to the
+    /// same operating point are served from the engine's result cache.
+    pub fn global_matching(
+        engine: &ExperimentEngine,
+        cells: &[(Benchmark, f64, &SimResult)],
+        iters: usize,
+    ) -> Vec<(MegaHertz, RunOutcome)> {
+        let table = OperatingPointTable::default();
+        let mut searches: Vec<Bisection> = cells
+            .iter()
+            .map(|&(bench, target, sync)| Bisection::new(&table, bench, target, sync, iters))
+            .collect();
+        loop {
+            let probes: Vec<(usize, MegaHertz)> = searches
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.next_probe(&table).map(|freq| (i, freq)))
+                .collect();
+            if probes.is_empty() {
+                break;
+            }
+            let plan = probes.iter().fold(RunPlan::new(), |plan, &(i, freq_mhz)| {
+                plan.job(searches[i].bench, ConfigKind::GlobalScaling { freq_mhz })
+            });
+            for ((i, freq), run) in probes.into_iter().zip(engine.execute(&plan)) {
+                searches[i].observe(&table, freq, run);
+            }
+        }
+        searches
+            .into_iter()
+            .map(|s| {
+                let (_, freq, run) = s.best.expect("every search probes at least once");
+                (freq, run)
+            })
+            .collect()
     }
 }
 
@@ -639,37 +748,10 @@ pub mod sensitivity {
         }
     }
 
-    /// Runs the Attack/Decay configuration `params` for every benchmark of
-    /// the settings and averages the comparisons against the baseline MCD.
-    fn evaluate(
-        settings: &ExperimentSettings,
-        baselines: &[(Benchmark, SimResult)],
-        params: AttackDecayParams,
-    ) -> (Comparison, Option<f64>) {
-        let runner = BenchmarkRunner::new(settings.instructions, settings.seed)
-            .with_interval(settings.interval_instructions);
-        let comparisons: Vec<Comparison> =
-            parallel_map(settings.workers(), baselines, |_, (bench, reference)| {
-                let outcome = runner.run(*bench, &ConfigKind::AttackDecay(params));
-                Comparison::vs(&outcome.result, reference)
-            });
-        let avg = suite_average(&comparisons);
-        let ratio = if avg.perf_degradation > 1e-6 {
-            Some(avg.power_savings / avg.perf_degradation)
-        } else {
-            None
-        };
-        (avg, ratio)
-    }
-
-    fn baselines(settings: &ExperimentSettings) -> Vec<(Benchmark, SimResult)> {
-        let runner = BenchmarkRunner::new(settings.instructions, settings.seed)
-            .with_interval(settings.interval_instructions);
-        parallel_map(settings.workers(), &settings.benchmarks, |_, &b| {
-            (b, runner.run(b, &ConfigKind::BaselineMcd).result)
-        })
-    }
-
+    /// Runs the Attack/Decay configuration `apply(base, v)` for every
+    /// value `v` and averages its comparisons against the baseline MCD
+    /// over the settings' benchmarks.  One plan holds every benchmark's
+    /// baseline followed by its sweep points, on one engine.
     fn sweep(
         settings: &ExperimentSettings,
         parameter: &str,
@@ -677,18 +759,31 @@ pub mod sensitivity {
         values: &[f64],
         apply: fn(AttackDecayParams, f64) -> AttackDecayParams,
     ) -> SweepResult {
-        let baselines = baselines(settings);
+        let mut plan = RunPlan::new();
+        for &b in &settings.benchmarks {
+            plan = plan.job(b, ConfigKind::BaselineMcd);
+            for &v in values {
+                plan = plan.job(b, ConfigKind::AttackDecay(apply(base, v)));
+            }
+        }
+        let outcomes = ExperimentEngine::from_settings(settings).execute(&plan);
+        let per_benchmark: Vec<&[RunOutcome]> = outcomes.chunks(values.len() + 1).collect();
         let points = values
             .iter()
-            .map(|&v| {
-                let params = apply(base, v);
-                let (avg, ratio) = evaluate(settings, &baselines, params);
+            .enumerate()
+            .map(|(i, &value)| {
+                let comparisons: Vec<Comparison> = per_benchmark
+                    .iter()
+                    .map(|runs| Comparison::vs(&runs[i + 1].result, &runs[0].result))
+                    .collect();
+                let avg = suite_average(&comparisons);
                 SweepPoint {
-                    value: v,
+                    value,
                     perf_degradation: avg.perf_degradation,
                     energy_savings: avg.energy_savings,
                     edp_improvement: avg.edp_improvement,
-                    power_perf_ratio: ratio,
+                    power_perf_ratio: (avg.perf_degradation > 1e-6)
+                        .then(|| avg.power_savings / avg.perf_degradation),
                 }
             })
             .collect();
@@ -768,7 +863,6 @@ mod tests {
             interval_instructions: 500,
             seed: 7,
             global_search_iters: 2,
-            parallel: true,
             jobs: None,
             slice_cycles: None,
             max_live_runs: None,
@@ -780,9 +874,10 @@ mod tests {
     #[test]
     fn parallel_suite_is_bit_identical_to_serial() {
         // The acceptance criterion of the engine refactor: N>1 workers must
-        // return SimResults bit-identical to the serial path (same
-        // elapsed_ps, chip energy, per-domain frequency averages; host
-        // throughput is excluded from SimResult equality by design).
+        // return SimResults bit-identical to one worker stepping each run
+        // to completion (same elapsed_ps, chip energy, per-domain
+        // frequency averages; host throughput is excluded from SimResult
+        // equality by design).
         //
         // Mcf is included on top of the tiny suite because its long memory
         // stalls leave the issue queues and LSQ with nothing newly visible
@@ -790,15 +885,14 @@ mod tests {
         // the wakeup scans — while the Attack/Decay and oracle
         // configurations exercise visibility promotion across frequency
         // ramps.
-        let mut serial = tiny_settings();
+        let mut serial = tiny_settings().with_jobs(1).with_slice_cycles(u64::MAX);
         serial.benchmarks.push(Benchmark::Mcf);
-        serial.parallel = false;
         let mut parallel = tiny_settings().with_jobs(4);
         parallel.benchmarks.push(Benchmark::Mcf);
         // A deliberately tiny slice maximizes the number of pause/resume
         // boundaries and park/claim migrations between workers — the
         // sliced-parallel result must still be bit-identical to the
-        // serial run-at-a-time execution.
+        // one-worker run-at-a-time execution.
         let sliced_parallel = parallel.clone().with_slice_cycles(2_500);
         let a = run_suite(&serial);
         let b = run_suite(&parallel);
@@ -885,7 +979,6 @@ mod tests {
             interval_instructions: 500,
             seed: 3,
             global_search_iters: 2,
-            parallel: true,
             jobs: None,
             slice_cycles: None,
             max_live_runs: None,
@@ -927,7 +1020,6 @@ mod tests {
             interval_instructions: 500,
             seed: 1,
             global_search_iters: 2,
-            parallel: true,
             jobs: None,
             slice_cycles: None,
             max_live_runs: None,
@@ -941,5 +1033,92 @@ mod tests {
         // saves at least as much energy.
         assert!(sweep.points[1].energy_savings >= sweep.points[0].energy_savings - 0.01);
         assert!(sweep.render().contains("Decay"));
+    }
+
+    #[test]
+    fn global_matching_finds_a_slower_frequency() {
+        let settings = ExperimentSettings {
+            benchmarks: vec![Benchmark::Adpcm],
+            instructions: 25_000,
+            interval_instructions: 10_000,
+            seed: 3,
+            ..tiny_settings()
+        };
+        let engine = ExperimentEngine::from_settings(&settings);
+        let sync = engine
+            .execute(&RunPlan::new().job(Benchmark::Adpcm, ConfigKind::FullySynchronous))
+            .remove(0);
+        let matches =
+            table6::global_matching(&engine, &[(Benchmark::Adpcm, 0.05, &sync.result)], 3);
+        let (freq, outcome) = &matches[0];
+        assert!(*freq < 1000.0);
+        assert_eq!(
+            outcome.config,
+            ConfigKind::GlobalScaling { freq_mhz: *freq }
+        );
+        assert!(outcome.result.elapsed_ps > sync.result.elapsed_ps);
+        // The scaled run saves energy.
+        assert!(outcome.result.chip_energy() < sync.result.chip_energy());
+    }
+
+    #[test]
+    fn lock_step_global_search_matches_one_cell_at_a_time() {
+        // Advancing several bisections in shared plans must not change
+        // any cell's outcome: each cell searched alone on a fresh engine
+        // picks the same frequency and the same run.
+        let settings = ExperimentSettings {
+            instructions: 20_000,
+            ..tiny_settings()
+        };
+        let engine = ExperimentEngine::from_settings(&settings);
+        let syncs = engine.execute(
+            &RunPlan::new()
+                .job(Benchmark::Adpcm, ConfigKind::FullySynchronous)
+                .job(Benchmark::Swim, ConfigKind::FullySynchronous),
+        );
+        let cells: Vec<(Benchmark, f64, &SimResult)> = [0.01, 0.05, 0.2]
+            .iter()
+            .flat_map(|&t| syncs.iter().map(move |s| (s.benchmark, t, &s.result)))
+            .collect();
+        let together = table6::global_matching(&engine, &cells, 4);
+        assert_eq!(together.len(), cells.len());
+        for (cell, (freq, run)) in cells.iter().zip(&together) {
+            let alone = ExperimentEngine::from_settings(&settings);
+            let (f, r) = table6::global_matching(&alone, std::slice::from_ref(cell), 4).remove(0);
+            assert_eq!((*freq, run.benchmark), (f, r.benchmark));
+            assert_eq!(run.result, r.result);
+        }
+    }
+
+    #[test]
+    fn table6_and_sweeps_do_not_depend_on_the_worker_count() {
+        // End to end, Global rows included: one worker and three workers
+        // produce the same six rows and the same sweep.
+        let settings = ExperimentSettings {
+            benchmarks: vec![Benchmark::Adpcm, Benchmark::Gzip],
+            instructions: 15_000,
+            ..tiny_settings()
+        };
+        let one = settings.clone().with_jobs(1);
+        let three = settings.with_jobs(3);
+        let (a, b) = (table6::run(&one), table6::run(&three));
+        let labels: Vec<&str> = a.rows.iter().map(|r| r.algorithm.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "Attack/Decay",
+                "Dynamic-1%",
+                "Dynamic-5%",
+                "Global (Attack/Decay)",
+                "Global (Dynamic-1%)",
+                "Global (Dynamic-5%)"
+            ]
+        );
+        assert_eq!(a, b);
+        let values = [0.0005, 0.0075];
+        assert_eq!(
+            sensitivity::sweep_decay(&one, &values),
+            sensitivity::sweep_decay(&three, &values)
+        );
     }
 }

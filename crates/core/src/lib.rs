@@ -14,8 +14,7 @@
 //! * [`runner`] — runs one benchmark under one configuration
 //!   (fully synchronous, baseline MCD, Attack/Decay, off-line Dynamic-N%,
 //!   global voltage scaling), including the two-pass profiling required by
-//!   the off-line oracle and the search for the global frequency that
-//!   matches a target performance degradation.
+//!   the off-line oracle.
 //! * [`mod@snapshot`] — the versioned binary snapshot codec: serialize a
 //!   paused [`runner::PausableRun`] (machine + stream cursor + controller
 //!   state) and restore it bit-identically, in this process or another.
@@ -28,9 +27,10 @@
 //! * [`metrics`] — the paper's metrics: performance degradation, energy
 //!   savings, energy-delay-product improvement and the power-savings to
 //!   performance-degradation ratio, plus suite averaging.
-//! * [`experiments`] — one entry point per paper table/figure: Table 6,
-//!   Figure 4(a–c), the Figure 2/3 `epic decode` traces, and the
-//!   Figure 5/6/7 sensitivity sweeps.
+//! * [`experiments`] — one entry point per paper table/figure: Table 6
+//!   (with the search for the global frequency that matches a target
+//!   performance degradation), Figure 4(a–c), the Figure 2/3
+//!   `epic decode` traces, and the Figure 5/6/7 sensitivity sweeps.
 //! * [`presets`] — the Table 1 and Table 4 parameter presets and their
 //!   pretty-printed forms.
 //! * [`report`] — plain-text table and CSV rendering used by the `mcd-bench`
@@ -57,8 +57,8 @@ pub mod snapshot;
 pub use bundle::{replay_verify, write_bundle, BundleError, BundleReport, BundleSpec};
 pub use cache::{result_key, ResultCache, ResultCacheStats, TraceCache, TraceCacheStats, TraceKey};
 pub use engine::{
-    admission_priority, parallel_map, result_caching_enabled, slice_cycles, trace_sharing_enabled,
-    worker_count, EngineStats, ExperimentEngine, JobSpec, RunPlan, DEFAULT_SLICE_CYCLES,
+    admission_priority, result_caching_enabled, slice_cycles, trace_sharing_enabled, worker_count,
+    EngineStats, ExperimentEngine, JobSpec, RunPlan, DEFAULT_SLICE_CYCLES,
 };
 pub use experiments::ExperimentSettings;
 pub use metrics::{suite_average, Comparison, RunMetrics};

@@ -3,8 +3,7 @@
 //! The runner knows how to build the simulator for each of the paper's
 //! configurations, including the two-pass flow required by the off-line
 //! oracle (profile at maximum frequency, then re-run with the per-interval
-//! schedule) and the search for the global frequency that matches a target
-//! performance degradation (used for the `Global(...)` rows of Table 6).
+//! schedule).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -237,12 +236,6 @@ impl BenchmarkRunner {
         self
     }
 
-    /// Builder-style attachment of a shared profile cache.
-    pub fn with_profile_cache(mut self, cache: SharedProfileCache) -> Self {
-        self.profiles = cache;
-        self
-    }
-
     /// Builder-style enable/disable of shared-trace streams.
     pub fn with_trace_sharing(mut self, enabled: bool) -> Self {
         self.traces = match (enabled, self.traces.take()) {
@@ -443,56 +436,6 @@ impl BenchmarkRunner {
         self.memoize(&outcome);
         outcome
     }
-
-    /// Finds the global frequency at which the fully synchronous processor
-    /// suffers approximately `target_degradation` relative to
-    /// `sync_reference` (its own run at the maximum frequency), and returns
-    /// the frequency together with the matching run.
-    ///
-    /// A short bisection over the operating-point range is used; `iters`
-    /// controls the number of refinement runs (4 gives a match within a few
-    /// tenths of a percent, which is the paper's own granularity).
-    pub fn find_global_matching(
-        &self,
-        bench: Benchmark,
-        target_degradation: f64,
-        sync_reference: &SimResult,
-        iters: usize,
-    ) -> (MegaHertz, RunOutcome) {
-        let table = OperatingPointTable::default();
-        let f_max = table.max_point().freq_mhz;
-        let f_min = table.min_point().freq_mhz;
-        let target_time = sync_reference.elapsed_ps as f64 * (1.0 + target_degradation);
-
-        // Initial guess: a fully compute-bound workload degrades in inverse
-        // proportion to frequency.
-        let mut lo = f_min;
-        let mut hi = f_max;
-        let mut guess = (f_max / (1.0 + target_degradation)).clamp(f_min, f_max);
-        let mut best: Option<(f64, MegaHertz, RunOutcome)> = None;
-
-        for _ in 0..iters.max(1) {
-            let freq = table.nearest(guess).freq_mhz;
-            let outcome = self.run(bench, &ConfigKind::GlobalScaling { freq_mhz: freq });
-            let time = outcome.result.elapsed_ps as f64;
-            let err = (time - target_time).abs() / target_time;
-            if best.as_ref().map(|(e, _, _)| err < *e).unwrap_or(true) {
-                best = Some((err, freq, outcome));
-            }
-            if time > target_time {
-                // Too slow: raise the frequency.
-                lo = freq;
-            } else {
-                hi = freq;
-            }
-            guess = (lo + hi) / 2.0;
-            if (hi - lo) < (f_max - f_min) / 320.0 {
-                break;
-            }
-        }
-        let (_, freq, outcome) = best.expect("at least one iteration ran");
-        (freq, outcome)
-    }
 }
 
 #[cfg(test)]
@@ -574,16 +517,5 @@ mod tests {
             ad.result.chip_energy() < baseline.result.chip_energy(),
             "Attack/Decay must save energy on a workload with an idle FP domain"
         );
-    }
-
-    #[test]
-    fn global_matching_finds_a_slower_frequency() {
-        let runner = BenchmarkRunner::new(25_000, 3);
-        let sync = runner.run(Benchmark::Adpcm, &ConfigKind::FullySynchronous);
-        let (freq, outcome) = runner.find_global_matching(Benchmark::Adpcm, 0.05, &sync.result, 3);
-        assert!(freq < 1000.0);
-        assert!(outcome.result.elapsed_ps > sync.result.elapsed_ps);
-        // The scaled run saves energy.
-        assert!(outcome.result.chip_energy() < sync.result.chip_energy());
     }
 }

