@@ -171,10 +171,12 @@ fn bench_workload_generation(c: &mut Criterion) {
 /// records the event-timeline traffic counters (pushes, pops, overflow
 /// spills, bucket scans, monotone-lane absorptions — see
 /// `mcd_sim::EventTrafficStats`), the derived events-per-commit ratio,
-/// and the dispatch-path counters (`ann_fed` from an annotation-fed
-/// trace replay, `ann_recomputed` from the live run), making the
-/// heap-vs-calendar trade, the lane's structural event-traffic cut and
-/// the annotation coverage measurable per workload per commit.
+/// the dispatch-path counters (`ann_fed` from an annotation-fed
+/// trace replay, `ann_recomputed` from the live run), and the kernel-step
+/// counters (steps per commit, the idle-step share and the share of edges
+/// whose jitter took the exact libm path), making the heap-vs-calendar
+/// trade, the lane's structural event-traffic cut, the annotation coverage
+/// and the idle-step floor measurable per workload per commit.
 fn export_results(c: &mut Criterion) {
     let results = c.take_results();
     if results.is_empty() {
@@ -231,6 +233,9 @@ fn export_results(c: &mut Criterion) {
         row.insert("events_per_commit", live.events_per_commit());
         row.insert("ann_fed", traced.host.ann_fed);
         row.insert("ann_recomputed", live.host.ann_recomputed);
+        row.insert("steps_per_commit", live.steps_per_commit());
+        row.insert("idle_step_fraction", live.host.idle_step_fraction());
+        row.insert("jitter_fallback_frac", live.host.jitter_fallback_frac());
         row
     })
     .collect();

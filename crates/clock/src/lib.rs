@@ -67,7 +67,31 @@ pub type MegaHertz = f64;
 /// Panics if `freq_mhz` is not strictly positive.
 pub fn freq_mhz_to_period_ps(freq_mhz: MegaHertz) -> TimePs {
     assert!(freq_mhz > 0.0, "frequency must be positive");
-    (1_000_000.0 / freq_mhz).round() as TimePs
+    round_pos(1_000_000.0 / freq_mhz)
+}
+
+/// Rounds a non-negative `x` to the nearest integer, ties away from zero:
+/// bit-for-bit `x.round() as TimePs` for every `x` in `[0, 2^63)`.
+///
+/// `f64::round` is an out-of-line software routine on targets without
+/// SSE4.1, and every clock edge rounds.  This version is one truncating
+/// conversion plus a compare: `x - trunc(x)` is exact, so it is `>= 0.5`
+/// exactly when `round` goes up.
+///
+/// ```
+/// use mcd_clock::round_pos;
+/// assert_eq!(round_pos(2.5), 3);
+/// assert_eq!(round_pos(2.499_999), 2);
+/// assert_eq!(round_pos(0.0), 0);
+/// ```
+#[inline]
+pub fn round_pos(x: f64) -> TimePs {
+    debug_assert!(
+        (0.0..9_223_372_036_854_775_808.0).contains(&x),
+        "round_pos argument {x} outside [0, 2^63)"
+    );
+    let t = x as i64;
+    (t + i64::from(x - t as f64 >= 0.5)) as TimePs
 }
 
 /// Converts a clock period in picoseconds to a frequency in MHz.
@@ -93,6 +117,25 @@ mod tests {
                 (back - f).abs() / f < 0.01,
                 "{f} MHz -> {p} ps -> {back} MHz"
             );
+        }
+    }
+
+    #[test]
+    fn round_pos_matches_round_on_its_domain() {
+        let mut x = 0.0f64;
+        while x < 10.0 {
+            assert_eq!(round_pos(x), x.round() as TimePs, "x = {x}");
+            x += 0.125;
+        }
+        for x in [
+            0.499_999_999_999_999_94,
+            0.5,
+            1e6 / 3.0,
+            2_251_799_813_685_247.5,
+            4_503_599_627_370_495.0,
+            4_611_686_018_427_387_904.0,
+        ] {
+            assert_eq!(round_pos(x), x.round() as TimePs, "x = {x}");
         }
     }
 

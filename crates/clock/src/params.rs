@@ -99,8 +99,8 @@ impl McdClockParams {
         if self.freq_change_rate_ns_per_mhz < 0.0 {
             return Err("frequency change rate must be non-negative".to_string());
         }
-        if self.jitter_sigma_ps < 0.0 {
-            return Err("jitter sigma must be non-negative".to_string());
+        if !(self.jitter_sigma_ps >= 0.0 && self.jitter_sigma_ps.is_finite()) {
+            return Err("jitter sigma must be finite and non-negative".to_string());
         }
         if self.external_freq_mhz <= 0.0 || self.main_memory_latency_ns <= 0.0 {
             return Err("external memory parameters must be positive".to_string());

@@ -58,7 +58,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MCDSNAP\0";
 /// overflow list and the ready list, and the event-traffic counters
 /// gained `lane_pushes`; v2 bytes place those events in the ring or
 /// overflow and lack the counter, so the layouts are incompatible.
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// v4 — each clock's jitter source saves sigma, one PRNG state and the
+/// batch cursor instead of its 64 buffered samples; the batch is redrawn
+/// on load (the state is the batch's start state while the cursor is
+/// inside it).  v3 bytes carry the sample buffer, so the layouts are
+/// incompatible.
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// The run identity recorded in a snapshot's header: everything needed
 /// to rebuild the immutable halves of the machine before overlaying the
@@ -502,10 +507,10 @@ mod tests {
         assert!(run.step(5_000).is_none());
         let bytes = snapshot(&run);
 
-        // Header: magic, version 3, gzip (index 23), Attack/Decay tag.
+        // Header: magic, version 4, gzip (index 23), Attack/Decay tag.
         let mut expected_header = Vec::new();
         expected_header.extend_from_slice(&SNAPSHOT_MAGIC);
-        expected_header.extend_from_slice(&3u16.to_le_bytes());
+        expected_header.extend_from_slice(&4u16.to_le_bytes());
         expected_header.push(23);
         expected_header.push(2);
         assert_eq!(
@@ -518,7 +523,7 @@ mod tests {
         h.write_raw(&bytes);
         assert_eq!(
             h.finish(),
-            0x321b_0f1e_b67b_10c5_5a61_d41e_86db_8453,
+            0xe081_1af0_2e4f_eaa7_1f41_59de_5eae_cccf,
             "snapshot content hash changed — the encoding of some component \
              drifted; bump SNAPSHOT_VERSION and re-pin this hash"
         );

@@ -156,6 +156,14 @@ pub struct LoadStoreQueue {
     /// bucket-range walk.  Derived from `store_filter`, so it is not
     /// serialized — [`LoadStoreQueue::load`] recomputes it.
     occupied_bits: u64,
+    /// Set when the last [`LoadStoreQueue::issue_candidates_into`] scan,
+    /// with monotone visibility, found no candidate; cleared by the only
+    /// events that can create one — the visible prefix growing and an
+    /// operand-ready flag latching.  While set (and visibility stays
+    /// monotone) the next scan is skipped: every prefix entry is still
+    /// unready or already issued.  Derived, so [`LoadStoreQueue::load`]
+    /// resets it.
+    no_candidates: bool,
     /// Largest `now_ps` ever passed to a visibility query (debug-only
     /// monotonicity guard).
     #[cfg(debug_assertions)]
@@ -187,6 +195,7 @@ impl LoadStoreQueue {
             min_unready_store_seq: u64::MAX,
             store_filter: [0; FILTER_BUCKETS],
             occupied_bits: 0,
+            no_candidates: false,
             #[cfg(debug_assertions)]
             watermark_ps: 0,
             occupancy_accumulator: 0,
@@ -372,6 +381,7 @@ impl LoadStoreQueue {
             e.operands_ready = true;
             (e.seq, e.is_store)
         };
+        self.no_candidates = false;
         if is_store {
             self.unready_stores -= 1;
             if seq == self.min_unready_store_seq {
@@ -539,6 +549,8 @@ impl LoadStoreQueue {
         for bucket in &mut q.store_filter {
             *bucket = r.u16()?;
         }
+        // Derived scan memo: the first scan after a restore runs in full.
+        q.no_candidates = false;
         // Derived occupancy bitmap, not serialized.
         q.occupied_bits = q
             .store_filter
@@ -585,6 +597,7 @@ impl LoadStoreQueue {
             && self.entries[self.visible_len].visible_at_ps <= now_ps
         {
             self.visible_len += 1;
+            self.no_candidates = false;
         }
         self.recompute_earliest_pending();
     }
@@ -660,15 +673,28 @@ impl LoadStoreQueue {
     /// with one comparison unless visibility times are non-monotone, in
     /// which case it is filtered the historical way (suffix entries are
     /// younger than every prefix entry, so the output stays oldest-first).
+    /// A scan that found nothing is not repeated until the prefix grows
+    /// or an operand-ready flag latches.
     pub fn issue_candidates_into(&mut self, now_ps: u64, out: &mut Vec<SeqNum>) {
         self.refresh_visible(now_ps);
+        let monotone = self.earliest_pending_ps > now_ps;
+        if self.no_candidates && monotone {
+            debug_assert!(
+                self.entries[..self.visible_len]
+                    .iter()
+                    .all(|e| !e.operands_ready || e.issued),
+                "skipped an issue-candidate scan that had candidates"
+            );
+            return;
+        }
+        let before = out.len();
         out.extend(
             self.entries[..self.visible_len]
                 .iter()
                 .filter(|e| e.operands_ready && !e.issued)
                 .map(|e| e.seq),
         );
-        if self.earliest_pending_ps <= now_ps {
+        if !monotone {
             // Gapped visible entries behind a not-yet-visible one.
             out.extend(
                 self.entries[self.visible_len..]
@@ -677,6 +703,7 @@ impl LoadStoreQueue {
                     .map(|e| e.seq),
             );
         }
+        self.no_candidates = monotone && out.len() == before;
     }
 
     /// Sequence numbers of entries that are visible, ready and not yet
@@ -945,6 +972,46 @@ mod tests {
         assert!(q.issue_candidates(1_000).is_empty());
         q.set_operands_ready(3);
         assert_eq!(q.issue_candidates(10_000), vec![2, 3]);
+    }
+
+    #[test]
+    fn candidates_reappear_after_an_empty_scan() {
+        let mut q = LoadStoreQueue::new(8);
+        q.insert(1, false, mem(0, 8), 100).unwrap();
+        q.set_ready_at(1, 2_000);
+        // Visible but unready: the scan is empty and memoized.
+        assert!(q.issue_candidates(1_000).is_empty());
+        assert!(q.issue_candidates(1_500).is_empty());
+        // Readiness latches: the candidate comes back.
+        q.promote_operand_readiness(2_000);
+        assert_eq!(q.issue_candidates(2_000), vec![1]);
+        q.mark_issued(1);
+        assert!(q.issue_candidates(2_100).is_empty());
+        // A ready entry entering the visible prefix comes back too.
+        q.insert(2, false, mem(8, 8), 3_000).unwrap();
+        q.set_operands_ready(2);
+        assert!(q.issue_candidates(2_500).is_empty());
+        assert_eq!(q.issue_candidates(3_000), vec![2]);
+        q.mark_issued(2);
+        assert!(q.issue_candidates(3_100).is_empty());
+        // A direct readiness flag clears the memo as well.
+        q.insert(3, true, mem(16, 8), 3_000).unwrap();
+        assert!(q.issue_candidates(3_200).is_empty());
+        q.set_operands_ready(3);
+        assert_eq!(q.issue_candidates(3_300), vec![3]);
+    }
+
+    #[test]
+    fn empty_scan_memo_is_not_used_with_non_monotone_visibility() {
+        let mut q = LoadStoreQueue::new(8);
+        q.insert(1, false, mem(0, 8), 5_000).unwrap();
+        q.insert(2, false, mem(8, 8), 1_000).unwrap();
+        q.set_operands_ready(2);
+        // Nothing visible yet: an empty, memoized scan.
+        assert!(q.issue_candidates(500).is_empty());
+        // Seq 2 becomes visible before the older seq 1 — no prefix growth
+        // and no new readiness, but the suffix scan must still find it.
+        assert_eq!(q.issue_candidates(1_100), vec![2]);
     }
 
     #[test]

@@ -124,29 +124,41 @@ impl EnergyAccount {
         self.accesses[idx] += count;
     }
 
-    /// Records one idle (clock-gated) cycle of `structure` at the given
-    /// voltage: the gating floor fraction of one access energy.
-    #[inline]
-    pub fn record_idle_cycle(&mut self, structure: Structure, voltage: f64) {
-        let idx = structure.index();
-        let e =
-            self.access_energy[idx] * self.params.gating_floor * self.params.voltage_scale(voltage);
-        self.by_structure[idx] += e;
-        self.idle += e;
+    /// Energy of one idle (clock-gated) cycle of `structure` at voltage
+    /// scale `vscale` (= [`EnergyParams::voltage_scale`] of the domain's
+    /// voltage): the gating floor fraction of one access energy.
+    pub fn idle_cycle_energy(&self, structure: Structure, vscale: f64) -> f64 {
+        self.access_energy[structure.index()] * self.params.gating_floor * vscale
     }
 
-    /// Records one clock cycle of `domain`'s clock grid at the given
-    /// voltage.  `mcd_overhead` is the extra clock energy fraction of the
-    /// MCD design (0.10 in the paper's assumption, 0.0 for the fully
-    /// synchronous baseline).
+    /// Energy of one cycle of `domain`'s clock grid at voltage scale
+    /// `vscale` (zero for a domain without an on-chip grid).
+    /// `mcd_overhead` is the extra clock energy fraction of the MCD design
+    /// (0.10 in the paper's assumption, 0.0 for the fully synchronous
+    /// baseline).
+    pub fn clock_cycle_energy(&self, domain: DomainId, vscale: f64, mcd_overhead: f64) -> f64 {
+        Structure::clock_of(domain).map_or(0.0, |clock| {
+            self.clock_energy[clock.index()] * (1.0 + mcd_overhead) * vscale
+        })
+    }
+
+    /// Charges one idle cycle of `structure` whose energy was computed by
+    /// [`EnergyAccount::idle_cycle_energy`].  The simulator computes it
+    /// once per voltage change instead of once per cycle.
     #[inline]
-    pub fn record_clock_cycle(&mut self, domain: DomainId, voltage: f64, mcd_overhead: f64) {
-        let Some(clock) = Structure::clock_of(domain) else {
-            return;
-        };
-        let idx = clock.index();
-        let e = self.clock_energy[idx] * (1.0 + mcd_overhead) * self.params.voltage_scale(voltage);
-        self.by_structure[idx] += e;
+    pub fn charge_idle(&mut self, structure: Structure, energy: f64) {
+        self.by_structure[structure.index()] += energy;
+        self.idle += energy;
+    }
+
+    /// Charges one cycle of `domain`'s clock grid whose energy was computed
+    /// by [`EnergyAccount::clock_cycle_energy`] (a no-op for a domain
+    /// without a grid).
+    #[inline]
+    pub fn charge_clock(&mut self, domain: DomainId, energy: f64) {
+        if let Some(clock) = Structure::clock_of(domain) {
+            self.by_structure[clock.index()] += energy;
+        }
     }
 
     /// Records one main-memory access (fixed energy, not voltage scaled).
@@ -282,7 +294,8 @@ mod tests {
     #[test]
     fn idle_cycle_costs_the_gating_floor() {
         let mut a = account();
-        a.record_idle_cycle(Structure::FpAlu, 1.2);
+        let e = a.idle_cycle_energy(Structure::FpAlu, 1.0);
+        a.charge_idle(Structure::FpAlu, e);
         let expected = EnergyParams::default().access_energy(Structure::FpAlu) * 0.10;
         assert!((a.total_energy() - expected).abs() < 1e-12);
         assert!((a.breakdown().idle - expected).abs() < 1e-12);
@@ -292,9 +305,13 @@ mod tests {
     fn clock_cycle_with_mcd_overhead_costs_ten_percent_more() {
         let mut sync = account();
         let mut mcd = account();
+        let (e_sync, e_mcd) = (
+            sync.clock_cycle_energy(DomainId::Integer, 1.0, 0.0),
+            mcd.clock_cycle_energy(DomainId::Integer, 1.0, 0.10),
+        );
         for _ in 0..1000 {
-            sync.record_clock_cycle(DomainId::Integer, 1.2, 0.0);
-            mcd.record_clock_cycle(DomainId::Integer, 1.2, 0.10);
+            sync.charge_clock(DomainId::Integer, e_sync);
+            mcd.charge_clock(DomainId::Integer, e_mcd);
         }
         assert!((mcd.total_energy() / sync.total_energy() - 1.10).abs() < 1e-9);
     }
@@ -302,7 +319,8 @@ mod tests {
     #[test]
     fn external_domain_has_no_clock_charge() {
         let mut a = account();
-        a.record_clock_cycle(DomainId::External, 1.2, 0.10);
+        assert_eq!(a.clock_cycle_energy(DomainId::External, 1.0, 0.10), 0.0);
+        a.charge_clock(DomainId::External, 1.0);
         assert_eq!(a.total_energy(), 0.0);
     }
 
@@ -322,8 +340,10 @@ mod tests {
         a.record_access(Structure::IntAlu, 50, 1.1);
         a.record_access(Structure::L1DCache, 30, 0.9);
         a.record_access(Structure::FpAlu, 10, 1.2);
-        a.record_clock_cycle(DomainId::FrontEnd, 1.2, 0.1);
-        a.record_idle_cycle(Structure::Lsq, 1.0);
+        let clock = a.clock_cycle_energy(DomainId::FrontEnd, 1.0, 0.1);
+        a.charge_clock(DomainId::FrontEnd, clock);
+        let idle = a.idle_cycle_energy(Structure::Lsq, a.params().voltage_scale(1.0));
+        a.charge_idle(Structure::Lsq, idle);
         a.record_memory_access();
         let b = a.breakdown();
         let structure_sum: f64 = b.by_structure.iter().map(|(_, e)| e).sum();
@@ -341,9 +361,12 @@ mod tests {
     fn lower_voltage_clock_cycles_save_energy() {
         let mut hi = account();
         let mut lo = account();
+        let scale = |v: f64| EnergyParams::default().voltage_scale(v);
+        let e_hi = hi.clock_cycle_energy(DomainId::FloatingPoint, scale(1.2), 0.1);
+        let e_lo = lo.clock_cycle_energy(DomainId::FloatingPoint, scale(0.65), 0.1);
         for _ in 0..100 {
-            hi.record_clock_cycle(DomainId::FloatingPoint, 1.2, 0.1);
-            lo.record_clock_cycle(DomainId::FloatingPoint, 0.65, 0.1);
+            hi.charge_clock(DomainId::FloatingPoint, e_hi);
+            lo.charge_clock(DomainId::FloatingPoint, e_lo);
         }
         let expected = (0.65f64 / 1.2).powi(2);
         assert!((lo.total_energy() / hi.total_energy() - expected).abs() < 1e-9);

@@ -23,9 +23,49 @@ impl McdProcessor {
         // exactly `now` and the drain loop picks them up before returning,
         // so consumers of this cycle's writebacks can issue this very
         // cycle.
-        self.drain_events(domain, now);
+        let drained = self.drain_events(domain, now);
 
         // ---- Select / issue ----
+        // Most edges find the ready list empty: nothing to select.
+        let issued = if self.timeline.ready(domain).is_empty() {
+            0
+        } else {
+            self.issue_ready(domain, now, period, voltage)
+        };
+
+        // ---- Occupancy / counters / gating ----
+        let counters = &mut self.domain_counters[domain.index()];
+        counters.cycles += 1;
+        if issued > 0 {
+            counters.busy_cycles += 1;
+        }
+        counters.issued += issued as u64;
+
+        if domain == DomainId::Integer {
+            self.int_iq.accumulate_occupancy();
+        } else {
+            self.fp_iq.accumulate_occupancy();
+        }
+        if issued == 0 {
+            self.charge_idle_structures(domain, &[false; 3]);
+            if !drained {
+                self.idle_steps[domain.index()] += 1;
+            }
+        }
+        self.charge_clock(domain);
+        self.accumulate_freq(domain);
+    }
+
+    /// The select/issue stage of an integer or floating-point edge: issues
+    /// up to the domain's width from its ready list, oldest first, and
+    /// returns how many issued.
+    fn issue_ready(
+        &mut self,
+        domain: DomainId,
+        now: TimePs,
+        period: TimePs,
+        voltage: f64,
+    ) -> usize {
         let issue_width = if domain == DomainId::Integer {
             self.config.arch.int_issue_width
         } else {
@@ -97,36 +137,7 @@ impl McdProcessor {
         }
         candidates.clear();
         self.scratch_seqs = candidates;
-
-        // ---- Occupancy / counters / gating ----
-        let counters = &mut self.domain_counters[domain.index()];
-        counters.cycles += 1;
-        if issued > 0 {
-            counters.busy_cycles += 1;
-        }
-        counters.issued += issued as u64;
-
-        if domain == DomainId::Integer {
-            self.int_iq.accumulate_occupancy();
-            if issued == 0 {
-                self.energy
-                    .record_idle_cycle(Structure::IntIssueQueue, voltage);
-                self.energy.record_idle_cycle(Structure::IntAlu, voltage);
-                self.energy
-                    .record_idle_cycle(Structure::IntRegFile, voltage);
-            }
-        } else {
-            self.fp_iq.accumulate_occupancy();
-            if issued == 0 {
-                self.energy
-                    .record_idle_cycle(Structure::FpIssueQueue, voltage);
-                self.energy.record_idle_cycle(Structure::FpAlu, voltage);
-                self.energy.record_idle_cycle(Structure::FpRegFile, voltage);
-            }
-        }
-        self.energy
-            .record_clock_cycle(domain, voltage, self.mcd_overhead());
-        self.accumulate_freq(domain);
+        issued
     }
 
     /// Drains every timeline event of `domain` due at `now` in one pass:
@@ -136,13 +147,13 @@ impl McdProcessor {
     /// sorted-merge batch.  Loops until the timeline comes back empty, so
     /// wakeup events pushed *by this cycle's writebacks* at exactly `now`
     /// (same-domain consumers) are promoted before the cycle's select
-    /// stage runs.
+    /// stage runs.  Returns whether any event was due.
     #[inline]
-    pub(crate) fn drain_events(&mut self, domain: DomainId, now: TimePs) {
+    pub(crate) fn drain_events(&mut self, domain: DomainId, now: TimePs) -> bool {
         // The overwhelmingly common cycle has nothing due: settle it with
         // the timeline's one-comparison fast path before any loop setup.
         if !self.timeline.has_due(domain, now) {
-            return;
+            return false;
         }
         let mut due = std::mem::take(&mut self.scratch_events);
         let mut woken = std::mem::take(&mut self.scratch_ready);
@@ -170,6 +181,7 @@ impl McdProcessor {
         }
         self.scratch_events = due;
         self.scratch_ready = woken;
+        true
     }
 
     pub(crate) fn writeback(

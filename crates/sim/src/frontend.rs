@@ -310,18 +310,21 @@ impl McdProcessor {
         }
         self.domain_counters[DomainId::FrontEnd.index()].issued += dispatched as u64;
 
-        for (used, s) in [
-            (accessed_bpred, Structure::BranchPredictor),
-            (accessed_icache, Structure::L1ICache),
-            (accessed_rename, Structure::Rename),
-            (accessed_rob, Structure::Rob),
-        ] {
-            if !used {
-                self.energy.record_idle_cycle(s, voltage);
-            }
+        // A retire or dispatch touches the ROB and a fetch the I-cache;
+        // an edge that touched neither only did bookkeeping.
+        if !(accessed_rob || accessed_icache) {
+            self.idle_steps[DomainId::FrontEnd.index()] += 1;
         }
-        self.energy
-            .record_clock_cycle(DomainId::FrontEnd, voltage, self.mcd_overhead());
+        self.charge_idle_structures(
+            DomainId::FrontEnd,
+            &[
+                accessed_bpred,
+                accessed_icache,
+                accessed_rename,
+                accessed_rob,
+            ],
+        );
+        self.charge_clock(DomainId::FrontEnd);
         self.accumulate_freq(DomainId::FrontEnd);
     }
 

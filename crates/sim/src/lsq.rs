@@ -18,7 +18,7 @@ impl McdProcessor {
         // waiting memory operation's operand-readiness time straight into
         // the LSQ (see `writeback`) — the promotion below is then a pure
         // time comparison per entry.
-        self.drain_events(domain, now);
+        let drained = self.drain_events(domain, now);
 
         // ---- Address-readiness update ----
         self.lsq.promote_operand_readiness(now);
@@ -81,11 +81,12 @@ impl McdProcessor {
         counters.issued += issued as u64;
         self.lsq.accumulate_occupancy();
         if issued == 0 {
-            self.energy.record_idle_cycle(Structure::Lsq, voltage);
-            self.energy.record_idle_cycle(Structure::L1DCache, voltage);
+            self.charge_idle_structures(domain, &[false; 2]);
+            if !drained {
+                self.idle_steps[domain.index()] += 1;
+            }
         }
-        self.energy
-            .record_clock_cycle(domain, voltage, self.mcd_overhead());
+        self.charge_clock(domain);
         self.accumulate_freq(domain);
     }
 

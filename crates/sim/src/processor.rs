@@ -26,7 +26,8 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use mcd_clock::{
-    DomainClock, DomainId, MegaHertz, OperatingPointTable, SyncWindow, TimePs, CONTROLLABLE_DOMAINS,
+    DomainClock, DomainId, MegaHertz, OperatingPointTable, SyncWindow, TimePs,
+    CONTROLLABLE_DOMAINS, ON_CHIP_DOMAINS,
 };
 use mcd_control::{DomainSample, FrequencyController, IntervalSample, OfflineProfile};
 use mcd_isa::{DynInst, InstructionStream, OpClass, SeqNum};
@@ -34,7 +35,7 @@ use mcd_microarch::{
     BranchPredictor, Cache, FuPool, FuPoolConfig, IssueQueue, LoadStoreQueue, Prediction,
     RenameAllocator, RenameMap, ReorderBuffer,
 };
-use mcd_power::EnergyAccount;
+use mcd_power::{EnergyAccount, Structure};
 
 use serde::codec::{ByteReader, ByteWriter, CodecError, Result as CodecResult};
 
@@ -99,6 +100,45 @@ pub(crate) struct DomainIntervalCounters {
     pub(crate) cycles_at_interval_start: u64,
 }
 
+/// The structures charged the gating floor when their domain's edge leaves
+/// them unused, per on-chip domain (indexed by [`DomainId::index`]), in
+/// charge order.
+pub(crate) const IDLE_CHARGED: [&[Structure]; 4] = [
+    &[
+        Structure::BranchPredictor,
+        Structure::L1ICache,
+        Structure::Rename,
+        Structure::Rob,
+    ],
+    &[
+        Structure::IntIssueQueue,
+        Structure::IntAlu,
+        Structure::IntRegFile,
+    ],
+    &[
+        Structure::FpIssueQueue,
+        Structure::FpAlu,
+        Structure::FpRegFile,
+    ],
+    &[Structure::Lsq, Structure::L1DCache],
+];
+
+/// The voltage-dependent charges of one on-chip domain's edges, computed
+/// once per frequency instead of once per edge.  The values come from the
+/// `EnergyAccount` builders, so a cached charge adds exactly the bits a
+/// per-edge computation would.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EdgeCharge {
+    /// Bits of the frequency the charges were computed at.
+    freq_bits: u64,
+    /// Supply voltage at that frequency.
+    pub(crate) voltage: f64,
+    /// Idle-cycle energy of each [`IDLE_CHARGED`] structure of the domain.
+    pub(crate) idle: [f64; 4],
+    /// Energy of one cycle of the domain's clock grid.
+    pub(crate) clock: f64,
+}
+
 /// Per-domain cycle-weighted frequency accumulator (for reports).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FreqAccumulator {
@@ -159,6 +199,9 @@ pub struct McdProcessor {
 
     // Energy.
     pub(crate) energy: EnergyAccount,
+    /// Cached per-edge charges of each on-chip domain (derived from the
+    /// domain clock's current frequency; see [`McdProcessor::refresh_charge`]).
+    pub(crate) charges: [EdgeCharge; 4],
 
     // Statistics.
     pub(crate) committed: u64,
@@ -170,6 +213,9 @@ pub struct McdProcessor {
     /// Instructions dispatched via live rename-map re-derivation (host
     /// telemetry only — not serialized, see `ann_fed`).
     pub(crate) ann_recomputed: u64,
+    /// Per on-chip domain: edges whose handler only did bookkeeping (host
+    /// telemetry only — not serialized, see `ann_fed`).
+    pub(crate) idle_steps: [u64; 4],
     pub(crate) mispredict_redirects: u64,
     pub(crate) memory_accesses: u64,
     pub(crate) interval_index: u64,
@@ -254,7 +300,7 @@ impl McdProcessor {
             granules[d.index()] = clocks[d.index()].target_period_ps();
         }
 
-        McdProcessor {
+        let mut cpu = McdProcessor {
             predictor: BranchPredictor::new(config.arch.branch_predictor.clone()),
             l1i: Cache::new(config.arch.l1i),
             l1d: Cache::new(config.arch.l1d),
@@ -285,9 +331,11 @@ impl McdProcessor {
             scratch_events: Vec::with_capacity(config.arch.rob_size),
             scratch_ready: Vec::with_capacity(config.arch.rob_size),
             energy: EnergyAccount::new(config.energy.clone()),
+            charges: [EdgeCharge::default(); 4],
             committed: 0,
             ann_fed: 0,
             ann_recomputed: 0,
+            idle_steps: [0; 4],
             mispredict_redirects: 0,
             memory_accesses: 0,
             interval_index: 0,
@@ -304,7 +352,9 @@ impl McdProcessor {
             table,
             controller,
             config,
-        }
+        };
+        cpu.charges = cpu.edge_charges();
+        cpu
     }
 
     /// The simulator configuration.
@@ -340,19 +390,69 @@ impl McdProcessor {
         &self.clocks[d.index()]
     }
 
+    /// The current supply voltage of on-chip domain `d`.
+    #[inline]
     pub(crate) fn voltage(&self, d: DomainId) -> f64 {
-        if d == DomainId::External {
-            return self.config.clock.max_voltage;
-        }
-        self.table
-            .voltage_for_freq(self.clocks[d.index()].current_freq_mhz())
+        self.charges[d.index()].voltage
     }
 
-    pub(crate) fn mcd_overhead(&self) -> f64 {
+    fn mcd_overhead(&self) -> f64 {
         match self.config.clocking {
             ClockingMode::Mcd => self.config.clock.mcd_clock_energy_overhead,
             ClockingMode::FullySynchronous => 0.0,
         }
+    }
+
+    /// The charges of on-chip domain `d` at frequency `freq_mhz`.
+    fn edge_charge(&self, d: DomainId, freq_mhz: MegaHertz) -> EdgeCharge {
+        let voltage = self.table.voltage_for_freq(freq_mhz);
+        let vscale = self.energy.params().voltage_scale(voltage);
+        let mut idle = [0.0; 4];
+        for (slot, &s) in idle.iter_mut().zip(IDLE_CHARGED[d.index()]) {
+            *slot = self.energy.idle_cycle_energy(s, vscale);
+        }
+        EdgeCharge {
+            freq_bits: freq_mhz.to_bits(),
+            voltage,
+            idle,
+            clock: self
+                .energy
+                .clock_cycle_energy(d, vscale, self.mcd_overhead()),
+        }
+    }
+
+    /// Fresh charges of every on-chip domain at its clock's current
+    /// frequency.
+    fn edge_charges(&self) -> [EdgeCharge; 4] {
+        ON_CHIP_DOMAINS.map(|d| self.edge_charge(d, self.clocks[d.index()].current_freq_mhz()))
+    }
+
+    /// Re-derives domain `d`'s charges if its clock's frequency moved
+    /// (after an edge during a ramp, or a retarget); otherwise one compare.
+    #[inline]
+    pub(crate) fn refresh_charge(&mut self, d: DomainId) {
+        let freq = self.clocks[d.index()].current_freq_mhz();
+        if freq.to_bits() != self.charges[d.index()].freq_bits {
+            self.charges[d.index()] = self.edge_charge(d, freq);
+        }
+    }
+
+    /// Charges the gating floor to every idle-charged structure of domain
+    /// `d` that `used` (in [`IDLE_CHARGED`] order) leaves unused.
+    #[inline]
+    pub(crate) fn charge_idle_structures(&mut self, d: DomainId, used: &[bool]) {
+        let charge = &self.charges[d.index()];
+        for ((&s, &e), &used) in IDLE_CHARGED[d.index()].iter().zip(&charge.idle).zip(used) {
+            if !used {
+                self.energy.charge_idle(s, e);
+            }
+        }
+    }
+
+    /// Charges one cycle of domain `d`'s clock grid.
+    #[inline]
+    pub(crate) fn charge_clock(&mut self, d: DomainId) {
+        self.energy.charge_clock(d, self.charges[d.index()].clock);
     }
 
     /// Time at which a value produced at `t` in `from` becomes visible in
@@ -451,6 +551,7 @@ impl McdProcessor {
             // otherwise).
             self.timeline
                 .set_granule(cmd.domain, clock.target_period_ps());
+            self.refresh_charge(cmd.domain);
         }
 
         if self.config.record_traces {
@@ -569,6 +670,7 @@ impl McdProcessor {
             let b = 2 + usize::from(edges[2] > edges[3]);
             let domain = D[if edges[a] <= edges[b] { a } else { b }];
             let now = self.clocks[domain.index()].advance();
+            self.refresh_charge(domain);
 
             match domain {
                 DomainId::FrontEnd => self.frontend_cycle(now, stream),
@@ -821,6 +923,9 @@ impl McdProcessor {
         // Controller-mutable state.
         cpu.controller.load_state(r)?;
 
+        // Derived from the restored clocks.
+        cpu.charges = cpu.edge_charges();
+
         Ok(cpu)
     }
 
@@ -859,6 +964,11 @@ impl McdProcessor {
         host.events = self.timeline.stats();
         host.ann_fed = self.ann_fed;
         host.ann_recomputed = self.ann_recomputed;
+        for d in ON_CHIP_DOMAINS {
+            host.domain_steps[d.index()] = self.clocks[d.index()].cycles();
+            host.jitter_fallbacks += self.clocks[d.index()].jitter_fallbacks();
+        }
+        host.idle_steps = self.idle_steps;
 
         SimResult {
             committed_instructions: self.committed,
@@ -883,7 +993,6 @@ impl McdProcessor {
 mod tests {
     use super::*;
     use mcd_control::{AttackDecayController, AttackDecayParams, FixedController};
-    use mcd_power::Structure;
     use mcd_workloads::{Benchmark, WorkloadGenerator};
 
     fn run_benchmark(
@@ -1197,6 +1306,51 @@ mod tests {
             (r.host.simulated_mips - implied_mips).abs() < 1e-9,
             "simulated MIPS must be derived from the accumulated wall-clock"
         );
+    }
+
+    #[test]
+    fn step_counters_account_for_every_kernel_step() {
+        // Every kernel step is one edge of one on-chip domain, so the
+        // per-domain step counts sum to the steps taken; idle steps are a
+        // subset of each domain's steps; and only jittered (MCD) clocks
+        // can take the exact jitter path — rarely.
+        let insts = 5_000;
+        let mut stream = WorkloadGenerator::new(&Benchmark::Mcf.spec(), 42, insts);
+        let mut cpu = McdProcessor::new(
+            SimConfig::baseline_mcd(insts),
+            Box::new(FixedController::at_max()),
+        );
+        let mut steps = 0u64;
+        let r = loop {
+            let before: u64 = cpu.clocks.iter().map(|c| c.cycles()).sum();
+            let outcome = cpu.run_for(&mut stream, 1_000);
+            steps += cpu.clocks.iter().map(|c| c.cycles()).sum::<u64>() - before;
+            if let StepOutcome::Finished(r) = outcome {
+                break r;
+            }
+        };
+        let host = &r.host;
+        assert_eq!(host.total_steps(), steps);
+        assert_eq!(
+            host.domain_steps[DomainId::FrontEnd.index()],
+            r.frontend_cycles
+        );
+        for d in mcd_clock::ON_CHIP_DOMAINS {
+            assert!(host.idle_steps[d.index()] <= host.domain_steps[d.index()]);
+        }
+        // mcf is memory bound: most of its edges do no work.
+        assert!(host.idle_step_fraction() > 0.5, "{host:?}");
+        assert!(host.jitter_fallbacks > 0);
+        assert!(host.jitter_fallback_frac() < 0.01, "{host:?}");
+        assert!(r.steps_per_commit() > 4.0);
+
+        let sync = run_benchmark(
+            Benchmark::Mcf,
+            insts,
+            SimConfig::fully_synchronous(insts),
+            Box::new(FixedController::at_max()),
+        );
+        assert_eq!(sync.host.jitter_fallbacks, 0, "jitter-free clocks");
     }
 
     #[test]

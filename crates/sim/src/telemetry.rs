@@ -179,9 +179,37 @@ pub struct HostStats {
     /// Instructions dispatched the historical way — dependences re-derived
     /// from the rename map (live-generated streams carry no sidecar).
     pub ann_recomputed: u64,
+    /// Kernel steps (clock edges) per on-chip domain, indexed by
+    /// `DomainId::index`: the clocks' edge counts.
+    pub domain_steps: [u64; 4],
+    /// Per on-chip domain, the steps whose handler only did bookkeeping:
+    /// front end — nothing retired, fetched or dispatched; integer,
+    /// floating point and load/store — no event due and nothing issued.
+    /// Counted by this process only (a restored run restarts it).
+    pub idle_steps: [u64; 4],
+    /// Clock edges whose jittered period was decided by the exact libm
+    /// sample instead of the table fast path (`mcd_clock::JitterModel`).
+    /// Counted by this process only.
+    pub jitter_fallbacks: u64,
 }
 
 impl HostStats {
+    /// Kernel steps over all on-chip domains.
+    pub fn total_steps(&self) -> u64 {
+        self.domain_steps.iter().sum()
+    }
+
+    /// Share of kernel steps whose handler only did bookkeeping.
+    pub fn idle_step_fraction(&self) -> f64 {
+        ratio(self.idle_steps.iter().sum(), self.total_steps())
+    }
+
+    /// Share of kernel steps whose jittered period took the exact libm
+    /// path.
+    pub fn jitter_fallback_frac(&self) -> f64 {
+        ratio(self.jitter_fallbacks, self.total_steps())
+    }
+
     /// Derives the throughput numbers from a run's committed-instruction
     /// count and wall-clock duration.
     ///
@@ -205,7 +233,19 @@ impl HostStats {
             result_cache_hit: false,
             ann_fed: 0,
             ann_recomputed: 0,
+            domain_steps: [0; 4],
+            idle_steps: [0; 4],
+            jitter_fallbacks: 0,
         }
+    }
+}
+
+/// `num / den`, or zero for an empty denominator.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -333,6 +373,12 @@ impl SimResult {
         } else {
             self.host.events.pushes as f64 / self.committed_instructions as f64
         }
+    }
+
+    /// Kernel steps (clock edges, all on-chip domains) per committed
+    /// instruction — how many edges the kernel steps for each commit.
+    pub fn steps_per_commit(&self) -> f64 {
+        ratio(self.host.total_steps(), self.committed_instructions)
     }
 
     /// The average frequency of one domain over the run.

@@ -5,7 +5,7 @@ Usage:
     bench_summary.py results/BENCH_kernel_micro.json results/BENCH_engine_scaling.json
 
 Reads the kernel micro-bench artefact (per-bench timings plus the
-event-timeline traffic counters) and the engine-scaling artefact, and
+event-timeline traffic and kernel-step counters) and the engine-scaling artefact, and
 prints GitHub-flavoured markdown suitable for appending to
 ``$GITHUB_STEP_SUMMARY``.  Missing files are reported but do not fail the
 job — the summary is advisory, the artefacts are the record.
@@ -22,6 +22,10 @@ def load(path):
     except OSError as err:
         print(f"_bench summary: could not read `{path}`: {err}_\n")
         return None
+
+
+def fmt(value, spec):
+    return "-" if value is None else format(value, spec)
 
 
 def kernel_micro(doc):
@@ -49,6 +53,16 @@ def kernel_micro(doc):
                 f"| {t['overflow_spills']} | {t['bucket_scans']} "
                 f"| {t.get('lane_pushes', '-')} | {epc_cell} "
                 f"| {t.get('ann_fed', '-')} | {t.get('ann_recomputed', '-')} |"
+            )
+        print()
+        print("### Kernel steps (20k-instruction runs)\n")
+        print("| workload | steps/commit | idle-step fraction | jitter fallback fraction |")
+        print("|---|---|---|---|")
+        for t in traffic:
+            print(
+                f"| {t['workload']} | {fmt(t.get('steps_per_commit'), '.2f')} "
+                f"| {fmt(t.get('idle_step_fraction'), '.3f')} "
+                f"| {fmt(t.get('jitter_fallback_frac'), '.4f')} |"
             )
         print()
 
