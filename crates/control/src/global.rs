@@ -11,8 +11,8 @@
 //!
 //! [`GlobalScalingController`] pins every domain to one frequency.  The
 //! search for the frequency that matches a target degradation lives in
-//! `mcd-core` (`experiments::global_match`), because it requires running
-//! the simulator repeatedly.
+//! `mcd-core` (`experiments::table6::global_matching`), because it
+//! requires running the simulator repeatedly.
 
 use mcd_clock::{DomainId, MegaHertz};
 

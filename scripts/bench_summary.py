@@ -5,7 +5,9 @@ Usage:
     bench_summary.py results/BENCH_kernel_micro.json results/BENCH_engine_scaling.json
 
 Reads the kernel micro-bench artefact (per-bench timings plus the
-event-timeline traffic and kernel-step counters) and the engine-scaling artefact, and
+event-timeline traffic and kernel-step counters), the engine-scaling and
+plan-scaling artefacts and the Table 6 artefact (suite / Global search
+split of the whole `table6::run_with_stats` call), and
 prints GitHub-flavoured markdown suitable for appending to
 ``$GITHUB_STEP_SUMMARY``.  Missing files are reported but do not fail the
 job — the summary is advisory, the artefacts are the record.
@@ -101,6 +103,19 @@ def plan_scaling(doc):
     print()
 
 
+def table6(doc):
+    print("### Table 6 (suite vs Global search)\n")
+    total = doc.get("table6_wall_s")
+    suite = doc.get("wall_seconds")
+    search = doc.get("global_s")
+    print(f"- workers: **{doc.get('workers')}**, benchmarks: {doc.get('benchmarks')}")
+    print(f"- whole call: {fmt(total, '.2f')}s = suite {fmt(suite, '.2f')}s "
+          f"+ Global search {fmt(search, '.2f')}s")
+    if total:
+        print(f"- **Global search share: {search / total:.2f}**")
+    print()
+
+
 def main(argv):
     for path in argv[1:]:
         doc = load(path)
@@ -112,6 +127,8 @@ def main(argv):
             engine_scaling(doc)
         elif doc.get("experiment") == "plan_scaling":
             plan_scaling(doc)
+        elif doc.get("experiment") == "table6":
+            table6(doc)
         else:
             print(f"_bench summary: `{path}` has unknown experiment kind_\n")
     return 0
