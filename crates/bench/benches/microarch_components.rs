@@ -1,12 +1,12 @@
-//! Micro-benchmarks of the simulator substrates: branch prediction, cache
-//! lookups, issue-queue management, the Attack/Decay control step and
-//! workload generation.  These quantify where the simulator spends its time
+//! Micro-benchmarks of the simulator substrates: clock edges, branch
+//! prediction, cache lookups, issue-queue management, the Attack/Decay
+//! control step and workload generation.  These quantify where the simulator spends its time
 //! and act as performance-regression guards for the building blocks.
 // The criterion_group! expansion is undocumented generated code.
 #![allow(missing_docs)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mcd_clock::{DomainId, OperatingPointTable, SyncWindow};
+use mcd_clock::{DomainClock, DomainId, OperatingPointTable, SyncWindow};
 use mcd_control::{
     AttackDecayController, AttackDecayParams, DomainSample, FrequencyController, IntervalSample,
 };
@@ -55,6 +55,26 @@ fn bench_processor_kernel(c: &mut Criterion) {
                     Box::new(mcd_control::FixedController::at_max()),
                 );
                 black_box(cpu.run(trace.cursor()))
+            })
+        });
+    }
+}
+
+/// Per-edge cost of a domain clock: 64k `advance` calls on a settled
+/// 1 GHz clock, with the paper's 110 ps jitter and without.  The gap is
+/// the jitter draw's cost per edge.
+fn bench_clock_edges(c: &mut Criterion) {
+    for (name, sigma_ps) in [
+        ("clock_edges_jittered_64k", 110.0),
+        ("clock_edges_unjittered_64k", 0.0),
+    ] {
+        let mut clk = DomainClock::new(DomainId::Integer, 1000.0, 49.1, sigma_ps, 42);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                for _ in 0..65_536 {
+                    clk.advance();
+                }
+                black_box(clk.next_edge_ps())
             })
         });
     }
@@ -173,10 +193,10 @@ fn bench_workload_generation(c: &mut Criterion) {
 /// `mcd_sim::EventTrafficStats`), the derived events-per-commit ratio,
 /// the dispatch-path counters (`ann_fed` from an annotation-fed
 /// trace replay, `ann_recomputed` from the live run), and the kernel-step
-/// counters (steps per commit, the idle-step share and the share of edges
-/// whose jitter took the exact libm path), making the heap-vs-calendar
-/// trade, the lane's structural event-traffic cut, the annotation coverage
-/// and the idle-step floor measurable per workload per commit.
+/// counters (steps per commit and the idle-step share), making the
+/// heap-vs-calendar trade, the lane's structural event-traffic cut, the
+/// annotation coverage and the idle-step floor measurable per workload per
+/// commit.
 fn export_results(c: &mut Criterion) {
     let results = c.take_results();
     if results.is_empty() {
@@ -235,7 +255,6 @@ fn export_results(c: &mut Criterion) {
         row.insert("ann_recomputed", live.host.ann_recomputed);
         row.insert("steps_per_commit", live.steps_per_commit());
         row.insert("idle_step_fraction", live.host.idle_step_fraction());
-        row.insert("jitter_fallback_frac", live.host.jitter_fallback_frac());
         row
     })
     .collect();
@@ -246,6 +265,7 @@ fn export_results(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_processor_kernel,
+    bench_clock_edges,
     bench_branch_predictor,
     bench_cache,
     bench_issue_queue,

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::clockgen::{valid_jitter_sigma, MAX_JITTER_SIGMA_PS};
 use crate::{MegaHertz, TimePs};
 
 /// MCD-specific processor configuration parameters.
@@ -78,16 +79,23 @@ impl McdClockParams {
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency
-    /// found (inverted ranges, non-positive rates, fewer than two operating
-    /// points).
+    /// found (inverted or unbounded ranges, negative, non-finite or
+    /// non-positive rates, fewer than two operating points).
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.min_voltage > 0.0 && self.max_voltage > self.min_voltage) {
+        // Every `!(x > 0.0 ...)` form also rejects NaN.
+        if !(self.min_voltage > 0.0
+            && self.max_voltage > self.min_voltage
+            && self.max_voltage.is_finite())
+        {
             return Err(format!(
                 "voltage range invalid: {} .. {}",
                 self.min_voltage, self.max_voltage
             ));
         }
-        if !(self.min_freq_mhz > 0.0 && self.max_freq_mhz > self.min_freq_mhz) {
+        if !(self.min_freq_mhz > 0.0
+            && self.max_freq_mhz > self.min_freq_mhz
+            && self.max_freq_mhz.is_finite())
+        {
             return Err(format!(
                 "frequency range invalid: {} .. {} MHz",
                 self.min_freq_mhz, self.max_freq_mhz
@@ -96,14 +104,23 @@ impl McdClockParams {
         if self.num_operating_points < 2 {
             return Err("at least two operating points are required".to_string());
         }
-        if self.freq_change_rate_ns_per_mhz < 0.0 {
-            return Err("frequency change rate must be non-negative".to_string());
+        if !(self.freq_change_rate_ns_per_mhz >= 0.0
+            && self.freq_change_rate_ns_per_mhz.is_finite())
+        {
+            return Err("frequency change rate must be finite and non-negative".to_string());
         }
-        if !(self.jitter_sigma_ps >= 0.0 && self.jitter_sigma_ps.is_finite()) {
-            return Err("jitter sigma must be finite and non-negative".to_string());
+        if !valid_jitter_sigma(self.jitter_sigma_ps) {
+            return Err(format!(
+                "jitter sigma must be in 0..={MAX_JITTER_SIGMA_PS} ps, got {}",
+                self.jitter_sigma_ps
+            ));
         }
-        if self.external_freq_mhz <= 0.0 || self.main_memory_latency_ns <= 0.0 {
-            return Err("external memory parameters must be positive".to_string());
+        if !(self.external_freq_mhz > 0.0
+            && self.external_freq_mhz.is_finite()
+            && self.main_memory_latency_ns > 0.0
+            && self.main_memory_latency_ns.is_finite())
+        {
+            return Err("external memory parameters must be finite and positive".to_string());
         }
         if !(0.0..1.0).contains(&self.mcd_clock_energy_overhead) {
             return Err("MCD clock energy overhead must be in [0, 1)".to_string());
@@ -215,6 +232,15 @@ mod tests {
             ..Default::default()
         };
         assert!(p.validate().is_err());
+
+        // Jitter sigma is capped so that its offset table stays bounded.
+        for (sigma, ok) in [(10_000.0, true), (10_000.5, false), (f64::NAN, false)] {
+            let p = McdClockParams {
+                jitter_sigma_ps: sigma,
+                ..Default::default()
+            };
+            assert_eq!(p.validate().is_ok(), ok, "sigma {sigma}");
+        }
     }
 
     #[test]

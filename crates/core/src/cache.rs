@@ -45,9 +45,16 @@ use serde::Serialize;
 use crate::runner::{ConfigKind, RunOutcome};
 
 /// Version tag mixed into every stable hash.  Bump when the encoding of
-/// [`WorkloadSpec`] or [`ConfigKind`] content changes, so keys from an
+/// [`WorkloadSpec`] or [`ConfigKind`] content changes, or when the same
+/// key starts to mean different simulated behaviour, so keys from an
 /// older scheme can never alias.
-pub const KEY_VERSION: u8 = 1;
+///
+/// History: v2 — each jittered clock edge draws its rounded jitter
+/// offset from the exact offset distribution with one alias-table lookup
+/// instead of rounding a Box–Muller sample, so every run with jitter
+/// (MCD clocking) has a new jitter realization; fully synchronous runs
+/// are unchanged.
+pub const KEY_VERSION: u8 = 2;
 
 /// Traces kept strongly referenced in the most-recent ring.  The engine
 /// registers leases per scheduling wave, so the ring is what carries a
@@ -519,7 +526,7 @@ mod tests {
             false,
         );
         assert_eq!(
-            key, 0xef6b_5ec7_308f_2aa7_a7dc_70ce_124e_789c_u128,
+            key, 0x83c8_3340_8684_b9eb_d115_720c_13d4_afc5_u128,
             "cache-key encoding drifted: bump KEY_VERSION and update this snapshot (new key {key:#034x})"
         );
     }

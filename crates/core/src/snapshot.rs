@@ -63,7 +63,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MCDSNAP\0";
 /// on load (the state is the batch's start state while the cursor is
 /// inside it).  v3 bytes carry the sample buffer, so the layouts are
 /// incompatible.
-pub const SNAPSHOT_VERSION: u16 = 4;
+/// v5 — a clock's jitter source saves sigma and its current PRNG state
+/// only: each edge draws one PRNG word, so there is no batch or cursor.
+/// v4 bytes carry the cursor, so the layouts are incompatible.
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// The run identity recorded in a snapshot's header: everything needed
 /// to rebuild the immutable halves of the machine before overlaying the
@@ -507,10 +510,10 @@ mod tests {
         assert!(run.step(5_000).is_none());
         let bytes = snapshot(&run);
 
-        // Header: magic, version 4, gzip (index 23), Attack/Decay tag.
+        // Header: magic, version 5, gzip (index 23), Attack/Decay tag.
         let mut expected_header = Vec::new();
         expected_header.extend_from_slice(&SNAPSHOT_MAGIC);
-        expected_header.extend_from_slice(&4u16.to_le_bytes());
+        expected_header.extend_from_slice(&5u16.to_le_bytes());
         expected_header.push(23);
         expected_header.push(2);
         assert_eq!(
@@ -523,7 +526,7 @@ mod tests {
         h.write_raw(&bytes);
         assert_eq!(
             h.finish(),
-            0xe081_1af0_2e4f_eaa7_1f41_59de_5eae_cccf,
+            0x541a_3a48_d009_78d4_1674_7357_37b5_577c,
             "snapshot content hash changed — the encoding of some component \
              drifted; bump SNAPSHOT_VERSION and re-pin this hash"
         );

@@ -221,6 +221,68 @@ mod tests {
         assert_eq!(cfg.clock.mcd_clock_energy_overhead, 0.0);
     }
 
+    /// The clock parameter `name` of `c`.
+    fn clock_field<'a>(c: &'a mut McdClockParams, name: &str) -> &'a mut f64 {
+        match name {
+            "min_voltage" => &mut c.min_voltage,
+            "max_voltage" => &mut c.max_voltage,
+            "min_freq_mhz" => &mut c.min_freq_mhz,
+            "max_freq_mhz" => &mut c.max_freq_mhz,
+            "freq_change_rate_ns_per_mhz" => &mut c.freq_change_rate_ns_per_mhz,
+            "external_freq_mhz" => &mut c.external_freq_mhz,
+            "main_memory_latency_ns" => &mut c.main_memory_latency_ns,
+            _ => unreachable!("unknown clock field {name}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_clock_parameters_fail_validation_instead_of_construction() {
+        // Regression: NaN or infinite slew rates, external frequencies and
+        // frequency ranges used to validate and then panic in
+        // `McdProcessor::new`; a NaN or infinite memory latency built a
+        // processor with a garbage latency.
+        let fields = [
+            "min_voltage",
+            "max_voltage",
+            "min_freq_mhz",
+            "max_freq_mhz",
+            "freq_change_rate_ns_per_mhz",
+            "external_freq_mhz",
+            "main_memory_latency_ns",
+        ];
+        for base in [
+            SimConfig::baseline_mcd(500),
+            SimConfig::fully_synchronous(500),
+        ] {
+            for name in fields {
+                for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+                    let mut cfg = base.clone();
+                    *clock_field(&mut cfg.clock, name) = value;
+                    if cfg.validate().is_err() {
+                        continue;
+                    }
+                    // An instantaneous slew is the one value here that is
+                    // valid; it must build and run.
+                    assert!(
+                        name == "freq_change_rate_ns_per_mhz" && value == 0.0,
+                        "{name} = {value} validated ({:?})",
+                        base.clocking
+                    );
+                    let mut cpu = crate::McdProcessor::new(
+                        cfg,
+                        Box::new(mcd_control::FixedController::at_max()),
+                    );
+                    let stream = mcd_workloads::WorkloadGenerator::new(
+                        &mcd_workloads::Benchmark::Gzip.spec(),
+                        1,
+                        500,
+                    );
+                    assert_eq!(cpu.run(stream).committed_instructions, 500);
+                }
+            }
+        }
+    }
+
     #[test]
     fn validation_rejects_degenerate_configs() {
         let mut cfg = SimConfig::baseline_mcd(1_000);

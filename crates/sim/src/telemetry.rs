@@ -187,10 +187,6 @@ pub struct HostStats {
     /// floating point and load/store — no event due and nothing issued.
     /// Counted by this process only (a restored run restarts it).
     pub idle_steps: [u64; 4],
-    /// Clock edges whose jittered period was decided by the exact libm
-    /// sample instead of the table fast path (`mcd_clock::JitterModel`).
-    /// Counted by this process only.
-    pub jitter_fallbacks: u64,
 }
 
 impl HostStats {
@@ -202,12 +198,6 @@ impl HostStats {
     /// Share of kernel steps whose handler only did bookkeeping.
     pub fn idle_step_fraction(&self) -> f64 {
         ratio(self.idle_steps.iter().sum(), self.total_steps())
-    }
-
-    /// Share of kernel steps whose jittered period took the exact libm
-    /// path.
-    pub fn jitter_fallback_frac(&self) -> f64 {
-        ratio(self.jitter_fallbacks, self.total_steps())
     }
 
     /// Derives the throughput numbers from a run's committed-instruction
@@ -235,7 +225,6 @@ impl HostStats {
             ann_recomputed: 0,
             domain_steps: [0; 4],
             idle_steps: [0; 4],
-            jitter_fallbacks: 0,
         }
     }
 }

@@ -4,8 +4,9 @@
 Usage:
     bench_summary.py results/BENCH_kernel_micro.json results/BENCH_engine_scaling.json
 
-Reads the kernel micro-bench artefact (per-bench timings plus the
-event-timeline traffic and kernel-step counters), the engine-scaling and
+Reads the kernel micro-bench artefact (per-bench timings, the per-edge
+clock cost and jitter surcharge, and the event-timeline traffic and
+kernel-step counters), the engine-scaling and
 plan-scaling artefacts and the Table 6 artefact (suite / Global search
 split of the whole `table6::run_with_stats` call), and
 prints GitHub-flavoured markdown suitable for appending to
@@ -24,6 +25,10 @@ def load(path):
     except OSError as err:
         print(f"_bench summary: could not read `{path}`: {err}_\n")
         return None
+
+
+# `advance` calls per iteration of the `clock_edges_*` benches.
+EDGES_PER_CLOCK_BENCH = 65536
 
 
 def fmt(value, spec):
@@ -58,14 +63,24 @@ def kernel_micro(doc):
             )
         print()
         print("### Kernel steps (20k-instruction runs)\n")
-        print("| workload | steps/commit | idle-step fraction | jitter fallback fraction |")
-        print("|---|---|---|---|")
+        print("| workload | steps/commit | idle-step fraction |")
+        print("|---|---|---|")
         for t in traffic:
             print(
                 f"| {t['workload']} | {fmt(t.get('steps_per_commit'), '.2f')} "
-                f"| {fmt(t.get('idle_step_fraction'), '.3f')} "
-                f"| {fmt(t.get('jitter_fallback_frac'), '.4f')} |"
+                f"| {fmt(t.get('idle_step_fraction'), '.3f')} |"
             )
+        print()
+    edges = {r["id"]: r["ns_per_iter"] / EDGES_PER_CLOCK_BENCH
+             for r in doc.get("benches", []) if r["id"].startswith("clock_edges_")}
+    if edges:
+        jittered = edges.get("clock_edges_jittered_64k")
+        unjittered = edges.get("clock_edges_unjittered_64k")
+        surcharge = None if None in (jittered, unjittered) else jittered - unjittered
+        print("### Clock edges (settled 1 GHz clock)\n")
+        print(f"- ns per edge: jittered (110 ps) {fmt(jittered, '.2f')}, "
+              f"unjittered {fmt(unjittered, '.2f')}")
+        print(f"- **jitter surcharge: {fmt(surcharge, '.2f')} ns per edge**")
         print()
 
 
