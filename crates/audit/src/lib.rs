@@ -5,8 +5,8 @@
 //! [`SimResult`] is a pure function of *(workload, configuration, seed)*.
 //! Golden dumps check that invariant dynamically for a fixed matrix;
 //! this crate checks it *statically*, over all result-affecting sources,
-//! so a violation fails CI before it can ever reach a golden run — or,
-//! worse, a memoized result cache.  Four rule families are enforced
+//! so a violation fails CI before it can ever reach a golden run.  Four
+//! rule families are enforced
 //! (see [`Rule`]):
 //!
 //! 1. **Determinism lints** ([`scan_determinism`]) deny, on every
@@ -17,14 +17,14 @@
 //!    checked-in allowlist with a justification and an occurrence count
 //!    the tool re-verifies on every run.
 //! 2. **Cache-key completeness** ([`check_cache_key`]) diffs the field
-//!    lists of the key-relevant structs (`SimConfig`, the workload spec
-//!    family, `ExperimentSettings`, `AttackDecayParams`) against the
-//!    identifiers actually folded into `StableHasher` in
-//!    `crates/core/src/cache.rs`.  A behaviour-affecting field that is
-//!    not hashed (and not explicitly allowlisted as non-behavioural or
-//!    derived) is a finding — adding such a field without bumping
-//!    `KEY_VERSION` and extending the hash becomes a build failure
-//!    instead of a documented convention.
+//!    lists of the workload spec family (`WorkloadSpec` and the structs
+//!    it nests) against the identifiers actually folded into
+//!    `StableHasher` by `hash_spec_into` in `crates/core/src/cache.rs`,
+//!    the hash behind every shared-trace key.  A field that is not
+//!    hashed (and not explicitly allowlisted) is a finding: two specs
+//!    differing only in it would share one trace.  Adding such a field
+//!    without bumping `KEY_VERSION` and extending the hash becomes a
+//!    build failure instead of a documented convention.
 //! 3. **Equality exclusion** ([`check_eq_exclusion`]) verifies that
 //!    `SimResult`'s manual `PartialEq` compares every simulated field,
 //!    that every excluded field carries an allowlist entry, and that no
@@ -721,8 +721,8 @@ pub struct KeyStruct {
 /// The identifier-level diff is deliberately conservative: renaming a
 /// hashed field without updating the hash site, or adding a new field
 /// without hashing it, both produce findings.  It cannot prove the hash
-/// *uses* the field correctly — that is what the key-snapshot test and
-/// the `KEY_VERSION` rule are for (see `docs/ARCHITECTURE.md`).
+/// *uses* the field correctly — that is what the `KEY_VERSION` rule is
+/// for (see `docs/ARCHITECTURE.md`).
 pub fn check_cache_key(
     files: &[SourceFile],
     structs: &[KeyStruct],
@@ -1093,14 +1093,11 @@ pub fn check_snapshot_codec(
 /// the binding.
 pub fn workspace_key_structs() -> Vec<KeyStruct> {
     [
-        ("crates/sim/src/config.rs", "SimConfig"),
         ("crates/workloads/src/spec.rs", "WorkloadSpec"),
         ("crates/workloads/src/spec.rs", "Phase"),
         ("crates/workloads/src/spec.rs", "InstructionMix"),
         ("crates/workloads/src/spec.rs", "MemoryBehavior"),
         ("crates/workloads/src/spec.rs", "BranchBehavior"),
-        ("crates/core/src/experiments.rs", "ExperimentSettings"),
-        ("crates/control/src/attack_decay.rs", "AttackDecayParams"),
     ]
     .into_iter()
     .map(|(file, name)| KeyStruct {
@@ -1155,7 +1152,7 @@ pub fn workspace_codec_structs() -> Vec<CodecStruct> {
 /// [`StableHasher`]: ../mcd_core/cache/struct.StableHasher.html
 pub const HASH_FILE: &str = "crates/core/src/cache.rs";
 /// The functions that fold key material into the hasher.
-pub const HASH_FNS: &[&str] = &["result_key", "hash_spec_into", "hash_config_into"];
+pub const HASH_FNS: &[&str] = &["hash_spec_into"];
 /// The file holding `SimResult`/`HostStats` and the manual `PartialEq`.
 pub const TELEMETRY_FILE: &str = "crates/sim/src/telemetry.rs";
 

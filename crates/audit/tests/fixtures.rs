@@ -569,17 +569,17 @@ fn real_workspace_is_clean_under_checked_in_allowlist() {
 #[test]
 fn real_workspace_audit_fails_on_synthetic_unhashed_field() {
     // End-to-end version of the acceptance scenario: inject a synthetic
-    // behaviour-affecting field into the real ExperimentSettings source
-    // and re-run the full structural check against the real hash site.
+    // behaviour-affecting field into the real MemoryBehavior source and
+    // re-run the full structural check against the real hash site.
     let root = workspace_root();
     let mut files = mcd_audit::load_workspace_sources(root).expect("sources readable");
-    let exp = files
+    let spec = files
         .iter_mut()
-        .find(|f| f.path == "crates/core/src/experiments.rs")
-        .expect("experiments.rs is audited");
-    let needle = "pub struct ExperimentSettings {";
-    let at = exp.text.find(needle).expect("ExperimentSettings found");
-    exp.text.insert_str(
+        .find(|f| f.path == "crates/workloads/src/spec.rs")
+        .expect("spec.rs is audited");
+    let needle = "pub struct MemoryBehavior {";
+    let at = spec.text.find(needle).expect("MemoryBehavior found");
+    spec.text.insert_str(
         at + needle.len(),
         "\n    pub synthetic_behaviour_knob: f64,",
     );
@@ -598,7 +598,7 @@ fn real_workspace_audit_fails_on_synthetic_unhashed_field() {
     );
     assert!(
         report.findings.iter().any(|f| f.rule == Rule::CacheKey
-            && f.scope == "ExperimentSettings"
+            && f.scope == "MemoryBehavior"
             && f.item == "synthetic_behaviour_knob"),
         "an unhashed behaviour-affecting field must fail the audit: {report:?}"
     );

@@ -1,21 +1,12 @@
-//! Measures grid-aware batched execution on a same-workload sweep: one
+//! Measures shared instruction traces on a same-workload sweep: one
 //! benchmark under many configurations — the exact shape of the paper's
 //! sensitivity experiments (Figures 5-7), where every cell of the grid
 //! consumes the same instruction stream.
 //!
-//! Two layers are measured, each against its own control:
-//!
-//! * **Shared traces** — the sweep executed with one materialized
-//!   instruction trace shared by all runs, versus per-run live
-//!   generation (`--no-trace-share` behaviour).  Both passes disable
-//!   result memoization so every cell really simulates;
-//!   `plan_over_pergen_speedup` is the per-generation wall-clock over
-//!   the shared-trace wall-clock.
-//! * **Result memoization** — the same plan executed twice on one
-//!   engine with the result cache enabled; the repeat is served
-//!   entirely from memoized outcomes (`repeat_result_cache_hits` out of
-//!   `repeat_result_cache_hits + repeat_result_cache_misses` probes)
-//!   and `repeat_over_cold_speedup` reports the saved wall-clock.
+//! The sweep runs with one materialized instruction trace shared by all
+//! runs, and against its control, per-run live generation
+//! (`--no-trace-share` behaviour); `plan_over_pergen_speedup` is the
+//! per-generation wall-clock over the shared-trace wall-clock.
 //!
 //! Results go to `results/BENCH_plan_scaling.json`.  `--jobs N` selects
 //! the worker count; `MCD_FULL=1` lengthens the runs; `--benchmark` is
@@ -59,24 +50,13 @@ fn main() {
         settings.workers()
     );
 
-    // --- A/B: shared traces vs per-run generation (no memoization, so
-    // every cell simulates in both passes).  The per-generation control
-    // runs first so the shared-trace measurement cannot be flattered by
-    // warmed-up allocator state.
-    let pergen_engine = ExperimentEngine::from_settings(
-        &settings
-            .clone()
-            .with_share_traces(false)
-            .with_result_cache(false),
-    );
+    // A/B: shared traces vs per-run generation.  The per-generation
+    // control runs first so the shared-trace measurement cannot be
+    // flattered by warmed-up allocator state.
+    let pergen_engine = ExperimentEngine::from_settings(&settings.clone().with_share_traces(false));
     let (pergen_outcomes, pergen) = pergen_engine.execute_with_stats(&plan);
 
-    let shared_engine = ExperimentEngine::from_settings(
-        &settings
-            .clone()
-            .with_share_traces(true)
-            .with_result_cache(false),
-    );
+    let shared_engine = ExperimentEngine::from_settings(&settings.clone().with_share_traces(true));
     let (shared_outcomes, shared) = shared_engine.execute_with_stats(&plan);
 
     for (a, b) in pergen_outcomes.iter().zip(&shared_outcomes) {
@@ -104,29 +84,6 @@ fn main() {
     );
     println!("shared vs per-run generation: {plan_over_pergen:.3}x");
 
-    // --- Repeat plan on one engine: the second execution is served from
-    // the result cache.
-    let cached_engine = ExperimentEngine::from_settings(&settings.clone().with_result_cache(true));
-    let (_, cold) = cached_engine.execute_with_stats(&plan);
-    let (warm_outcomes, warm) = cached_engine.execute_with_stats(&plan);
-    for (a, b) in shared_outcomes.iter().zip(&warm_outcomes) {
-        assert_eq!(a.result, b.result, "memoized repeats must be bit-identical");
-    }
-    let repeat_over_cold = if warm.wall_seconds > 0.0 {
-        cold.wall_seconds / warm.wall_seconds
-    } else {
-        0.0
-    };
-    println!(
-        "repeat plan: cold {:.3}s -> warm {:.3}s ({repeat_over_cold:.1}x), \
-         {} hits / {} misses, {} simulations",
-        cold.wall_seconds,
-        warm.wall_seconds,
-        warm.result_cache_hits,
-        warm.result_cache_misses,
-        warm.runs
-    );
-
     write_bench_json(
         "plan_scaling",
         &shared,
@@ -138,15 +95,6 @@ fn main() {
                 pergen.cumulative_seconds.into(),
             ),
             ("plan_over_pergen_speedup", plan_over_pergen.into()),
-            ("cold_wall_seconds", cold.wall_seconds.into()),
-            ("repeat_wall_seconds", warm.wall_seconds.into()),
-            ("repeat_over_cold_speedup", repeat_over_cold.into()),
-            ("repeat_result_cache_hits", warm.result_cache_hits.into()),
-            (
-                "repeat_result_cache_misses",
-                warm.result_cache_misses.into(),
-            ),
-            ("repeat_runs", (warm.runs as u64).into()),
         ],
     );
 }

@@ -32,69 +32,104 @@ use mcd_core::experiments::ExperimentSettings;
 /// cap from `--max-live-runs N` on the command line (each falling back to
 /// its environment variable, `MCD_JOBS` / `MCD_SLICE_CYCLES` /
 /// `MCD_MAX_LIVE_RUNS`, then to the built-in default).
+///
+/// A flag given without a value, or with one that does not parse, prints
+/// the error and exits with status 2: a requested setting must not be
+/// silently replaced by the fallback.
 pub fn settings_from_env() -> ExperimentSettings {
+    settings_from_args(std::env::args()).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2);
+    })
+}
+
+fn settings_from_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<ExperimentSettings, String> {
+    let args: Vec<String> = args.into_iter().collect();
     let mut settings = if std::env::var("MCD_FULL").map(|v| v == "1").unwrap_or(false) {
         ExperimentSettings::paper()
     } else {
         ExperimentSettings::quick()
     };
-    if let Some(jobs) = jobs_from_args(std::env::args()) {
+    if let Some(jobs) = jobs_from_args(args.clone())? {
         settings = settings.with_jobs(jobs);
     }
-    if let Some(slice) = slice_cycles_from_args(std::env::args()) {
+    if let Some(slice) = slice_cycles_from_args(args.clone())? {
         settings = settings.with_slice_cycles(slice);
     }
-    if let Some(cap) = max_live_runs_from_args(std::env::args()) {
+    if let Some(cap) = max_live_runs_from_args(args.clone())? {
         settings = settings.with_max_live_runs(cap);
     }
-    if bool_flag(std::env::args(), "--no-trace-share") {
+    if bool_flag(args, "--no-trace-share") {
         settings = settings.with_share_traces(false);
     }
-    if bool_flag(std::env::args(), "--no-result-cache") {
-        settings = settings.with_result_cache(false);
-    }
-    settings
+    Ok(settings)
 }
 
 /// Returns whether `name` appears as a bare flag in the argument list
-/// (used for `--no-trace-share` / `--no-result-cache`; the matching
-/// environment escape hatches are `MCD_NO_TRACE_SHARE=1` /
-/// `MCD_NO_RESULT_CACHE=1`).
+/// (used for `--no-trace-share`; the matching environment escape hatch is
+/// `MCD_NO_TRACE_SHARE=1`).
 pub fn bool_flag(args: impl IntoIterator<Item = String>, name: &str) -> bool {
     args.into_iter().any(|a| a == name)
 }
 
 /// Parses `--jobs N`, `--jobs=N` or `-j N` from an argument list.
-pub fn jobs_from_args(args: impl IntoIterator<Item = String>) -> Option<usize> {
+///
+/// # Errors
+///
+/// Returns a message when the flag has no value or the value is not a
+/// non-negative integer.
+pub fn jobs_from_args(args: impl IntoIterator<Item = String>) -> Result<Option<usize>, String> {
     flag_value(args, &["--jobs", "-j"], "--jobs=")
 }
 
 /// Parses `--slice-cycles N` or `--slice-cycles=N` from an argument list.
-pub fn slice_cycles_from_args(args: impl IntoIterator<Item = String>) -> Option<u64> {
+///
+/// # Errors
+///
+/// As [`jobs_from_args`].
+pub fn slice_cycles_from_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<Option<u64>, String> {
     flag_value(args, &["--slice-cycles"], "--slice-cycles=")
 }
 
 /// Parses `--max-live-runs N` or `--max-live-runs=N` from an argument
 /// list (`0` = unbounded residency).
-pub fn max_live_runs_from_args(args: impl IntoIterator<Item = String>) -> Option<usize> {
+///
+/// # Errors
+///
+/// As [`jobs_from_args`].
+pub fn max_live_runs_from_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<Option<usize>, String> {
     flag_value(args, &["--max-live-runs"], "--max-live-runs=")
 }
 
+/// The value of the first of `names` (followed by its value) or
+/// `prefix`-joined flag; `Ok(None)` when the flag is absent.
 fn flag_value<T: std::str::FromStr>(
     args: impl IntoIterator<Item = String>,
     names: &[&str],
     prefix: &str,
-) -> Option<T> {
+) -> Result<Option<T>, String> {
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        if names.contains(&arg.as_str()) {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = arg.strip_prefix(prefix) {
-            return v.parse().ok();
-        }
+        let value = if names.contains(&arg.as_str()) {
+            args.next().ok_or_else(|| format!("{arg} needs a value"))?
+        } else if let Some(v) = arg.strip_prefix(prefix) {
+            v.to_string()
+        } else {
+            continue;
+        };
+        let flag = arg.split('=').next().unwrap_or(&arg);
+        return value
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{flag} needs a non-negative integer, got {value:?}"));
     }
-    None
+    Ok(None)
 }
 
 /// The host's available hardware parallelism, recorded into every
@@ -133,8 +168,6 @@ pub fn write_bench_json(
     );
     doc.insert("simulated_instructions", stats.simulated_instructions);
     doc.insert("aggregate_simulated_mips", stats.aggregate_mips);
-    doc.insert("result_cache_hits", stats.result_cache_hits);
-    doc.insert("result_cache_misses", stats.result_cache_misses);
     doc.insert("trace_cache_hits", stats.trace_cache_hits);
     doc.insert("trace_materializations", stats.trace_materializations);
     doc.insert("trace_peak_bytes", stats.trace_peak_bytes);
@@ -205,11 +238,29 @@ mod tests {
     #[test]
     fn jobs_flag_parsing() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(args(&["bin", "--jobs", "4"])), Some(4));
-        assert_eq!(jobs_from_args(args(&["bin", "--jobs=8"])), Some(8));
-        assert_eq!(jobs_from_args(args(&["bin", "-j", "2", "rest"])), Some(2));
-        assert_eq!(jobs_from_args(args(&["bin"])), None);
-        assert_eq!(jobs_from_args(args(&["bin", "--jobs", "no"])), None);
+        assert_eq!(jobs_from_args(args(&["bin", "--jobs", "4"])), Ok(Some(4)));
+        assert_eq!(jobs_from_args(args(&["bin", "--jobs=8"])), Ok(Some(8)));
+        assert_eq!(
+            jobs_from_args(args(&["bin", "-j", "2", "rest"])),
+            Ok(Some(2))
+        );
+        assert_eq!(jobs_from_args(args(&["bin"])), Ok(None));
+        // A bad or missing value is an error, never a silent fallback.
+        assert_eq!(
+            jobs_from_args(args(&["bin", "--jobs", "no"])),
+            Err("--jobs needs a non-negative integer, got \"no\"".to_string())
+        );
+        assert!(jobs_from_args(args(&["bin", "--jobs=four"])).is_err());
+        assert!(jobs_from_args(args(&["bin", "-j", "-1"])).is_err());
+        assert_eq!(
+            jobs_from_args(args(&["bin", "--jobs"])),
+            Err("--jobs needs a value".to_string())
+        );
+        assert!(settings_from_args(args(&["bin", "--jobs", "four"])).is_err());
+        assert_eq!(
+            settings_from_args(args(&["bin", "--jobs", "3"])).map(|s| s.jobs),
+            Ok(Some(3))
+        );
     }
 
     #[test]
@@ -217,21 +268,23 @@ mod tests {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(
             slice_cycles_from_args(args(&["bin", "--slice-cycles", "50000"])),
-            Some(50_000)
+            Ok(Some(50_000))
         );
         assert_eq!(
             slice_cycles_from_args(args(&["bin", "--slice-cycles=123"])),
-            Some(123)
+            Ok(Some(123))
         );
-        assert_eq!(slice_cycles_from_args(args(&["bin"])), None);
+        assert_eq!(slice_cycles_from_args(args(&["bin"])), Ok(None));
+        assert!(slice_cycles_from_args(args(&["bin", "--slice-cycles", "no"])).is_err());
         assert_eq!(
-            slice_cycles_from_args(args(&["bin", "--slice-cycles", "no"])),
-            None
+            slice_cycles_from_args(args(&["bin", "--slice-cycles=abc"])),
+            Err("--slice-cycles needs a non-negative integer, got \"abc\"".to_string())
         );
+        assert!(slice_cycles_from_args(args(&["bin", "--slice-cycles"])).is_err());
         // The two flags do not interfere.
         let both = args(&["bin", "--jobs", "4", "--slice-cycles", "9"]);
-        assert_eq!(jobs_from_args(both.clone()), Some(4));
-        assert_eq!(slice_cycles_from_args(both), Some(9));
+        assert_eq!(jobs_from_args(both.clone()), Ok(Some(4)));
+        assert_eq!(slice_cycles_from_args(both), Ok(Some(9)));
     }
 
     #[test]
@@ -239,13 +292,17 @@ mod tests {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(
             max_live_runs_from_args(args(&["bin", "--max-live-runs", "8"])),
-            Some(8)
+            Ok(Some(8))
         );
         assert_eq!(
             max_live_runs_from_args(args(&["bin", "--max-live-runs=0"])),
-            Some(0)
+            Ok(Some(0))
         );
-        assert_eq!(max_live_runs_from_args(args(&["bin"])), None);
+        assert_eq!(max_live_runs_from_args(args(&["bin"])), Ok(None));
+        assert_eq!(
+            max_live_runs_from_args(args(&["bin", "--max-live-runs", "x"])),
+            Err("--max-live-runs needs a non-negative integer, got \"x\"".to_string())
+        );
     }
 
     #[test]
@@ -258,8 +315,6 @@ mod tests {
             workers: 4,
             slice_cycles: 250_000,
             runs: 15,
-            result_cache_hits: 5,
-            result_cache_misses: 15,
             trace_cache_hits: 12,
             trace_materializations: 3,
             trace_peak_bytes: 640_000,
@@ -278,8 +333,6 @@ mod tests {
             "\"slice_cycles\": 250000",
             "\"parallel_speedup\": 3",
             "\"aggregate_simulated_mips\": 0.45",
-            "\"result_cache_hits\": 5",
-            "\"result_cache_misses\": 15",
             "\"trace_cache_hits\": 12",
             "\"trace_materializations\": 3",
             "\"trace_peak_bytes\": 640000",
@@ -287,7 +340,7 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
-        for gone in ["gang_", "checkpoint_", "prefix_cycles"] {
+        for gone in ["gang_", "checkpoint_", "prefix_cycles", "result_cache"] {
             assert!(!text.contains(gone), "stale {gone} key in {text}");
         }
     }
@@ -299,6 +352,6 @@ mod tests {
             args(&["bin", "--no-trace-share"]),
             "--no-trace-share"
         ));
-        assert!(!bool_flag(args(&["bin"]), "--no-result-cache"));
+        assert!(!bool_flag(args(&["bin"]), "--no-trace-share"));
     }
 }

@@ -248,9 +248,9 @@ fn parse_result_artifact(bytes: &[u8]) -> Result<(u128, u64), BundleError> {
 /// and writes the bundle into `dir` (created if absent; existing
 /// artefact files are overwritten).
 ///
-/// The run streams live (no trace sharing) and skips the result cache,
-/// so the bundle's bytes depend on nothing but `spec` — writing the
-/// same spec twice yields byte-identical bundles.
+/// The run streams live (no trace sharing), so the bundle's bytes
+/// depend on nothing but `spec` — writing the same spec twice yields
+/// byte-identical bundles.
 ///
 /// # Errors
 ///
@@ -265,8 +265,7 @@ pub fn write_bundle(spec: &BundleSpec, dir: &Path) -> Result<BundleReport, Bundl
     }
     let mut runner = BenchmarkRunner::new(spec.instructions, spec.seed)
         .with_interval(spec.interval_instructions)
-        .with_trace_sharing(false)
-        .with_result_caching(false);
+        .with_trace_sharing(false);
     runner.record_traces = spec.record_traces;
 
     let mut run = runner.begin(spec.benchmark, &spec.config);

@@ -1,40 +1,27 @@
-//! Content-addressed caching: shared instruction traces and memoized
-//! run results.
+//! Content-addressed shared instruction traces, and the stable hash
+//! that keys them.
 //!
-//! An experiment grid is highly redundant along two axes.  *Within* a
-//! plan, every configuration of one benchmark consumes the same
-//! instruction stream, so the stream should be generated once and
-//! replayed (see [`mcd_workloads::SharedTrace`]); *across* cells, a grid
-//! frequently contains byte-for-byte repeats — the same `(workload,
-//! configuration, seed)` triple — whose simulation can be served from a
-//! previous outcome.  This module provides both layers:
+//! Within a plan, every configuration of one benchmark consumes the same
+//! instruction stream, so the stream is generated once and replayed (see
+//! [`mcd_workloads::SharedTrace`]).  [`TraceCache`] is the plan-level
+//! cache of materialized traces, keyed by [`TraceKey`] (spec hash, seed,
+//! length).  Entries are weak by default: a trace lives only while some
+//! run holds its `Arc`, so the cache never extends peak memory on its
+//! own.  The engine *registers* the expected number of same-workload
+//! leases of a plan up front; registered entries stay pinned (strong)
+//! until their last lease, so same-workload runs share one
+//! materialization even when the admission cap keeps them from
+//! overlapping.  A tiny most-recent ring additionally keeps the last
+//! leased traces alive between registrations.
 //!
-//! * [`TraceCache`] — a plan-level cache of materialized traces keyed by
-//!   [`TraceKey`] (spec-hash, seed, length).  Entries are weak by
-//!   default: a trace lives only while some run holds its `Arc`, so the
-//!   cache never extends peak memory on its own.  The engine *registers*
-//!   the expected number of same-workload leases of a plan up front;
-//!   registered entries stay pinned (strong) until their last lease, so
-//!   same-workload runs share one materialization even when the
-//!   admission cap keeps them from overlapping.  A tiny most-recent ring
-//!   additionally keeps the last leased traces alive between
-//!   registrations.
-//! * [`ResultCache`] — the profile cache generalized: a memoization map
-//!   from a *stable content hash* of `(workload spec, configuration,
-//!   seed, instruction budget, interval length, trace recording)` to the
-//!   finished [`RunOutcome`].  Identical grid cells simulate once;
-//!   repeats are clones with `host.result_cache_hit` set.  Host-side
-//!   telemetry is excluded from [`mcd_sim::SimResult`] equality, so a
-//!   served repeat is bit-identical to a fresh simulation.
-//!
-//! **Invalidation.**  Keys hash the complete simulated-behaviour input
-//! set and nothing else; any knob that changes simulated behaviour is
-//! part of the key, and knobs that do not (worker count, slice length,
-//! admission order) are excluded, which is exactly the engine's
-//! determinism contract.  The encoding is versioned ([`KEY_VERSION`]):
-//! widening the input set (new spec or config fields) must bump the
-//! version so stale keys cannot alias new ones.  Caches live only as
-//! long as their engine/runner, so cross-process staleness cannot arise.
+//! **Keys.**  [`StableHasher`] is a versioned canonical hash
+//! ([`KEY_VERSION`]).  A [`TraceKey`] hashes every field of the
+//! [`WorkloadSpec`] (the `mcd-audit` cache-key rule enforces that), so two
+//! specs that generate different streams can never share a trace.  The
+//! same hasher content-hashes bundles and run results
+//! ([`crate::bundle::result_digest`]), whose files record the
+//! `KEY_VERSION` they were written under.  A trace cache lives only as
+//! long as its engine/runner, so cross-process staleness cannot arise.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, Weak};
@@ -42,12 +29,11 @@ use std::sync::{Arc, Mutex, Weak};
 use mcd_workloads::{SharedTrace, WorkloadSpec};
 use serde::Serialize;
 
-use crate::runner::{ConfigKind, RunOutcome};
-
-/// Version tag mixed into every stable hash.  Bump when the encoding of
-/// [`WorkloadSpec`] or [`ConfigKind`] content changes, or when the same
-/// key starts to mean different simulated behaviour, so keys from an
-/// older scheme can never alias.
+/// Version tag mixed into every stable hash, and recorded in every
+/// bundle.  Bump when the encoding of [`WorkloadSpec`] content changes, or
+/// when the same trace key or bundle starts to mean different simulated
+/// behaviour, so trace keys and bundles from an older scheme can never
+/// alias (a bundle of another version is rejected on replay).
 ///
 /// History: v2 — each jittered clock edge draws its rounded jitter
 /// offset from the exact offset distribution with one alias-table lookup
@@ -106,19 +92,9 @@ impl StableHasher {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    /// Folds in a `u32`.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
     /// Folds in a `usize` (as `u64`, platform-independent).
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
-    }
-
-    /// Folds in a `bool`.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_bytes(&[u8::from(v)]);
     }
 
     /// Folds in an `f64` by bit pattern (`-0.0` and `0.0` therefore hash
@@ -179,52 +155,6 @@ fn hash_spec_into(h: &mut StableHasher, spec: &WorkloadSpec) {
         h.write_f64(b.taken_bias);
         h.write_usize(b.static_branches);
     }
-}
-
-fn hash_config_into(h: &mut StableHasher, kind: &ConfigKind) {
-    match kind {
-        ConfigKind::FullySynchronous => h.write_bytes(&[0]),
-        ConfigKind::BaselineMcd => h.write_bytes(&[1]),
-        ConfigKind::AttackDecay(p) => {
-            h.write_bytes(&[2]);
-            h.write_f64(p.deviation_threshold);
-            h.write_f64(p.reaction_change);
-            h.write_f64(p.decay);
-            h.write_f64(p.perf_deg_threshold);
-            h.write_u32(p.endstop_count);
-        }
-        ConfigKind::OfflineDynamic { target_degradation } => {
-            h.write_bytes(&[3]);
-            h.write_f64(*target_degradation);
-        }
-        ConfigKind::GlobalScaling { freq_mhz } => {
-            h.write_bytes(&[4]);
-            h.write_f64(*freq_mhz);
-        }
-    }
-}
-
-/// The stable content hash a [`ResultCache`] entry is addressed by: the
-/// complete set of inputs that determine a run's simulated behaviour.
-/// The off-line oracle's profile is itself a deterministic function of
-/// these inputs (a baseline-MCD run under the same runner settings), so
-/// [`ConfigKind::OfflineDynamic`] needs no extra key material.
-pub fn result_key(
-    spec: &WorkloadSpec,
-    config: &ConfigKind,
-    seed: u64,
-    instructions: u64,
-    interval_instructions: u64,
-    record_traces: bool,
-) -> u128 {
-    let mut h = StableHasher::new();
-    hash_spec_into(&mut h, spec);
-    hash_config_into(&mut h, config);
-    h.write_u64(seed);
-    h.write_u64(instructions);
-    h.write_u64(interval_instructions);
-    h.write_bool(record_traces);
-    h.finish()
 }
 
 /// Identity of one materialized trace: the content hash of its spec plus
@@ -376,160 +306,10 @@ impl TraceCache {
     }
 }
 
-#[derive(Debug, Default)]
-struct ResultInner {
-    map: BTreeMap<u128, RunOutcome>,
-    hits: u64,
-    misses: u64,
-}
-
-/// Counters of a [`ResultCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct ResultCacheStats {
-    /// Lookups served from a memoized outcome.
-    pub hits: u64,
-    /// Lookups that found nothing (each corresponds to one simulation).
-    pub misses: u64,
-    /// Memoized outcomes currently held.
-    pub entries: usize,
-}
-
-/// Memoized run outcomes, content-addressed by [`result_key`].
-#[derive(Debug, Default)]
-pub struct ResultCache {
-    inner: Mutex<ResultInner>,
-}
-
-impl ResultCache {
-    /// Looks `key` up; a hit returns a clone of the memoized outcome
-    /// with `host.result_cache_hit` set (host stats are excluded from
-    /// result equality, so the clone is bit-identical to a fresh run).
-    pub fn lookup(&self, key: u128) -> Option<RunOutcome> {
-        let mut guard = self.inner.lock().expect("result cache poisoned");
-        let inner = &mut *guard;
-        match inner.map.get(&key) {
-            Some(outcome) => {
-                inner.hits += 1;
-                let mut served = outcome.clone();
-                served.result.host.result_cache_hit = true;
-                Some(served)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Memoizes a freshly simulated outcome (first write wins; repeats
-    /// of a deterministic run are identical by construction).
-    pub fn insert(&self, key: u128, outcome: &RunOutcome) {
-        let mut inner = self.inner.lock().expect("result cache poisoned");
-        inner.map.entry(key).or_insert_with(|| {
-            let mut stored = outcome.clone();
-            stored.result.host.result_cache_hit = false;
-            stored
-        });
-    }
-
-    /// A snapshot of the cache's counters.
-    pub fn stats(&self) -> ResultCacheStats {
-        let inner = self.inner.lock().expect("result cache poisoned");
-        ResultCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            entries: inner.map.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcd_workloads::Benchmark;
-
-    #[test]
-    fn stable_hash_discriminates_every_key_component() {
-        let spec = Benchmark::Gzip.spec();
-        let base = result_key(&spec, &ConfigKind::BaselineMcd, 1, 1_000, 100, false);
-        assert_eq!(
-            base,
-            result_key(&spec, &ConfigKind::BaselineMcd, 1, 1_000, 100, false),
-            "hashing must be deterministic"
-        );
-        let variants = [
-            result_key(
-                &Benchmark::Mcf.spec(),
-                &ConfigKind::BaselineMcd,
-                1,
-                1_000,
-                100,
-                false,
-            ),
-            result_key(&spec, &ConfigKind::FullySynchronous, 1, 1_000, 100, false),
-            result_key(
-                &spec,
-                &ConfigKind::GlobalScaling { freq_mhz: 875.0 },
-                1,
-                1_000,
-                100,
-                false,
-            ),
-            result_key(
-                &spec,
-                &ConfigKind::OfflineDynamic {
-                    target_degradation: 0.01,
-                },
-                1,
-                1_000,
-                100,
-                false,
-            ),
-            result_key(
-                &spec,
-                &ConfigKind::OfflineDynamic {
-                    target_degradation: 0.05,
-                },
-                1,
-                1_000,
-                100,
-                false,
-            ),
-            result_key(&spec, &ConfigKind::BaselineMcd, 2, 1_000, 100, false),
-            result_key(&spec, &ConfigKind::BaselineMcd, 1, 2_000, 100, false),
-            result_key(&spec, &ConfigKind::BaselineMcd, 1, 1_000, 200, false),
-            result_key(&spec, &ConfigKind::BaselineMcd, 1, 1_000, 100, true),
-        ];
-        for (i, v) in variants.iter().enumerate() {
-            assert_ne!(base, *v, "variant {i} must change the key");
-            for w in &variants[i + 1..] {
-                assert_ne!(v, w, "distinct variants must not collide");
-            }
-        }
-    }
-
-    /// Pins the exact key bytes for one canonical (workload, config,
-    /// seed) tuple.  This is the dynamic half of the `mcd-audit`
-    /// cache-key rule: the audit proves every field reaches the hasher,
-    /// this snapshot proves the *encoding* has not drifted.  If this
-    /// fails, the key scheme changed — verify the change is intentional,
-    /// bump [`KEY_VERSION`], and update the constant in the same commit
-    /// so stale memoized results can never alias the new scheme.
-    #[test]
-    fn key_snapshot_for_canonical_tuple() {
-        let key = result_key(
-            &Benchmark::Gzip.spec(),
-            &ConfigKind::AttackDecay(mcd_control::AttackDecayParams::paper_defaults()),
-            42,
-            1_000_000,
-            10_000,
-            false,
-        );
-        assert_eq!(
-            key, 0x83c8_3340_8684_b9eb_d115_720c_13d4_afc5_u128,
-            "cache-key encoding drifted: bump KEY_VERSION and update this snapshot (new key {key:#034x})"
-        );
-    }
 
     #[test]
     fn trace_cache_shares_within_registration_and_frees_after() {

@@ -129,39 +129,28 @@ pub fn max_live_runs(explicit: Option<usize>, workers: usize) -> usize {
         .unwrap_or(4 * workers.max(1))
 }
 
-/// Parses an `MCD_NO_*` disable knob: unset or `0` leaves the feature
-/// enabled, `1` disables it.
+/// Resolves whether same-workload runs share one materialized
+/// instruction trace: an explicit request wins, then the
+/// `MCD_NO_TRACE_SHARE` environment variable (`1` disables, `0` leaves
+/// sharing on), then enabled.
 ///
 /// # Panics
 ///
-/// Panics on any other value — a requested escape hatch must not be
-/// silently ignored (matching [`slice_cycles`]'s strictness), or an A/B
-/// run with a typoed `MCD_NO_RESULT_CACHE=yes` would measure the cached
-/// path twice.
-fn env_disabled_knob(var: &str) -> Option<bool> {
-    std::env::var(var).ok().map(|v| match v.as_str() {
-        "0" => true,
-        "1" => false,
-        _ => panic!("{var} must be 0 or 1, got {v:?}"),
-    })
-}
-
-/// Resolves whether runs memoize their results: an explicit request
-/// wins, then the `MCD_NO_RESULT_CACHE` environment variable (`1`
-/// disables), then enabled.
-pub fn result_caching_enabled(explicit: Option<bool>) -> bool {
-    explicit
-        .or_else(|| env_disabled_knob("MCD_NO_RESULT_CACHE"))
-        .unwrap_or(true)
-}
-
-/// Resolves whether same-workload runs share one materialized
-/// instruction trace: an explicit request wins, then the
-/// `MCD_NO_TRACE_SHARE` environment variable (`1` disables), then
-/// enabled.
+/// Panics on any other `MCD_NO_TRACE_SHARE` value — a requested escape
+/// hatch must not be silently ignored (matching [`slice_cycles`]'s
+/// strictness), or an A/B run with a typoed `MCD_NO_TRACE_SHARE=yes`
+/// would measure the shared path twice.
 pub fn trace_sharing_enabled(explicit: Option<bool>) -> bool {
     explicit
-        .or_else(|| env_disabled_knob("MCD_NO_TRACE_SHARE"))
+        .or_else(|| {
+            std::env::var("MCD_NO_TRACE_SHARE")
+                .ok()
+                .map(|v| match v.as_str() {
+                    "0" => true,
+                    "1" => false,
+                    _ => panic!("MCD_NO_TRACE_SHARE must be 0 or 1, got {v:?}"),
+                })
+        })
         .unwrap_or(true)
 }
 
@@ -465,12 +454,13 @@ pub struct EngineStats {
     /// (`u64::MAX` means run-at-a-time).
     pub slice_cycles: u64,
     /// Simulations actually executed (including prerequisite profiling
-    /// runs, excluding jobs served from the result cache).
+    /// runs).
     pub runs: usize,
-    /// Plan jobs served from the result cache without simulating.
+    /// Always 0.  Result memoization was removed; the field stays only
+    /// because the out-of-workspace benchmark package (`perfbench/`)
+    /// still reads it, and goes with the next change to that package.
     pub result_cache_hits: u64,
-    /// Result-cache probes that found nothing (each is one simulation;
-    /// zero when caching is disabled).
+    /// Always 0; kept for `perfbench/` like [`Self::result_cache_hits`].
     pub result_cache_misses: u64,
     /// Runs that reused an already-materialized shared trace.
     pub trace_cache_hits: u64,
@@ -522,8 +512,7 @@ impl ExperimentEngine {
         ExperimentEngine {
             runner: BenchmarkRunner::new(settings.instructions, settings.seed)
                 .with_interval(settings.interval_instructions)
-                .with_trace_sharing(trace_sharing_enabled(settings.share_traces))
-                .with_result_caching(result_caching_enabled(settings.result_cache)),
+                .with_trace_sharing(trace_sharing_enabled(settings.share_traces)),
             workers,
             slice_cycles: slice_cycles(settings.slice_cycles),
             max_live_runs: max_live_runs(settings.max_live_runs, workers),
@@ -556,24 +545,11 @@ impl ExperimentEngine {
     /// scheduler (one worker included) and returns outcomes in spec
     /// order.
     ///
-    /// The result cache is probed once per job up front; only the misses
-    /// are scheduled, each as its own run admitted in
-    /// [`admission_priority`] order, with their expected trace leases
-    /// registered so same-workload runs share one materialization even
-    /// when the admission cap keeps them from overlapping.
+    /// Each job is its own run, admitted in [`admission_priority`] order,
+    /// with its trace lease registered up front so same-workload runs
+    /// share one materialization even when the admission cap keeps them
+    /// from overlapping.
     fn execute_jobs(&self, specs: &[JobSpec]) -> Vec<RunOutcome> {
-        let mut outcomes: Vec<Option<RunOutcome>> = specs
-            .iter()
-            .map(|job| self.runner.cached_result(job.benchmark, &job.config))
-            .collect();
-        for hit in outcomes.iter().flatten() {
-            // A served repeat still feeds the profile cache (a memoized
-            // baseline run carries its profile in the result).
-            self.runner.note_outcome(hit);
-        }
-        let misses: Vec<usize> = (0..specs.len())
-            .filter(|&i| outcomes[i].is_none())
-            .collect();
         // Registration is per call, i.e. per phase of `execute_with_stats`,
         // on purpose.  Registering the whole plan before the profiling
         // wave would let the plan wave reuse the profiling wave's traces
@@ -584,32 +560,19 @@ impl ExperimentEngine {
         // first to its last lease within the phase; the cache's small
         // recent ring bridges the two waves on small plans.
         if let Some(cache) = self.runner.trace_cache() {
-            for &i in &misses {
-                cache.register(self.runner.trace_key(specs[i].benchmark), 1);
+            for job in specs {
+                cache.register(self.runner.trace_key(job.benchmark), 1);
             }
         }
-        let fresh = run_sliced(
+        run_sliced(
             self.workers,
             self.slice_cycles,
             self.max_live_runs,
-            misses.len(),
-            |j| admission_priority(specs[misses[j]].benchmark),
-            |j| {
-                let job = &specs[misses[j]];
-                self.runner.begin(job.benchmark, &job.config)
-            },
-            |outcome| {
-                self.runner.note_outcome(outcome);
-                self.runner.memoize(outcome);
-            },
-        );
-        for (j, outcome) in fresh.into_iter().enumerate() {
-            outcomes[misses[j]] = Some(outcome);
-        }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every job resolved by cache or simulation"))
-            .collect()
+            specs.len(),
+            |i| admission_priority(specs[i].benchmark),
+            |i| self.runner.begin(specs[i].benchmark, &specs[i].config),
+            |outcome| self.runner.note_outcome(outcome),
+        )
     }
 
     /// Executes the plan and returns its outcomes in plan order.
@@ -620,7 +583,6 @@ impl ExperimentEngine {
     /// Executes the plan, also returning host-side statistics.
     pub fn execute_with_stats(&self, plan: &RunPlan) -> (Vec<RunOutcome>, EngineStats) {
         let started = Instant::now();
-        let results_before = self.runner.result_cache_stats();
         let traces_before = self.runner.trace_cache_stats();
 
         // Phase 1 — prerequisite profiling runs, deduplicated through the
@@ -668,8 +630,7 @@ impl ExperimentEngine {
 
         let wall_seconds = started.elapsed().as_secs_f64();
         // Count each simulation once: plan outcomes that reused a phase-1
-        // baseline run are clones, not fresh runs, and jobs served from
-        // the result cache never simulated at all.
+        // baseline run are clones, not fresh runs.
         let fresh_plan_outcomes = plan
             .jobs
             .iter()
@@ -679,10 +640,8 @@ impl ExperimentEngine {
         let simulated: Vec<&RunOutcome> = baseline_outcomes
             .values()
             .chain(fresh_plan_outcomes)
-            .filter(|o| !o.result.host.result_cache_hit)
             .collect();
         let runs = simulated.len();
-        let results_after = self.runner.result_cache_stats();
         let traces_after = self.runner.trace_cache_stats();
         // Per-run host stats already aggregate across each run's slices
         // (regardless of which workers executed them), so the plan-level
@@ -696,8 +655,8 @@ impl ExperimentEngine {
             workers: self.workers,
             slice_cycles: self.slice_cycles,
             runs,
-            result_cache_hits: results_after.hits - results_before.hits,
-            result_cache_misses: results_after.misses - results_before.misses,
+            result_cache_hits: 0,
+            result_cache_misses: 0,
             trace_cache_hits: traces_after.hits - traces_before.hits,
             trace_materializations: traces_after.materializations - traces_before.materializations,
             trace_peak_bytes: traces_after.peak_resident_bytes,
@@ -892,7 +851,6 @@ mod tests {
             slice_cycles: Some(3_000),
             max_live_runs: None,
             share_traces: None,
-            result_cache: None,
         };
         let engine = ExperimentEngine::from_settings(&settings);
         assert_eq!(engine.slice_cycles(), 3_000);
@@ -963,7 +921,7 @@ mod tests {
     }
 
     #[test]
-    fn repeat_plan_is_served_entirely_from_the_result_cache() {
+    fn repeat_plan_resimulates_bit_identically() {
         let settings = ExperimentSettings {
             benchmarks: vec![Benchmark::Adpcm],
             instructions: 15_000,
@@ -974,28 +932,31 @@ mod tests {
             slice_cycles: Some(3_000),
             max_live_runs: None,
             share_traces: None,
-            result_cache: None,
         };
         let engine = ExperimentEngine::from_settings(&settings);
         let plan = RunPlan::suite(&[Benchmark::Adpcm]);
 
+        // First pass: the profiling wave runs BaselineMcd once and the
+        // plan's baseline job reuses it; the other four jobs simulate.
+        assert!(!engine.runner().has_profile(Benchmark::Adpcm));
         let (first, cold) = engine.execute_with_stats(&plan);
         assert_eq!(cold.runs, 5);
-        assert_eq!(cold.result_cache_hits, 0);
-        assert_eq!(cold.result_cache_misses, 5, "one probe per simulation");
         // All five runs of the benchmark shared one materialized trace.
         assert_eq!(cold.trace_materializations, 1);
         assert_eq!(cold.trace_cache_hits, 4);
         assert!(cold.trace_peak_bytes > 0);
 
+        // Second pass: the profile is already cached, so no profiling wave
+        // runs and BaselineMcd simulates inside the plan like every other
+        // job.
+        assert!(engine.runner().has_profile(Benchmark::Adpcm));
         let (second, warm) = engine.execute_with_stats(&plan);
-        assert_eq!(warm.runs, 0, "a repeated plan must not simulate");
-        assert_eq!(warm.result_cache_hits, 5);
-        assert_eq!(warm.result_cache_misses, 0);
-        assert_eq!(warm.simulated_instructions, 0);
-        assert!(second.iter().all(|o| o.result.host.result_cache_hit));
+        assert_eq!(warm.runs, 5, "every plan job simulates again");
+        assert_eq!(warm.simulated_instructions, 5 * settings.instructions);
+        assert_eq!(second.len(), first.len());
         for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.result, b.result, "served repeats must be bit-identical");
+            assert_eq!(a.config, b.config);
+            assert_eq!(a.result, b.result, "a repeated plan must be bit-identical");
         }
     }
 
@@ -1011,25 +972,16 @@ mod tests {
             slice_cycles: Some(2_000),
             max_live_runs: None,
             share_traces: None,
-            result_cache: None,
         };
-        let cached = ExperimentEngine::from_settings(&base);
-        let uncached = ExperimentEngine::from_settings(
-            &base
-                .clone()
-                .with_share_traces(false)
-                .with_result_cache(false),
-        );
+        let shared = ExperimentEngine::from_settings(&base);
+        let live = ExperimentEngine::from_settings(&base.clone().with_share_traces(false));
         let plan = RunPlan::suite(&[Benchmark::Gzip]);
-        let (a, _) = cached.execute_with_stats(&plan);
-        let (b, stats) = uncached.execute_with_stats(&plan);
-        assert_eq!(stats.result_cache_misses, 0, "caching was disabled");
+        let (a, with_traces) = shared.execute_with_stats(&plan);
+        let (b, stats) = live.execute_with_stats(&plan);
+        assert_eq!(with_traces.trace_materializations, 1);
         assert_eq!(stats.trace_materializations, 0, "sharing was disabled");
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.result, y.result,
-                "trace replay and memoization must never change results"
-            );
+            assert_eq!(x.result, y.result, "trace replay must never change results");
         }
     }
 }

@@ -57,11 +57,6 @@ pub struct ExperimentSettings {
     /// generator bit-identically, so this never affects simulated
     /// results.
     pub share_traces: Option<bool>,
-    /// Memoize run results by content hash, serving byte-for-byte repeat
-    /// cells without re-simulating (None: enabled unless
-    /// `MCD_NO_RESULT_CACHE=1`).  Host-side telemetry aside, a served
-    /// repeat is bit-identical to a fresh simulation.
-    pub result_cache: Option<bool>,
 }
 
 impl ExperimentSettings {
@@ -85,7 +80,6 @@ impl ExperimentSettings {
             slice_cycles: None,
             max_live_runs: None,
             share_traces: None,
-            result_cache: None,
         }
     }
 
@@ -102,7 +96,6 @@ impl ExperimentSettings {
             slice_cycles: None,
             max_live_runs: None,
             share_traces: None,
-            result_cache: None,
         }
     }
 
@@ -143,12 +136,6 @@ impl ExperimentSettings {
     /// Builder-style enable/disable of shared instruction traces.
     pub fn with_share_traces(mut self, share_traces: bool) -> Self {
         self.share_traces = Some(share_traces);
-        self
-    }
-
-    /// Builder-style enable/disable of result memoization.
-    pub fn with_result_cache(mut self, result_cache: bool) -> Self {
-        self.result_cache = Some(result_cache);
         self
     }
 
@@ -959,7 +946,6 @@ mod tests {
             slice_cycles: None,
             max_live_runs: None,
             share_traces: None,
-            result_cache: None,
         }
     }
 
@@ -1075,7 +1061,6 @@ mod tests {
             slice_cycles: None,
             max_live_runs: None,
             share_traces: None,
-            result_cache: None,
         });
         let fig = figure4::from_outcomes(&outcomes);
         assert_eq!(fig.rows.len(), 2);
@@ -1116,7 +1101,6 @@ mod tests {
             slice_cycles: None,
             max_live_runs: None,
             share_traces: None,
-            result_cache: None,
         };
         let sweep = sensitivity::sweep_decay(&settings, &[0.0005, 0.0075]);
         assert_eq!(sweep.points.len(), 2);
@@ -1191,7 +1175,6 @@ mod tests {
         let cells = search_cells(&[0.01, 0.05, 0.15], &syncs);
         let found = table6::global_matching(&engine, &cells, 12);
         let table = OperatingPointTable::default();
-        let fresh = ExperimentEngine::from_settings(&settings.clone().with_result_cache(false));
         for (&(bench, target, sync), (freq, run)) in cells.iter().zip(&found) {
             let index = table.nearest(*freq).index;
             assert_eq!(table.point(index).freq_mhz, *freq);
@@ -1202,7 +1185,7 @@ mod tests {
                     plan = plan.job(bench, ConfigKind::GlobalScaling { freq_mhz });
                 }
             }
-            let mut runs = fresh.execute(&plan).into_iter();
+            let mut runs = engine.execute(&plan).into_iter();
             assert_eq!(run.result, runs.next().unwrap().result);
             let target_time = sync.elapsed_ps as f64 * (1.0 + target);
             let err = |r: &SimResult| (r.elapsed_ps as f64 - target_time).abs();

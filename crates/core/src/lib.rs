@@ -18,8 +18,8 @@
 //! * [`mod@snapshot`] — the versioned binary snapshot codec: serialize a
 //!   paused [`runner::PausableRun`] (machine + stream cursor + controller
 //!   state) and restore it bit-identically, in this process or another.
-//! * [`cache`] — the engine-owned caches: shared instruction traces and
-//!   content-addressed result memoization.
+//! * [`cache`] — the engine-owned shared-trace cache and the stable
+//!   content hash behind its keys and the bundles.
 //! * [`bundle`] — verifiable run bundles: a manifest-hashed directory of
 //!   run identity, snapshot chain and result digest, with
 //!   [`bundle::replay_verify`] restoring every snapshot
@@ -55,10 +55,10 @@ pub mod runner;
 pub mod snapshot;
 
 pub use bundle::{replay_verify, write_bundle, BundleError, BundleReport, BundleSpec};
-pub use cache::{result_key, ResultCache, ResultCacheStats, TraceCache, TraceCacheStats, TraceKey};
+pub use cache::{TraceCache, TraceCacheStats, TraceKey};
 pub use engine::{
-    admission_priority, result_caching_enabled, slice_cycles, trace_sharing_enabled, worker_count,
-    EngineStats, ExperimentEngine, JobSpec, RunPlan, DEFAULT_SLICE_CYCLES,
+    admission_priority, slice_cycles, trace_sharing_enabled, worker_count, EngineStats,
+    ExperimentEngine, JobSpec, RunPlan, DEFAULT_SLICE_CYCLES,
 };
 pub use experiments::ExperimentSettings;
 pub use metrics::{suite_average, Comparison, RunMetrics};

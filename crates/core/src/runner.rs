@@ -18,10 +18,8 @@ use mcd_sim::{McdProcessor, SimConfig, SimResult, StepOutcome};
 use mcd_workloads::{Benchmark, TraceCursor, WorkloadGenerator};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{
-    result_key, ResultCache, ResultCacheStats, TraceCache, TraceCacheStats, TraceKey,
-};
-use crate::engine::{result_caching_enabled, trace_sharing_enabled};
+use crate::cache::{TraceCache, TraceCacheStats, TraceKey};
+use crate::engine::trace_sharing_enabled;
 
 /// Which of the paper's configurations to run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -208,16 +206,12 @@ pub struct BenchmarkRunner {
     /// Shared-trace cache; `None` generates streams live
     /// (`MCD_NO_TRACE_SHARE=1` or [`Self::with_trace_sharing`]).
     traces: Option<Arc<TraceCache>>,
-    /// Content-addressed result memoization; `None` simulates every run
-    /// (`MCD_NO_RESULT_CACHE=1` or [`Self::with_result_caching`]).
-    results: Option<Arc<ResultCache>>,
 }
 
 impl BenchmarkRunner {
     /// Creates a runner with the given per-run instruction budget.  Trace
-    /// sharing and result caching default to the environment knobs
-    /// (`MCD_NO_TRACE_SHARE` / `MCD_NO_RESULT_CACHE`, both enabled when
-    /// unset).
+    /// sharing defaults to the `MCD_NO_TRACE_SHARE` environment knob
+    /// (enabled when unset).
     pub fn new(instructions: u64, seed: u64) -> Self {
         BenchmarkRunner {
             instructions,
@@ -226,7 +220,6 @@ impl BenchmarkRunner {
             interval_instructions: 10_000,
             profiles: Arc::default(),
             traces: trace_sharing_enabled(None).then(Arc::default),
-            results: result_caching_enabled(None).then(Arc::default),
         }
     }
 
@@ -246,16 +239,6 @@ impl BenchmarkRunner {
         self
     }
 
-    /// Builder-style enable/disable of result memoization.
-    pub fn with_result_caching(mut self, enabled: bool) -> Self {
-        self.results = match (enabled, self.results.take()) {
-            (true, Some(cache)) => Some(cache),
-            (true, None) => Some(Arc::default()),
-            (false, _) => None,
-        };
-        self
-    }
-
     /// The trace cache, when trace sharing is enabled.
     pub fn trace_cache(&self) -> Option<&Arc<TraceCache>> {
         self.traces.as_ref()
@@ -266,45 +249,9 @@ impl BenchmarkRunner {
         self.traces.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
-    /// Counters of the result cache (zeros when caching is disabled).
-    pub fn result_cache_stats(&self) -> ResultCacheStats {
-        self.results.as_ref().map(|c| c.stats()).unwrap_or_default()
-    }
-
     /// The trace-cache key of `bench` under this runner's settings.
     pub fn trace_key(&self, bench: Benchmark) -> TraceKey {
         TraceKey::of(&bench.spec(), self.seed, self.instructions)
-    }
-
-    /// The result-cache key of `(bench, kind)` under this runner's
-    /// settings: a stable content hash of everything that determines the
-    /// run's simulated behaviour.
-    pub fn result_key(&self, bench: Benchmark, kind: &ConfigKind) -> u128 {
-        result_key(
-            &bench.spec(),
-            kind,
-            self.seed,
-            self.instructions,
-            self.interval_instructions,
-            self.record_traces,
-        )
-    }
-
-    /// Probes the result cache (counting a hit or a miss).  A hit is a
-    /// clone of the memoized outcome with `host.result_cache_hit` set;
-    /// `None` when caching is disabled or the cell was never simulated.
-    pub fn cached_result(&self, bench: Benchmark, kind: &ConfigKind) -> Option<RunOutcome> {
-        let cache = self.results.as_ref()?;
-        cache.lookup(self.result_key(bench, kind))
-    }
-
-    /// Memoizes a freshly simulated outcome (no-op when caching is
-    /// disabled).  Callers that bypass [`Self::run`] — the engine's slice
-    /// scheduler — invoke this from their finish hook.
-    pub fn memoize(&self, outcome: &RunOutcome) {
-        if let Some(cache) = &self.results {
-            cache.insert(self.result_key(outcome.benchmark, &outcome.config), outcome);
-        }
     }
 
     /// Whether the profile of `bench` is already cached.
@@ -416,24 +363,15 @@ impl BenchmarkRunner {
         }
     }
 
-    /// Runs `bench` under `kind` to completion and returns the outcome,
-    /// serving a byte-for-byte repeat from the result cache when one is
-    /// memoized.  Takes `&self`: runs are pure functions of the runner's
-    /// settings, so the parallel engine calls this concurrently from its
-    /// workers.
+    /// Runs `bench` under `kind` to completion and returns the outcome.
+    /// Takes `&self`: runs are pure functions of the runner's settings, so
+    /// it is safe to call from many threads at once.
     pub fn run(&self, bench: Benchmark, kind: &ConfigKind) -> RunOutcome {
-        if let Some(hit) = self.cached_result(bench, kind) {
-            // Served repeats still feed the profile cache (a memoized
-            // baseline run carries its profile in the result).
-            self.note_outcome(&hit);
-            return hit;
-        }
         let mut run = self.begin(bench, kind);
         let outcome = run
             .step(u64::MAX)
             .expect("an unbounded slice runs to completion");
         self.note_outcome(&outcome);
-        self.memoize(&outcome);
         outcome
     }
 }

@@ -391,9 +391,7 @@ mod tests {
     fn canonical_run() -> PausableRun {
         // Trace sharing off: the canonical snapshot must carry the live
         // generator cursor, independent of any cache state.
-        let runner = BenchmarkRunner::new(20_000, 42)
-            .with_trace_sharing(false)
-            .with_result_caching(false);
+        let runner = BenchmarkRunner::new(20_000, 42).with_trace_sharing(false);
         runner.begin(
             Benchmark::Gzip,
             &ConfigKind::AttackDecay(AttackDecayParams::paper_defaults()),
@@ -402,9 +400,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips_to_the_same_result() {
-        let runner = BenchmarkRunner::new(12_000, 42)
-            .with_trace_sharing(false)
-            .with_result_caching(false);
+        let runner = BenchmarkRunner::new(12_000, 42).with_trace_sharing(false);
         let kind = ConfigKind::AttackDecay(AttackDecayParams::paper_defaults());
         let whole = runner.run(Benchmark::Gzip, &kind);
 
@@ -423,7 +419,7 @@ mod tests {
 
     #[test]
     fn trace_backed_snapshot_restores_through_a_shared_cache() {
-        let runner = BenchmarkRunner::new(9_000, 7).with_result_caching(false);
+        let runner = BenchmarkRunner::new(9_000, 7);
         assert!(runner.trace_cache().is_some(), "sharing on by default");
         let whole = runner.run(Benchmark::Swim, &ConfigKind::BaselineMcd);
 

@@ -168,9 +168,9 @@ pub struct HostStats {
     /// over the distinct traces of a plan's runs accounts for the peak
     /// memory the trace-sharing layer adds.
     pub trace_bytes: u64,
-    /// Whether this result was served from the experiment engine's
-    /// content-addressed result cache instead of a fresh simulation (the
-    /// memoized outcome is bit-identical; only host telemetry differs).
+    /// Always `false`.  Result memoization was removed; the field stays
+    /// only because the out-of-workspace benchmark package (`perfbench/`)
+    /// still reads it, and goes with the next change to that package.
     pub result_cache_hit: bool,
     /// Instructions dispatched through the precomputed trace-annotation
     /// sidecar (dependence edges and LSQ filter masks consumed instead of

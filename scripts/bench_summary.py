@@ -97,7 +97,7 @@ def engine_scaling(doc):
 
 
 def plan_scaling(doc):
-    print("### Plan scaling (shared traces + result memoization)\n")
+    print("### Plan scaling (shared traces vs per-run generation)\n")
     ratio = doc.get("plan_over_pergen_speedup")
     print(f"- workers: **{doc.get('workers')}**, jobs: {doc.get('plan_jobs')} "
           f"(same-workload sweep)")
@@ -109,12 +109,6 @@ def plan_scaling(doc):
     if ratio is not None:
         print(f"- **plan_over_pergen_speedup: {ratio:.3f}x** "
               "(track in ROADMAP's plan-scaling baseline)")
-    hits = doc.get("repeat_result_cache_hits")
-    misses = doc.get("repeat_result_cache_misses")
-    if hits is not None:
-        print(f"- repeat plan: **{hits} result-cache hits / {misses} misses** "
-              f"({doc.get('repeat_runs')} re-simulations), "
-              f"{doc.get('repeat_over_cold_speedup', 0):.0f}x over cold")
     print()
 
 

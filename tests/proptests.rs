@@ -646,8 +646,7 @@ proptest! {
         // Attack/Decay, so some pause points land mid-ramp.
         let runner = BenchmarkRunner::new(insts, seed)
             .with_interval(500)
-            .with_trace_sharing(share_traces)
-            .with_result_caching(false);
+            .with_trace_sharing(share_traces);
         let whole = runner.run(bench, &kind);
 
         let mut run = runner.begin(bench, &kind);
@@ -738,8 +737,7 @@ fn offline_snapshot() -> &'static [u8] {
     BYTES.get_or_init(|| {
         let runner = BenchmarkRunner::new(6_000, 3)
             .with_interval(500)
-            .with_trace_sharing(false)
-            .with_result_caching(false);
+            .with_trace_sharing(false);
         let kind = ConfigKind::OfflineDynamic {
             target_degradation: 0.05,
         };
