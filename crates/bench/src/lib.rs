@@ -22,20 +22,18 @@
 
 use std::path::PathBuf;
 
-use mcd_core::engine::EngineStats;
+use mcd_core::engine::{jobs_from_env, parse_jobs, EngineStats};
 use mcd_core::experiments::ExperimentSettings;
 
 /// Returns the experiment settings selected by the `MCD_FULL` environment
 /// variable (the paper's full suite when set to `1`, otherwise the quick
-/// subset), with the worker count from `--jobs N` / `-j N`, the scheduler
-/// slice granularity from `--slice-cycles N` and the scheduler admission
-/// cap from `--max-live-runs N` on the command line (each falling back to
-/// its environment variable, `MCD_JOBS` / `MCD_SLICE_CYCLES` /
-/// `MCD_MAX_LIVE_RUNS`, then to the built-in default).
+/// subset), with the worker count from `--jobs N` / `-j N` on the command
+/// line, falling back to the `MCD_JOBS` environment variable and then to
+/// the host's parallelism.
 ///
-/// A flag given without a value, or with one that does not parse, prints
-/// the error and exits with status 2: a requested setting must not be
-/// silently replaced by the fallback.
+/// A flag given without a value, or a flag or `MCD_JOBS` value that does
+/// not parse, prints the error and exits with status 2: a requested
+/// setting must not be silently replaced by the fallback.
 pub fn settings_from_env() -> ExperimentSettings {
     settings_from_args(std::env::args()).unwrap_or_else(|err| {
         eprintln!("error: {err}");
@@ -52,14 +50,12 @@ fn settings_from_args(
     } else {
         ExperimentSettings::quick()
     };
-    if let Some(jobs) = jobs_from_args(args.clone())? {
+    let jobs = match jobs_from_args(args.clone())? {
+        Some(jobs) => Some(jobs),
+        None => jobs_from_env()?,
+    };
+    if let Some(jobs) = jobs {
         settings = settings.with_jobs(jobs);
-    }
-    if let Some(slice) = slice_cycles_from_args(args.clone())? {
-        settings = settings.with_slice_cycles(slice);
-    }
-    if let Some(cap) = max_live_runs_from_args(args.clone())? {
-        settings = settings.with_max_live_runs(cap);
     }
     if bool_flag(args, "--no-trace-share") {
         settings = settings.with_share_traces(false);
@@ -81,53 +77,17 @@ pub fn bool_flag(args: impl IntoIterator<Item = String>, name: &str) -> bool {
 /// Returns a message when the flag has no value or the value is not a
 /// non-negative integer.
 pub fn jobs_from_args(args: impl IntoIterator<Item = String>) -> Result<Option<usize>, String> {
-    flag_value(args, &["--jobs", "-j"], "--jobs=")
-}
-
-/// Parses `--slice-cycles N` or `--slice-cycles=N` from an argument list.
-///
-/// # Errors
-///
-/// As [`jobs_from_args`].
-pub fn slice_cycles_from_args(
-    args: impl IntoIterator<Item = String>,
-) -> Result<Option<u64>, String> {
-    flag_value(args, &["--slice-cycles"], "--slice-cycles=")
-}
-
-/// Parses `--max-live-runs N` or `--max-live-runs=N` from an argument
-/// list (`0` = unbounded residency).
-///
-/// # Errors
-///
-/// As [`jobs_from_args`].
-pub fn max_live_runs_from_args(
-    args: impl IntoIterator<Item = String>,
-) -> Result<Option<usize>, String> {
-    flag_value(args, &["--max-live-runs"], "--max-live-runs=")
-}
-
-/// The value of the first of `names` (followed by its value) or
-/// `prefix`-joined flag; `Ok(None)` when the flag is absent.
-fn flag_value<T: std::str::FromStr>(
-    args: impl IntoIterator<Item = String>,
-    names: &[&str],
-    prefix: &str,
-) -> Result<Option<T>, String> {
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        let value = if names.contains(&arg.as_str()) {
+        let value = if arg == "--jobs" || arg == "-j" {
             args.next().ok_or_else(|| format!("{arg} needs a value"))?
-        } else if let Some(v) = arg.strip_prefix(prefix) {
+        } else if let Some(v) = arg.strip_prefix("--jobs=") {
             v.to_string()
         } else {
             continue;
         };
         let flag = arg.split('=').next().unwrap_or(&arg);
-        return value
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{flag} needs a non-negative integer, got {value:?}"));
+        return parse_jobs(flag, &value).map(Some);
     }
     Ok(None)
 }
@@ -154,7 +114,6 @@ pub fn write_bench_json(
     doc.insert("experiment", name);
     doc.insert("nproc", nproc());
     doc.insert("workers", stats.workers);
-    doc.insert("slice_cycles", stats.slice_cycles);
     doc.insert("runs", stats.runs);
     doc.insert("wall_seconds", stats.wall_seconds);
     doc.insert("cumulative_seconds", stats.cumulative_seconds);
@@ -264,48 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_cycles_flag_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            slice_cycles_from_args(args(&["bin", "--slice-cycles", "50000"])),
-            Ok(Some(50_000))
-        );
-        assert_eq!(
-            slice_cycles_from_args(args(&["bin", "--slice-cycles=123"])),
-            Ok(Some(123))
-        );
-        assert_eq!(slice_cycles_from_args(args(&["bin"])), Ok(None));
-        assert!(slice_cycles_from_args(args(&["bin", "--slice-cycles", "no"])).is_err());
-        assert_eq!(
-            slice_cycles_from_args(args(&["bin", "--slice-cycles=abc"])),
-            Err("--slice-cycles needs a non-negative integer, got \"abc\"".to_string())
-        );
-        assert!(slice_cycles_from_args(args(&["bin", "--slice-cycles"])).is_err());
-        // The two flags do not interfere.
-        let both = args(&["bin", "--jobs", "4", "--slice-cycles", "9"]);
-        assert_eq!(jobs_from_args(both.clone()), Ok(Some(4)));
-        assert_eq!(slice_cycles_from_args(both), Ok(Some(9)));
-    }
-
-    #[test]
-    fn max_live_runs_flag_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            max_live_runs_from_args(args(&["bin", "--max-live-runs", "8"])),
-            Ok(Some(8))
-        );
-        assert_eq!(
-            max_live_runs_from_args(args(&["bin", "--max-live-runs=0"])),
-            Ok(Some(0))
-        );
-        assert_eq!(max_live_runs_from_args(args(&["bin"])), Ok(None));
-        assert_eq!(
-            max_live_runs_from_args(args(&["bin", "--max-live-runs", "x"])),
-            Err("--max-live-runs needs a non-negative integer, got \"x\"".to_string())
-        );
-    }
-
-    #[test]
     fn bench_json_artifact_contains_throughput_fields() {
         std::env::set_var(
             "MCD_RESULTS_DIR",
@@ -313,7 +230,6 @@ mod tests {
         );
         let stats = EngineStats {
             workers: 4,
-            slice_cycles: 250_000,
             runs: 15,
             trace_cache_hits: 12,
             trace_materializations: 3,
@@ -330,7 +246,6 @@ mod tests {
             "\"experiment\": \"unit\"",
             "\"nproc\":",
             "\"workers\": 4",
-            "\"slice_cycles\": 250000",
             "\"parallel_speedup\": 3",
             "\"aggregate_simulated_mips\": 0.45",
             "\"trace_cache_hits\": 12",

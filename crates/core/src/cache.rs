@@ -10,9 +10,9 @@
 //! own.  The engine *registers* the expected number of same-workload
 //! leases of a plan up front; registered entries stay pinned (strong)
 //! until their last lease, so same-workload runs share one
-//! materialization even when the admission cap keeps them from
-//! overlapping.  A tiny most-recent ring additionally keeps the last
-//! leased traces alive between registrations.
+//! materialization even when they do not overlap in time.  A tiny
+//! most-recent ring additionally keeps the last leased traces alive
+//! between registrations.
 //!
 //! **Keys.**  [`StableHasher`] is a versioned canonical hash
 //! ([`KEY_VERSION`]).  A [`TraceKey`] hashes every field of the

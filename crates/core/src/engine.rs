@@ -1,64 +1,59 @@
-//! The parallel experiment engine: a work-stealing slice scheduler.
+//! The parallel experiment engine: whole runs spread over a pool of
+//! workers.
 //!
 //! Every paper artefact is built from a grid of *(benchmark,
 //! configuration)* simulation jobs.  The engine turns such a grid — a
 //! [`RunPlan`] — into results using a fixed-size pool of scoped worker
-//! threads.  The unit of scheduling is **not** a whole run but a
-//! *slice* of one: each job becomes a [`PausableRun`] whose boxed state
-//! flows through a shared deque as a chain of `RunSlice` tasks, each
-//! executing at most [`ExperimentEngine::slice_cycles`] kernel steps
-//! before the run is parked back on the deque.  Any idle worker picks up
-//! the next slice of any live run, so a long run (mcf) no longer pins one
-//! worker while the others drain the queue and idle — every live run
-//! makes continuous progress from the start of the plan, and the plan's
-//! wall-clock approaches `max(total_work / workers, longest_run)` instead
-//! of `queue_delay + longest_run`.
+//! threads.  Each job is a pure function of the experiment settings, so
+//! the unit of scheduling is a whole run: a worker claims the next job,
+//! runs it to completion and claims again.  Jobs are claimed longest
+//! first (see [`admission_priority`]), so a long run (mcf) starts in the
+//! first wave instead of straggling at the plan's tail.  At most
+//! `workers` runs are resident at any moment.
 //!
 //! The engine is the only way a plan of runs executes, whatever the
 //! worker count: the Table 6 / Figure 4 suite, each round of the
 //! `Global(...)` frequency search and each Figure 5–7 sweep are plans.
 //!
-//! The scheduler keeps the properties the experiments rely on:
+//! The engine keeps the properties the experiments rely on:
 //!
-//! 1. **Deterministic results.**  Each job is a pure function of the
-//!    experiment settings, and a slice boundary is invisible to the
-//!    simulated machine (see [`mcd_sim::StepOutcome`]), so results are
-//!    bit-identical regardless of worker count *and* slice length
-//!    (host-throughput telemetry excluded; see
-//!    [`mcd_sim::telemetry::HostStats`]).  Results are returned in plan
-//!    order, never completion order.
+//! 1. **Deterministic results.**  Results are bit-identical regardless of
+//!    worker count (host-throughput telemetry excluded; see
+//!    [`mcd_sim::telemetry::HostStats`]), and are returned in plan order,
+//!    never completion order.
 //! 2. **Profile prerequisites run exactly once.**  The off-line oracle
 //!    configurations (`Dynamic-1%`, `Dynamic-5%`) need the per-interval
 //!    activity profile of a baseline-MCD run of the same benchmark.  The
 //!    engine schedules those profiling runs as an explicit prerequisite
 //!    phase feeding a shared, locked profile cache, so no worker ever
 //!    duplicates a baseline pass.
-//! 3. **Tunable knobs.**  `--jobs N` / `MCD_JOBS` /
-//!    [`ExperimentSettings::jobs`] select the pool size (default: the
-//!    host's available parallelism); `--slice-cycles N` /
-//!    `MCD_SLICE_CYCLES` / [`ExperimentSettings::slice_cycles`] select the
-//!    slice granularity (default [`DEFAULT_SLICE_CYCLES`]); and
-//!    `--max-live-runs N` / `MCD_MAX_LIVE_RUNS` /
-//!    [`ExperimentSettings::max_live_runs`] cap how many runs may be
-//!    resident at once (default `4 * workers`; `0` = unbounded), bounding
-//!    the scheduler's peak memory.
+//! 3. **Two knobs.**  `--jobs N` / `MCD_JOBS` / [`ExperimentSettings::jobs`]
+//!    select the pool size (default: the host's available parallelism),
+//!    and `--no-trace-share` / `MCD_NO_TRACE_SHARE=1` /
+//!    [`ExperimentSettings::share_traces`] turn off shared instruction
+//!    traces.  Neither changes a simulated result.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use mcd_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::ExperimentSettings;
-use crate::runner::{BenchmarkRunner, ConfigKind, PausableRun, RunOutcome};
+use crate::runner::{BenchmarkRunner, ConfigKind, RunOutcome};
 
 /// Resolves the number of worker threads: an explicit request wins, then
 /// the `MCD_JOBS` environment variable, then the host's available
 /// parallelism.  Always at least 1.
+///
+/// # Panics
+///
+/// Panics on an unparseable `MCD_JOBS` — a requested worker count must not
+/// be silently replaced by the host's parallelism.
 pub fn worker_count(explicit: Option<usize>) -> usize {
     explicit
-        .or_else(|| std::env::var("MCD_JOBS").ok().and_then(|v| v.parse().ok()))
+        .or_else(|| jobs_from_env().unwrap_or_else(|err| panic!("{err}")))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -67,66 +62,29 @@ pub fn worker_count(explicit: Option<usize>) -> usize {
         .max(1)
 }
 
-/// Default slice granularity of the work-stealing scheduler, in kernel
-/// steps (domain-clock edges).  At current kernel throughput one slice is
-/// on the order of 100 ms of host time — coarse enough that the per-slice
-/// deque round-trip is unmeasurable, fine enough that a plan's runs
-/// interleave freely across workers.
-pub const DEFAULT_SLICE_CYCLES: u64 = 250_000;
-
-/// Resolves the scheduler's slice length in kernel steps: an explicit
-/// request wins, then the `MCD_SLICE_CYCLES` environment variable, then
-/// [`DEFAULT_SLICE_CYCLES`].
+/// The worker count the `MCD_JOBS` environment variable requests;
+/// `Ok(None)` when it is unset.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a zero slice length or an unparseable `MCD_SLICE_CYCLES` —
-/// whichever way it was requested, an invalid granularity must not be
-/// silently rewritten, or a run meant to force a particular slice length
-/// (such as CI's small-slice test pass) would quietly certify a path it
-/// never took.  This matches `MCD_GOLDEN_SLICE` in
-/// `examples/golden_dump.rs`.
-pub fn slice_cycles(explicit: Option<u64>) -> u64 {
-    let resolved = explicit
-        .or_else(|| {
-            std::env::var("MCD_SLICE_CYCLES").ok().map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    panic!("MCD_SLICE_CYCLES must be a positive integer, got {v:?}")
-                })
-            })
-        })
-        .unwrap_or(DEFAULT_SLICE_CYCLES);
-    assert!(resolved > 0, "slice granularity must be positive, got 0");
-    resolved
+/// As [`parse_jobs`].
+pub fn jobs_from_env() -> Result<Option<usize>, String> {
+    std::env::var("MCD_JOBS")
+        .ok()
+        .map(|value| parse_jobs("MCD_JOBS", &value))
+        .transpose()
 }
 
-/// Resolves the scheduler's admission cap — the maximum number of runs
-/// begun but not yet finished, i.e. the bound on resident simulator state:
-/// an explicit request wins, then the `MCD_MAX_LIVE_RUNS` environment
-/// variable, then the default of `4 * workers`.  `0` means unbounded (the
-/// pre-cap behaviour: every job of the plan is admitted up front and kept
-/// resident until it finishes).
+/// Parses a worker count given through `source` (a command-line flag or
+/// an environment variable, named in the error).
 ///
-/// The default keeps peak memory at `O(workers)` instead of `O(jobs)`
-/// while still over-admitting enough (4x) that a long run admitted within
-/// the first wave cannot serialize the plan's tail.  Admission order is
-/// cost-estimate order (see [`admission_priority`]); see `run_sliced` for
-/// the rotation policy.
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics on an unparseable `MCD_MAX_LIVE_RUNS` (matching
-/// [`slice_cycles`]: a requested cap must not be silently rewritten).
-pub fn max_live_runs(explicit: Option<usize>, workers: usize) -> usize {
-    explicit
-        .or_else(|| {
-            std::env::var("MCD_MAX_LIVE_RUNS").ok().map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    panic!("MCD_MAX_LIVE_RUNS must be a non-negative integer, got {v:?}")
-                })
-            })
-        })
-        .unwrap_or(4 * workers.max(1))
+/// Returns a message when `value` is not a non-negative integer.
+pub fn parse_jobs(source: &str, value: &str) -> Result<usize, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{source} needs a non-negative integer, got {value:?}"))
 }
 
 /// Resolves whether same-workload runs share one materialized
@@ -137,7 +95,7 @@ pub fn max_live_runs(explicit: Option<usize>, workers: usize) -> usize {
 /// # Panics
 ///
 /// Panics on any other `MCD_NO_TRACE_SHARE` value — a requested escape
-/// hatch must not be silently ignored (matching [`slice_cycles`]'s
+/// hatch must not be silently ignored (matching [`worker_count`]'s
 /// strictness), or an A/B run with a typoed `MCD_NO_TRACE_SHARE=yes`
 /// would measure the shared path twice.
 pub fn trace_sharing_enabled(explicit: Option<bool>) -> bool {
@@ -154,8 +112,8 @@ pub fn trace_sharing_enabled(explicit: Option<bool>) -> bool {
         .unwrap_or(true)
 }
 
-/// Estimated relative host cost of simulating `bench`, used to order
-/// admission under a bounded [`max_live_runs`] cap (longest runs first).
+/// Estimated relative host cost of simulating `bench`, used to order the
+/// jobs of a plan longest first.
 ///
 /// All jobs of a plan share one instruction budget, so run length varies
 /// only with how many *cycles* a benchmark needs per instruction — which
@@ -164,9 +122,8 @@ pub fn trace_sharing_enabled(explicit: Option<bool>) -> bool {
 /// latency.  The weight is a phase-weighted sum of a footprint term
 /// (saturating at 16 MiB) and the pointer-chase fraction, scaled to an
 /// integer.  The absolute value is meaningless; only the order matters,
-/// and it puts the mcf-class memory-bound runs at the head of the
-/// admission queue so they cannot straggle behind the cap at the plan's
-/// tail.
+/// and it puts the mcf-class memory-bound runs at the head of the claim
+/// order so they cannot straggle at the plan's tail.
 pub fn admission_priority(bench: Benchmark) -> u64 {
     let spec = bench.spec();
     let mut weight = 0.0;
@@ -178,196 +135,48 @@ pub fn admission_priority(bench: Benchmark) -> u64 {
     (weight * 1_000.0) as u64
 }
 
-/// Shared state of one [`run_sliced`] execution: the admission queue and
-/// the deque of parked runs, plus the liveness bookkeeping the workers
-/// block on.
-struct SliceQueue {
-    state: Mutex<SliceState>,
-    ready: Condvar,
-    /// Maximum runs begun-but-unfinished at any moment (`usize::MAX` for
-    /// unbounded — the resolved form of the `0` knob value).
-    max_live: usize,
-}
-
-struct SliceState {
-    /// Jobs not yet begun, in admission-priority order (see
-    /// [`run_sliced`]); the claiming worker constructs the simulator, so
-    /// construction parallelizes across workers.
-    pending: VecDeque<usize>,
-    /// Paused runs, each tagged with its job slot.  `pop_front` /
-    /// `push_back` rotates fairly through the admitted runs, so every
-    /// admitted run makes continuous progress while any worker is free.
-    parked: VecDeque<(usize, Box<PausableRun>)>,
-    /// Runs begun but not yet finished (parked or currently stepped) —
-    /// the quantity the admission cap bounds.
-    admitted: usize,
-    /// Jobs not yet finished (pending, parked or currently stepped).
-    live: usize,
-    /// Set when a worker unwound mid-slice, so blocked workers exit
-    /// instead of waiting for a task that will never finish.
-    poisoned: bool,
-}
-
-impl SliceQueue {
-    /// Blocks until a task can be claimed; `None` once no live jobs
-    /// remain (or a sibling worker panicked).  Admission-first under the
-    /// cap: while fewer than `max_live` runs are resident, new jobs are
-    /// claimed in admission-priority order (incrementing `admitted`);
-    /// otherwise workers rotate through the parked runs.  With an
-    /// unbounded cap this reproduces the historical single-deque FIFO
-    /// exactly: all jobs begin before any paused run is resumed.
-    fn claim(&self) -> Option<(usize, Option<Box<PausableRun>>)> {
-        let mut state = self.state.lock().expect("slice queue poisoned");
-        loop {
-            if state.poisoned || state.live == 0 {
-                return None;
-            }
-            if state.admitted < self.max_live {
-                if let Some(slot) = state.pending.pop_front() {
-                    state.admitted += 1;
-                    return Some((slot, None));
-                }
-            }
-            if let Some((slot, run)) = state.parked.pop_front() {
-                return Some((slot, Some(run)));
-            }
-            state = self.ready.wait(state).expect("slice queue poisoned");
-        }
-    }
-
-    /// Parks a paused run at the back of the deque for any worker to pick
-    /// up.
-    fn park(&self, slot: usize, run: Box<PausableRun>) {
-        let mut state = self.state.lock().expect("slice queue poisoned");
-        state.parked.push_back((slot, run));
-        drop(state);
-        self.ready.notify_one();
-    }
-
-    /// Marks one run finished; opens an admission slot, and wakes every
-    /// blocked worker when it was the last.
-    fn retire(&self) {
-        let mut state = self.state.lock().expect("slice queue poisoned");
-        state.live -= 1;
-        state.admitted -= 1;
-        let all_done = state.live == 0;
-        let admission_opened = !state.pending.is_empty();
-        drop(state);
-        if all_done {
-            self.ready.notify_all();
-        } else if admission_opened {
-            // A worker may be blocked waiting for the admission slot this
-            // retirement just opened.
-            self.ready.notify_one();
-        }
-    }
-
-    /// Marks the queue dead so blocked workers exit; used when a worker
-    /// unwinds (e.g. a simulator watchdog panic), letting the scope join
-    /// and propagate the panic instead of deadlocking.
-    fn poison(&self) {
-        if let Ok(mut state) = self.state.lock() {
-            state.poisoned = true;
-        }
-        self.ready.notify_all();
-    }
-}
-
-/// Unwinding guard: a worker that panics mid-slice poisons the queue on
-/// the way out.
-struct PoisonOnPanic<'a>(&'a SliceQueue);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// Executes jobs `0..n` to completion on `workers` scoped threads,
-/// `slice_cycles` kernel steps at a time, and returns the outcomes **in
-/// job order**.  Each run's boxed state flows through a shared deque: a
-/// worker claims a task — constructing the simulator via `begin(slot)` on
-/// the job's first claim, so construction parallelizes across workers and
-/// overlaps with other runs' slices — steps one slice, then either parks
-/// the run again (paused) or retires it (finished), recording the outcome
-/// and calling `on_finish`.  A panic in any slice propagates.
-///
-/// `max_live` bounds residency: at most that many runs are begun but
-/// unfinished at any moment, with `0` meaning unbounded.  Unbounded
-/// admission reproduces the historical behaviour — every run starts at
-/// plan start and rotates fairly, so the plan's wall-clock approaches
-/// `max(total_work / workers, longest_run)` at the cost of O(jobs) peak
-/// memory.  A bounded cap admits runs as residency slots free up, cutting
-/// peak memory; the default of `4 * workers` (see [`max_live_runs`])
-/// over-admits enough that a long run in the first admission wave cannot
-/// recreate the late-long-run tail for typical plans.  Admitted runs
-/// always rotate fairly regardless of the cap.
-///
-/// `priority(slot)` orders *admission*: jobs are begun highest priority
-/// first (ties in plan order), so expensive runs (see
-/// [`admission_priority`]) enter in the first wave instead of landing
-/// behind the cap at the plan's tail and serializing it.  Priority never
-/// affects results — outcomes stay in job order and each run is a pure
-/// function of its inputs.
-pub(crate) fn run_sliced<B, F, P>(
-    workers: usize,
-    slice_cycles: u64,
-    max_live: usize,
-    n: usize,
-    priority: P,
-    begin: B,
-    on_finish: F,
-) -> Vec<RunOutcome>
+/// Executes jobs `0..n` on `workers` scoped threads and returns the
+/// outcomes **in job order**.  Workers claim jobs from one shared cursor,
+/// highest `priority(slot)` first (ties in job order), and each runs
+/// `run(slot)` to completion before claiming the next, so at most
+/// `workers` jobs are in flight.  Nothing ever waits on another job: a
+/// panic in any job propagates once the other workers have drained the
+/// cursor.
+pub(crate) fn run_to_completion<T, R, P>(workers: usize, n: usize, priority: P, run: R) -> Vec<T>
 where
-    B: Fn(usize) -> PausableRun + Sync,
-    F: Fn(&RunOutcome) + Sync,
+    T: Send,
+    R: Fn(usize) -> T + Sync,
     P: Fn(usize) -> u64,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut admission_order: Vec<usize> = (0..n).collect();
-    // Stable sort: equal priorities keep plan order.
-    admission_order.sort_by_key(|&slot| std::cmp::Reverse(priority(slot)));
-    let queue = SliceQueue {
-        state: Mutex::new(SliceState {
-            pending: admission_order.into(),
-            parked: VecDeque::new(),
-            admitted: 0,
-            live: n,
-            poisoned: false,
-        }),
-        ready: Condvar::new(),
-        max_live: if max_live == 0 { usize::MAX } else { max_live },
-    };
-    let slots: Mutex<Vec<Option<RunOutcome>>> = Mutex::new((0..n).map(|_| None).collect());
-
+    let mut order: Vec<usize> = (0..n).collect();
+    // Stable sort: equal priorities keep job order.
+    order.sort_by_key(|&slot| std::cmp::Reverse(priority(slot)));
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers.clamp(1, n) {
-            scope.spawn(|| {
-                let _guard = PoisonOnPanic(&queue);
-                while let Some((slot, run)) = queue.claim() {
-                    let mut run = run.unwrap_or_else(|| Box::new(begin(slot)));
-                    match run.step(slice_cycles) {
-                        None => queue.park(slot, run),
-                        Some(outcome) => {
-                            on_finish(&outcome);
-                            slots.lock().expect("result slots poisoned")[slot] = Some(outcome);
-                            queue.retire();
-                        }
+        let handles: Vec<_> = (0..workers.max(1).min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some(&slot) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        done.push((slot, run(slot)));
                     }
-                }
-            });
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (slot, outcome) in done {
+                slots[slot] = Some(outcome);
+            }
         }
     });
-
     slots
-        .into_inner()
-        .expect("result slots poisoned")
         .into_iter()
-        .map(|slot| slot.expect("every run finished"))
+        .map(|slot| slot.expect("every job ran"))
         .collect()
 }
 
@@ -450,9 +259,6 @@ impl RunPlan {
 pub struct EngineStats {
     /// Worker threads used.
     pub workers: usize,
-    /// Slice granularity the plan executed with, in kernel steps
-    /// (`u64::MAX` means run-at-a-time).
-    pub slice_cycles: u64,
     /// Simulations actually executed (including prerequisite profiling
     /// runs).
     pub runs: usize,
@@ -499,23 +305,18 @@ pub struct EngineStats {
 pub struct ExperimentEngine {
     runner: BenchmarkRunner,
     workers: usize,
-    slice_cycles: u64,
-    max_live_runs: usize,
 }
 
 impl ExperimentEngine {
-    /// Creates an engine for the given settings (worker count, slice
-    /// granularity, instruction budget, control-interval length, seed)
-    /// with a fresh profile cache.
+    /// Creates an engine for the given settings (worker count, trace
+    /// sharing, instruction budget, control-interval length, seed) with a
+    /// fresh profile cache.
     pub fn from_settings(settings: &ExperimentSettings) -> Self {
-        let workers = worker_count(settings.jobs);
         ExperimentEngine {
             runner: BenchmarkRunner::new(settings.instructions, settings.seed)
                 .with_interval(settings.interval_instructions)
                 .with_trace_sharing(trace_sharing_enabled(settings.share_traces)),
-            workers,
-            slice_cycles: slice_cycles(settings.slice_cycles),
-            max_live_runs: max_live_runs(settings.max_live_runs, workers),
+            workers: worker_count(settings.jobs),
         }
     }
 
@@ -524,31 +325,17 @@ impl ExperimentEngine {
         self.workers
     }
 
-    /// The slice granularity (kernel steps per scheduling quantum) the
-    /// engine will use.
-    pub fn slice_cycles(&self) -> u64 {
-        self.slice_cycles
-    }
-
-    /// The admission cap (maximum begun-but-unfinished runs) the engine
-    /// will use; `0` means unbounded.
-    pub fn max_live_runs(&self) -> usize {
-        self.max_live_runs
-    }
-
     /// The runner backing this engine (shares its profile cache).
     pub fn runner(&self) -> &BenchmarkRunner {
         &self.runner
     }
 
-    /// Executes `specs` to completion through the work-stealing slice
-    /// scheduler (one worker included) and returns outcomes in spec
-    /// order.
+    /// Runs each of `specs` to completion on the worker pool, claimed in
+    /// [`admission_priority`] order, and returns outcomes in spec order.
     ///
-    /// Each job is its own run, admitted in [`admission_priority`] order,
-    /// with its trace lease registered up front so same-workload runs
-    /// share one materialization even when the admission cap keeps them
-    /// from overlapping.
+    /// Every job's trace lease is registered up front, so same-workload
+    /// runs share one materialization even when they do not overlap in
+    /// time.
     fn execute_jobs(&self, specs: &[JobSpec]) -> Vec<RunOutcome> {
         // Registration is per call, i.e. per phase of `execute_with_stats`,
         // on purpose.  Registering the whole plan before the profiling
@@ -564,14 +351,11 @@ impl ExperimentEngine {
                 cache.register(self.runner.trace_key(job.benchmark), 1);
             }
         }
-        run_sliced(
+        run_to_completion(
             self.workers,
-            self.slice_cycles,
-            self.max_live_runs,
             specs.len(),
             |i| admission_priority(specs[i].benchmark),
-            |i| self.runner.begin(specs[i].benchmark, &specs[i].config),
-            |outcome| self.runner.note_outcome(outcome),
+            |i| self.runner.run(specs[i].benchmark, &specs[i].config),
         )
     }
 
@@ -607,8 +391,8 @@ impl ExperimentEngine {
             .collect();
 
         // Phase 2 — the plan itself; baseline jobs covered by phase 1
-        // reuse the prerequisite outcome, everything else becomes a chain
-        // of slices on the shared deque.
+        // reuse the prerequisite outcome, everything else runs on the
+        // worker pool.
         let reused = |job: &JobSpec| {
             job.config == ConfigKind::BaselineMcd && baseline_outcomes.contains_key(&job.benchmark)
         };
@@ -643,8 +427,7 @@ impl ExperimentEngine {
             .collect();
         let runs = simulated.len();
         let traces_after = self.runner.trace_cache_stats();
-        // Per-run host stats already aggregate across each run's slices
-        // (regardless of which workers executed them), so the plan-level
+        // Each run's host stats cover the whole run, so the plan-level
         // cumulative cost is a plain sum.
         let cumulative_seconds: f64 = simulated.iter().map(|o| o.result.host.wall_seconds).sum();
         let simulated_instructions: u64 = simulated
@@ -653,7 +436,6 @@ impl ExperimentEngine {
             .sum();
         let stats = EngineStats {
             workers: self.workers,
-            slice_cycles: self.slice_cycles,
             runs,
             result_cache_hits: 0,
             result_cache_misses: 0,
@@ -680,7 +462,7 @@ impl ExperimentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn worker_count_resolution_order() {
@@ -691,138 +473,80 @@ mod tests {
     }
 
     #[test]
-    fn slice_cycles_resolution_order() {
-        // Explicit request wins; the default applies when neither the
-        // request nor the environment decide.  (The MCD_SLICE_CYCLES
-        // branch is covered by the CI workflow, which forces a small slice
-        // for the whole suite; the env-free default branch is covered by
-        // CI's separate clean-environment mcd-core pass.)
-        assert_eq!(slice_cycles(Some(123)), 123);
-        if std::env::var("MCD_SLICE_CYCLES").is_err() {
-            assert_eq!(slice_cycles(None), DEFAULT_SLICE_CYCLES);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "slice granularity must be positive")]
-    fn zero_slice_length_is_rejected() {
-        let _ = slice_cycles(Some(0));
-    }
-
-    #[test]
-    fn run_sliced_interleaves_runs_and_preserves_input_order() {
-        let runner = BenchmarkRunner::new(6_000, 9);
-        let specs = [
-            (Benchmark::Adpcm, ConfigKind::BaselineMcd),
-            (Benchmark::Gzip, ConfigKind::BaselineMcd),
-            (Benchmark::Adpcm, ConfigKind::FullySynchronous),
-        ];
-        let begun = AtomicUsize::new(0);
-        let finished = AtomicUsize::new(0);
-        // A small slice forces every run through many park/claim cycles;
-        // construction happens lazily on each job's first claim.
-        let outcomes = run_sliced(
-            2,
-            2_000,
-            0, // unbounded residency
-            specs.len(),
-            |_| 0,
-            |i| {
-                begun.fetch_add(1, Ordering::Relaxed);
-                let (b, c) = &specs[i];
-                runner.begin(*b, c)
-            },
-            |_| {
-                finished.fetch_add(1, Ordering::Relaxed);
-            },
-        );
+    fn jobs_values_parse_strictly() {
+        assert_eq!(parse_jobs("MCD_JOBS", "4"), Ok(4));
+        assert_eq!(parse_jobs("--jobs", "0"), Ok(0));
+        // A bad value is an error naming where it came from, never a
+        // silent fallback to the host's parallelism.
         assert_eq!(
-            begun.load(Ordering::Relaxed),
-            3,
-            "each job begun exactly once"
+            parse_jobs("MCD_JOBS", "four"),
+            Err("MCD_JOBS needs a non-negative integer, got \"four\"".to_string())
         );
-        assert_eq!(finished.load(Ordering::Relaxed), 3);
-        assert_eq!(outcomes.len(), 3);
-        for ((bench, config), outcome) in specs.iter().zip(&outcomes) {
-            assert_eq!(outcome.benchmark, *bench);
-            assert_eq!(outcome.config, *config);
-            assert_eq!(outcome.result.committed_instructions, 6_000);
-        }
-        // Sliced scheduling must not change simulated results.
-        let direct = runner.run(Benchmark::Gzip, &ConfigKind::BaselineMcd);
-        assert_eq!(outcomes[1].result, direct.result);
+        assert!(parse_jobs("--jobs", "-1").is_err());
+        assert!(parse_jobs("MCD_JOBS", "").is_err());
     }
 
     #[test]
-    fn admission_cap_bounds_peak_residency_with_identical_results() {
-        // Six jobs, two workers, a cap of two: at most two runs may be
-        // begun-but-unfinished at any instant, and the capped schedule
-        // must produce exactly the outcomes of the unbounded one.
+    fn at_most_workers_runs_are_resident() {
+        // Six jobs on two workers: each run is begun, stepped to the end
+        // and finished by one worker, so no more than two runs are ever
+        // begun-but-unfinished, and each matches a direct run.
         let runner = BenchmarkRunner::new(5_000, 11);
-        let specs: Vec<(Benchmark, ConfigKind)> = [
+        let benches = [
             Benchmark::Adpcm,
             Benchmark::Gzip,
             Benchmark::Gsm,
             Benchmark::Epic,
             Benchmark::Adpcm,
             Benchmark::Gzip,
-        ]
-        .iter()
-        .map(|&b| (b, ConfigKind::BaselineMcd))
-        .collect();
-        let cap = 2usize;
+        ];
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let capped = run_sliced(
+        let outcomes = run_to_completion(
             2,
-            1_000,
-            cap,
-            specs.len(),
+            benches.len(),
             |_| 0,
             |i| {
                 let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
-                let (b, c) = &specs[i];
-                runner.begin(*b, c)
-            },
-            |_| {
+                let outcome = runner.run(benches[i], &ConfigKind::BaselineMcd);
                 live.fetch_sub(1, Ordering::SeqCst);
+                outcome
             },
         );
         assert!(
-            peak.load(Ordering::SeqCst) <= cap,
-            "peak residency {} exceeded the cap {cap}",
+            peak.load(Ordering::SeqCst) <= 2,
+            "peak residency {} exceeded the worker count",
             peak.load(Ordering::SeqCst)
         );
-        let unbounded = run_sliced(
-            2,
-            1_000,
-            0,
-            specs.len(),
-            |_| 0,
-            |i| {
-                let (b, c) = &specs[i];
-                runner.begin(*b, c)
-            },
-            |_| {},
-        );
-        for (a, b) in capped.iter().zip(&unbounded) {
-            assert_eq!(a.result, b.result, "admission cap changed a result");
+        for (bench, outcome) in benches.iter().zip(&outcomes) {
+            assert_eq!(outcome.benchmark, *bench);
+            let direct = runner.run(*bench, &ConfigKind::BaselineMcd);
+            assert_eq!(outcome.result, direct.result);
         }
     }
 
     #[test]
-    fn max_live_runs_resolution_order() {
-        // Explicit request wins (including the explicit 0 = unbounded);
-        // the 4x-workers default applies otherwise (the MCD_MAX_LIVE_RUNS
-        // branch would be order-dependent with other env-reading tests, so
-        // it is exercised via the engine-level knob in CI instead).
-        assert_eq!(max_live_runs(Some(7), 4), 7);
-        assert_eq!(max_live_runs(Some(0), 4), 0);
-        if std::env::var("MCD_MAX_LIVE_RUNS").is_err() {
-            assert_eq!(max_live_runs(None, 3), 12);
-            assert_eq!(max_live_runs(None, 0), 4);
-        }
+    fn a_panicking_job_fails_the_plan_without_hanging() {
+        let finished = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(|| {
+            run_to_completion(
+                2,
+                6,
+                |_| 0,
+                |i| {
+                    if i == 2 {
+                        panic!("job 2 failed");
+                    }
+                    finished.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+            )
+        });
+        let payload = result.expect_err("the job's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 2 failed"));
+        // The other workers drain the plan instead of waiting on job 2.
+        assert_eq!(finished.load(Ordering::Relaxed), 5);
     }
 
     #[test]
@@ -848,12 +572,9 @@ mod tests {
             seed: 5,
             global_search_iters: 1,
             jobs: Some(2),
-            slice_cycles: Some(3_000),
-            max_live_runs: None,
             share_traces: None,
         };
         let engine = ExperimentEngine::from_settings(&settings);
-        assert_eq!(engine.slice_cycles(), 3_000);
         let plan = RunPlan::suite(&[Benchmark::Adpcm]);
         let (outcomes, stats) = engine.execute_with_stats(&plan);
         assert_eq!(outcomes.len(), 5);
@@ -861,7 +582,6 @@ mod tests {
         // reused the phase-1 profiling run.
         assert_eq!(stats.runs, 5 + 1 - 1);
         assert_eq!(stats.workers, 2);
-        assert_eq!(stats.slice_cycles, 3_000);
         assert!(stats.wall_seconds > 0.0);
         assert!(stats.cumulative_seconds > 0.0);
         assert!(stats.aggregate_mips > 0.0);
@@ -884,39 +604,30 @@ mod tests {
     }
 
     #[test]
-    fn run_sliced_admits_by_priority_without_reordering_results() {
-        // One worker and a cap of one serialize admission completely, so
-        // the begin order *is* the admission order.
+    fn one_worker_claims_longest_first_without_reordering_results() {
+        // One worker serializes the plan, so the run order *is* the claim
+        // order.
         let runner = BenchmarkRunner::new(3_000, 13);
-        let specs = [
-            (Benchmark::Adpcm, ConfigKind::BaselineMcd),
-            (Benchmark::Gzip, ConfigKind::BaselineMcd),
-            (Benchmark::Gsm, ConfigKind::BaselineMcd),
-        ];
+        let benches = [Benchmark::Adpcm, Benchmark::Gzip, Benchmark::Gsm];
         let priorities = [1u64, 3, 2];
         let begun: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let outcomes = run_sliced(
+        let outcomes = run_to_completion(
             1,
-            1_000,
-            1,
-            specs.len(),
+            benches.len(),
             |i| priorities[i],
             |i| {
                 begun.lock().unwrap().push(i);
-                let (b, c) = &specs[i];
-                runner.begin(*b, c)
+                runner.run(benches[i], &ConfigKind::BaselineMcd)
             },
-            |_| {},
         );
         assert_eq!(
             *begun.lock().unwrap(),
             vec![1, 2, 0],
-            "admission must follow descending priority"
+            "jobs must be claimed in descending priority"
         );
-        // Results stay in job order regardless of admission order.
-        for ((bench, config), outcome) in specs.iter().zip(&outcomes) {
+        // Results stay in job order regardless of claim order.
+        for (bench, outcome) in benches.iter().zip(&outcomes) {
             assert_eq!(outcome.benchmark, *bench);
-            assert_eq!(outcome.config, *config);
         }
     }
 
@@ -929,8 +640,6 @@ mod tests {
             seed: 5,
             global_search_iters: 1,
             jobs: Some(2),
-            slice_cycles: Some(3_000),
-            max_live_runs: None,
             share_traces: None,
         };
         let engine = ExperimentEngine::from_settings(&settings);
@@ -969,8 +678,6 @@ mod tests {
             seed: 9,
             global_search_iters: 1,
             jobs: Some(2),
-            slice_cycles: Some(2_000),
-            max_live_runs: None,
             share_traces: None,
         };
         let shared = ExperimentEngine::from_settings(&base);

@@ -41,17 +41,6 @@ pub struct ExperimentSettings {
     /// Worker threads of the experiment engine (None: the `MCD_JOBS`
     /// environment variable, then the host's available parallelism).
     pub jobs: Option<usize>,
-    /// Kernel steps per scheduling slice of the work-stealing engine
-    /// (None: the `MCD_SLICE_CYCLES` environment variable, then
-    /// [`crate::engine::DEFAULT_SLICE_CYCLES`]).  Slice boundaries never
-    /// affect simulated results.
-    pub slice_cycles: Option<u64>,
-    /// Admission cap of the slice scheduler: maximum runs begun but not
-    /// yet finished, bounding resident simulator state (None: the
-    /// `MCD_MAX_LIVE_RUNS` environment variable, then `4 * workers`;
-    /// `Some(0)`: unbounded).  Admission order never affects simulated
-    /// results.
-    pub max_live_runs: Option<usize>,
     /// Share one materialized instruction trace across same-workload runs
     /// (None: enabled unless `MCD_NO_TRACE_SHARE=1`).  Traces replay the
     /// generator bit-identically, so this never affects simulated
@@ -77,8 +66,6 @@ impl ExperimentSettings {
             seed: 42,
             global_search_iters: 3,
             jobs: None,
-            slice_cycles: None,
-            max_live_runs: None,
             share_traces: None,
         }
     }
@@ -93,8 +80,6 @@ impl ExperimentSettings {
             seed: 42,
             global_search_iters: 4,
             jobs: None,
-            slice_cycles: None,
-            max_live_runs: None,
             share_traces: None,
         }
     }
@@ -114,22 +99,6 @@ impl ExperimentSettings {
     /// Builder-style override of the worker count.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = Some(jobs);
-        self
-    }
-
-    /// Builder-style override of the scheduler's slice granularity in
-    /// kernel steps (`u64::MAX` degrades the engine to run-at-a-time
-    /// scheduling, which is useful as a control when measuring the
-    /// scheduler itself).
-    pub fn with_slice_cycles(mut self, slice_cycles: u64) -> Self {
-        self.slice_cycles = Some(slice_cycles);
-        self
-    }
-
-    /// Builder-style override of the scheduler's admission cap (`0` =
-    /// unbounded residency, the pre-cap behaviour).
-    pub fn with_max_live_runs(mut self, max_live_runs: usize) -> Self {
-        self.max_live_runs = Some(max_live_runs);
         self
     }
 
@@ -943,19 +912,15 @@ mod tests {
             seed: 7,
             global_search_iters: 2,
             jobs: None,
-            slice_cycles: None,
-            max_live_runs: None,
             share_traces: None,
         }
     }
 
     #[test]
     fn parallel_suite_is_bit_identical_to_serial() {
-        // The acceptance criterion of the engine refactor: N>1 workers must
-        // return SimResults bit-identical to one worker stepping each run
-        // to completion (same elapsed_ps, chip energy, per-domain
-        // frequency averages; host throughput is excluded from SimResult
-        // equality by design).
+        // Four workers must return SimResults bit-identical to one worker
+        // (same elapsed_ps, chip energy, per-domain frequency averages;
+        // host throughput is excluded from SimResult equality by design).
         //
         // Mcf is included on top of the tiny suite because its long memory
         // stalls leave the issue queues and LSQ with nothing newly visible
@@ -963,28 +928,15 @@ mod tests {
         // the wakeup scans — while the Attack/Decay and oracle
         // configurations exercise visibility promotion across frequency
         // ramps.
-        let mut serial = tiny_settings().with_jobs(1).with_slice_cycles(u64::MAX);
+        let mut serial = tiny_settings().with_jobs(1);
         serial.benchmarks.push(Benchmark::Mcf);
         let mut parallel = tiny_settings().with_jobs(4);
         parallel.benchmarks.push(Benchmark::Mcf);
-        // A deliberately tiny slice maximizes the number of pause/resume
-        // boundaries and park/claim migrations between workers — the
-        // sliced-parallel result must still be bit-identical to the
-        // one-worker run-at-a-time execution.
-        let sliced_parallel = parallel.clone().with_slice_cycles(2_500);
         let a = run_suite(&serial);
         let b = run_suite(&parallel);
-        let c = run_suite(&sliced_parallel);
         assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), c.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.benchmark, y.benchmark);
-        }
-        for (x, y) in a.iter().zip(&c) {
-            assert_eq!(x.benchmark, y.benchmark);
-        }
-        for y in b.iter().chain(c.iter()) {
-            let x = a.iter().find(|x| x.benchmark == y.benchmark).unwrap();
             assert_eq!(x.sync, y.sync);
             assert_eq!(x.baseline_mcd, y.baseline_mcd);
             assert_eq!(x.attack_decay, y.attack_decay);
@@ -1058,8 +1010,6 @@ mod tests {
             seed: 3,
             global_search_iters: 2,
             jobs: None,
-            slice_cycles: None,
-            max_live_runs: None,
             share_traces: None,
         });
         let fig = figure4::from_outcomes(&outcomes);
@@ -1098,8 +1048,6 @@ mod tests {
             seed: 1,
             global_search_iters: 2,
             jobs: None,
-            slice_cycles: None,
-            max_live_runs: None,
             share_traces: None,
         };
         let sweep = sensitivity::sweep_decay(&settings, &[0.0005, 0.0075]);

@@ -57,8 +57,8 @@ pub mod snapshot;
 pub use bundle::{replay_verify, write_bundle, BundleError, BundleReport, BundleSpec};
 pub use cache::{TraceCache, TraceCacheStats, TraceKey};
 pub use engine::{
-    admission_priority, slice_cycles, trace_sharing_enabled, worker_count, EngineStats,
-    ExperimentEngine, JobSpec, RunPlan, DEFAULT_SLICE_CYCLES,
+    admission_priority, jobs_from_env, parse_jobs, trace_sharing_enabled, worker_count,
+    EngineStats, ExperimentEngine, JobSpec, RunPlan,
 };
 pub use experiments::ExperimentSettings;
 pub use metrics::{suite_average, Comparison, RunMetrics};

@@ -351,8 +351,8 @@ impl BenchmarkRunner {
     }
 
     /// Records a finished outcome: baseline-MCD runs cache their activity
-    /// profile for the off-line oracle.  Called by `run` and by the
-    /// experiment engine's slice scheduler when a run completes.
+    /// profile for the off-line oracle.  Called by `run`; a caller that
+    /// steps a [`PausableRun`] itself calls it when the run completes.
     pub fn note_outcome(&self, outcome: &RunOutcome) {
         if matches!(outcome.config, ConfigKind::BaselineMcd) {
             self.profiles

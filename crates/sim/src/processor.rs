@@ -231,9 +231,9 @@ pub struct McdProcessor {
     pub(crate) run_state: RunState,
 }
 
-// The slice scheduler in `mcd-core` moves paused processors between worker
-// threads; everything inside (including the boxed controller, whose trait
-// requires `Send`) must be owned state.
+// A paused run (`mcd-core`'s `PausableRun`) may resume on another thread
+// than the one that paused it; everything inside (including the boxed
+// controller, whose trait requires `Send`) must be owned state.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<McdProcessor>();

@@ -2,14 +2,12 @@
 """Render the bench-job artefacts as a GitHub job-summary markdown table.
 
 Usage:
-    bench_summary.py results/BENCH_kernel_micro.json results/BENCH_engine_scaling.json
+    bench_summary.py results/BENCH_kernel_micro.json results/BENCH_table6.json
 
 Reads the kernel micro-bench artefact (per-bench timings, the per-edge
 clock cost and jitter surcharge, and the event-timeline traffic and
-kernel-step counters), the engine-scaling and
-plan-scaling artefacts and the Table 6 artefact (suite / Global search
-split of the whole `table6::run_with_stats` call), and
-prints GitHub-flavoured markdown suitable for appending to
+kernel-step counters) and the Table 6 artefact (suite / Global search
+split of the whole `table6::run_with_stats` call), and prints GitHub-flavoured markdown suitable for appending to
 ``$GITHUB_STEP_SUMMARY``.  Missing files are reported but do not fail the
 job — the summary is advisory, the artefacts are the record.
 """
@@ -84,34 +82,6 @@ def kernel_micro(doc):
         print()
 
 
-def engine_scaling(doc):
-    print("### Engine scaling (sliced vs run-granularity)\n")
-    ratio = doc.get("sliced_over_unsliced_speedup")
-    print(f"- workers: **{doc.get('workers')}**, slice: {doc.get('slice_cycles')} steps")
-    print(f"- sliced wall: {doc.get('wall_seconds', 0):.2f}s, "
-          f"run-granularity wall: {doc.get('unsliced_wall_seconds', 0):.2f}s")
-    if ratio is not None:
-        print(f"- **sliced_over_unsliced_speedup: {ratio:.3f}x** "
-              "(track in ROADMAP's multicore-validation open item)")
-    print()
-
-
-def plan_scaling(doc):
-    print("### Plan scaling (shared traces vs per-run generation)\n")
-    ratio = doc.get("plan_over_pergen_speedup")
-    print(f"- workers: **{doc.get('workers')}**, jobs: {doc.get('plan_jobs')} "
-          f"(same-workload sweep)")
-    print(f"- shared-trace wall: {doc.get('wall_seconds', 0):.2f}s, "
-          f"per-run-generation wall: {doc.get('pergen_wall_seconds', 0):.2f}s")
-    print(f"- traces: {doc.get('trace_materializations')} materialization(s), "
-          f"{doc.get('trace_cache_hits')} hits, "
-          f"peak {doc.get('trace_peak_bytes', 0) / 1024:.0f} KiB resident")
-    if ratio is not None:
-        print(f"- **plan_over_pergen_speedup: {ratio:.3f}x** "
-              "(track in ROADMAP's plan-scaling baseline)")
-    print()
-
-
 def table6(doc):
     print("### Table 6 (suite vs Global search)\n")
     total = doc.get("table6_wall_s")
@@ -132,10 +102,6 @@ def main(argv):
             continue
         if doc.get("experiment") == "kernel_micro":
             kernel_micro(doc)
-        elif doc.get("experiment") == "engine_scaling":
-            engine_scaling(doc)
-        elif doc.get("experiment") == "plan_scaling":
-            plan_scaling(doc)
         elif doc.get("experiment") == "table6":
             table6(doc)
         else:

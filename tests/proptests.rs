@@ -459,9 +459,8 @@ proptest! {
     /// slices far larger than the whole run — a sliced execution must
     /// produce a `SimResult` equal to the unsliced run (host-throughput
     /// telemetry is excluded from equality by design).  This is the
-    /// invariant the work-stealing experiment engine rests on: it makes
-    /// the scheduler's slice boundaries (and therefore worker count,
-    /// migration pattern and slice length) invisible in every result.
+    /// invariant checkpoints and run bundles rest on: it makes every
+    /// pause point invisible in the result.
     #[test]
     fn sliced_runs_are_bit_identical_for_random_slice_boundaries(
         raw_slices in proptest::collection::vec((0u8..4, 0u64..45_000), 1..8),
