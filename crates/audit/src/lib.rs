@@ -5,7 +5,7 @@
 //! [`SimResult`] is a pure function of *(workload, configuration, seed)*.
 //! Golden dumps check that invariant dynamically for a fixed matrix;
 //! this crate checks it *statically*, over all result-affecting sources,
-//! so a violation fails CI before it can ever reach a golden run.  Four
+//! so a violation fails CI before it can ever reach a golden run.  Three
 //! rule families are enforced
 //! (see [`Rule`]):
 //!
@@ -30,15 +30,6 @@
 //!    that every excluded field carries an allowlist entry, and that no
 //!    `HostStats` counter is referenced in the comparison — host-side
 //!    telemetry can never re-enter result equality.
-//! 4. **Snapshot-codec completeness** ([`check_snapshot_codec`]) diffs
-//!    the field lists of every snapshotted state struct (the
-//!    `save`/`load` pairs the run-snapshot codec is built from, from
-//!    `McdProcessor` down to the branch predictor) against the
-//!    identifiers appearing in that struct's own `save`/`load`
-//!    functions.  A state field mentioned by neither — and not
-//!    allowlisted as rebuilt-from-identity or host-only — is a finding:
-//!    a restore would silently reset it, which is exactly the class of
-//!    drift the replay-contract tests exist to prevent.
 //!
 //! The crate is dependency-free and hand-rolls its comment/string
 //! stripping ([`lexer`]), in keeping with the workspace's vendored,
@@ -87,21 +78,17 @@ pub enum Rule {
     /// `SimResult` equality drift: uncompped field, or a host counter
     /// re-entering the comparison.
     EqExclusion,
-    /// A snapshotted state struct field that its own `save`/`load` pair
-    /// never mentions: a restore would silently reset it.
-    SnapshotCodec,
 }
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 6] = [
         Rule::HashIteration,
         Rule::WallClock,
         Rule::OsEntropy,
         Rule::EnvRead,
         Rule::CacheKey,
         Rule::EqExclusion,
-        Rule::SnapshotCodec,
     ];
 
     /// The rule's stable name, as used in the allowlist file.
@@ -113,7 +100,6 @@ impl Rule {
             Rule::EnvRead => "env-read",
             Rule::CacheKey => "cache-key",
             Rule::EqExclusion => "eq-exclusion",
-            Rule::SnapshotCodec => "snapshot-codec",
         }
     }
 
@@ -185,7 +171,7 @@ impl fmt::Display for Finding {
 /// `item` is `token xCOUNT` (e.g. `Instant x3`) — the tool re-counts
 /// occurrences on every run and rejects the entry when the count drifts,
 /// so an allowlisted file cannot silently grow new uses.  For
-/// `cache-key` and `snapshot-codec` entries, `scope` is the struct and
+/// `cache-key` entries, `scope` is the struct and
 /// `item` the field; for `eq-exclusion`, `scope` is `SimResult` and
 /// `item` the excluded field.
 #[derive(Debug, Clone)]
@@ -613,58 +599,6 @@ fn matching_brace(text: &str, open: usize) -> Option<usize> {
     None
 }
 
-/// The inherent `impl Name { … }` regions of `cleaned` (trait impls are
-/// skipped: `impl Default for Name` never matches).  A struct may have
-/// several inherent blocks; all are returned.
-fn inherent_impl_regions<'a>(cleaned: &'a str, name: &str) -> Vec<&'a str> {
-    let b = cleaned.as_bytes();
-    let mut regions = Vec::new();
-    for at in ident_occurrences_offsets(cleaned, "impl") {
-        let mut pos = at + "impl".len();
-        while pos < b.len() && (b[pos] as char).is_whitespace() {
-            pos += 1;
-        }
-        if pos < b.len() && b[pos] == b'<' {
-            let mut depth = 0usize;
-            while pos < b.len() {
-                match b[pos] {
-                    b'<' => depth += 1,
-                    b'>' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            pos += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                pos += 1;
-            }
-            while pos < b.len() && (b[pos] as char).is_whitespace() {
-                pos += 1;
-            }
-        }
-        if !cleaned[pos..].starts_with(name) {
-            continue;
-        }
-        let end = pos + name.len();
-        if end < b.len() && is_ident_char(b[end]) {
-            continue;
-        }
-        let mut j = end;
-        while j < b.len() && (b[j] as char).is_whitespace() {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != b'{' {
-            continue; // trait impl or a non-impl `impl` occurrence
-        }
-        if let Some(close) = matching_brace(cleaned, j) {
-            regions.push(&cleaned[j..=close]);
-        }
-    }
-    regions
-}
-
 /// All identifiers appearing in the signature and body of `fn name` in
 /// `cleaned` (the first definition found).
 pub fn fn_identifiers(cleaned: &str, name: &str) -> Option<Vec<String>> {
@@ -957,133 +891,6 @@ pub fn check_eq_exclusion(
 }
 
 // ---------------------------------------------------------------------
-// Rule family 4: snapshot-codec completeness.
-// ---------------------------------------------------------------------
-
-/// One struct whose fields must all be covered by its own snapshot
-/// `save`/`load` pair.
-#[derive(Debug, Clone)]
-pub struct CodecStruct {
-    /// Workspace-relative file holding both the definition and the
-    /// inherent `save`/`load` impl.
-    pub file: String,
-    /// The struct's name (also the allowlist scope).
-    pub name: String,
-}
-
-/// Checks that every field of every struct in `structs` appears as an
-/// identifier inside that struct's own inherent `save` or `load`
-/// function, or carries a `snapshot-codec` allowlist entry explaining
-/// why a restore may rebuild or reset it.
-///
-/// Appearing in `save` means the field is written to the byte stream;
-/// appearing only in `load` means it is deliberately reconstructed
-/// (from the snapshot identity, a config parameter, or a documented
-/// reset).  Appearing in *neither* is the dangerous case this rule
-/// exists for: the field silently keeps its `Default`/constructor value
-/// across a restore, and the first run that diverges after a resume is
-/// a golden-matrix debugging session.  Like the cache-key rule, the
-/// identifier diff is conservative — it cannot prove the bytes are
-/// written correctly (the round-trip and format-pin tests do that), but
-/// it turns "added a field, forgot the codec" into a CI failure instead
-/// of a latent replay divergence, and it reminds the author to bump
-/// `SNAPSHOT_VERSION` alongside any codec change.
-pub fn check_snapshot_codec(
-    files: &[SourceFile],
-    structs: &[CodecStruct],
-    allow: &Allowlist,
-    report: &mut Report,
-) {
-    let mut used: Vec<(String, String)> = Vec::new();
-    for cs in structs {
-        let Some(src) = files.iter().find(|f| f.path == cs.file) else {
-            report.findings.push(Finding {
-                rule: Rule::SnapshotCodec,
-                scope: cs.name.clone(),
-                item: "<file>".into(),
-                line: 0,
-                message: format!("definition file {} not found", cs.file),
-            });
-            report.count(Rule::SnapshotCodec).findings += 1;
-            report.count(Rule::SnapshotCodec).unclassified += 1;
-            continue;
-        };
-        let cleaned = clean(&src.text);
-        let Some(fields) = struct_fields(&cleaned, &cs.name) else {
-            report.findings.push(Finding {
-                rule: Rule::SnapshotCodec,
-                scope: cs.name.clone(),
-                item: "<struct>".into(),
-                line: 0,
-                message: format!("struct {} not found in {}", cs.name, cs.file),
-            });
-            report.count(Rule::SnapshotCodec).findings += 1;
-            report.count(Rule::SnapshotCodec).unclassified += 1;
-            continue;
-        };
-        let mut codec_ids: Vec<String> = Vec::new();
-        let (mut have_save, mut have_load) = (false, false);
-        for region in inherent_impl_regions(&cleaned, &cs.name) {
-            if let Some(ids) = fn_identifiers(region, "save") {
-                have_save = true;
-                codec_ids.extend(ids);
-            }
-            if let Some(ids) = fn_identifiers(region, "load") {
-                have_load = true;
-                codec_ids.extend(ids);
-            }
-        }
-        if !have_save || !have_load {
-            report.findings.push(Finding {
-                rule: Rule::SnapshotCodec,
-                scope: cs.name.clone(),
-                item: "save/load".into(),
-                line: 0,
-                message: format!(
-                    "no inherent save/load pair found for {} in {} — the snapshot codec lost a layer",
-                    cs.name, cs.file
-                ),
-            });
-            report.count(Rule::SnapshotCodec).findings += 1;
-            report.count(Rule::SnapshotCodec).unclassified += 1;
-            continue;
-        }
-        for (field, line) in fields {
-            report.count(Rule::SnapshotCodec).findings += 1;
-            if codec_ids.contains(&field) {
-                report.count(Rule::SnapshotCodec).allowlisted += 1;
-                continue;
-            }
-            match allow.lookup(Rule::SnapshotCodec, &cs.name, &field) {
-                Some(_) => {
-                    report.count(Rule::SnapshotCodec).allowlisted += 1;
-                    used.push((cs.name.clone(), field));
-                }
-                None => {
-                    report.count(Rule::SnapshotCodec).unclassified += 1;
-                    report.findings.push(Finding {
-                        rule: Rule::SnapshotCodec,
-                        scope: cs.name.clone(),
-                        item: field.clone(),
-                        line,
-                        message: "field appears in neither save nor load — a restore silently resets it; serialize it and bump SNAPSHOT_VERSION, or justify it as rebuilt-from-identity".into(),
-                    });
-                }
-            }
-        }
-    }
-    for entry in allow.of(Rule::SnapshotCodec) {
-        let known_struct = structs.iter().any(|k| k.name == entry.scope);
-        if known_struct && !used.contains(&(entry.scope.clone(), entry.item.clone())) {
-            report.stale.push(format!(
-                "allowlist line {}: {}.{} is serialized or no longer exists — delete the entry",
-                entry.line, entry.scope, entry.item
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The workspace binding: what the `mcd-audit` binary (and the
 // self-check test) audit.
 // ---------------------------------------------------------------------
@@ -1101,46 +908,6 @@ pub fn workspace_key_structs() -> Vec<KeyStruct> {
     ]
     .into_iter()
     .map(|(file, name)| KeyStruct {
-        file: file.to_string(),
-        name: name.to_string(),
-    })
-    .collect()
-}
-
-/// The snapshotted state structs of this workspace: every layer the
-/// run-snapshot codec serializes, from the processor shell down to the
-/// branch predictor, plus the snapshot container header itself.  Each
-/// struct's fields must be covered by its own inherent `save`/`load`
-/// pair (or a `snapshot-codec` allowlist entry).
-pub fn workspace_codec_structs() -> Vec<CodecStruct> {
-    [
-        ("crates/core/src/snapshot.rs", "SnapshotHeader"),
-        ("crates/sim/src/processor.rs", "McdProcessor"),
-        ("crates/sim/src/inflight.rs", "InFlightTable"),
-        ("crates/sim/src/events.rs", "TimelineEvent"),
-        ("crates/sim/src/events.rs", "Timeline"),
-        ("crates/sim/src/events.rs", "DomainTimeline"),
-        ("crates/sim/src/telemetry.rs", "DomainTrace"),
-        ("crates/sim/src/telemetry.rs", "IntervalRecord"),
-        ("crates/workloads/src/generator.rs", "WorkloadGenerator"),
-        ("crates/clock/src/ramp.rs", "FrequencyRamp"),
-        ("crates/clock/src/clockgen.rs", "JitterModel"),
-        ("crates/clock/src/clockgen.rs", "DomainClock"),
-        ("crates/control/src/sample.rs", "DomainSample"),
-        ("crates/control/src/offline.rs", "OfflineProfile"),
-        ("crates/microarch/src/issue_queue.rs", "IssueQueue"),
-        ("crates/microarch/src/rob.rs", "ReorderBuffer"),
-        ("crates/microarch/src/cache.rs", "Cache"),
-        ("crates/microarch/src/regfile.rs", "RenameAllocator"),
-        ("crates/microarch/src/regfile.rs", "RenameMap"),
-        ("crates/microarch/src/func_units.rs", "FuPool"),
-        ("crates/microarch/src/lsq.rs", "LoadStoreQueue"),
-        ("crates/microarch/src/bpred.rs", "BranchPredictor"),
-        ("crates/power/src/account.rs", "EnergyAccount"),
-        ("crates/isa/src/reg.rs", "Reg"),
-    ]
-    .into_iter()
-    .map(|(file, name)| CodecStruct {
         file: file.to_string(),
         name: name.to_string(),
     })
@@ -1222,7 +989,6 @@ pub fn audit_workspace(root: &Path, allowlist_text: &str) -> Result<Report, Stri
         &allow,
         &mut report,
     );
-    check_snapshot_codec(&files, &workspace_codec_structs(), &allow, &mut report);
     Ok(report)
 }
 

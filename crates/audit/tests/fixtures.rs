@@ -6,8 +6,8 @@
 use std::path::Path;
 
 use mcd_audit::{
-    audit_workspace, check_cache_key, check_eq_exclusion, check_snapshot_codec, scan_determinism,
-    Allowlist, CodecStruct, KeyStruct, Report, Rule, SourceFile, ALLOWLIST_PATH,
+    audit_workspace, check_cache_key, check_eq_exclusion, scan_determinism, Allowlist, KeyStruct,
+    Report, Rule, SourceFile, ALLOWLIST_PATH,
 };
 
 fn file(path: &str, text: &str) -> SourceFile {
@@ -439,111 +439,6 @@ fn eq_exclusion_fires_on_derived_partial_eq() {
 }
 
 // ---------------------------------------------------------------------
-// Rule family 4: snapshot-codec completeness.
-// ---------------------------------------------------------------------
-
-/// A state struct whose codec covers `pos` (saved) and `limit`
-/// (rebuilt in load), with an optional extra field outside the codec.
-fn codec_fixture(extra_field: &str) -> SourceFile {
-    file(
-        "crates/fake/src/state.rs",
-        &format!(
-            concat!(
-                "pub struct Cursor {{\n    pub pos: u64,\n    pub limit: u64,\n{extra}}}\n",
-                "impl Default for Cursor {{\n    fn default() -> Self {{ Cursor {{ pos: 0, limit: 0 }} }}\n}}\n",
-                "impl Cursor {{\n",
-                "    pub fn save(&self, w: &mut ByteWriter) {{\n        w.u64(self.pos);\n    }}\n",
-                "    pub fn load(r: &mut ByteReader<'_>, limit: u64) -> CodecResult<Self> {{\n",
-                "        Ok(Cursor {{ pos: r.u64()?, limit }})\n    }}\n",
-                "}}\n",
-            ),
-            extra = extra_field,
-        ),
-    )
-}
-
-fn codec_structs() -> Vec<CodecStruct> {
-    vec![CodecStruct {
-        file: "crates/fake/src/state.rs".into(),
-        name: "Cursor".into(),
-    }]
-}
-
-fn codec_report(src: SourceFile, allow: &Allowlist) -> Report {
-    let files = [src];
-    let mut report = Report::default();
-    check_snapshot_codec(&files, &codec_structs(), allow, &mut report);
-    report
-}
-
-#[test]
-fn snapshot_codec_clean_when_every_field_is_covered() {
-    // `pos` appears in save, `limit` is rebuilt in load — both covered,
-    // and the trait impl (`impl Default for Cursor`) must not confuse
-    // the inherent-impl scan.
-    let report = codec_report(codec_fixture(""), &empty_allow());
-    assert!(report.is_clean(), "{report:?}");
-    let counts = report.counts[&Rule::SnapshotCodec];
-    assert_eq!(
-        (counts.findings, counts.allowlisted, counts.unclassified),
-        (2, 2, 0)
-    );
-}
-
-#[test]
-fn snapshot_codec_fires_on_field_outside_the_codec() {
-    // The acceptance scenario: a state field is added without extending
-    // save/load — a restore would silently reset it.
-    let report = codec_report(codec_fixture("    pub retired: u64,\n"), &empty_allow());
-    let f = report
-        .findings
-        .iter()
-        .find(|f| f.rule == Rule::SnapshotCodec && f.item == "retired")
-        .expect("unserialized field must be reported");
-    assert_eq!(f.scope, "Cursor");
-    assert_eq!(f.line, 4, "field line in the definition file");
-    assert!(f.message.contains("SNAPSHOT_VERSION"));
-}
-
-#[test]
-fn snapshot_codec_allowlist_covers_rebuilt_fields() {
-    let allow = Allowlist::parse(
-        "snapshot-codec | Cursor | scratch | per-step scratch, cleared before every use\n",
-    )
-    .unwrap();
-    let report = codec_report(codec_fixture("    pub scratch: Vec<u64>,\n"), &allow);
-    assert!(report.is_clean(), "{report:?}");
-}
-
-#[test]
-fn snapshot_codec_stale_entry_for_serialized_field() {
-    // `pos` IS saved; an entry claiming it is rebuilt must be flagged.
-    let allow = Allowlist::parse("snapshot-codec | Cursor | pos | stale claim\n").unwrap();
-    let report = codec_report(codec_fixture(""), &allow);
-    assert!(!report.is_clean());
-    assert!(
-        report.stale[0].contains("Cursor.pos"),
-        "{}",
-        report.stale[0]
-    );
-}
-
-#[test]
-fn snapshot_codec_fires_when_the_codec_pair_is_missing() {
-    let src = file(
-        "crates/fake/src/state.rs",
-        "pub struct Cursor {\n    pub pos: u64,\n    pub limit: u64,\n}\nimpl Cursor {\n    pub fn save(&self, w: &mut ByteWriter) {\n        w.u64(self.pos);\n    }\n}\n",
-    );
-    let report = codec_report(src, &empty_allow());
-    assert!(
-        report.findings.iter().any(|f| f.rule == Rule::SnapshotCodec
-            && f.item == "save/load"
-            && f.message.contains("lost a layer")),
-        "a struct with save but no load must be reported: {report:?}"
-    );
-}
-
-// ---------------------------------------------------------------------
 // The real workspace, with the real allowlist — the CI gate.
 // ---------------------------------------------------------------------
 
@@ -601,41 +496,5 @@ fn real_workspace_audit_fails_on_synthetic_unhashed_field() {
             && f.scope == "MemoryBehavior"
             && f.item == "synthetic_behaviour_knob"),
         "an unhashed behaviour-affecting field must fail the audit: {report:?}"
-    );
-}
-
-#[test]
-fn real_workspace_audit_fails_on_synthetic_unserialized_state() {
-    // End-to-end version of the snapshot-codec acceptance scenario:
-    // inject a synthetic state field into the real McdProcessor source
-    // and re-run the structural check — the codec diff must fire.
-    let root = workspace_root();
-    let mut files = mcd_audit::load_workspace_sources(root).expect("sources readable");
-    let proc = files
-        .iter_mut()
-        .find(|f| f.path == "crates/sim/src/processor.rs")
-        .expect("processor.rs is audited");
-    let needle = "pub struct McdProcessor {";
-    let at = proc.text.find(needle).expect("McdProcessor found");
-    proc.text.insert_str(
-        at + needle.len(),
-        "\n    pub(crate) synthetic_replay_state: u64,",
-    );
-
-    let allow_text =
-        std::fs::read_to_string(root.join(ALLOWLIST_PATH)).expect("checked-in allowlist readable");
-    let allow = Allowlist::parse(&allow_text).expect("allowlist parses");
-    let mut report = Report::default();
-    check_snapshot_codec(
-        &files,
-        &mcd_audit::workspace_codec_structs(),
-        &allow,
-        &mut report,
-    );
-    assert!(
-        report.findings.iter().any(|f| f.rule == Rule::SnapshotCodec
-            && f.scope == "McdProcessor"
-            && f.item == "synthetic_replay_state"),
-        "a state field outside the codec must fail the audit: {report:?}"
     );
 }

@@ -22,74 +22,71 @@
 
 use std::path::PathBuf;
 
-use mcd_core::engine::{jobs_from_env, parse_jobs, EngineStats};
+use mcd_core::engine::{parse_jobs, parse_no_trace_share, EngineStats};
 use mcd_core::experiments::ExperimentSettings;
 
 /// Returns the experiment settings selected by the `MCD_FULL` environment
 /// variable (the paper's full suite when set to `1`, otherwise the quick
-/// subset), with the worker count from `--jobs N` / `-j N` on the command
-/// line, falling back to the `MCD_JOBS` environment variable and then to
-/// the host's parallelism.
+/// subset), with the worker count from `--jobs N`, `--jobs=N` or `-j N`
+/// on the command line, falling back to the `MCD_JOBS` environment
+/// variable and then to the host's parallelism, and trace sharing turned
+/// off by `--no-trace-share` or `MCD_NO_TRACE_SHARE=1`.
 ///
-/// A flag given without a value, or a flag or `MCD_JOBS` value that does
-/// not parse, prints the error and exits with status 2: a requested
-/// setting must not be silently replaced by the fallback.
+/// Any other argument, a flag given without a value, or a flag,
+/// `MCD_JOBS` or `MCD_NO_TRACE_SHARE` value that does not parse prints the
+/// error and exits with status 2: a requested setting must not be
+/// silently replaced by the default.
 pub fn settings_from_env() -> ExperimentSettings {
-    settings_from_args(std::env::args()).unwrap_or_else(|err| {
+    settings_from_args(std::env::args(), |key| std::env::var(key).ok()).unwrap_or_else(|err| {
         eprintln!("error: {err}");
         std::process::exit(2);
     })
 }
 
+/// [`settings_from_env`] over an explicit argument list (program name
+/// first) and environment lookup.
 fn settings_from_args(
     args: impl IntoIterator<Item = String>,
+    env: impl Fn(&str) -> Option<String>,
 ) -> Result<ExperimentSettings, String> {
-    let args: Vec<String> = args.into_iter().collect();
-    let mut settings = if std::env::var("MCD_FULL").map(|v| v == "1").unwrap_or(false) {
+    let mut settings = if env("MCD_FULL").is_some_and(|v| v == "1") {
         ExperimentSettings::paper()
     } else {
         ExperimentSettings::quick()
     };
-    let jobs = match jobs_from_args(args.clone())? {
-        Some(jobs) => Some(jobs),
-        None => jobs_from_env()?,
-    };
+    let (mut jobs, mut share_traces) = (None, None);
+    let mut args = args.into_iter().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--jobs" || arg == "-j" {
+            let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            jobs = Some(parse_jobs(&arg, &value)?);
+        } else if let Some(value) = arg.strip_prefix("--jobs=") {
+            jobs = Some(parse_jobs("--jobs", value)?);
+        } else if arg == "--no-trace-share" {
+            share_traces = Some(false);
+        } else {
+            return Err(format!(
+                "unknown argument {arg:?} (expected --jobs N, --jobs=N, -j N or --no-trace-share)"
+            ));
+        }
+    }
+    if jobs.is_none() {
+        jobs = env("MCD_JOBS")
+            .map(|value| parse_jobs("MCD_JOBS", &value))
+            .transpose()?;
+    }
+    if share_traces.is_none() {
+        share_traces = env("MCD_NO_TRACE_SHARE")
+            .map(|value| parse_no_trace_share("MCD_NO_TRACE_SHARE", &value))
+            .transpose()?;
+    }
     if let Some(jobs) = jobs {
         settings = settings.with_jobs(jobs);
     }
-    if bool_flag(args, "--no-trace-share") {
-        settings = settings.with_share_traces(false);
+    if let Some(share_traces) = share_traces {
+        settings = settings.with_share_traces(share_traces);
     }
     Ok(settings)
-}
-
-/// Returns whether `name` appears as a bare flag in the argument list
-/// (used for `--no-trace-share`; the matching environment escape hatch is
-/// `MCD_NO_TRACE_SHARE=1`).
-pub fn bool_flag(args: impl IntoIterator<Item = String>, name: &str) -> bool {
-    args.into_iter().any(|a| a == name)
-}
-
-/// Parses `--jobs N`, `--jobs=N` or `-j N` from an argument list.
-///
-/// # Errors
-///
-/// Returns a message when the flag has no value or the value is not a
-/// non-negative integer.
-pub fn jobs_from_args(args: impl IntoIterator<Item = String>) -> Result<Option<usize>, String> {
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--jobs" || arg == "-j" {
-            args.next().ok_or_else(|| format!("{arg} needs a value"))?
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            v.to_string()
-        } else {
-            continue;
-        };
-        let flag = arg.split('=').next().unwrap_or(&arg);
-        return parse_jobs(flag, &value).map(Some);
-    }
-    Ok(None)
 }
 
 /// The host's available hardware parallelism, recorded into every
@@ -168,12 +165,28 @@ pub fn write_artifact(name: &str, contents: &str) -> PathBuf {
 mod tests {
     use super::*;
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// [`settings_from_args`] with an empty environment.
+    fn parse(v: &[&str]) -> Result<ExperimentSettings, String> {
+        settings_from_args(args(v), |_| None)
+    }
+
+    /// [`settings_from_args`] with one environment variable set.
+    fn parse_with_env(v: &[&str], key: &str, value: &str) -> Result<ExperimentSettings, String> {
+        settings_from_args(args(v), |k| (k == key).then(|| value.to_string()))
+    }
+
     #[test]
     fn quick_settings_are_the_default() {
-        std::env::remove_var("MCD_FULL");
-        let s = settings_from_env();
+        let s = parse(&["bin"]).unwrap();
         assert!(s.benchmarks.len() < 30);
         assert!(s.instructions <= 100_000);
+        assert_eq!((s.jobs, s.share_traces), (None, None));
+        let full = parse_with_env(&["bin"], "MCD_FULL", "1").unwrap();
+        assert_eq!(full.benchmarks.len(), 30);
     }
 
     #[test]
@@ -196,29 +209,42 @@ mod tests {
 
     #[test]
     fn jobs_flag_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(args(&["bin", "--jobs", "4"])), Ok(Some(4)));
-        assert_eq!(jobs_from_args(args(&["bin", "--jobs=8"])), Ok(Some(8)));
-        assert_eq!(
-            jobs_from_args(args(&["bin", "-j", "2", "rest"])),
-            Ok(Some(2))
-        );
-        assert_eq!(jobs_from_args(args(&["bin"])), Ok(None));
+        let jobs = |v: &[&str]| parse(v).map(|s| s.jobs);
+        assert_eq!(jobs(&["bin", "--jobs", "4"]), Ok(Some(4)));
+        assert_eq!(jobs(&["bin", "--jobs=8"]), Ok(Some(8)));
+        assert_eq!(jobs(&["bin", "-j", "2"]), Ok(Some(2)));
+        assert_eq!(jobs(&["bin"]), Ok(None));
         // A bad or missing value is an error, never a silent fallback.
         assert_eq!(
-            jobs_from_args(args(&["bin", "--jobs", "no"])),
+            jobs(&["bin", "--jobs", "no"]),
             Err("--jobs needs a non-negative integer, got \"no\"".to_string())
         );
-        assert!(jobs_from_args(args(&["bin", "--jobs=four"])).is_err());
-        assert!(jobs_from_args(args(&["bin", "-j", "-1"])).is_err());
+        assert!(jobs(&["bin", "--jobs=four"]).is_err());
+        assert!(jobs(&["bin", "-j", "-1"]).is_err());
         assert_eq!(
-            jobs_from_args(args(&["bin", "--jobs"])),
+            jobs(&["bin", "--jobs"]),
             Err("--jobs needs a value".to_string())
         );
-        assert!(settings_from_args(args(&["bin", "--jobs", "four"])).is_err());
+        // The flag wins over MCD_JOBS, which must parse when it is used.
+        let env_jobs = |v: &[&str], value| parse_with_env(v, "MCD_JOBS", value).map(|s| s.jobs);
+        assert_eq!(env_jobs(&["bin"], "3"), Ok(Some(3)));
+        assert_eq!(env_jobs(&["bin", "-j", "5"], "3"), Ok(Some(5)));
+        assert!(env_jobs(&["bin"], "four").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for (bad, named) in [
+            (&["bin", "--job", "1"][..], "--job"),
+            (&["bin", "--slice-cycles", "5"], "--slice-cycles"),
+            (&["bin", "--jobs", "2", "extra"], "extra"),
+        ] {
+            let err = parse(bad).expect_err("an unknown argument must not run with defaults");
+            assert!(err.contains(&format!("{named:?}")), "{err}");
+        }
         assert_eq!(
-            settings_from_args(args(&["bin", "--jobs", "3"])).map(|s| s.jobs),
-            Ok(Some(3))
+            parse(&["bin", "--job", "1"]).unwrap_err(),
+            "unknown argument \"--job\" (expected --jobs N, --jobs=N, -j N or --no-trace-share)"
         );
     }
 
@@ -262,11 +288,22 @@ mod tests {
 
     #[test]
     fn cache_disable_flags_are_detected() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(bool_flag(
-            args(&["bin", "--no-trace-share"]),
-            "--no-trace-share"
-        ));
-        assert!(!bool_flag(args(&["bin"]), "--no-trace-share"));
+        let share = |v: &[&str]| parse(v).map(|s| s.share_traces);
+        assert_eq!(share(&["bin", "--no-trace-share"]), Ok(Some(false)));
+        assert_eq!(share(&["bin"]), Ok(None));
+        let env_share = |v: &[&str], value| {
+            parse_with_env(v, "MCD_NO_TRACE_SHARE", value).map(|s| s.share_traces)
+        };
+        assert_eq!(env_share(&["bin"], "1"), Ok(Some(false)));
+        assert_eq!(env_share(&["bin"], "0"), Ok(Some(true)));
+        assert_eq!(
+            env_share(&["bin", "--no-trace-share"], "0"),
+            Ok(Some(false))
+        );
+        // A typoed escape hatch is an error, not a panic or a silent no-op.
+        assert_eq!(
+            env_share(&["bin"], "yes"),
+            Err("MCD_NO_TRACE_SHARE must be 0 or 1, got \"yes\"".to_string())
+        );
     }
 }

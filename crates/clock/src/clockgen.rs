@@ -18,11 +18,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::codec::{ByteReader, ByteWriter, CodecError, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 use crate::domain::DomainId;
-use crate::ramp::{positive_freq, FrequencyRamp};
+use crate::ramp::FrequencyRamp;
 use crate::{MegaHertz, TimePs};
 
 /// Largest jitter sigma a clock accepts, in picoseconds: 10 ns, ten
@@ -226,39 +225,6 @@ impl JitterModel {
     pub fn jittered_period_ps(&mut self, period_ps: TimePs) -> TimePs {
         period_ps.saturating_add_signed(self.offset_ps()).max(1)
     }
-
-    /// Serializes the jitter source: sigma and the PRNG state.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_f64(self.sigma_ps);
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-    }
-
-    /// Rebuilds a jitter source from [`JitterModel::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if the stream is truncated or sigma is
-    /// negative, not finite or above 10 000 ps.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let sigma_ps = r.f64()?;
-        if !valid_jitter_sigma(sigma_ps) {
-            return Err(CodecError::BadTag {
-                what: "jitter sigma",
-                got: sigma_ps.to_bits(),
-            });
-        }
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.u64()?;
-        }
-        Ok(JitterModel {
-            sigma_ps,
-            rng: StdRng::from_state(state),
-            table: offset_table(sigma_ps),
-        })
-    }
 }
 
 /// The clock generator of one domain.
@@ -437,63 +403,6 @@ impl DomainClock {
         this_edge
     }
 
-    /// Serializes the full clock state (ramp, jitter source, edge schedule)
-    /// for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_u8(self.domain.index() as u8);
-        self.ramp.save(w);
-        self.jitter.save(w);
-        w.put_u64(self.next_edge_ps);
-        w.put_u64(self.cycles);
-        w.put_u64(self.settle_ps);
-        w.put_u64(self.settled_period_ps);
-        w.put_f64(self.settled_freq_mhz);
-    }
-
-    /// Rebuilds a clock from [`DomainClock::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if the stream is truncated, the domain
-    /// index is invalid, a component fails its own checks, the settled
-    /// period is zero or the settled frequency is not finite and positive.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let idx = r.u8()?;
-        if usize::from(idx) >= DomainId::ALL.len() {
-            return Err(CodecError::BadTag {
-                what: "domain index",
-                got: u64::from(idx),
-            });
-        }
-        let ramp = FrequencyRamp::load(r)?;
-        let jitter = JitterModel::load(r)?;
-        let next_edge_ps = r.u64()?;
-        let cycles = r.u64()?;
-        let settle_ps = r.u64()?;
-        let settled_period_ps = r.u64()?;
-        if settled_period_ps == 0 {
-            return Err(CodecError::BadTag {
-                what: "settled clock period",
-                got: 0,
-            });
-        }
-        let settled_freq_mhz = positive_freq(r.f64()?, "settled clock frequency")?;
-        let mut clock = DomainClock {
-            domain: DomainId::from_index(usize::from(idx)),
-            ramp,
-            jitter,
-            next_edge_ps,
-            cycles,
-            settle_ps,
-            settled_period_ps,
-            settled_freq_mhz,
-            edge_freq_mhz: settled_freq_mhz,
-            edge_period_ps: settled_period_ps,
-        };
-        clock.refresh_edge_memo();
-        Ok(clock)
-    }
-
     /// A serializable snapshot of the clock state.
     pub fn snapshot(&self) -> ClockSnapshot {
         ClockSnapshot {
@@ -639,51 +548,6 @@ mod tests {
         assert!((0..10_000).all(|_| j.jittered_period_ps(100) >= 1));
     }
 
-    fn saved_jitter(j: &JitterModel) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        j.save(&mut w);
-        w.into_vec()
-    }
-
-    fn loaded_jitter(bytes: &[u8]) -> JitterModel {
-        let mut r = ByteReader::new(bytes);
-        let back = JitterModel::load(&mut r).unwrap();
-        r.finish().unwrap();
-        back
-    }
-
-    #[test]
-    fn jitter_save_restore_continues_the_stream_at_every_cursor() {
-        let mut j = JitterModel::new(110.0, 99);
-        for consumed in 0..200 {
-            let mut back = loaded_jitter(&saved_jitter(&j));
-            let mut live = j.clone();
-            for edge in 0..300 {
-                let p = 400 + (edge * 97) % 3_000;
-                assert_eq!(
-                    back.jittered_period_ps(p),
-                    live.jittered_period_ps(p),
-                    "consumed {consumed}, edge {edge}"
-                );
-            }
-            j.jittered_period_ps(1_000);
-        }
-    }
-
-    #[test]
-    fn jitter_load_rejects_a_bad_sigma() {
-        let good = saved_jitter(&JitterModel::new(110.0, 1));
-        for bad in [-110.0, 10_000.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut bytes = good.clone();
-            bytes[..8].copy_from_slice(&bad.to_le_bytes());
-            assert!(
-                JitterModel::load(&mut ByteReader::new(&bytes)).is_err(),
-                "sigma {bad}"
-            );
-        }
-        assert!(JitterModel::load(&mut ByteReader::new(&good[..good.len() - 1])).is_err());
-    }
-
     #[test]
     fn jitter_is_deterministic_per_seed() {
         let mut a = JitterModel::new(110.0, 7);
@@ -777,79 +641,6 @@ mod tests {
         assert_eq!(s.cycles, 0);
         assert!((s.freq_mhz - 750.0).abs() < 1e-9);
         assert_eq!(s.next_edge_ps, clk.next_edge_ps());
-    }
-
-    #[test]
-    fn save_load_resumes_edge_stream_mid_ramp() {
-        let mut clk = DomainClock::new(DomainId::Integer, 1000.0, 49.1, 110.0, 11);
-        for _ in 0..100 {
-            clk.advance();
-        }
-        clk.set_target_freq(650.0);
-        for _ in 0..37 {
-            clk.advance();
-        }
-        let mut w = ByteWriter::new();
-        clk.save(&mut w);
-        let bytes = w.into_vec();
-        let mut r = ByteReader::new(&bytes);
-        let mut restored = DomainClock::load(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(restored.domain(), clk.domain());
-        for _ in 0..10_000 {
-            assert_eq!(restored.advance(), clk.advance());
-            assert_eq!(restored.next_edge_ps(), clk.next_edge_ps());
-            assert_eq!(restored.cycles(), clk.cycles());
-        }
-    }
-
-    #[test]
-    fn clock_load_rejects_bad_domain_index() {
-        let clk = DomainClock::new(DomainId::Integer, 1000.0, 49.1, 0.0, 1);
-        let mut w = ByteWriter::new();
-        clk.save(&mut w);
-        let mut bytes = w.into_vec();
-        bytes[0] = 9;
-        assert!(DomainClock::load(&mut ByteReader::new(&bytes)).is_err());
-    }
-
-    /// Overwrites the trailing settled-state words of a saved clock: the
-    /// settled period at `len - 16`, the settled frequency at `len - 8`.
-    fn clock_load_with(word_from_end: usize, bits: u64) -> CodecResult<DomainClock> {
-        let clk = DomainClock::new(DomainId::Integer, 1000.0, 49.1, 110.0, 1);
-        let mut w = ByteWriter::new();
-        clk.save(&mut w);
-        let mut bytes = w.into_vec();
-        let at = bytes.len() - word_from_end;
-        bytes[at..at + 8].copy_from_slice(&bits.to_le_bytes());
-        DomainClock::load(&mut ByteReader::new(&bytes))
-    }
-
-    #[test]
-    fn clock_load_rejects_a_zero_settled_period() {
-        assert!(clock_load_with(16, 1000).is_ok());
-        assert!(clock_load_with(16, 0).is_err());
-    }
-
-    #[test]
-    fn clock_load_rejects_a_bad_settled_frequency() {
-        assert!(clock_load_with(8, 1000.0f64.to_bits()).is_ok());
-        for bad in [0.0, -1000.0, f64::NAN, f64::INFINITY] {
-            assert!(clock_load_with(8, bad.to_bits()).is_err(), "freq {bad}");
-        }
-    }
-
-    #[test]
-    fn clock_load_rejects_a_bad_jitter_sigma() {
-        // Regression: a negative sigma used to restore and then panic in
-        // `f64::clamp` on the first jittered edge.
-        let clk = DomainClock::new(DomainId::Integer, 1000.0, 49.1, 110.0, 1);
-        let mut w = ByteWriter::new();
-        clk.save(&mut w);
-        let mut bytes = w.into_vec();
-        // Domain byte, then four ramp words, then the jitter sigma.
-        bytes[33..41].copy_from_slice(&(-110.0f64).to_le_bytes());
-        assert!(DomainClock::load(&mut ByteReader::new(&bytes)).is_err());
     }
 
     #[test]

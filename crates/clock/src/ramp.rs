@@ -13,7 +13,6 @@
 //! frequency at the time of the request), which is exactly what happens when
 //! the control algorithm issues a new command every 10 000 instructions.
 
-use serde::codec::{ByteReader, ByteWriter, CodecError, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 use crate::{MegaHertz, TimePs};
@@ -105,53 +104,6 @@ impl FrequencyRamp {
         let delta = (self.target_freq - self.start_freq).abs();
         self.start_ps + (delta * self.rate_ns_per_mhz * 1000.0).round() as TimePs
     }
-
-    /// Serializes the full ramp state for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_f64(self.start_freq);
-        w.put_f64(self.target_freq);
-        w.put_u64(self.start_ps);
-        w.put_f64(self.rate_ns_per_mhz);
-    }
-
-    /// Rebuilds a ramp from [`FrequencyRamp::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if the stream is truncated, a frequency is
-    /// not finite and positive, or the slew rate is not finite and
-    /// non-negative.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let start_freq = positive_freq(r.f64()?, "ramp start frequency")?;
-        let target_freq = positive_freq(r.f64()?, "ramp target frequency")?;
-        let start_ps = r.u64()?;
-        let rate_ns_per_mhz = r.f64()?;
-        if !(rate_ns_per_mhz.is_finite() && rate_ns_per_mhz >= 0.0) {
-            return Err(CodecError::BadTag {
-                what: "ramp slew rate",
-                got: rate_ns_per_mhz.to_bits(),
-            });
-        }
-        Ok(FrequencyRamp {
-            start_freq,
-            target_freq,
-            start_ps,
-            rate_ns_per_mhz,
-        })
-    }
-}
-
-/// Accepts a decoded frequency only if it is finite and strictly positive;
-/// `what` names the field in the error.
-pub(crate) fn positive_freq(freq_mhz: MegaHertz, what: &'static str) -> CodecResult<MegaHertz> {
-    if freq_mhz.is_finite() && freq_mhz > 0.0 {
-        Ok(freq_mhz)
-    } else {
-        Err(CodecError::BadTag {
-            what,
-            got: freq_mhz.to_bits(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -223,54 +175,6 @@ mod tests {
         r.set_target(600.0, 1_000_000);
         assert_eq!(r.freq_at(0), 800.0);
         assert_eq!(r.freq_at(999_999), 800.0);
-    }
-
-    fn saved(r: &FrequencyRamp) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        r.save(&mut w);
-        w.into_vec()
-    }
-
-    fn load_with(bytes: &[u8], offset: usize, value: f64) -> CodecResult<FrequencyRamp> {
-        let mut bytes = bytes.to_vec();
-        bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
-        FrequencyRamp::load(&mut ByteReader::new(&bytes))
-    }
-
-    #[test]
-    fn load_round_trips_a_mid_ramp_state() {
-        let mut r = FrequencyRamp::new(1000.0, 49.1);
-        r.set_target(600.0, 12_345);
-        let bytes = saved(&r);
-        assert_eq!(
-            FrequencyRamp::load(&mut ByteReader::new(&bytes)).unwrap(),
-            r
-        );
-    }
-
-    #[test]
-    fn load_rejects_a_bad_start_frequency() {
-        let bytes = saved(&FrequencyRamp::new(1000.0, 49.1));
-        for bad in [0.0, -250.0, f64::NAN, f64::INFINITY] {
-            assert!(load_with(&bytes, 0, bad).is_err(), "start {bad}");
-        }
-    }
-
-    #[test]
-    fn load_rejects_a_bad_target_frequency() {
-        let bytes = saved(&FrequencyRamp::new(1000.0, 49.1));
-        for bad in [0.0, -250.0, f64::NAN, f64::NEG_INFINITY] {
-            assert!(load_with(&bytes, 8, bad).is_err(), "target {bad}");
-        }
-    }
-
-    #[test]
-    fn load_rejects_a_bad_slew_rate() {
-        let bytes = saved(&FrequencyRamp::new(1000.0, 49.1));
-        for bad in [-49.1, f64::NAN, f64::INFINITY] {
-            assert!(load_with(&bytes, 24, bad).is_err(), "rate {bad}");
-        }
-        assert!(load_with(&bytes, 24, 0.0).is_ok(), "a zero rate is valid");
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! the domain, which is what makes the hardware cost of Table 3 so small.
 
 use mcd_clock::{DomainId, MegaHertz, OperatingPointTable, CONTROLLABLE_DOMAINS};
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 use crate::controller::FrequencyController;
@@ -203,30 +202,6 @@ pub enum Decision {
     ForcedFromEndstop,
 }
 
-impl Decision {
-    /// Every decision, in serialization-code order.
-    pub const ALL: [Decision; 5] = [
-        Decision::Hold,
-        Decision::AttackUp,
-        Decision::AttackDown,
-        Decision::Decay,
-        Decision::ForcedFromEndstop,
-    ];
-
-    /// A stable one-byte code for checkpoint serialization.
-    pub fn code(self) -> u8 {
-        Decision::ALL
-            .iter()
-            .position(|d| *d == self)
-            .expect("every Decision appears in ALL") as u8
-    }
-
-    /// The inverse of [`Decision::code`]; `None` for out-of-range codes.
-    pub fn from_code(code: u8) -> Option<Decision> {
-        Decision::ALL.get(usize::from(code)).copied()
-    }
-}
-
 /// The Attack/Decay on-line controller (paper Listing 1), one independent
 /// instance of the state machine per controllable domain.
 #[derive(Debug, Clone)]
@@ -397,50 +372,6 @@ impl FrequencyController for AttackDecayController {
             commands.push(FrequencyCommand::new(state.domain, new_freq));
         }
         commands
-    }
-
-    fn save_state(&self, w: &mut ByteWriter) {
-        w.put_usize(self.domains.len());
-        for d in &self.domains {
-            w.put_u8(d.domain.index() as u8);
-            w.put_f64(d.freq_mhz);
-            w.put_f64(d.prev_queue_utilization);
-            w.put_f64(d.prev_ipc);
-            w.put_u32(d.lower_endstop);
-            w.put_u32(d.upper_endstop);
-            w.put_u8(d.last_decision.code());
-        }
-    }
-
-    fn load_state(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
-        let n = r.usize()?;
-        if n != self.domains.len() {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "attack/decay domain count",
-                got: n as u64,
-            });
-        }
-        for d in &mut self.domains {
-            let idx = r.u8()?;
-            if usize::from(idx) != d.domain.index() {
-                return Err(serde::codec::CodecError::BadTag {
-                    what: "attack/decay domain index",
-                    got: u64::from(idx),
-                });
-            }
-            d.freq_mhz = r.f64()?;
-            d.prev_queue_utilization = r.f64()?;
-            d.prev_ipc = r.f64()?;
-            d.lower_endstop = r.u32()?;
-            d.upper_endstop = r.u32()?;
-            let code = r.u8()?;
-            d.last_decision =
-                Decision::from_code(code).ok_or(serde::codec::CodecError::BadTag {
-                    what: "attack/decay decision",
-                    got: u64::from(code),
-                })?;
-        }
-        Ok(())
     }
 }
 
@@ -669,47 +600,6 @@ mod tests {
         assert_eq!(v[0], 0.0);
         assert!((v[4] - 0.02).abs() < 1e-12);
         assert!(v.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn save_load_resumes_the_state_machine() {
-        let params = AttackDecayParams::paper_defaults();
-        let mut ctrl = AttackDecayController::new(params, &table());
-        // Drive the controller through a varied history: decays, attacks in
-        // both directions and an endstop build-up.
-        for i in 0..25 {
-            let util = [8.0 + (i % 5) as f64 * 3.0, (i % 7) as f64, 20.0];
-            ctrl.interval_update(&make_sample(i, util, 1.0 - 0.01 * (i % 3) as f64));
-        }
-        let mut w = serde::codec::ByteWriter::new();
-        ctrl.save_state(&mut w);
-        let bytes = w.into_vec();
-        let mut restored = AttackDecayController::new(params, &table());
-        let mut r = serde::codec::ByteReader::new(&bytes);
-        restored.load_state(&mut r).unwrap();
-        r.finish().unwrap();
-        // From here both instances must evolve identically.
-        for i in 25..60 {
-            let util = [(i % 9) as f64 * 2.0, 12.0, (i % 4) as f64 * 10.0];
-            let sample = make_sample(i, util, 0.9);
-            assert_eq!(
-                ctrl.interval_update(&sample),
-                restored.interval_update(&sample),
-                "divergence at interval {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn load_state_rejects_corrupt_domain_index() {
-        let mut ctrl = AttackDecayController::new(AttackDecayParams::paper_defaults(), &table());
-        let mut w = serde::codec::ByteWriter::new();
-        ctrl.save_state(&mut w);
-        let mut bytes = w.into_vec();
-        // First domain index lives right after the 8-byte count.
-        bytes[8] = 0xff;
-        let mut r = serde::codec::ByteReader::new(&bytes);
-        assert!(ctrl.load_state(&mut r).is_err());
     }
 
     #[test]

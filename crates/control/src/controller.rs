@@ -33,22 +33,20 @@ pub trait FrequencyController: Send {
     /// statistics).  Default: no-op.
     fn finish(&mut self) {}
 
-    /// Serializes the controller's mutable inter-interval state into `w`
-    /// for checkpointing.  Stateless controllers (the fixed baseline and
-    /// global scaling) keep the default no-op; stateful controllers
-    /// (Attack/Decay, the off-line oracle) must override this *and*
-    /// [`FrequencyController::load_state`] as an exact pair.
+    /// Always a no-op: no controller state is serialized.  The method
+    /// stays only because the out-of-workspace benchmark package
+    /// (`perfbench/`) still forwards it, and goes with the next change to
+    /// that package.
     fn save_state(&self, w: &mut ByteWriter) {
         let _ = w;
     }
 
-    /// Restores state produced by [`FrequencyController::save_state`] into
-    /// a freshly constructed controller of the same kind and parameters.
+    /// Always a no-op returning `Ok(())`; kept for `perfbench/` like
+    /// [`FrequencyController::save_state`].
     ///
     /// # Errors
     ///
-    /// Returns a decode error if the bytes do not match this controller's
-    /// layout.
+    /// Never.
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
         let _ = r;
         Ok(())

@@ -21,7 +21,6 @@
 //! with a slack cushion that shrinks as the degradation target grows.
 
 use mcd_clock::{DomainId, MegaHertz, OperatingPointTable, CONTROLLABLE_DOMAINS};
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 use crate::controller::FrequencyController;
@@ -65,36 +64,6 @@ impl OfflineProfile {
         self.intervals
             .get(interval)
             .and_then(|v| v.iter().find(|s| s.domain == domain))
-    }
-
-    /// Serializes the profile for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.intervals.len());
-        for interval in &self.intervals {
-            w.put_usize(interval.len());
-            for s in interval {
-                s.save(w);
-            }
-        }
-    }
-
-    /// Rebuilds a profile from [`OfflineProfile::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or a malformed sample.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let n = r.usize()?;
-        let mut intervals = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let k = r.usize()?;
-            let mut samples = Vec::with_capacity(k.min(DomainId::ALL.len()));
-            for _ in 0..k {
-                samples.push(DomainSample::load(r)?);
-            }
-            intervals.push(samples);
-        }
-        Ok(OfflineProfile { intervals })
     }
 }
 
@@ -314,44 +283,6 @@ impl FrequencyController for OfflineController {
             .map(|&d| FrequencyCommand::new(d, self.scheduled_freq(next, d)))
             .collect()
     }
-
-    fn save_state(&self, w: &mut ByteWriter) {
-        // The schedule is the oracle's entire behaviour; the profile it was
-        // derived from is not needed to resume a run.
-        w.put_usize(self.schedule.len());
-        for interval in &self.schedule {
-            w.put_usize(interval.len());
-            for &(domain, freq) in interval {
-                w.put_u8(domain.index() as u8);
-                w.put_f64(freq);
-            }
-        }
-    }
-
-    fn load_state(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
-        // Capacities are clamped by the bytes left (an interval encodes
-        // at least its 8-byte length, an entry 9 bytes), so a corrupt
-        // length fails on EOF instead of aborting on allocation.
-        let n = r.usize()?;
-        let mut schedule = Vec::with_capacity(n.min(r.remaining() / 8));
-        for _ in 0..n {
-            let m = r.usize()?;
-            let mut interval = Vec::with_capacity(m.min(r.remaining() / 9));
-            for _ in 0..m {
-                let idx = r.u8()?;
-                if usize::from(idx) >= DomainId::ALL.len() {
-                    return Err(serde::codec::CodecError::BadTag {
-                        what: "offline schedule domain index",
-                        got: u64::from(idx),
-                    });
-                }
-                interval.push((DomainId::from_index(usize::from(idx)), r.f64()?));
-            }
-            schedule.push(interval);
-        }
-        self.schedule = schedule;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -521,38 +452,6 @@ mod tests {
         assert_eq!(OfflineController::activity_ratio(&s), 1.0);
         let s = sample(DomainId::FloatingPoint, 10_000, 5_000, 0);
         assert_eq!(OfflineController::activity_ratio(&s), 0.0);
-    }
-
-    #[test]
-    fn save_load_reproduces_the_schedule() {
-        let table = OperatingPointTable::default();
-        let profile = profile_with(vec![
-            [(20_000, 6_000), (0, 0), (6_000, 4_000)],
-            [(20_000, 6_000), (15_000, 9_000), (6_000, 4_000)],
-            [(2_000, 1_000), (0, 0), (30_000, 9_000)],
-        ]);
-        let ctrl = OfflineController::from_profile(profile, 0.05, &table);
-        let mut w = serde::codec::ByteWriter::new();
-        ctrl.save_state(&mut w);
-        let bytes = w.into_vec();
-        // Restore into a skeleton built from an *empty* profile: the saved
-        // schedule must carry the oracle's entire behaviour.
-        let mut restored = OfflineController::from_profile(OfflineProfile::new(), 0.05, &table);
-        let mut r = serde::codec::ByteReader::new(&bytes);
-        restored.load_state(&mut r).unwrap();
-        r.finish().unwrap();
-        for interval in 0..5 {
-            for domain in CONTROLLABLE_DOMAINS {
-                assert_eq!(
-                    restored.scheduled_freq(interval, domain),
-                    ctrl.scheduled_freq(interval, domain)
-                );
-            }
-        }
-        assert_eq!(
-            restored.initial_freq_mhz(DomainId::FloatingPoint),
-            ctrl.initial_freq_mhz(DomainId::FloatingPoint)
-        );
     }
 
     #[test]

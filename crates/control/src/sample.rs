@@ -6,7 +6,6 @@
 //! interval; the only global signal is the IPC performance counter.
 
 use mcd_clock::{DomainId, MegaHertz};
-use serde::codec::{ByteReader, ByteWriter, CodecError, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 /// Number of committed instructions per control interval (paper: 10 000,
@@ -45,40 +44,6 @@ impl DomainSample {
         } else {
             self.busy_cycles as f64 / self.domain_cycles as f64
         }
-    }
-
-    /// Serializes the sample for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_u8(self.domain.index() as u8);
-        w.put_f64(self.queue_utilization);
-        w.put_u64(self.domain_cycles);
-        w.put_u64(self.busy_cycles);
-        w.put_u64(self.issued_instructions);
-        w.put_f64(self.freq_mhz);
-    }
-
-    /// Rebuilds a sample from [`DomainSample::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or an out-of-range domain
-    /// index.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let idx = r.u8()?;
-        if usize::from(idx) >= DomainId::ALL.len() {
-            return Err(CodecError::BadTag {
-                what: "domain sample index",
-                got: u64::from(idx),
-            });
-        }
-        Ok(DomainSample {
-            domain: DomainId::from_index(usize::from(idx)),
-            queue_utilization: r.f64()?,
-            domain_cycles: r.u64()?,
-            busy_cycles: r.u64()?,
-            issued_instructions: r.u64()?,
-            freq_mhz: r.f64()?,
-        })
     }
 }
 

@@ -18,9 +18,8 @@
 //! ([`KEY_VERSION`]).  A [`TraceKey`] hashes every field of the
 //! [`WorkloadSpec`] (the `mcd-audit` cache-key rule enforces that), so two
 //! specs that generate different streams can never share a trace.  The
-//! same hasher content-hashes bundles and run results
-//! ([`crate::bundle::result_digest`]), whose files record the
-//! `KEY_VERSION` they were written under.  A trace cache lives only as
+//! same hasher digests run results ([`crate::bundle::result_digest`]).
+//! Nothing hashed here is written to disk: a trace cache lives only as
 //! long as its engine/runner, so cross-process staleness cannot arise.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -29,11 +28,11 @@ use std::sync::{Arc, Mutex, Weak};
 use mcd_workloads::{SharedTrace, WorkloadSpec};
 use serde::Serialize;
 
-/// Version tag mixed into every stable hash, and recorded in every
-/// bundle.  Bump when the encoding of [`WorkloadSpec`] content changes, or
-/// when the same trace key or bundle starts to mean different simulated
-/// behaviour, so trace keys and bundles from an older scheme can never
-/// alias (a bundle of another version is rejected on replay).
+/// Version tag that seeds every stable hash: the trace keys and
+/// [`crate::bundle::result_digest`].  Bump when the encoding of
+/// [`WorkloadSpec`] content changes, or when the same trace key starts
+/// to mean different simulated behaviour, so digests from an older
+/// scheme can never be mistaken for current ones.
 ///
 /// History: v2 — each jittered clock edge draws its rounded jitter
 /// offset from the exact offset distribution with one alias-table lookup
@@ -44,11 +43,9 @@ pub const KEY_VERSION: u8 = 2;
 
 /// Traces kept strongly referenced in the most-recent ring.  The engine
 /// registers leases per scheduling wave, so the ring is what carries a
-/// trace from a plan's profiling wave into its plan wave on small plans,
-/// and what lets [`crate::snapshot::restore_with`] re-lease a recently
-/// used trace instead of materializing it again.  Bounded and small (at
-/// most two ~1 MiB traces): the ring is a bonus, registration is the
-/// mechanism.
+/// trace from a plan's profiling wave into its plan wave on small plans.
+/// Bounded and small (at most two ~1 MiB traces): the ring is a bonus,
+/// registration is the mechanism.
 const RECENT_TRACES: usize = 2;
 
 /// An incremental FNV-1a (128-bit) hasher over a canonical byte
@@ -108,13 +105,6 @@ impl StableHasher {
     pub fn write_str(&mut self, s: &str) {
         self.write_usize(s.len());
         self.write_bytes(s.as_bytes());
-    }
-
-    /// Folds in a raw byte sequence, length-prefixed.  Used to
-    /// content-hash opaque artefacts (snapshot bytes, bundle files).
-    pub fn write_raw(&mut self, bytes: &[u8]) {
-        self.write_usize(bytes.len());
-        self.write_bytes(bytes);
     }
 
     /// The accumulated 128-bit hash.

@@ -34,7 +34,9 @@
 //!    traces.  Neither changes a simulated result.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use mcd_workloads::Benchmark;
@@ -89,27 +91,39 @@ pub fn parse_jobs(source: &str, value: &str) -> Result<usize, String> {
 
 /// Resolves whether same-workload runs share one materialized
 /// instruction trace: an explicit request wins, then the
-/// `MCD_NO_TRACE_SHARE` environment variable (`1` disables, `0` leaves
-/// sharing on), then enabled.
+/// `MCD_NO_TRACE_SHARE` environment variable (see
+/// [`parse_no_trace_share`]), then enabled.
 ///
 /// # Panics
 ///
-/// Panics on any other `MCD_NO_TRACE_SHARE` value — a requested escape
+/// Panics on an unparseable `MCD_NO_TRACE_SHARE` — a requested escape
 /// hatch must not be silently ignored (matching [`worker_count`]'s
 /// strictness), or an A/B run with a typoed `MCD_NO_TRACE_SHARE=yes`
 /// would measure the shared path twice.
 pub fn trace_sharing_enabled(explicit: Option<bool>) -> bool {
     explicit
         .or_else(|| {
-            std::env::var("MCD_NO_TRACE_SHARE")
-                .ok()
-                .map(|v| match v.as_str() {
-                    "0" => true,
-                    "1" => false,
-                    _ => panic!("MCD_NO_TRACE_SHARE must be 0 or 1, got {v:?}"),
-                })
+            std::env::var("MCD_NO_TRACE_SHARE").ok().map(|value| {
+                parse_no_trace_share("MCD_NO_TRACE_SHARE", &value)
+                    .unwrap_or_else(|err| panic!("{err}"))
+            })
         })
         .unwrap_or(true)
+}
+
+/// Parses a `MCD_NO_TRACE_SHARE` value given through `source` (named in
+/// the error) and returns whether trace sharing stays enabled: `1`
+/// disables it, `0` leaves it on.
+///
+/// # Errors
+///
+/// Returns a message for any other value.
+pub fn parse_no_trace_share(source: &str, value: &str) -> Result<bool, String> {
+    match value {
+        "0" => Ok(true),
+        "1" => Ok(false),
+        _ => Err(format!("{source} must be 0 or 1, got {value:?}")),
+    }
 }
 
 /// Estimated relative host cost of simulating `bench`, used to order the
@@ -139,9 +153,9 @@ pub fn admission_priority(bench: Benchmark) -> u64 {
 /// outcomes **in job order**.  Workers claim jobs from one shared cursor,
 /// highest `priority(slot)` first (ties in job order), and each runs
 /// `run(slot)` to completion before claiming the next, so at most
-/// `workers` jobs are in flight.  Nothing ever waits on another job: a
-/// panic in any job propagates once the other workers have drained the
-/// cursor.
+/// `workers` jobs are in flight.  Nothing ever waits on another job.  Once
+/// a job panics no worker claims another one; the jobs already in flight
+/// finish, and the first panic's payload is then re-raised.
 pub(crate) fn run_to_completion<T, R, P>(workers: usize, n: usize, priority: P, run: R) -> Vec<T>
 where
     T: Send,
@@ -152,28 +166,41 @@ where
     // Stable sort: equal priorities keep job order.
     order.sort_by_key(|&slot| std::cmp::Reverse(priority(slot)));
     let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let first_panic = Mutex::new(None);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers.max(1).min(n))
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
-                    while let Some(&slot) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                        done.push((slot, run(slot)));
+                    while !failed.load(Ordering::Acquire) {
+                        let Some(&slot) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                            break;
+                        };
+                        match catch_unwind(AssertUnwindSafe(|| run(slot))) {
+                            Ok(outcome) => done.push((slot, outcome)),
+                            Err(payload) => {
+                                let mut first =
+                                    first_panic.lock().unwrap_or_else(|e| e.into_inner());
+                                first.get_or_insert(payload);
+                                failed.store(true, Ordering::Release);
+                            }
+                        }
                     }
                     done
                 })
             })
             .collect();
         for handle in handles {
-            let done = handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (slot, outcome) in done {
+            for (slot, outcome) in handle.join().expect("a worker catches its jobs' panics") {
                 slots[slot] = Some(outcome);
             }
         }
     });
+    if let Some(payload) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        std::panic::resume_unwind(payload);
+    }
     slots
         .into_iter()
         .map(|slot| slot.expect("every job ran"))
@@ -462,7 +489,6 @@ impl ExperimentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn worker_count_resolution_order() {
@@ -528,25 +554,31 @@ mod tests {
 
     #[test]
     fn a_panicking_job_fails_the_plan_without_hanging() {
+        // The failing job is claimed first; every other job takes long
+        // enough that the failure is recorded while at most the one job
+        // the second worker already claimed is in flight.
         let finished = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(|| {
             run_to_completion(
                 2,
-                6,
-                |_| 0,
+                64,
+                |i| u64::from(i == 7),
                 |i| {
-                    if i == 2 {
-                        panic!("job 2 failed");
+                    if i == 7 {
+                        panic!("job 7 failed");
                     }
+                    std::thread::sleep(std::time::Duration::from_millis(50));
                     finished.fetch_add(1, Ordering::Relaxed);
                     i
                 },
             )
         });
         let payload = result.expect_err("the job's panic must propagate");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 2 failed"));
-        // The other workers drain the plan instead of waiting on job 2.
-        assert_eq!(finished.load(Ordering::Relaxed), 5);
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 7 failed"));
+        // Only jobs already in flight finish; nobody claims the rest of
+        // the plan after the failure.
+        let finished = finished.load(Ordering::Relaxed);
+        assert!(finished <= 2, "{finished} jobs ran after the failure");
     }
 
     #[test]

@@ -15,15 +15,10 @@
 //!   (fully synchronous, baseline MCD, Attack/Decay, off-line Dynamic-N%,
 //!   global voltage scaling), including the two-pass profiling required by
 //!   the off-line oracle.
-//! * [`mod@snapshot`] — the versioned binary snapshot codec: serialize a
-//!   paused [`runner::PausableRun`] (machine + stream cursor + controller
-//!   state) and restore it bit-identically, in this process or another.
 //! * [`cache`] — the engine-owned shared-trace cache and the stable
-//!   content hash behind its keys and the bundles.
-//! * [`bundle`] — verifiable run bundles: a manifest-hashed directory of
-//!   run identity, snapshot chain and result digest, with
-//!   [`bundle::replay_verify`] restoring every snapshot
-//!   and re-running its tail to the recorded digest.
+//!   content hash behind its keys.
+//! * [`bundle`] — [`bundle::result_digest`], a stable digest of a run's
+//!   simulated outcome.
 //! * [`metrics`] — the paper's metrics: performance degradation, energy
 //!   savings, energy-delay-product improvement and the power-savings to
 //!   performance-degradation ratio, plus suite averaging.
@@ -52,15 +47,12 @@ pub mod metrics;
 pub mod presets;
 pub mod report;
 pub mod runner;
-pub mod snapshot;
 
-pub use bundle::{replay_verify, write_bundle, BundleError, BundleReport, BundleSpec};
 pub use cache::{TraceCache, TraceCacheStats, TraceKey};
 pub use engine::{
-    admission_priority, jobs_from_env, parse_jobs, trace_sharing_enabled, worker_count,
-    EngineStats, ExperimentEngine, JobSpec, RunPlan,
+    admission_priority, jobs_from_env, parse_jobs, parse_no_trace_share, trace_sharing_enabled,
+    worker_count, EngineStats, ExperimentEngine, JobSpec, RunPlan,
 };
 pub use experiments::ExperimentSettings;
 pub use metrics::{suite_average, Comparison, RunMetrics};
-pub use runner::{BenchmarkRunner, ConfigKind, PausableRun, RunOutcome, RunStream};
-pub use snapshot::{restore, restore_with, snapshot, SnapshotHeader, SNAPSHOT_VERSION};
+pub use runner::{BenchmarkRunner, ConfigKind, RunOutcome};

@@ -14,7 +14,7 @@ use mcd_control::{
     GlobalScalingController, OfflineController, OfflineProfile,
 };
 use mcd_isa::{DynInst, InstructionStream};
-use mcd_sim::{McdProcessor, SimConfig, SimResult, StepOutcome};
+use mcd_sim::{McdProcessor, SimConfig, SimResult};
 use mcd_workloads::{Benchmark, TraceCursor, WorkloadGenerator};
 use serde::{Deserialize, Serialize};
 
@@ -64,8 +64,7 @@ impl ConfigKind {
 /// construction ([`mcd_workloads::SharedTrace`] records a generator run
 /// to completion), so which variant a run uses never affects its
 /// [`SimResult`].
-#[derive(Debug, Clone)]
-pub enum RunStream {
+enum RunStream {
     /// Generate the stream on the fly (trace sharing disabled).
     Live(WorkloadGenerator),
     /// Replay a shared trace (the plan's same-workload runs hold cursors
@@ -94,74 +93,6 @@ impl InstructionStream for RunStream {
             // frontend re-derives dependences from the rename map.
             RunStream::Live(_) => None,
             RunStream::Trace(c) => c.annotations(),
-        }
-    }
-}
-
-/// A simulation run that can execute in bounded slices.
-///
-/// Produced by [`BenchmarkRunner::begin`]; the owner repeatedly calls
-/// [`PausableRun::step`] until it yields the outcome.  All of the run's
-/// state — the processor (with its controller, clocks, event queues and
-/// telemetry) *and* the instruction stream — is owned here, so the value
-/// can move freely between worker threads across pauses.  The sequence of
-/// slice boundaries does not affect the result: stepping in slices of any
-/// size yields a [`SimResult`] bit-identical to one unbounded run.
-pub struct PausableRun {
-    pub(crate) benchmark: Benchmark,
-    pub(crate) config: ConfigKind,
-    pub(crate) cpu: McdProcessor,
-    pub(crate) stream: RunStream,
-    /// Bytes of the shared trace backing `stream` (0 for live
-    /// generation); stamped into the outcome's host stats at finish.
-    pub(crate) trace_bytes: u64,
-}
-
-impl std::fmt::Debug for PausableRun {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PausableRun")
-            .field("benchmark", &self.benchmark)
-            .field("config", &self.config)
-            .finish_non_exhaustive()
-    }
-}
-
-impl PausableRun {
-    /// The benchmark this run executes.
-    pub fn benchmark(&self) -> Benchmark {
-        self.benchmark
-    }
-
-    /// The configuration this run executes under.
-    pub fn config(&self) -> &ConfigKind {
-        &self.config
-    }
-
-    /// Committed instructions so far.
-    pub fn committed_instructions(&self) -> u64 {
-        self.cpu.committed_instructions()
-    }
-
-    /// Whether the run has finished (a finished run must not be stepped
-    /// or snapshotted).
-    pub fn is_done(&self) -> bool {
-        self.cpu.is_done()
-    }
-
-    /// Runs at most `max_cycles` kernel steps.  Returns `None` when the
-    /// run paused (call again to continue) and the outcome when it
-    /// finished.  A finished run must not be stepped again.
-    pub fn step(&mut self, max_cycles: u64) -> Option<RunOutcome> {
-        match self.cpu.run_for(&mut self.stream, max_cycles) {
-            StepOutcome::Paused => None,
-            StepOutcome::Finished(mut result) => {
-                result.host.trace_bytes = self.trace_bytes;
-                Some(RunOutcome {
-                    benchmark: self.benchmark,
-                    config: self.config.clone(),
-                    result,
-                })
-            }
         }
     }
 }
@@ -315,14 +246,16 @@ impl BenchmarkRunner {
         result.result.profile
     }
 
-    /// Builds (but does not start) the simulation of `bench` under `kind`:
-    /// the processor with its controller, warmed caches and the workload
-    /// stream, packaged as a [`PausableRun`].
+    /// Runs `bench` under `kind` to completion and returns the outcome.
+    /// Takes `&self`: runs are pure functions of the runner's settings, so
+    /// it is safe to call from many threads at once.
     ///
     /// For [`ConfigKind::OfflineDynamic`] this gathers the profiling pass
-    /// first (through the shared cache) — the experiment engine schedules
-    /// those as explicit prerequisites so `begin` finds the cache warm.
-    pub fn begin(&self, bench: Benchmark, kind: &ConfigKind) -> PausableRun {
+    /// first (through the shared cache); the experiment engine schedules
+    /// those as explicit prerequisites so the cache is already warm.
+    /// Baseline-MCD runs cache their activity profile for the off-line
+    /// oracle.
+    pub fn run(&self, bench: Benchmark, kind: &ConfigKind) -> RunOutcome {
         let spec = bench.spec();
         let (stream, warm_regions, trace_bytes) = match &self.traces {
             Some(cache) => {
@@ -338,41 +271,22 @@ impl BenchmarkRunner {
             ),
         };
         let controller = self.controller(bench, kind);
-        let config = self.sim_config(kind);
-        let mut cpu = McdProcessor::new(config, controller);
+        let mut cpu = McdProcessor::new(self.sim_config(kind), controller);
         cpu.warm_caches(&warm_regions);
-        PausableRun {
-            benchmark: bench,
-            config: kind.clone(),
-            cpu,
-            stream,
-            trace_bytes,
-        }
-    }
-
-    /// Records a finished outcome: baseline-MCD runs cache their activity
-    /// profile for the off-line oracle.  Called by `run`; a caller that
-    /// steps a [`PausableRun`] itself calls it when the run completes.
-    pub fn note_outcome(&self, outcome: &RunOutcome) {
-        if matches!(outcome.config, ConfigKind::BaselineMcd) {
+        let mut result = cpu.run(stream);
+        result.host.trace_bytes = trace_bytes;
+        if matches!(kind, ConfigKind::BaselineMcd) {
             self.profiles
                 .lock()
                 .expect("profile cache poisoned")
-                .entry(outcome.benchmark)
-                .or_insert_with(|| outcome.result.profile.clone());
+                .entry(bench)
+                .or_insert_with(|| result.profile.clone());
         }
-    }
-
-    /// Runs `bench` under `kind` to completion and returns the outcome.
-    /// Takes `&self`: runs are pure functions of the runner's settings, so
-    /// it is safe to call from many threads at once.
-    pub fn run(&self, bench: Benchmark, kind: &ConfigKind) -> RunOutcome {
-        let mut run = self.begin(bench, kind);
-        let outcome = run
-            .step(u64::MAX)
-            .expect("an unbounded slice runs to completion");
-        self.note_outcome(&outcome);
-        outcome
+        RunOutcome {
+            benchmark: bench,
+            config: kind.clone(),
+            result,
+        }
     }
 }
 
@@ -414,33 +328,6 @@ mod tests {
             },
         );
         assert_eq!(offline.result.committed_instructions, 25_000);
-    }
-
-    #[test]
-    fn pausable_run_is_bit_identical_to_the_one_shot_run() {
-        let runner = BenchmarkRunner::new(10_000, 7);
-        let whole = runner.run(Benchmark::Gzip, &ConfigKind::BaselineMcd);
-        let mut sliced = runner.begin(Benchmark::Gzip, &ConfigKind::BaselineMcd);
-        assert_eq!(sliced.benchmark(), Benchmark::Gzip);
-        assert_eq!(sliced.config(), &ConfigKind::BaselineMcd);
-        let mut pauses = 0;
-        let outcome = loop {
-            match sliced.step(3_000) {
-                None => pauses += 1,
-                Some(o) => break o,
-            }
-        };
-        assert!(pauses > 0, "a 3k-step slice must pause a 10k-inst run");
-        assert_eq!(outcome.result, whole.result);
-        // note_outcome caches baseline profiles exactly like run() does.
-        let fresh = BenchmarkRunner::new(10_000, 7);
-        assert!(!fresh.has_profile(Benchmark::Gzip));
-        fresh.note_outcome(&outcome);
-        assert!(fresh.has_profile(Benchmark::Gzip));
-        assert_eq!(
-            fresh.profile_for(Benchmark::Gzip).len(),
-            whole.result.profile.len()
-        );
     }
 
     #[test]

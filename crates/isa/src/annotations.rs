@@ -42,8 +42,7 @@ pub const ANN_HAS_DST: u8 = 1 << 5;
 ///
 /// Rows are indexed by the instruction's program-order sequence number,
 /// which for a materialized trace equals its trace index (the builder
-/// asserts this), so annotation lookups survive cursor seeks and
-/// checkpoint restores without translation.
+/// asserts this), so a cursor looks annotations up without translation.
 #[derive(Debug, Clone, Default)]
 pub struct TraceAnnotations {
     /// CSR row offsets: instruction `i`'s dependence edges are

@@ -28,28 +28,6 @@ impl MemInfo {
         MemInfo { addr, size }
     }
 
-    /// Decodes an access serialized as its address (`u64`) then size
-    /// (`u8`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation, or when the access would
-    /// wrap the address space (its last byte is computed by
-    /// [`MemInfo::filter_mask64`]).
-    pub fn load(r: &mut serde::codec::ByteReader<'_>) -> serde::codec::Result<Self> {
-        let mem = MemInfo {
-            addr: r.u64()?,
-            size: r.u8()?,
-        };
-        if mem.addr.checked_add(u64::from(mem.size.max(1))).is_none() {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "memory access address",
-                got: mem.addr,
-            });
-        }
-        Ok(mem)
-    }
-
     /// The cache-line address for a given line size (power of two).
     pub fn line_addr(&self, line_bytes: u64) -> u64 {
         debug_assert!(line_bytes.is_power_of_two());
@@ -274,77 +252,6 @@ impl DynInst {
         }
     }
 
-    /// Serializes the instruction record for checkpointing.
-    pub fn encode(&self, w: &mut serde::codec::ByteWriter) {
-        w.put_u64(self.seq);
-        w.put_u64(self.pc);
-        w.put_u8(self.op.code());
-        w.put_bool(self.dst.is_some());
-        if let Some(dst) = self.dst {
-            dst.save(w);
-        }
-        for src in self.srcs {
-            w.put_bool(src.is_some());
-            if let Some(s) = src {
-                s.save(w);
-            }
-        }
-        w.put_bool(self.mem.is_some());
-        if let Some(mem) = self.mem {
-            w.put_u64(mem.addr);
-            w.put_u8(mem.size);
-        }
-        w.put_bool(self.branch.is_some());
-        if let Some(branch) = self.branch {
-            w.put_bool(branch.taken);
-            w.put_u64(branch.target);
-        }
-    }
-
-    /// Rebuilds an instruction record from [`DynInst::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or invalid tags.
-    pub fn decode(r: &mut serde::codec::ByteReader<'_>) -> serde::codec::Result<Self> {
-        let seq = r.u64()?;
-        let pc = r.u64()?;
-        let code = r.u8()?;
-        let op = OpClass::from_code(code).ok_or(serde::codec::CodecError::BadTag {
-            what: "op class",
-            got: u64::from(code),
-        })?;
-        let dst = if r.bool()? { Some(Reg::load(r)?) } else { None };
-        let mut srcs = [None; 3];
-        for slot in &mut srcs {
-            if r.bool()? {
-                *slot = Some(Reg::load(r)?);
-            }
-        }
-        let mem = if r.bool()? {
-            Some(MemInfo::load(r)?)
-        } else {
-            None
-        };
-        let branch = if r.bool()? {
-            Some(BranchInfo {
-                taken: r.bool()?,
-                target: r.u64()?,
-            })
-        } else {
-            None
-        };
-        Ok(DynInst {
-            seq,
-            pc,
-            op,
-            dst,
-            srcs,
-            mem,
-            branch,
-        })
-    }
-
     /// Checks internal consistency of the record: memory annotation iff
     /// memory op, branch annotation iff branch op, loads have destinations,
     /// stores do not.
@@ -433,35 +340,6 @@ mod tests {
         b.validate().unwrap();
         let f = DynInst::fp_add(4, 0x1010, Reg::fp(2), &[Reg::fp(0), Reg::fp(1)]);
         f.validate().unwrap();
-    }
-
-    #[test]
-    fn save_load_round_trips_every_shape() {
-        let insts = [
-            DynInst::alu(0, 0x1000, Reg::int(1), &[Reg::int(2), Reg::int(3)]),
-            DynInst::load(1, 0x1004, Reg::int(4), &[Reg::int(1)], MemInfo::new(64, 8)),
-            DynInst::store(2, 0x1008, &[Reg::int(4), Reg::int(1)], MemInfo::new(64, 8)),
-            DynInst::branch(3, 0x100c, &[Reg::int(4)], true, 0x1000),
-            DynInst::fp_add(4, 0x1010, Reg::fp(2), &[Reg::fp(0), Reg::fp(1)]),
-            DynInst::new(5, 0x1014, OpClass::Nop),
-        ];
-        for inst in insts {
-            let mut w = serde::codec::ByteWriter::new();
-            inst.encode(&mut w);
-            let bytes = w.into_vec();
-            let mut r = serde::codec::ByteReader::new(&bytes);
-            let back = DynInst::decode(&mut r).unwrap();
-            r.finish().unwrap();
-            assert_eq!(back, inst);
-        }
-    }
-
-    #[test]
-    fn op_class_codes_round_trip() {
-        for op in OpClass::ALL {
-            assert_eq!(OpClass::from_code(op.code()), Some(op));
-        }
-        assert_eq!(OpClass::from_code(14), None);
     }
 
     #[test]

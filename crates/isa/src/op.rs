@@ -92,20 +92,6 @@ impl OpClass {
         OpClass::Nop,
     ];
 
-    /// A stable one-byte code for checkpoint serialization: the index of
-    /// this class in [`OpClass::ALL`].
-    pub fn code(self) -> u8 {
-        OpClass::ALL
-            .iter()
-            .position(|o| *o == self)
-            .expect("every OpClass appears in ALL") as u8
-    }
-
-    /// The inverse of [`OpClass::code`]; `None` for out-of-range codes.
-    pub fn from_code(code: u8) -> Option<OpClass> {
-        OpClass::ALL.get(usize::from(code)).copied()
-    }
-
     /// The execution-resource class of this operation.
     pub fn exec_class(self) -> ExecClass {
         match self {

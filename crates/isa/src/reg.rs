@@ -106,42 +106,6 @@ impl Reg {
 
     /// Total number of dense indices ([`Reg::dense_index`] range).
     pub const DENSE_COUNT: usize = NUM_ARCH_INT_REGS as usize + NUM_ARCH_FP_REGS as usize;
-
-    /// Serializes the register reference (one byte class tag, one byte
-    /// index) for checkpointing.
-    pub fn save(&self, w: &mut serde::codec::ByteWriter) {
-        w.put_u8(match self.class {
-            RegClass::Int => 0,
-            RegClass::Fp => 1,
-        });
-        w.put_u8(self.index);
-    }
-
-    /// Rebuilds a register reference from [`Reg::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on an invalid class tag or index.
-    pub fn load(r: &mut serde::codec::ByteReader<'_>) -> serde::codec::Result<Self> {
-        let class = match r.u8()? {
-            0 => RegClass::Int,
-            1 => RegClass::Fp,
-            other => {
-                return Err(serde::codec::CodecError::BadTag {
-                    what: "register class",
-                    got: u64::from(other),
-                })
-            }
-        };
-        let index = r.u8()?;
-        if index >= class.arch_count() {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "register index",
-                got: u64::from(index),
-            });
-        }
-        Ok(Reg { class, index })
-    }
 }
 
 impl std::fmt::Display for Reg {

@@ -10,7 +10,6 @@
 //! * branch mispredict penalty: 7 cycles (charged by the front end).
 
 use mcd_isa::OpClass;
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the combining predictor (defaults reproduce Table 4).
@@ -136,114 +135,6 @@ impl BranchPredictor {
     /// Accuracy statistics accumulated so far.
     pub fn stats(&self) -> BranchStats {
         self.stats
-    }
-
-    /// Serializes the full predictor state (tables, BTB, RAS, statistics)
-    /// for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.config.l1_entries);
-        w.put_u32(self.config.history_bits);
-        w.put_usize(self.config.l2_entries);
-        w.put_usize(self.config.bimodal_entries);
-        w.put_usize(self.config.chooser_entries);
-        w.put_usize(self.config.btb_sets);
-        w.put_usize(self.config.btb_ways);
-        w.put_usize(self.config.ras_depth);
-        for &c in &self.bimodal {
-            w.put_u8(c);
-        }
-        for &h in &self.l1_history {
-            w.put_u16(h);
-        }
-        for &c in &self.l2_pht {
-            w.put_u8(c);
-        }
-        for &c in &self.chooser {
-            w.put_u8(c);
-        }
-        for e in &self.btb {
-            w.put_bool(e.valid);
-            w.put_u64(e.tag);
-            w.put_u64(e.target);
-            w.put_u8(e.lru);
-        }
-        w.put_usize(self.ras.len());
-        for &addr in &self.ras {
-            w.put_u64(addr);
-        }
-        w.put_u64(self.stats.direction_predictions);
-        w.put_u64(self.stats.direction_mispredictions);
-        w.put_u64(self.stats.target_misses);
-    }
-
-    /// Rebuilds a predictor from [`BranchPredictor::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or an over-depth RAS.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let config = BranchPredictorConfig {
-            l1_entries: r.usize()?,
-            history_bits: r.u32()?,
-            l2_entries: r.usize()?,
-            bimodal_entries: r.usize()?,
-            chooser_entries: r.usize()?,
-            btb_sets: r.usize()?,
-            btb_ways: r.usize()?,
-            ras_depth: r.usize()?,
-        };
-        // Every table entry is serialized below (1 byte per counter, 2
-        // per history, 18 per BTB entry), so a table the remaining bytes
-        // cannot hold is corrupt; reject it before allocating.
-        let room = r.remaining();
-        let fits = [
-            (Some(config.bimodal_entries), 1),
-            (Some(config.l1_entries), 2),
-            (Some(config.l2_entries), 1),
-            (Some(config.chooser_entries), 1),
-            (config.btb_sets.checked_mul(config.btb_ways), 18),
-        ]
-        .iter()
-        .all(|&(entries, bytes)| entries.is_some_and(|n| (1..=room / bytes).contains(&n)));
-        if !fits || config.ras_depth > u16::MAX as usize {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "branch predictor geometry",
-                got: room as u64,
-            });
-        }
-        let mut p = BranchPredictor::new(config);
-        for c in &mut p.bimodal {
-            *c = r.u8()?;
-        }
-        for h in &mut p.l1_history {
-            *h = r.u16()?;
-        }
-        for c in &mut p.l2_pht {
-            *c = r.u8()?;
-        }
-        for c in &mut p.chooser {
-            *c = r.u8()?;
-        }
-        for e in &mut p.btb {
-            e.valid = r.bool()?;
-            e.tag = r.u64()?;
-            e.target = r.u64()?;
-            e.lru = r.u8()?;
-        }
-        let ras_len = r.usize()?;
-        if ras_len > p.config.ras_depth {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "ras length",
-                got: ras_len as u64,
-            });
-        }
-        for _ in 0..ras_len {
-            p.ras.push(r.u64()?);
-        }
-        p.stats.direction_predictions = r.u64()?;
-        p.stats.direction_mispredictions = r.u64()?;
-        p.stats.target_misses = r.u64()?;
-        Ok(p)
     }
 
     fn bimodal_index(&self, pc: u64) -> usize {

@@ -5,7 +5,6 @@
 //! with a 12-cycle latency.  The cache model here is a timing/occupancy
 //! model only — no data values are stored.
 
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 /// Geometry and latency of one cache level.
@@ -250,66 +249,6 @@ impl Cache {
         for l in &mut self.lines {
             *l = Line::default();
         }
-    }
-
-    /// Serializes the cache's geometry, line state and statistics for
-    /// checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_u64(self.config.size_bytes);
-        w.put_usize(self.config.ways);
-        w.put_u64(self.config.line_bytes);
-        w.put_u32(self.config.latency_cycles);
-        for l in &self.lines {
-            w.put_bool(l.valid);
-            w.put_bool(l.dirty);
-            w.put_u64(l.tag);
-            w.put_u32(l.lru);
-        }
-        w.put_u64(self.stats.reads);
-        w.put_u64(self.stats.writes);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.writebacks);
-    }
-
-    /// Rebuilds a cache from [`Cache::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or an invalid geometry.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let config = CacheConfig {
-            size_bytes: r.u64()?,
-            ways: r.usize()?,
-            line_bytes: r.u64()?,
-            latency_cycles: r.u32()?,
-        };
-        // Each line is serialized below in 14 bytes, so a geometry with
-        // more lines than the remaining bytes can hold is corrupt; the
-        // checked product keeps `validate` clear of overflow.
-        let plausible = config
-            .line_bytes
-            .checked_mul(config.ways as u64)
-            .is_some_and(|way_bytes| way_bytes > 0)
-            && config.validate().is_ok()
-            && config.size_bytes / config.line_bytes <= (r.remaining() / 14) as u64;
-        if !plausible {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "cache geometry",
-                got: config.size_bytes,
-            });
-        }
-        let mut c = Cache::new(config);
-        for l in &mut c.lines {
-            l.valid = r.bool()?;
-            l.dirty = r.bool()?;
-            l.tag = r.u64()?;
-            l.lru = r.u32()?;
-        }
-        c.stats.reads = r.u64()?;
-        c.stats.writes = r.u64()?;
-        c.stats.misses = r.u64()?;
-        c.stats.writebacks = r.u64()?;
-        Ok(c)
     }
 }
 

@@ -13,7 +13,6 @@
 //! operation latency.
 
 use mcd_isa::ExecClass;
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 /// The kind of functional unit (a pool may contain several of each).
@@ -32,28 +31,6 @@ pub enum FuKind {
 }
 
 impl FuKind {
-    /// Every functional-unit kind, in serialization-code order.
-    pub const ALL: [FuKind; 5] = [
-        FuKind::IntAlu,
-        FuKind::IntMultDiv,
-        FuKind::FpAlu,
-        FuKind::FpMultDiv,
-        FuKind::MemPort,
-    ];
-
-    /// A stable one-byte code for checkpoint serialization.
-    pub fn code(self) -> u8 {
-        FuKind::ALL
-            .iter()
-            .position(|k| *k == self)
-            .expect("every FuKind appears in ALL") as u8
-    }
-
-    /// The inverse of [`FuKind::code`]; `None` for out-of-range codes.
-    pub fn from_code(code: u8) -> Option<FuKind> {
-        FuKind::ALL.get(usize::from(code)).copied()
-    }
-
     /// The functional-unit kind needed by an execution class, if any.
     pub fn for_exec_class(class: ExecClass) -> Option<FuKind> {
         match class {
@@ -171,64 +148,6 @@ impl FuPool {
             .find(|(k, _)| *k == kind)
             .map(|(_, n)| *n)
             .unwrap_or(0)
-    }
-
-    /// Serializes the pool configuration, per-unit busy times and issue
-    /// counters for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.config.units.len());
-        for &(kind, count) in &self.config.units {
-            w.put_u8(kind.code());
-            w.put_usize(count);
-        }
-        for (_, units) in &self.busy_until {
-            for &t in units {
-                w.put_u64(t);
-            }
-        }
-        for &(_, n) in &self.issue_counts {
-            w.put_u64(n);
-        }
-    }
-
-    /// Rebuilds a pool from [`FuPool::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or invalid unit-kind codes.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let n_kinds = r.usize()?;
-        // A unit-table row encodes 9 bytes (kind tag + count).
-        let mut units = Vec::with_capacity(n_kinds.min(r.remaining() / 9));
-        let mut total_units = 0usize;
-        for _ in 0..n_kinds {
-            let code = r.u8()?;
-            let kind = FuKind::from_code(code).ok_or(serde::codec::CodecError::BadTag {
-                what: "functional-unit kind",
-                got: u64::from(code),
-            })?;
-            let count = r.usize()?;
-            total_units = total_units.saturating_add(count);
-            units.push((kind, count));
-        }
-        // Each unit's busy time follows as 8 bytes; reject counts the
-        // remaining bytes cannot hold before allocating for them.
-        if total_units > r.remaining() / 8 {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "functional-unit count",
-                got: total_units as u64,
-            });
-        }
-        let mut pool = FuPool::new(FuPoolConfig { units });
-        for (_, slots) in &mut pool.busy_until {
-            for t in slots {
-                *t = r.u64()?;
-            }
-        }
-        for (_, n) in &mut pool.issue_counts {
-            *n = r.u64()?;
-        }
-        Ok(pool)
     }
 }
 

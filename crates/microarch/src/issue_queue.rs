@@ -20,7 +20,6 @@
 //! that machinery redundant.)
 
 use mcd_isa::SeqNum;
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 
 /// A bounded issue queue holding dispatched-but-not-yet-issued instructions.
 #[derive(Debug, Clone)]
@@ -135,48 +134,6 @@ impl IssueQueue {
     /// The raw accumulator value (for tests and the hardware-cost analysis).
     pub fn occupancy_accumulator(&self) -> u64 {
         self.occupancy_accumulator
-    }
-
-    /// Serializes the queue contents and occupancy counters for
-    /// checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.capacity);
-        w.put_usize(self.entries.len());
-        for &seq in &self.entries {
-            w.put_u64(seq);
-        }
-        w.put_u64(self.occupancy_accumulator);
-        w.put_u64(self.accumulated_cycles);
-    }
-
-    /// Rebuilds a queue from [`IssueQueue::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or an over-capacity entry
-    /// count.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let capacity = r.usize()?;
-        if capacity == 0 || capacity > u16::MAX as usize {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "issue queue capacity",
-                got: capacity as u64,
-            });
-        }
-        let len = r.usize()?;
-        if len > capacity {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "issue queue length",
-                got: len as u64,
-            });
-        }
-        let mut q = IssueQueue::new(capacity);
-        for _ in 0..len {
-            q.entries.push(r.u64()?);
-        }
-        q.occupancy_accumulator = r.u64()?;
-        q.accumulated_cycles = r.u64()?;
-        Ok(q)
     }
 }
 

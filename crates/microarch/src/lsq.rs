@@ -42,7 +42,6 @@
 //! producer probing remains on the per-cycle path.
 
 use mcd_isa::{MemInfo, SeqNum};
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 /// Number of buckets in the store address-match filter.  Must equal the
@@ -81,8 +80,7 @@ pub struct LsqEntry {
     /// Whether the operation has completed execution.
     pub completed: bool,
     /// The access's address-filter bucket mask
-    /// ([`MemInfo::filter_mask64`]).  Derived from `mem`, so it is not
-    /// serialized — [`LoadStoreQueue::load`] recomputes it.
+    /// ([`MemInfo::filter_mask64`]), derived from `mem`.
     pub mask: u64,
 }
 
@@ -153,16 +151,14 @@ pub struct LoadStoreQueue {
     /// Bit `b` set iff `store_filter[b] > 0`.  Lets the filter answer
     /// *may some store overlap this mask?* with a single AND against a
     /// precomputed access mask ([`MemInfo::filter_mask64`]) instead of a
-    /// bucket-range walk.  Derived from `store_filter`, so it is not
-    /// serialized — [`LoadStoreQueue::load`] recomputes it.
+    /// bucket-range walk.  Derived from `store_filter`.
     occupied_bits: u64,
     /// Set when the last [`LoadStoreQueue::issue_candidates_into`] scan,
     /// with monotone visibility, found no candidate; cleared by the only
     /// events that can create one — the visible prefix growing and an
     /// operand-ready flag latching.  While set (and visibility stays
     /// monotone) the next scan is skipped: every prefix entry is still
-    /// unready or already issued.  Derived, so [`LoadStoreQueue::load`]
-    /// resets it.
+    /// unready or already issued.
     no_candidates: bool,
     /// Largest `now_ps` ever passed to a visibility query (debug-only
     /// monotonicity guard).
@@ -465,102 +461,6 @@ impl LoadStoreQueue {
         // bounds re-derived exactly by the next executed pass, so no O(n)
         // minimum recomputation here.
         true
-    }
-
-    /// Serializes the queue contents and every derived summary structure
-    /// for checkpointing.  The debug-only visibility watermark is *not*
-    /// serialized: a restored queue restarts it at zero, which only relaxes
-    /// the monotonicity assertion.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.capacity);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.seq);
-            w.put_bool(e.is_store);
-            w.put_u64(e.mem.addr);
-            w.put_u8(e.mem.size);
-            w.put_u64(e.visible_at_ps);
-            w.put_u64(e.ready_at_ps);
-            w.put_bool(e.operands_ready);
-            w.put_bool(e.issued);
-            w.put_bool(e.completed);
-        }
-        w.put_usize(self.visible_len);
-        w.put_u64(self.earliest_pending_ps);
-        w.put_u64(self.min_unflagged_ready_ps);
-        w.put_usize(self.unready_stores);
-        w.put_u64(self.min_unready_store_seq);
-        for &bucket in &self.store_filter {
-            w.put_u16(bucket);
-        }
-        w.put_u64(self.occupancy_accumulator);
-        w.put_u64(self.accumulated_cycles);
-    }
-
-    /// Rebuilds a queue from [`LoadStoreQueue::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or inconsistent lengths.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let capacity = r.usize()?;
-        if capacity == 0 || capacity > u16::MAX as usize {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "lsq capacity",
-                got: capacity as u64,
-            });
-        }
-        let len = r.usize()?;
-        if len > capacity {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "lsq length",
-                got: len as u64,
-            });
-        }
-        let mut q = LoadStoreQueue::new(capacity);
-        for _ in 0..len {
-            let seq = r.u64()?;
-            let is_store = r.bool()?;
-            let mem = MemInfo::load(r)?;
-            q.entries.push(LsqEntry {
-                seq,
-                is_store,
-                mem,
-                visible_at_ps: r.u64()?,
-                ready_at_ps: r.u64()?,
-                operands_ready: r.bool()?,
-                issued: r.bool()?,
-                completed: r.bool()?,
-                // Derived from the access, not serialized.
-                mask: mem.filter_mask64(),
-            });
-        }
-        q.visible_len = r.usize()?;
-        if q.visible_len > q.entries.len() {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "lsq visible prefix",
-                got: q.visible_len as u64,
-            });
-        }
-        q.earliest_pending_ps = r.u64()?;
-        q.min_unflagged_ready_ps = r.u64()?;
-        q.unready_stores = r.usize()?;
-        q.min_unready_store_seq = r.u64()?;
-        for bucket in &mut q.store_filter {
-            *bucket = r.u16()?;
-        }
-        // Derived scan memo: the first scan after a restore runs in full.
-        q.no_candidates = false;
-        // Derived occupancy bitmap, not serialized.
-        q.occupied_bits = q
-            .store_filter
-            .iter()
-            .enumerate()
-            .filter(|(_, &count)| count > 0)
-            .fold(0u64, |bits, (b, _)| bits | (1u64 << b));
-        q.occupancy_accumulator = r.u64()?;
-        q.accumulated_cycles = r.u64()?;
-        Ok(q)
     }
 
     fn recompute_earliest_pending(&mut self) {

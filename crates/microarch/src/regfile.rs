@@ -10,7 +10,6 @@
 //! architectural register, which is all the timing model needs.
 
 use mcd_isa::{Reg, RegClass, SeqNum};
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 /// Counting allocator for physical rename registers.
@@ -81,36 +80,6 @@ impl RenameAllocator {
             *free -= 1;
             true
         }
-    }
-
-    /// Serializes the allocator counters for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.int_free);
-        w.put_usize(self.fp_free);
-        w.put_usize(self.int_total);
-        w.put_usize(self.fp_total);
-    }
-
-    /// Rebuilds an allocator from [`RenameAllocator::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or free counts exceeding
-    /// totals.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let a = RenameAllocator {
-            int_free: r.usize()?,
-            fp_free: r.usize()?,
-            int_total: r.usize()?,
-            fp_total: r.usize()?,
-        };
-        if a.int_free > a.int_total || a.fp_free > a.fp_total {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "rename free count",
-                got: a.int_free.max(a.fp_free) as u64,
-            });
-        }
-        Ok(a)
     }
 
     /// Releases one rename register (at retire time).
@@ -198,31 +167,6 @@ impl RenameMap {
     /// producer.
     pub fn pending_count(&self) -> usize {
         self.last_writer.iter().filter(|w| w.is_some()).count()
-    }
-
-    /// Serializes the producer map for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        for entry in &self.last_writer {
-            w.put_bool(entry.is_some());
-            if let Some(seq) = entry {
-                w.put_u64(*seq);
-            }
-        }
-    }
-
-    /// Rebuilds a producer map from [`RenameMap::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let mut m = RenameMap::new();
-        for entry in &mut m.last_writer {
-            if r.bool()? {
-                *entry = Some(r.u64()?);
-            }
-        }
-        Ok(m)
     }
 }
 

@@ -8,7 +8,6 @@
 //! visible to the front-end domain.
 
 use mcd_isa::{OpClass, SeqNum};
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -175,64 +174,6 @@ impl ReorderBuffer {
     /// Iterator over the in-flight instructions in program order.
     pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
         self.entries.iter()
-    }
-
-    /// Serializes the ROB contents and statistics for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.capacity);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.seq);
-            w.put_u8(e.op.code());
-            w.put_bool(e.completed);
-            w.put_u64(e.completion_visible_ps);
-            w.put_bool(e.mispredicted);
-        }
-        w.put_usize(self.peak);
-    }
-
-    /// Rebuilds a ROB from [`ReorderBuffer::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or invalid op codes.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let capacity = r.usize()?;
-        if capacity == 0 || capacity > u16::MAX as usize {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "rob capacity",
-                got: capacity as u64,
-            });
-        }
-        let len = r.usize()?;
-        if len > capacity {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "rob length",
-                got: len as u64,
-            });
-        }
-        let mut entries = VecDeque::with_capacity(capacity);
-        for _ in 0..len {
-            let seq = r.u64()?;
-            let code = r.u8()?;
-            let op = OpClass::from_code(code).ok_or(serde::codec::CodecError::BadTag {
-                what: "op class",
-                got: u64::from(code),
-            })?;
-            entries.push_back(RobEntry {
-                seq,
-                op,
-                completed: r.bool()?,
-                completion_visible_ps: r.u64()?,
-                mispredicted: r.bool()?,
-            });
-        }
-        let peak = r.usize()?;
-        Ok(ReorderBuffer {
-            capacity,
-            entries,
-            peak,
-        })
     }
 }
 

@@ -8,7 +8,6 @@
 //! breakdowns for the reports.
 
 use mcd_clock::DomainId;
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 use crate::model::EnergyParams;
@@ -183,47 +182,6 @@ impl EnergyAccount {
     /// Number of accesses recorded for a structure.
     pub fn access_count(&self, structure: Structure) -> u64 {
         self.accesses[structure.index()]
-    }
-
-    /// Serializes the accumulated energy state for checkpointing.  The
-    /// model parameters and the derived `access_energy` / `clock_energy`
-    /// tables are *not* serialized — they are rebuilt from the run
-    /// configuration's [`EnergyParams`] at restore time.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.by_structure.len());
-        for &e in &self.by_structure {
-            w.put_f64(e);
-        }
-        w.put_f64(self.idle);
-        for &n in &self.accesses {
-            w.put_u64(n);
-        }
-    }
-
-    /// Rebuilds an account from [`EnergyAccount::save`] output and the run
-    /// configuration's energy parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or a structure-count mismatch
-    /// (a snapshot from an incompatible structure set).
-    pub fn load(r: &mut ByteReader<'_>, params: EnergyParams) -> CodecResult<Self> {
-        let n = r.usize()?;
-        if n != Structure::ALL.len() {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "energy structure count",
-                got: n as u64,
-            });
-        }
-        let mut account = EnergyAccount::new(params);
-        for slot in &mut account.by_structure {
-            *slot = r.f64()?;
-        }
-        account.idle = r.f64()?;
-        for slot in &mut account.accesses {
-            *slot = r.u64()?;
-        }
-        Ok(account)
     }
 
     /// Produces the final breakdown.

@@ -99,7 +99,6 @@
 
 use mcd_clock::{DomainId, TimePs};
 use mcd_isa::SeqNum;
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 
 use crate::telemetry::EventTrafficStats;
 
@@ -139,42 +138,6 @@ pub struct TimelineEvent {
     pub seq: SeqNum,
     /// Completion or wakeup.
     pub kind: EventKind,
-}
-
-impl TimelineEvent {
-    /// Size of one [`TimelineEvent::save`] record: time, seq, kind tag.
-    const ENCODED_BYTES: usize = 8 + 8 + 1;
-
-    /// Serializes the event for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_u64(self.time);
-        w.put_u64(self.seq);
-        w.put_u8(match self.kind {
-            EventKind::Completion => 0,
-            EventKind::Wakeup => 1,
-        });
-    }
-
-    /// Rebuilds an event from [`TimelineEvent::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or an unknown kind tag.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let time = r.u64()?;
-        let seq = r.u64()?;
-        let kind = match r.u8()? {
-            0 => EventKind::Completion,
-            1 => EventKind::Wakeup,
-            got => {
-                return Err(serde::codec::CodecError::BadTag {
-                    what: "timeline event kind",
-                    got: u64::from(got),
-                })
-            }
-        };
-        Ok(TimelineEvent { time, seq, kind })
-    }
 }
 
 /// The seq-sorted ready list of one domain: issueable-but-not-yet-issued
@@ -336,95 +299,6 @@ impl Timeline {
             self.occupied[pos / 64] |= 1 << (pos % 64);
             false
         }
-    }
-
-    /// Serializes one domain's calendar (ring, overflow, ready list and
-    /// cursors) for checkpointing.  The debug-only shadow heap is rebuilt
-    /// from the serialized events at load time; the reusable merge buffer
-    /// restores empty.
-    fn save(&self, w: &mut ByteWriter) {
-        w.put_u64(self.granule_ps);
-        w.put_u64(self.cursor);
-        w.put_u64(self.last_drained_ps);
-        for &word in &self.occupied {
-            w.put_u64(word);
-        }
-        for bucket in &self.buckets {
-            w.put_usize(bucket.len());
-            for ev in bucket {
-                ev.save(w);
-            }
-        }
-        w.put_usize(self.overflow.len());
-        for ev in &self.overflow {
-            ev.save(w);
-        }
-        w.put_usize(self.lane.len());
-        for ev in &self.lane {
-            ev.save(w);
-        }
-        w.put_usize(self.ready.seqs.len());
-        for &seq in &self.ready.seqs {
-            w.put_u64(seq);
-        }
-    }
-
-    /// Rebuilds one domain's calendar from [`Timeline::save`] output.
-    fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let granule_ps = r.u64()?;
-        if granule_ps == 0 {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "timeline granule",
-                got: 0,
-            });
-        }
-        let mut tl = Timeline::new(granule_ps);
-        tl.cursor = r.u64()?;
-        tl.last_drained_ps = r.u64()?;
-        for word in &mut tl.occupied {
-            *word = r.u64()?;
-        }
-        for bucket in &mut tl.buckets {
-            let n = r.usize()?;
-            bucket.reserve(n.min(r.remaining() / TimelineEvent::ENCODED_BYTES));
-            for _ in 0..n {
-                bucket.push(TimelineEvent::load(r)?);
-            }
-        }
-        let n = r.usize()?;
-        tl.overflow
-            .reserve(n.min(r.remaining() / TimelineEvent::ENCODED_BYTES));
-        for _ in 0..n {
-            tl.overflow.push(TimelineEvent::load(r)?);
-        }
-        let n = r.usize()?;
-        tl.lane
-            .reserve(n.min(r.remaining() / TimelineEvent::ENCODED_BYTES));
-        for _ in 0..n {
-            tl.lane.push_back(TimelineEvent::load(r)?);
-        }
-        let n = r.usize()?;
-        tl.ready.seqs.reserve(n.min(r.remaining() / 8));
-        for _ in 0..n {
-            tl.ready.seqs.push(r.u64()?);
-        }
-        // The reference heap mirrors the pending-event set; reconstruct it
-        // from the restored ring and overflow list.
-        #[cfg(debug_assertions)]
-        {
-            for bucket in &tl.buckets {
-                for &ev in bucket {
-                    tl.shadow.push(std::cmp::Reverse(ev));
-                }
-            }
-            for &ev in &tl.overflow {
-                tl.shadow.push(std::cmp::Reverse(ev));
-            }
-            for &ev in &tl.lane {
-                tl.shadow.push(std::cmp::Reverse(ev));
-            }
-        }
-        Ok(tl)
     }
 }
 
@@ -714,61 +588,6 @@ impl DomainTimeline {
     pub fn stats(&self) -> EventTrafficStats {
         self.stats
     }
-
-    /// Serializes every domain's calendar and the traffic counters for
-    /// checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        for &t in &self.next_due_ps {
-            w.put_u64(t);
-        }
-        w.put_usize(self.domains.len());
-        for tl in &self.domains {
-            tl.save(w);
-        }
-        w.put_u64(self.stats.pushes);
-        w.put_u64(self.stats.pops);
-        w.put_u64(self.stats.overflow_spills);
-        w.put_u64(self.stats.bucket_scans);
-        w.put_u64(self.stats.drains);
-        w.put_u64(self.stats.lane_pushes);
-    }
-
-    /// Rebuilds the timelines from [`DomainTimeline::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation, invalid tags or a domain-count
-    /// mismatch.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let mut next_due_ps = [TimePs::MAX; 5];
-        for t in &mut next_due_ps {
-            *t = r.u64()?;
-        }
-        let n = r.usize()?;
-        if n != DomainId::ALL.len() {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "timeline domain count",
-                got: n as u64,
-            });
-        }
-        let mut domains = Vec::with_capacity(n);
-        for _ in 0..n {
-            domains.push(Timeline::load(r)?);
-        }
-        let stats = EventTrafficStats {
-            pushes: r.u64()?,
-            pops: r.u64()?,
-            overflow_spills: r.u64()?,
-            bucket_scans: r.u64()?,
-            drains: r.u64()?,
-            lane_pushes: r.u64()?,
-        };
-        Ok(DomainTimeline {
-            next_due_ps,
-            domains,
-            stats,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -952,67 +771,6 @@ mod tests {
         assert_eq!(due.len(), 1);
         assert_eq!((due[0].seq, due[0].kind), (6, EventKind::Wakeup));
         assert!(drain(&mut t, d, 2_000).is_empty());
-    }
-
-    #[test]
-    fn save_load_preserves_pending_events_and_drain_order() {
-        let mut t = DomainTimeline::new(G);
-        let d = DomainId::Integer;
-        assert!(drain(&mut t, d, 1_500).is_empty());
-        t.push_completion(d, 2_000, 4);
-        t.push_wakeup(d, 2_000, 6);
-        t.push_completion(d, 3_000, 2);
-        t.push_wakeup(d, 1_000 * BUCKETS as u64 + 9_000, 1); // far future, in-order: lane
-        t.extend_ready(d, &mut vec![3, 8]);
-        t.push_completion(DomainId::LoadStore, 7_000, 9);
-
-        let mut w = serde::codec::ByteWriter::new();
-        t.save(&mut w);
-        let bytes = w.into_vec();
-        let mut r = serde::codec::ByteReader::new(&bytes);
-        let mut restored = DomainTimeline::load(&mut r).unwrap();
-        r.finish().unwrap();
-
-        assert_eq!(restored.ready(d), t.ready(d));
-        assert_eq!(restored.stats(), t.stats());
-        for now in [2_000, 5_000, 1_000 * BUCKETS as u64 + 10_000] {
-            assert_eq!(
-                drain(&mut restored, d, now),
-                drain(&mut t, d, now),
-                "drain divergence at {now}"
-            );
-            assert_eq!(
-                drain(&mut restored, DomainId::LoadStore, now),
-                drain(&mut t, DomainId::LoadStore, now)
-            );
-        }
-        assert_eq!(restored.stats(), t.stats());
-    }
-
-    #[test]
-    fn timeline_load_rejects_bad_event_kind() {
-        let mut t = DomainTimeline::new(G);
-        t.push_completion(DomainId::Integer, 500, 1);
-        let mut w = serde::codec::ByteWriter::new();
-        t.save(&mut w);
-        let mut bytes = w.into_vec();
-        // The single serialized event's kind byte is the last byte of its
-        // 17-byte record; corrupt every 0x00 kind byte candidate by
-        // scanning for the event payload (time=500, seq=1).
-        let needle = {
-            let mut n = Vec::new();
-            n.extend_from_slice(&500u64.to_le_bytes());
-            n.extend_from_slice(&1u64.to_le_bytes());
-            n.push(0);
-            n
-        };
-        let pos = bytes
-            .windows(needle.len())
-            .position(|win| win == needle)
-            .expect("serialized event not found");
-        bytes[pos + needle.len() - 1] = 7;
-        let mut r = serde::codec::ByteReader::new(&bytes);
-        assert!(DomainTimeline::load(&mut r).is_err());
     }
 
     #[test]

@@ -147,8 +147,7 @@ impl McdProcessor {
             // liveness; this reproduces the rename map's answer exactly
             // (see `mcd_isa::annotations` for the argument), which the
             // debug build asserts.  The rename map itself is still
-            // maintained either way — it is serialized machine state and
-            // the live-generator path depends on it.
+            // maintained either way: the live-generator path depends on it.
             let mut producers = Producers::default();
             match stream.annotations() {
                 Some(ann) => {

@@ -67,7 +67,6 @@
 use mcd_clock::{DomainId, TimePs};
 use mcd_isa::{DynInst, ExecClass, OpClass, SeqNum};
 use mcd_microarch::Prediction;
-use serde::codec::{ByteReader, ByteWriter, CodecError, Result as CodecResult};
 
 /// The execution domain in which an operation class executes (memory
 /// operations live in the load/store domain; everything else, including
@@ -486,147 +485,6 @@ impl InFlightTable {
             prediction: cold.prediction,
             mispredicted: cold.mispredicted,
         })
-    }
-
-    /// Serializes the slab — hot slots, cold payloads, consumer lists and
-    /// the live count — for checkpointing.  Empty slots write a single
-    /// presence byte.
-    pub(crate) fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.hot.len());
-        w.put_usize(self.live);
-        for slot in 0..self.hot.len() {
-            let hot = &self.hot[slot];
-            let occupied = hot.seq != EMPTY;
-            w.put_bool(occupied);
-            if !occupied {
-                continue;
-            }
-            w.put_u64(hot.seq);
-            w.put_u8(hot.op.code());
-            w.put_bool(hot.completed);
-            w.put_bool(hot.issued);
-            w.put_u8(hot.pending);
-            w.put_u8(hot.producers.len);
-            for p in hot.producers.iter() {
-                w.put_u64(p);
-            }
-            for &t in &hot.visible_at {
-                w.put_u64(t);
-            }
-            w.put_u64(hot.ready_base);
-            for &t in &hot.src_ready {
-                w.put_u64(t);
-            }
-            let cold = self.cold[slot].as_ref().expect("hot and cold in sync");
-            cold.inst.encode(w);
-            w.put_bool(cold.prediction.is_some());
-            if let Some(p) = cold.prediction {
-                w.put_bool(p.taken);
-                w.put_bool(p.target.is_some());
-                if let Some(t) = p.target {
-                    w.put_u64(t);
-                }
-            }
-            w.put_bool(cold.mispredicted);
-            w.put_usize(self.consumers[slot].len());
-            for &c in &self.consumers[slot] {
-                w.put_u64(c);
-            }
-        }
-    }
-
-    /// Rebuilds a slab from [`InFlightTable::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation, invalid op codes or a live
-    /// count that disagrees with the occupied slots.
-    pub(crate) fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let capacity = r.usize()?;
-        // Every slot encodes at least its occupancy byte.
-        if capacity == 0 || capacity > r.remaining() {
-            return Err(CodecError::BadTag {
-                what: "in-flight capacity",
-                got: capacity as u64,
-            });
-        }
-        let live = r.usize()?;
-        let mut t = InFlightTable::new(capacity);
-        let mut occupied_count = 0usize;
-        for slot in 0..capacity {
-            if !r.bool()? {
-                continue;
-            }
-            occupied_count += 1;
-            let seq = r.u64()?;
-            let code = r.u8()?;
-            let op = OpClass::from_code(code).ok_or(CodecError::BadTag {
-                what: "in-flight op class",
-                got: u64::from(code),
-            })?;
-            let completed = r.bool()?;
-            let issued = r.bool()?;
-            let pending = r.u8()?;
-            let n_prods = r.u8()?;
-            if usize::from(n_prods) > MAX_SOURCES {
-                return Err(CodecError::BadTag {
-                    what: "in-flight producer count",
-                    got: u64::from(n_prods),
-                });
-            }
-            let mut producers = Producers::default();
-            for _ in 0..n_prods {
-                producers.push(r.u64()?);
-            }
-            let mut visible_at = [0 as TimePs; 5];
-            for t in &mut visible_at {
-                *t = r.u64()?;
-            }
-            let ready_base = r.u64()?;
-            let mut src_ready = [0 as TimePs; MAX_SOURCES];
-            for t in &mut src_ready {
-                *t = r.u64()?;
-            }
-            let inst = DynInst::decode(r)?;
-            let prediction = if r.bool()? {
-                let taken = r.bool()?;
-                let target = if r.bool()? { Some(r.u64()?) } else { None };
-                Some(Prediction { taken, target })
-            } else {
-                None
-            };
-            let mispredicted = r.bool()?;
-            let n_consumers = r.usize()?;
-            let mut consumers = Vec::with_capacity(n_consumers.min(r.remaining() / 8));
-            for _ in 0..n_consumers {
-                consumers.push(r.u64()?);
-            }
-            t.hot[slot] = HotSlot {
-                seq,
-                op,
-                completed,
-                issued,
-                pending,
-                producers,
-                visible_at,
-                ready_base,
-                src_ready,
-            };
-            t.cold[slot] = Some(ColdInfo {
-                inst,
-                prediction,
-                mispredicted,
-            });
-            t.consumers[slot] = consumers;
-        }
-        if occupied_count != live {
-            return Err(CodecError::BadTag {
-                what: "in-flight live count",
-                got: live as u64,
-            });
-        }
-        t.live = live;
-        Ok(t)
     }
 
     /// Whether the producer `seq` has a result visible in `domain` at

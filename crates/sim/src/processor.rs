@@ -37,8 +37,6 @@ use mcd_microarch::{
 };
 use mcd_power::{EnergyAccount, Structure};
 
-use serde::codec::{ByteReader, ByteWriter, CodecError, Result as CodecResult};
-
 use crate::config::{ClockingMode, SimConfig};
 use crate::events::{DomainTimeline, TimelineEvent};
 use crate::inflight::{InFlightTable, Woken};
@@ -206,15 +204,14 @@ pub struct McdProcessor {
     // Statistics.
     pub(crate) committed: u64,
     /// Instructions dispatched through a precomputed trace-annotation
-    /// sidecar (host telemetry only — not serialized: the counters
-    /// describe *how* this process dispatched, not simulated state, and a
-    /// restored run may legitimately continue on a different stream kind).
+    /// sidecar (host telemetry only: the counters describe *how* this
+    /// process dispatched, not simulated state).
     pub(crate) ann_fed: u64,
     /// Instructions dispatched via live rename-map re-derivation (host
-    /// telemetry only — not serialized, see `ann_fed`).
+    /// telemetry only, see `ann_fed`).
     pub(crate) ann_recomputed: u64,
     /// Per on-chip domain: edges whose handler only did bookkeeping (host
-    /// telemetry only — not serialized, see `ann_fed`).
+    /// telemetry only, see `ann_fed`).
     pub(crate) idle_steps: [u64; 4],
     pub(crate) mispredict_redirects: u64,
     pub(crate) memory_accesses: u64,
@@ -231,9 +228,9 @@ pub struct McdProcessor {
     pub(crate) run_state: RunState,
 }
 
-// A paused run (`mcd-core`'s `PausableRun`) may resume on another thread
-// than the one that paused it; everything inside (including the boxed
-// controller, whose trait requires `Send`) must be owned state.
+// A paused run may resume on another thread than the one that paused
+// it; everything inside (including the boxed controller, whose trait
+// requires `Send`) must be owned state.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<McdProcessor>();
@@ -700,247 +697,6 @@ impl McdProcessor {
         }
     }
 
-    // ----------------------------------------------------------------
-    // Checkpointing.
-    // ----------------------------------------------------------------
-
-    /// Serializes every piece of loop-carried simulation state — the same
-    /// state inventory that makes [`McdProcessor::run_for`] slice-invisible
-    /// — so a paused run can be dropped and later restored bit-identically.
-    ///
-    /// The configuration and the controller's *identity* are deliberately
-    /// not included: the snapshot container (`mcd-core`) records those in
-    /// its header and hands [`McdProcessor::load`] a freshly built
-    /// config/controller pair.  Only the controller's mutable state rides
-    /// along here, via [`FrequencyController::save_state`].
-    pub fn save(&self, w: &mut ByteWriter) {
-        // Clocking.
-        w.put_u8(self.clocks.len() as u8);
-        for c in &self.clocks {
-            c.save(w);
-        }
-
-        // Front end.
-        self.predictor.save(w);
-        self.l1i.save(w);
-        self.rename_alloc.save(w);
-        self.rename_map.save(w);
-        self.rob.save(w);
-        w.put_usize(self.fetch_buffer.len());
-        for inst in &self.fetch_buffer {
-            inst.encode(w);
-        }
-        w.put_u64(self.fetch_stalled_until);
-        w.put_bool(self.fetch_blocked_by.is_some());
-        if let Some(seq) = self.fetch_blocked_by {
-            w.put_u64(seq);
-        }
-        w.put_bool(self.stream_done);
-
-        // Execution domains.
-        self.int_iq.save(w);
-        self.fp_iq.save(w);
-        self.lsq.save(w);
-        self.int_fus.save(w);
-        self.fp_fus.save(w);
-        self.mem_fus.save(w);
-        self.l1d.save(w);
-        self.l2.save(w);
-        self.timeline.save(w);
-
-        // In-flight instructions and fetch-time predictions.
-        self.inflight.save(w);
-        w.put_usize(self.pending_predictions.len());
-        for &(seq, p) in &self.pending_predictions {
-            w.put_u64(seq);
-            w.put_bool(p.taken);
-            w.put_bool(p.target.is_some());
-            if let Some(t) = p.target {
-                w.put_u64(t);
-            }
-        }
-
-        // Energy.
-        self.energy.save(w);
-
-        // Statistics.
-        w.put_u64(self.committed);
-        w.put_u64(self.mispredict_redirects);
-        w.put_u64(self.memory_accesses);
-        w.put_u64(self.interval_index);
-        w.put_u64(self.frontend_cycles_at_interval_start);
-        for c in &self.domain_counters {
-            w.put_u64(c.cycles);
-            w.put_u64(c.busy_cycles);
-            w.put_u64(c.issued);
-            w.put_u64(c.cycles_at_interval_start);
-        }
-        for fa in &self.freq_acc {
-            w.put_f64(fa.weighted_sum);
-            w.put_u64(fa.cycles);
-        }
-        w.put_bool(self.first_commit_ps.is_some());
-        if let Some(t) = self.first_commit_ps {
-            w.put_u64(t);
-        }
-        w.put_u64(self.last_commit_ps);
-        w.put_usize(self.intervals.len());
-        for rec in &self.intervals {
-            rec.save(w);
-        }
-        self.profile.save(w);
-
-        // Main-loop state.
-        w.put_bool(self.run_state.start_ps.is_some());
-        if let Some(t) = self.run_state.start_ps {
-            w.put_u64(t);
-        }
-        w.put_u64(self.run_state.last_commit_check.0);
-        w.put_u64(self.run_state.last_commit_check.1);
-        // `wall_seconds` is host telemetry (excluded from result equality)
-        // and would make snapshot bytes nondeterministic; it restarts from
-        // zero after a restore.
-        w.put_bool(self.run_state.done);
-
-        // Controller-mutable state (layout owned by the controller).
-        self.controller.save_state(w);
-    }
-
-    /// Rebuilds a processor from [`McdProcessor::save`] output.
-    ///
-    /// `config` must equal the saved processor's configuration and
-    /// `controller` must be a freshly built controller of the same kind and
-    /// parameters; the snapshot container is responsible for both (it
-    /// stores their identity in its header).  The controller's mutable
-    /// state is then restored via [`FrequencyController::load_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or any malformed component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`SimConfig::validate`].
-    pub fn load(
-        r: &mut ByteReader<'_>,
-        config: SimConfig,
-        controller: Box<dyn FrequencyController>,
-    ) -> CodecResult<Self> {
-        let energy_params = config.energy.clone();
-        let mut cpu = McdProcessor::new(config, controller);
-
-        // Clocking.
-        let n_clocks = r.u8()?;
-        if usize::from(n_clocks) != DomainId::ALL.len() {
-            return Err(CodecError::BadTag {
-                what: "processor clock count",
-                got: u64::from(n_clocks),
-            });
-        }
-        for (i, slot) in cpu.clocks.iter_mut().enumerate() {
-            let clock = DomainClock::load(r)?;
-            if clock.domain().index() != i {
-                return Err(CodecError::BadTag {
-                    what: "processor clock order",
-                    got: clock.domain().index() as u64,
-                });
-            }
-            *slot = clock;
-        }
-
-        // Front end.
-        cpu.predictor = BranchPredictor::load(r)?;
-        cpu.l1i = Cache::load(r)?;
-        cpu.rename_alloc = RenameAllocator::load(r)?;
-        cpu.rename_map = RenameMap::load(r)?;
-        cpu.rob = ReorderBuffer::load(r)?;
-        let n_fetch = r.usize()?;
-        cpu.fetch_buffer.clear();
-        for _ in 0..n_fetch {
-            cpu.fetch_buffer.push_back(DynInst::decode(r)?);
-        }
-        cpu.fetch_stalled_until = r.u64()?;
-        cpu.fetch_blocked_by = if r.bool()? { Some(r.u64()?) } else { None };
-        cpu.stream_done = r.bool()?;
-
-        // Execution domains.
-        cpu.int_iq = IssueQueue::load(r)?;
-        cpu.fp_iq = IssueQueue::load(r)?;
-        cpu.lsq = LoadStoreQueue::load(r)?;
-        cpu.int_fus = FuPool::load(r)?;
-        cpu.fp_fus = FuPool::load(r)?;
-        cpu.mem_fus = FuPool::load(r)?;
-        cpu.l1d = Cache::load(r)?;
-        cpu.l2 = Cache::load(r)?;
-        cpu.timeline = DomainTimeline::load(r)?;
-
-        // In-flight instructions and fetch-time predictions.
-        cpu.inflight = InFlightTable::load(r)?;
-        let n_preds = r.usize()?;
-        cpu.pending_predictions.clear();
-        for _ in 0..n_preds {
-            let seq = r.u64()?;
-            let taken = r.bool()?;
-            let target = if r.bool()? { Some(r.u64()?) } else { None };
-            cpu.pending_predictions
-                .push_back((seq, Prediction { taken, target }));
-        }
-
-        // Energy.
-        cpu.energy = EnergyAccount::load(r, energy_params)?;
-
-        // Statistics.
-        cpu.committed = r.u64()?;
-        cpu.mispredict_redirects = r.u64()?;
-        cpu.memory_accesses = r.u64()?;
-        cpu.interval_index = r.u64()?;
-        cpu.frontend_cycles_at_interval_start = r.u64()?;
-        for c in &mut cpu.domain_counters {
-            c.cycles = r.u64()?;
-            c.busy_cycles = r.u64()?;
-            c.issued = r.u64()?;
-            c.cycles_at_interval_start = r.u64()?;
-        }
-        for fa in &mut cpu.freq_acc {
-            fa.weighted_sum = r.f64()?;
-            fa.cycles = r.u64()?;
-        }
-        cpu.first_commit_ps = if r.bool()? { Some(r.u64()?) } else { None };
-        cpu.last_commit_ps = r.u64()?;
-        let n_intervals = r.usize()?;
-        cpu.intervals.clear();
-        for _ in 0..n_intervals {
-            cpu.intervals.push(IntervalRecord::load(r)?);
-        }
-        cpu.profile = OfflineProfile::load(r)?;
-
-        // Main-loop state.
-        cpu.run_state.start_ps = if r.bool()? { Some(r.u64()?) } else { None };
-        cpu.run_state.last_commit_check = (r.u64()?, r.u64()?);
-        cpu.run_state.wall_seconds = 0.0;
-        cpu.run_state.done = r.bool()?;
-
-        // Controller-mutable state.
-        cpu.controller.load_state(r)?;
-
-        // Derived from the restored clocks.
-        cpu.charges = cpu.edge_charges();
-
-        Ok(cpu)
-    }
-
-    /// Committed-instruction count so far (used by the snapshot container
-    /// for bundle naming).
-    pub fn committed_instructions(&self) -> u64 {
-        self.committed
-    }
-
-    /// Whether the run has finished (a finished processor must not be
-    /// stepped or snapshotted-for-resume).
-    pub fn is_done(&self) -> bool {
-        self.run_state.done
-    }
-
     fn finish(&mut self) -> SimResult {
         self.controller.finish();
         let start_ps = self.run_state.start_ps.unwrap_or(0);
@@ -1360,18 +1116,16 @@ mod tests {
         assert_eq!(r.committed_instructions, insts);
     }
 
-    /// Runs `bench` to `pause_at` kernel steps, saves the processor, drops
-    /// it, restores it into a fresh controller, and finishes the run; the
-    /// result must be bit-identical to an uninterrupted run.  Exercises the
-    /// complete state inventory: clocks mid-ramp, in-flight slab, LSQ,
-    /// timelines, telemetry and the controller's state machine.
-    fn save_restore_round_trip(
+    /// Runs `bench` to `pause_at` kernel steps, pauses, and finishes the
+    /// run in one more slice; the result must be bit-identical to an
+    /// uninterrupted run.  Exercises the state a pause carries: clocks
+    /// mid-ramp, in-flight slab, LSQ, timelines, telemetry and the
+    /// controller's state machine.
+    fn pause_resume_round_trip(
         cfg: SimConfig,
         make_controller: impl Fn() -> Box<dyn FrequencyController>,
         pause_at: u64,
     ) {
-        use serde::codec::{ByteReader, ByteWriter};
-
         let insts = cfg.max_instructions;
         let spec = Benchmark::Gzip.spec();
         let stream = WorkloadGenerator::new(&spec, 42, insts);
@@ -1379,43 +1133,19 @@ mod tests {
         let unsliced = reference.run(stream);
 
         let mut stream = WorkloadGenerator::new(&spec, 42, insts);
-        let mut cpu = McdProcessor::new(cfg.clone(), make_controller());
+        let mut cpu = McdProcessor::new(cfg, make_controller());
         assert!(matches!(
             cpu.run_for(&mut stream, pause_at),
             StepOutcome::Paused
         ));
-        let mut w = ByteWriter::new();
-        cpu.save(&mut w);
-        stream.save(&mut w);
-        let bytes = w.into_vec();
-        drop(cpu);
-        drop(stream);
-
-        let mut r = ByteReader::new(&bytes);
-        let mut cpu = McdProcessor::load(&mut r, cfg, make_controller()).expect("restore");
-        let mut stream = WorkloadGenerator::load(&mut r, &spec, 42, insts).expect("stream restore");
-        r.finish().expect("no trailing bytes");
-        let restored = loop {
-            if let StepOutcome::Finished(res) = cpu.run_for(&mut stream, u64::MAX) {
-                break res;
-            }
+        let StepOutcome::Finished(resumed) = cpu.run_for(&mut stream, u64::MAX) else {
+            panic!("an unbounded slice runs to completion");
         };
-        assert_eq!(restored, unsliced, "restore at step {pause_at} diverged");
+        assert_eq!(resumed, unsliced, "a pause at step {pause_at} diverged");
     }
 
     #[test]
-    fn save_restore_is_bit_identical_with_fixed_controller() {
-        for pause_at in [1, 500, 9_999] {
-            save_restore_round_trip(
-                SimConfig::baseline_mcd(6_000),
-                || Box::new(FixedController::at_max()),
-                pause_at,
-            );
-        }
-    }
-
-    #[test]
-    fn save_restore_is_bit_identical_mid_ramp_with_attack_decay() {
+    fn pause_is_bit_identical_mid_ramp_with_attack_decay() {
         // 35k instructions crosses several control intervals, so pausing at
         // an odd step count lands mid-ramp with the controller's
         // state machine warm and traces partially recorded.
@@ -1423,7 +1153,7 @@ mod tests {
         cfg.record_traces = true;
         let table = OperatingPointTable::from_params(&cfg.clock);
         for pause_at in [7_321, 60_001] {
-            save_restore_round_trip(
+            pause_resume_round_trip(
                 cfg.clone(),
                 || {
                     Box::new(AttackDecayController::new(
@@ -1434,21 +1164,6 @@ mod tests {
                 pause_at,
             );
         }
-    }
-
-    #[test]
-    fn load_rejects_a_truncated_snapshot() {
-        use serde::codec::{ByteReader, ByteWriter};
-
-        let cfg = SimConfig::baseline_mcd(2_000);
-        let mut stream = WorkloadGenerator::new(&Benchmark::Gzip.spec(), 42, 2_000);
-        let mut cpu = McdProcessor::new(cfg.clone(), Box::new(FixedController::at_max()));
-        let _ = cpu.run_for(&mut stream, 300);
-        let mut w = ByteWriter::new();
-        cpu.save(&mut w);
-        let bytes = w.into_vec();
-        let mut r = ByteReader::new(&bytes[..bytes.len() / 2]);
-        assert!(McdProcessor::load(&mut r, cfg, Box::new(FixedController::at_max())).is_err());
     }
 
     #[test]

@@ -4,7 +4,6 @@ use mcd_clock::{DomainId, MegaHertz, TimePs};
 use mcd_control::OfflineProfile;
 use mcd_microarch::{BranchStats, CacheStats};
 use mcd_power::EnergyBreakdown;
-use serde::codec::{ByteReader, ByteWriter, CodecError, Result as CodecResult};
 use serde::{Deserialize, Serialize};
 
 pub use mcd_microarch::bpred::BranchStats as BranchStatistics;
@@ -35,73 +34,12 @@ pub struct IntervalRecord {
     pub domains: Vec<DomainTrace>,
 }
 
-impl DomainTrace {
-    /// Serializes the trace for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_u8(self.domain.index() as u8);
-        w.put_f64(self.queue_utilization);
-        w.put_f64(self.freq_mhz);
-    }
-
-    /// Rebuilds a trace from [`DomainTrace::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or an out-of-range domain
-    /// index.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let idx = r.u8()?;
-        if usize::from(idx) >= DomainId::ALL.len() {
-            return Err(CodecError::BadTag {
-                what: "domain trace index",
-                got: u64::from(idx),
-            });
-        }
-        Ok(DomainTrace {
-            domain: DomainId::from_index(usize::from(idx)),
-            queue_utilization: r.f64()?,
-            freq_mhz: r.f64()?,
-        })
-    }
-}
+impl DomainTrace {}
 
 impl IntervalRecord {
     /// The trace of one domain, if present.
     pub fn domain(&self, d: DomainId) -> Option<&DomainTrace> {
         self.domains.iter().find(|t| t.domain == d)
-    }
-
-    /// Serializes the record for checkpointing.
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_u64(self.interval);
-        w.put_u64(self.committed);
-        w.put_f64(self.ipc);
-        w.put_usize(self.domains.len());
-        for d in &self.domains {
-            d.save(w);
-        }
-    }
-
-    /// Rebuilds a record from [`IntervalRecord::save`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or a malformed domain trace.
-    pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let interval = r.u64()?;
-        let committed = r.u64()?;
-        let ipc = r.f64()?;
-        let n = r.usize()?;
-        let mut domains = Vec::with_capacity(n.min(DomainId::ALL.len()));
-        for _ in 0..n {
-            domains.push(DomainTrace::load(r)?);
-        }
-        Ok(IntervalRecord {
-            interval,
-            committed,
-            ipc,
-            domains,
-        })
     }
 }
 
@@ -185,7 +123,6 @@ pub struct HostStats {
     /// Per on-chip domain, the steps whose handler only did bookkeeping:
     /// front end — nothing retired, fetched or dispatched; integer,
     /// floating point and load/store — no event due and nothing issued.
-    /// Counted by this process only (a restored run restarts it).
     pub idle_steps: [u64; 4],
 }
 

@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::codec::{ByteReader, ByteWriter, Result as CodecResult};
 
 use mcd_isa::{BranchInfo, DynInst, InstructionStream, MemInfo, OpClass, Reg, SeqNum};
 
@@ -271,84 +270,6 @@ impl WorkloadGenerator {
             .with_branch(BranchInfo::new(taken, target))
     }
 
-    /// Serializes the generator's mutable cursor state for checkpointing.
-    /// The phase table and `total_instructions` are *not* serialized — they
-    /// are deterministically rebuilt from the workload spec, seed and
-    /// budget at restore time (the seed only fixes the initial RNG state,
-    /// which the saved state overwrites).
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.phase_idx);
-        w.put_u64(self.emitted_in_phase);
-        w.put_u64(self.emitted);
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        w.put_u64(self.seq);
-        w.put_u64(self.pc);
-        w.put_usize(self.recent_int_dst.len());
-        for &reg in &self.recent_int_dst {
-            reg.save(w);
-        }
-        w.put_usize(self.recent_fp_dst.len());
-        for &reg in &self.recent_fp_dst {
-            reg.save(w);
-        }
-        w.put_u8(self.next_int_dst);
-        w.put_u8(self.next_fp_dst);
-        w.put_u64(self.stream_addr);
-        w.put_bool(self.last_load_dst.is_some());
-        if let Some(reg) = self.last_load_dst {
-            reg.save(w);
-        }
-    }
-
-    /// Rebuilds a generator from [`WorkloadGenerator::save`] output plus
-    /// the original construction inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on truncation or out-of-range phase/register
-    /// encodings.
-    pub fn load(
-        r: &mut ByteReader<'_>,
-        spec: &WorkloadSpec,
-        seed: u64,
-        total_instructions: u64,
-    ) -> CodecResult<Self> {
-        let mut g = WorkloadGenerator::new(spec, seed, total_instructions);
-        g.phase_idx = r.usize()?;
-        if g.phase_idx > g.phases.len() {
-            return Err(serde::codec::CodecError::BadTag {
-                what: "workload phase index",
-                got: g.phase_idx as u64,
-            });
-        }
-        g.emitted_in_phase = r.u64()?;
-        g.emitted = r.u64()?;
-        let mut words = [0u64; 4];
-        for word in &mut words {
-            *word = r.u64()?;
-        }
-        g.rng = StdRng::from_state(words);
-        g.seq = r.u64()?;
-        g.pc = r.u64()?;
-        let n_int = r.usize()?;
-        g.recent_int_dst.clear();
-        for _ in 0..n_int {
-            g.recent_int_dst.push(Reg::load(r)?);
-        }
-        let n_fp = r.usize()?;
-        g.recent_fp_dst.clear();
-        for _ in 0..n_fp {
-            g.recent_fp_dst.push(Reg::load(r)?);
-        }
-        g.next_int_dst = r.u8()?;
-        g.next_fp_dst = r.u8()?;
-        g.stream_addr = r.u64()?;
-        g.last_load_dst = if r.bool()? { Some(Reg::load(r)?) } else { None };
-        Ok(g)
-    }
-
     fn advance_phase(&mut self) {
         while self.phase_idx < self.phases.len()
             && self.emitted_in_phase >= self.phases[self.phase_idx].1
@@ -595,53 +516,6 @@ mod tests {
     fn invalid_spec_panics() {
         let spec = WorkloadSpec::new("bad", "test", vec![], 0.0);
         let _ = WorkloadGenerator::new(&spec, 1, 10);
-    }
-
-    #[test]
-    fn save_load_resumes_the_stream_mid_generation() {
-        let spec = WorkloadSpec::new(
-            "phased",
-            "test",
-            vec![
-                Phase::new(0.4, InstructionMix::integer_code()),
-                Phase::new(0.6, InstructionMix::fp_code())
-                    .with_memory(MemoryBehavior::memory_bound()),
-            ],
-            1.0,
-        );
-        for stop in [0u64, 1, 3_333, 9_999] {
-            let mut g = WorkloadGenerator::new(&spec, 42, 10_000);
-            for _ in 0..stop {
-                g.next_inst().unwrap();
-            }
-            let mut w = serde::codec::ByteWriter::new();
-            g.save(&mut w);
-            let bytes = w.into_vec();
-            let mut r = serde::codec::ByteReader::new(&bytes);
-            let mut h = WorkloadGenerator::load(&mut r, &spec, 42, 10_000).unwrap();
-            r.finish().unwrap();
-            loop {
-                assert_eq!(g.remaining_hint(), h.remaining_hint());
-                let (a, b) = (g.next_inst(), h.next_inst());
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn trace_cursor_seek_bounds() {
-        let spec = simple_spec(InstructionMix::integer_code());
-        let trace = std::sync::Arc::new(crate::trace::SharedTrace::materialize(&spec, 3, 32));
-        let mut c = trace.cursor();
-        assert!(c.seek(32));
-        assert_eq!(c.next_inst(), None);
-        assert!(c.seek(5));
-        assert_eq!(c.next_inst().unwrap().seq, 5);
-        assert!(!c.seek(33), "seeking past the end must fail");
-        assert_eq!(c.position(), 6);
     }
 
     #[test]

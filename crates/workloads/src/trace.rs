@@ -126,29 +126,6 @@ pub struct TraceCursor {
     pos: usize,
 }
 
-impl TraceCursor {
-    /// The shared trace this cursor reads.
-    pub fn trace(&self) -> &Arc<SharedTrace> {
-        &self.trace
-    }
-
-    /// Instructions consumed so far.
-    pub fn position(&self) -> u64 {
-        self.pos as u64
-    }
-
-    /// Repositions the cursor (used when restoring a checkpointed run).
-    /// Returns `false` (and leaves the cursor unchanged) if `pos` lies
-    /// beyond the end of the trace.
-    pub fn seek(&mut self, pos: u64) -> bool {
-        if pos > self.trace.len() {
-            return false;
-        }
-        self.pos = pos as usize;
-        true
-    }
-}
-
 impl InstructionStream for TraceCursor {
     fn next_inst(&mut self) -> Option<DynInst> {
         let inst = self.trace.insts.get(self.pos).copied();
@@ -206,7 +183,7 @@ mod tests {
         let mut b = trace.cursor();
         let first = a.next_inst().unwrap();
         assert_eq!(b.next_inst().unwrap(), first);
-        assert_eq!(a.position(), 1);
+        assert_eq!(a.remaining_hint(), Some(63));
         assert_eq!(trace.len(), 64);
         assert!(!trace.is_empty());
         assert_eq!(trace.seed(), 1);

@@ -35,28 +35,14 @@
 //! MCD_GOLDEN_TRACE=1 cargo run --release --example golden_dump > traced.txt
 //! diff unsliced.txt traced.txt      # any output = trace replay changed behaviour
 //! ```
-//!
-//! **Checkpoint mode:** setting `MCD_GOLDEN_CKPT=<kernel steps>` pauses
-//! every run after that many steps, serializes the machine *and* its
-//! instruction stream with the snapshot codec, drops the live objects,
-//! restores from the bytes, and runs the restored machine to completion.
-//! The output must be byte-identical to the default mode — this is how
-//! the golden matrix certifies checkpoint/restore bit-identity, alone
-//! and combined with the other two modes:
-//!
-//! ```sh
-//! MCD_GOLDEN_CKPT=20000 cargo run --release --example golden_dump > ckpt.txt
-//! diff unsliced.txt ckpt.txt        # any output = a restore changed behaviour
-//! ```
 
 use mcd::clock::OperatingPointTable;
 use mcd::control::{
     AttackDecayController, AttackDecayParams, FixedController, FrequencyController,
 };
-use mcd::isa::{DynInst, InstructionStream};
+use mcd::isa::InstructionStream;
 use mcd::sim::{McdProcessor, SimConfig, SimResult, StepOutcome};
-use mcd::workloads::{Benchmark, SharedTrace, TraceCursor, WorkloadGenerator};
-use serde::codec::{ByteReader, ByteWriter};
+use mcd::workloads::{Benchmark, SharedTrace, WorkloadGenerator};
 use std::sync::Arc;
 
 /// The slice length selected by `MCD_GOLDEN_SLICE`, if any.  An invalid
@@ -84,50 +70,6 @@ fn golden_trace() -> bool {
     }
 }
 
-/// The checkpoint position selected by `MCD_GOLDEN_CKPT`, if any.  Same
-/// abort-on-typo policy as [`golden_slice`]: a silently ignored value
-/// would make the checkpoint-vs-unsliced CI diff certify restores
-/// vacuously.
-fn golden_ckpt() -> Option<u64> {
-    let value = std::env::var("MCD_GOLDEN_CKPT").ok()?;
-    let steps: u64 = value
-        .parse()
-        .unwrap_or_else(|_| panic!("MCD_GOLDEN_CKPT must be a positive integer, got {value:?}"));
-    assert!(steps > 0, "MCD_GOLDEN_CKPT must be positive, got 0");
-    Some(steps)
-}
-
-/// Either stream the golden matrix runs under, unified so the checkpoint
-/// path can serialize whichever one is live (the generator's full cursor
-/// state, or the shared-trace cursor's position).
-enum GoldenStream {
-    Live(WorkloadGenerator),
-    Traced(TraceCursor),
-}
-
-impl InstructionStream for GoldenStream {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        match self {
-            GoldenStream::Live(g) => g.next_inst(),
-            GoldenStream::Traced(c) => c.next_inst(),
-        }
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        match self {
-            GoldenStream::Live(g) => g.remaining_hint(),
-            GoldenStream::Traced(c) => c.remaining_hint(),
-        }
-    }
-
-    fn annotations(&self) -> Option<&mcd::isa::TraceAnnotations> {
-        match self {
-            GoldenStream::Live(_) => None,
-            GoldenStream::Traced(c) => c.annotations(),
-        }
-    }
-}
-
 fn run_to_completion<S: InstructionStream>(cpu: &mut McdProcessor, mut stream: S) -> SimResult {
     match golden_slice() {
         None => cpu.run(stream),
@@ -139,60 +81,22 @@ fn run_to_completion<S: InstructionStream>(cpu: &mut McdProcessor, mut stream: S
     }
 }
 
-/// Runs one golden configuration — through the optional checkpoint
-/// round-trip — to completion and prints its result.
+/// Runs one golden configuration to completion and prints its result.
 fn dump(
     name: &str,
     bench: Benchmark,
     insts: u64,
     cfg: SimConfig,
-    make_ctrl: &dyn Fn() -> Box<dyn FrequencyController>,
+    controller: Box<dyn FrequencyController>,
 ) {
     let spec = bench.spec();
-    let trace = golden_trace().then(|| Arc::new(SharedTrace::materialize(&spec, 42, insts)));
-    let mut stream = match &trace {
-        Some(t) => GoldenStream::Traced(t.cursor()),
-        None => GoldenStream::Live(WorkloadGenerator::new(&spec, 42, insts)),
+    let mut cpu = McdProcessor::new(cfg, controller);
+    let r = if golden_trace() {
+        let trace = Arc::new(SharedTrace::materialize(&spec, 42, insts));
+        run_to_completion(&mut cpu, trace.cursor())
+    } else {
+        run_to_completion(&mut cpu, WorkloadGenerator::new(&spec, 42, insts))
     };
-    let mut cpu = McdProcessor::new(cfg.clone(), make_ctrl());
-
-    if let Some(ckpt_steps) = golden_ckpt() {
-        if let StepOutcome::Finished(r) = cpu.run_for(&mut stream, ckpt_steps) {
-            // The checkpoint lands past the end of this run; the finished
-            // result is already the unsliced one.
-            print_result(name, &r);
-            return;
-        }
-        // Serialize the paused machine and its stream, drop the live
-        // objects, and rebuild both from the bytes alone (plus the run
-        // identity, exactly as the snapshot container does).
-        let mut w = ByteWriter::new();
-        cpu.save(&mut w);
-        match &stream {
-            GoldenStream::Live(g) => g.save(&mut w),
-            GoldenStream::Traced(c) => w.put_u64(c.position()),
-        }
-        let bytes = w.into_vec();
-        drop(cpu);
-        drop(stream);
-
-        let mut r = ByteReader::new(&bytes);
-        cpu = McdProcessor::load(&mut r, cfg, make_ctrl()).expect("golden checkpoint restores");
-        stream = match &trace {
-            Some(t) => {
-                let mut cursor = t.cursor();
-                let pos = r.u64().expect("trace cursor position present");
-                assert!(cursor.seek(pos), "trace cursor position out of range");
-                GoldenStream::Traced(cursor)
-            }
-            None => GoldenStream::Live(
-                WorkloadGenerator::load(&mut r, &spec, 42, insts).expect("generator restores"),
-            ),
-        };
-        r.finish().expect("no trailing checkpoint bytes");
-    }
-
-    let r = run_to_completion(&mut cpu, stream);
     print_result(name, &r);
 }
 
@@ -224,24 +128,24 @@ fn main() {
         ("swim", Benchmark::Swim),
         ("mcf", Benchmark::Mcf),
     ] {
-        dump(name, b, 20_000, SimConfig::baseline_mcd(20_000), &|| {
-            Box::new(FixedController::at_max())
-        });
+        dump(
+            name,
+            b,
+            20_000,
+            SimConfig::baseline_mcd(20_000),
+            Box::new(FixedController::at_max()),
+        );
         dump(
             &format!("{name}_sync"),
             b,
             20_000,
             SimConfig::fully_synchronous(20_000),
-            &|| Box::new(FixedController::at_max()),
+            Box::new(FixedController::at_max()),
         );
         let mut cfg = SimConfig::baseline_mcd(60_000);
         cfg.record_traces = true;
         let table = OperatingPointTable::from_params(&cfg.clock);
-        dump(&format!("{name}_ad"), b, 60_000, cfg, &|| {
-            Box::new(AttackDecayController::new(
-                AttackDecayParams::paper_defaults(),
-                &table,
-            ))
-        });
+        let controller = AttackDecayController::new(AttackDecayParams::paper_defaults(), &table);
+        dump(&format!("{name}_ad"), b, 60_000, cfg, Box::new(controller));
     }
 }

@@ -1,15 +1,12 @@
 //! Property-based tests over the core data structures and invariants of the
 //! reproduction, spanning several crates.
 
-use std::sync::OnceLock;
-
 use proptest::prelude::*;
 
 use mcd::clock::{DomainId, OperatingPointTable, SyncWindow};
 use mcd::control::{
     AttackDecayController, AttackDecayParams, DomainSample, FrequencyController, IntervalSample,
 };
-use mcd::core::{restore, restore_with, snapshot, BenchmarkRunner, ConfigKind};
 use mcd::isa::{InstructionStream, MemInfo, Reg};
 use mcd::microarch::{
     Cache, CacheConfig, IssueQueue, LoadStoreQueue, LsqIssue, ReorderBuffer, RobEntry,
@@ -420,19 +417,14 @@ proptest! {
     }
 }
 
-/// Runs `stream` for `insts` instructions under the baseline MCD
-/// configuration, pausing at the given slice boundaries (cycled through
-/// repeatedly until the run finishes).  An empty sequence means one
-/// unbounded slice.
-fn run_stream_with_slices<S: InstructionStream>(
+/// Runs `stream` on `cpu`, pausing at the given slice boundaries (cycled
+/// through repeatedly until the run finishes).  An empty sequence means
+/// one unbounded slice.
+fn finish_with_slices<S: InstructionStream>(
+    mut cpu: McdProcessor,
     mut stream: S,
-    insts: u64,
     slices: &[u64],
 ) -> SimResult {
-    let mut cpu = McdProcessor::new(
-        SimConfig::baseline_mcd(insts),
-        Box::new(mcd::control::FixedController::at_max()),
-    );
     let mut boundary = slices.iter().copied().cycle();
     loop {
         let slice = boundary.next().unwrap_or(u64::MAX);
@@ -440,6 +432,20 @@ fn run_stream_with_slices<S: InstructionStream>(
             return r;
         }
     }
+}
+
+/// [`finish_with_slices`] for `insts` instructions under the baseline
+/// MCD configuration.
+fn run_stream_with_slices<S: InstructionStream>(
+    stream: S,
+    insts: u64,
+    slices: &[u64],
+) -> SimResult {
+    let cpu = McdProcessor::new(
+        SimConfig::baseline_mcd(insts),
+        Box::new(mcd::control::FixedController::at_max()),
+    );
+    finish_with_slices(cpu, stream, slices)
 }
 
 /// [`run_stream_with_slices`] over `bench`'s live generator at seed 42.
@@ -458,9 +464,8 @@ proptest! {
     /// sequence of slice boundaries — including single-step slices and
     /// slices far larger than the whole run — a sliced execution must
     /// produce a `SimResult` equal to the unsliced run (host-throughput
-    /// telemetry is excluded from equality by design).  This is the
-    /// invariant checkpoints and run bundles rest on: it makes every
-    /// pause point invisible in the result.
+    /// telemetry is excluded from equality by design): every pause point
+    /// is invisible in the result.
     #[test]
     fn sliced_runs_are_bit_identical_for_random_slice_boundaries(
         raw_slices in proptest::collection::vec((0u8..4, 0u64..45_000), 1..8),
@@ -608,16 +613,14 @@ proptest! {
         prop_assert_eq!(live.host.ann_recomputed, insts);
     }
 
-    /// Snapshot/restore replay contract: for *any* chain of pause points
-    /// — including degenerate single-step pauses, pauses mid-frequency-
-    /// ramp (Attack/Decay under a short control interval), and pauses
-    /// holding a mid-trace cursor (shared-trace replay) — serializing the
-    /// paused run to bytes, dropping the live run, and restoring from the
-    /// bytes must leave the final `SimResult` bit-identical to the
-    /// uninterrupted run.  This is the contract the run-bundle verifier
-    /// rests on.
+    /// Pause-chain bit-identity under a stateful controller: for *any*
+    /// chain of pause points (cycled until the run finishes) — including
+    /// degenerate single-step pauses, pauses mid-frequency-ramp
+    /// (Attack/Decay under a short control interval) and pauses past the
+    /// end of the run — with a live or a trace-fed stream, the final
+    /// `SimResult` must equal the uninterrupted live run.
     #[test]
-    fn snapshot_restore_chains_are_bit_identical(
+    fn pause_chains_are_bit_identical(
         raw_pauses in proptest::collection::vec((0u8..4, 0u64..45_000), 1..6),
         bench_sel in 0u8..2,
         share_sel in 0u8..2,
@@ -634,51 +637,40 @@ proptest! {
             })
             .collect();
         let bench = if bench_sel == 0 { Benchmark::Gzip } else { Benchmark::Swim };
-        let kind = if config_sel == 0 {
-            ConfigKind::AttackDecay(AttackDecayParams::paper_defaults())
-        } else {
-            ConfigKind::BaselineMcd
-        };
-        let share_traces = share_sel == 1;
         let insts = 3_000;
+        let mut cfg = SimConfig::baseline_mcd(insts);
+        cfg.seed = seed;
         // The short control interval forces frequency ramps under
         // Attack/Decay, so some pause points land mid-ramp.
-        let runner = BenchmarkRunner::new(insts, seed)
-            .with_interval(500)
-            .with_trace_sharing(share_traces);
-        let whole = runner.run(bench, &kind);
-
-        let mut run = runner.begin(bench, &kind);
-        let mut early = None;
-        for &pause in &pauses {
-            match run.step(pause) {
-                Some(outcome) => {
-                    early = Some(outcome);
-                    break;
-                }
-                None => {
-                    let bytes = snapshot(&run);
-                    drop(run);
-                    run = restore_with(&bytes, runner.trace_cache().map(|c| c.as_ref()))
-                        .expect("snapshot restores");
-                }
+        cfg.interval_instructions = 500;
+        let controller = || -> Box<dyn FrequencyController> {
+            if config_sel == 0 {
+                Box::new(AttackDecayController::new(
+                    AttackDecayParams::paper_defaults(),
+                    &OperatingPointTable::default(),
+                ))
+            } else {
+                Box::new(mcd::control::FixedController::at_max())
             }
-        }
-        let outcome = match early {
-            Some(o) => o,
-            None => loop {
-                if let Some(o) = run.step(u64::MAX) {
-                    break o;
-                }
-            },
+        };
+        let spec = bench.spec();
+        let live = || WorkloadGenerator::new(&spec, seed, insts);
+        let cpu = || McdProcessor::new(cfg.clone(), controller());
+        let whole = finish_with_slices(cpu(), live(), &[]);
+        let share_traces = share_sel == 1;
+        let paused = if share_traces {
+            let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, seed, insts));
+            finish_with_slices(cpu(), trace.cursor(), &pauses)
+        } else {
+            finish_with_slices(cpu(), live(), &pauses)
         };
         prop_assert!(
-            outcome.result == whole.result,
+            paused == whole,
             "pause chain {:?} changed the result (sharing={})",
             pauses,
             share_traces
         );
-        prop_assert_eq!(outcome.result.committed_instructions, insts);
+        prop_assert_eq!(paused.committed_instructions, insts);
     }
 }
 
@@ -724,57 +716,5 @@ proptest! {
         let expected_mem = (load + store) / mix.total();
         let observed_mem = mem_ops as f64 / count as f64;
         prop_assert!((observed_mem - expected_mem).abs() < 0.08);
-    }
-}
-
-/// A snapshot of an off-line oracle run paused mid-flight: the bytes
-/// carry the oracle's per-interval schedule and a populated in-flight
-/// window (consumer lists included), the deepest decode paths a restore
-/// walks.  Built once and shared by every corruption case.
-fn offline_snapshot() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let runner = BenchmarkRunner::new(6_000, 3)
-            .with_interval(500)
-            .with_trace_sharing(false);
-        let kind = ConfigKind::OfflineDynamic {
-            target_degradation: 0.05,
-        };
-        let mut run = runner.begin(Benchmark::Gzip, &kind);
-        assert!(run.step(4_000).is_none(), "run must pause mid-flight");
-        snapshot(&run)
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Corrupt snapshot bytes surface as a typed error, never as a panic
-    /// or an allocation abort: every truncation is rejected, and
-    /// overwriting any 8-byte-aligned word with a large value (a
-    /// plausible corrupted length, capacity or parameter) restores or
-    /// fails cleanly.  Half the cases aim at the header and the first
-    /// component codecs, where identity and geometry fields live.
-    #[test]
-    fn corrupt_snapshots_fail_cleanly(
-        pick in 0u64..u64::MAX,
-        near_front in 0u8..2,
-        shift in 0u32..64,
-    ) {
-        let bytes = offline_snapshot();
-        let cut = (pick % bytes.len() as u64) as usize;
-        prop_assert!(
-            restore(&bytes[..cut]).is_err(),
-            "truncation at byte {} restored",
-            cut
-        );
-
-        let words = bytes.len() / 8;
-        let word = (pick % if near_front == 1 { 64 } else { words as u64 }) as usize;
-        let mut mutated = bytes.to_vec();
-        mutated[word * 8..word * 8 + 8].copy_from_slice(&(u64::MAX >> shift).to_le_bytes());
-        // Ok or Err are both acceptable; reaching the next line at all
-        // is the property.
-        let _ = restore(&mutated);
     }
 }
