@@ -188,13 +188,12 @@ fn bench_workload_generation(c: &mut Criterion) {
 /// result accumulator.
 ///
 /// Alongside the timings, one instrumented run per kernel-bench workload
-/// records the event-timeline traffic counters (pushes, pops, overflow
-/// spills, bucket scans, monotone-lane absorptions — see
-/// `mcd_sim::EventTrafficStats`), the derived events-per-commit ratio,
-/// the dispatch-path counters (`ann_fed` from an annotation-fed
-/// trace replay, `ann_recomputed` from the live run), and the kernel-step
-/// counters (steps per commit and the idle-step share), making the
-/// heap-vs-calendar trade, the lane's structural event-traffic cut, the
+/// records the event-timeline traffic counters (pushes, pops, drain
+/// passes, monotone-lane absorptions — see `mcd_sim::EventTrafficStats`),
+/// the derived events-per-commit ratio, the dispatch-path counters
+/// (`ann_fed` from an annotation-fed trace replay, `ann_recomputed` from
+/// the live run), and the kernel-step counters (steps per commit and the
+/// idle-step share), making the lane's structural event-traffic cut, the
 /// annotation coverage and the idle-step floor measurable per workload per
 /// commit.
 fn export_results(c: &mut Criterion) {
@@ -245,11 +244,8 @@ fn export_results(c: &mut Criterion) {
         row.insert("workload", name);
         row.insert("timeline_pushes", events.pushes);
         row.insert("timeline_pops", events.pops);
-        row.insert("overflow_spills", events.overflow_spills);
-        row.insert("bucket_scans", events.bucket_scans);
         row.insert("lane_pushes", events.lane_pushes);
         row.insert("drain_passes", events.drains);
-        row.insert("avg_bucket_scan", events.avg_bucket_scan());
         row.insert("events_per_commit", live.events_per_commit());
         row.insert("ann_fed", traced.host.ann_fed);
         row.insert("ann_recomputed", live.host.ann_recomputed);

@@ -1,10 +1,11 @@
 //! Regenerates Figures 2 and 3: the `epic decode` load/store and
 //! floating-point domain traces under the Attack/Decay controller.
 
-use mcd_bench::write_artifact;
+use mcd_bench::{reject_args_from_env, write_artifact};
 use mcd_core::experiments::traces;
 
 fn main() {
+    reject_args_from_env();
     let full = std::env::var("MCD_FULL").map(|v| v == "1").unwrap_or(false);
     let instructions = if full { 600_000 } else { 150_000 };
     let data = traces::run(instructions, 42);

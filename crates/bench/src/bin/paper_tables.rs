@@ -2,10 +2,11 @@
 //! parameters, Attack/Decay parameter ranges, the hardware-cost estimate,
 //! the architectural parameters and the benchmark inventory.
 
-use mcd_bench::write_artifact;
+use mcd_bench::{reject_args_from_env, write_artifact};
 use mcd_core::presets;
 
 fn main() {
+    reject_args_from_env();
     let mut out = String::new();
     out.push_str(&presets::render_table1());
     out.push('\n');

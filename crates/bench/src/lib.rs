@@ -37,7 +37,33 @@ use mcd_core::experiments::ExperimentSettings;
 /// error and exits with status 2: a requested setting must not be
 /// silently replaced by the default.
 pub fn settings_from_env() -> ExperimentSettings {
-    settings_from_args(std::env::args(), |key| std::env::var(key).ok()).unwrap_or_else(|err| {
+    or_exit(settings_from_args(std::env::args(), |key| {
+        std::env::var(key).ok()
+    }))
+}
+
+/// Checks the command line of a binary that takes no settings
+/// (`figure2_3`, `paper_tables`): any argument prints the error and exits
+/// with status 2 instead of being silently ignored.
+pub fn reject_args_from_env() {
+    or_exit(reject_args(std::env::args()))
+}
+
+/// [`reject_args_from_env`] over an explicit argument list (program name
+/// first).
+fn reject_args(args: impl IntoIterator<Item = String>) -> Result<(), String> {
+    match args.into_iter().nth(1) {
+        Some(arg) => Err(format!(
+            "unknown argument {arg:?} (this binary takes no arguments)"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Unwraps a command-line parse, or prints the error and exits with
+/// status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|err| {
         eprintln!("error: {err}");
         std::process::exit(2);
     })
@@ -245,6 +271,24 @@ mod tests {
         assert_eq!(
             parse(&["bin", "--job", "1"]).unwrap_err(),
             "unknown argument \"--job\" (expected --jobs N, --jobs=N, -j N or --no-trace-share)"
+        );
+    }
+
+    #[test]
+    fn binaries_without_settings_reject_every_argument() {
+        assert_eq!(reject_args(args(&["bin"])), Ok(()));
+        for bad in [
+            &["bin", "--bogus"][..],
+            &["bin", "--jobs", "4"],
+            &["bin", "-j", "banana"],
+            &["bin", "extra"],
+        ] {
+            let err = reject_args(args(bad)).expect_err("an argument must not be ignored");
+            assert!(err.contains(&format!("{:?}", bad[1])), "{err}");
+        }
+        assert_eq!(
+            reject_args(args(&["bin", "--bogus"])).unwrap_err(),
+            "unknown argument \"--bogus\" (this binary takes no arguments)"
         );
     }
 

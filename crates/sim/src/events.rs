@@ -8,40 +8,10 @@
 //! per-instruction kernel cost was dominated by `O(log n)` heap churn paid
 //! twice over.
 //!
-//! [`DomainTimeline`] replaces both with a single per-domain
-//! **calendar/bucket queue** carrying tagged [`TimelineEvent`]s.  The MCD
-//! regime makes the calendar layout a natural fit: every domain advances in
-//! its own near-periodic cycles, and event latencies are small multiples of
-//! the domain period (ALU/FP latencies of 1–20 cycles, memory misses of
-//! ~100), so almost every event lands a bounded number of cycles in the
-//! future.
+//! [`DomainTimeline`] replaces both with a single per-domain queue carrying
+//! tagged [`TimelineEvent`]s, split in two parts by arrival order.
 //!
-//! # Bucket layout
-//!
-//! Each domain owns a ring of `BUCKETS` buckets over absolute simulated
-//! time quantized by a per-domain *granule*: bucket `(t / granule) %
-//! BUCKETS` holds the events due in that granule-wide time slice.  The
-//! granule is the domain's **settled clock period**
-//! ([`mcd_clock::DomainClock::target_period_ps`]), so in steady state one
-//! domain cycle advances the drain cursor by exactly one bucket, pushes are
-//! `O(1)` (one division, one `Vec::push`), and the ring horizon of
-//! `BUCKETS` cycles comfortably covers the deepest scheduling latency (an
-//! L2 miss to main memory, on the order of 100 max-frequency cycles).
-//!
-//! Events beyond the ring horizon — e.g. scheduled across a frequency ramp
-//! while the granule still reflects a much shorter period — spill to a
-//! per-domain **overflow list** kept sorted (descending, so the earliest
-//! event pops from the back in `O(1)`).  Spills are rare and counted
-//! ([`EventTrafficStats::overflow_spills`]), so an overflow pathology on a
-//! new workload is visible in the bench artefacts rather than silent.
-//!
-//! When the controller retargets a domain's frequency the granule changes
-//! and the domain's pending events are re-indexed under the new mapping
-//! ([`DomainTimeline::set_granule`]) — an `O(live events)` operation paid
-//! once per control-interval command, which keeps the time-to-bucket
-//! conversion consistent between push and drain across every ramp.
-//!
-//! # Monotone lane
+//! # Monotone lane and heap
 //!
 //! Event-traffic profiling (`EventTrafficStats`, surfaced per run as
 //! `events_per_commit`) showed most pushes arrive in *non-decreasing*
@@ -49,35 +19,26 @@
 //! and issue times advance with domain time.  Each timeline therefore
 //! carries a **monotone lane** — a sorted `VecDeque` that accepts a pushed
 //! event with a single tail comparison whenever the event is not earlier
-//! than the lane's tail, bypassing the bucket ring (no division, no bucket
-//! push, no occupancy-bitmap update) and every granule re-file (the lane
-//! holds absolute times and needs no bucket math, so
-//! [`DomainTimeline::set_granule`] skips it entirely).  Out-of-order
-//! pushes fall through to the ring/overflow calendar as before.  The drain
-//! pops the lane's due prefix and merges it with the calendar batch in the
-//! single existing sort, so the drain-order invariant below is untouched.
-//! Lane absorption is counted ([`EventTrafficStats::lane_pushes`]).
+//! than the lane's tail.  The out-of-order remainder goes to a plain
+//! `BinaryHeap` min-heap.  Lane absorption is counted
+//! ([`EventTrafficStats::lane_pushes`]).  Neither part depends on the
+//! domain's clock period, so a frequency retarget leaves the timeline
+//! untouched.
 //!
 //! # Drain-order invariant
 //!
 //! One [`DomainTimeline::collect_due`] call per domain cycle drains *both*
 //! event streams in a single pass, returning every due event in
 //! `(time, seq, kind)` order with [`EventKind::Completion`] ordered before
-//! [`EventKind::Wakeup`].  Completions thereby retire in exactly the
-//! deterministic `(time, seq)` order the historical completion heap popped,
-//! which the writeback side effects (predictor updates, ROB completion
-//! marks, energy accounting) require for bit-identical results; wakeup
-//! events commute with completions (promotion only inserts into a
-//! seq-sorted ready list behind a pure filter), so tagging them after
-//! completions at equal `(time, seq)` preserves behaviour exactly.
-//!
-//! In debug builds every timeline also maintains a **shadow reference
-//! heap** — a plain `BinaryHeap` over the same tagged events — and
-//! `collect_due` asserts that the calendar drain reproduces the heap's pop
-//! sequence event for event.  Every debug-build test run (including the
-//! golden-dump matrix and the slice proptests) therefore cross-checks the
-//! calendar implementation against the reference ordering; release builds
-//! compile the shadow out entirely.
+//! [`EventKind::Wakeup`]: the drain pops the lane's due prefix and the
+//! heap's due events, then sorts the merged batch once.  Completions
+//! thereby retire in exactly the deterministic `(time, seq)` order the
+//! historical completion heap popped, which the writeback side effects
+//! (predictor updates, ROB completion marks, energy accounting) require for
+//! bit-identical results; wakeup events commute with completions (promotion
+//! only inserts into a seq-sorted ready list behind a pure filter), so
+//! tagging them after completions at equal `(time, seq)` preserves
+//! behaviour exactly.
 //!
 //! # Ready lists
 //!
@@ -93,26 +54,17 @@
 //! # Pause/resume
 //!
 //! The timeline is plain owned state inside `McdProcessor`, so `run_for`
-//! slice boundaries are invisible to it: cursor positions, ring contents,
-//! overflow lists and ready lists all survive a pause untouched (re-verified
-//! by the slice proptest and the `MCD_GOLDEN_SLICE` golden diffs).
+//! slice boundaries are invisible to it: lanes, heaps and ready lists all
+//! survive a pause untouched (re-verified by the slice proptest and the
+//! `MCD_GOLDEN_SLICE` golden diffs).
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use mcd_clock::{DomainId, TimePs};
 use mcd_isa::SeqNum;
 
 use crate::telemetry::EventTrafficStats;
-
-/// Number of ring buckets per domain.  The horizon must cover the deepest
-/// in-ring scheduling latency in domain cycles: the longest functional-unit
-/// latency is 20 cycles (integer divide) and an L2 miss to main memory
-/// completes on the order of 100 max-frequency cycles, so 128 buckets keep
-/// even memory-bound workloads out of the overflow list at every operating
-/// point.  The occupancy bitmap packs one bit per bucket into `[u64; 2]`
-/// and locates buckets with a 128-bit rotate, so this constant must equal
-/// exactly 128 (asserted below); widening the ring means widening the
-/// bitmap machinery with it.
-const BUCKETS: usize = 128;
-const _: () = assert!(BUCKETS == 2 * u64::BITS as usize, "bitmap is [u64; 2]");
 
 /// What a timeline event means to the kernel.
 ///
@@ -208,127 +160,49 @@ impl ReadyList {
     }
 }
 
-/// The calendar queue of one domain.
-#[derive(Debug)]
+/// The event queue of one domain.
+#[derive(Debug, Default)]
 struct Timeline {
-    /// Time quantum of one bucket (the domain's settled clock period).
-    granule_ps: TimePs,
-    /// Granule index of the ring window's base: every live ring event has
-    /// a granule index in `[cursor, cursor + BUCKETS)` and no occupied
-    /// bucket lies behind the cursor.  The cursor lags `now` while nothing
-    /// is due (the fast path never touches it) and catches up in one jump
-    /// on the next real drain.
-    cursor: u64,
-    /// The `now` of the most recent slow drain (anchors re-indexing).
-    last_drained_ps: TimePs,
-    /// Occupancy bitmap of the ring, one bit per bucket position
-    /// (`BUCKETS` = 128 = two words): lets the drain jump straight to the
-    /// first occupied bucket at or after the cursor instead of walking
-    /// empty granules.
-    occupied: [u64; 2],
-    /// The bucket ring, indexed by `(t / granule) % BUCKETS`.
-    buckets: Vec<Vec<TimelineEvent>>,
-    /// Events beyond the ring horizon, sorted descending so the earliest
-    /// pops from the back.
-    overflow: Vec<TimelineEvent>,
     /// The monotone lane: events that arrived in non-decreasing
     /// `(time, seq, kind)` order, kept sorted by construction (an event
     /// only enters when it is `>=` the current tail).  The due prefix pops
     /// from the front at drain time.
-    lane: std::collections::VecDeque<TimelineEvent>,
+    lane: VecDeque<TimelineEvent>,
+    /// Events that arrived earlier than the lane's tail.
+    heap: BinaryHeap<Reverse<TimelineEvent>>,
     /// Issueable instructions, seq-sorted.
     ready: ReadyList,
-    /// Reference implementation: a plain min-heap over the same events.
-    /// The drain asserts the calendar reproduces its pop order exactly.
-    #[cfg(debug_assertions)]
-    shadow: std::collections::BinaryHeap<std::cmp::Reverse<TimelineEvent>>,
 }
 
-impl Timeline {
-    fn new(granule_ps: TimePs) -> Self {
-        assert!(granule_ps > 0, "timeline granule must be positive");
-        Timeline {
-            granule_ps,
-            cursor: 0,
-            last_drained_ps: 0,
-            occupied: [0; 2],
-            buckets: vec![Vec::new(); BUCKETS],
-            overflow: Vec::new(),
-            lane: std::collections::VecDeque::new(),
-            ready: ReadyList::default(),
-            #[cfg(debug_assertions)]
-            shadow: std::collections::BinaryHeap::new(),
-        }
-    }
-
-    /// Ring offset (in buckets, from the cursor) of the first occupied
-    /// bucket, or `None` when the ring is empty.
-    #[inline]
-    fn first_occupied_offset(&self) -> Option<u32> {
-        let bits = (self.occupied[0] as u128) | ((self.occupied[1] as u128) << 64);
-        if bits == 0 {
-            return None;
-        }
-        Some(
-            bits.rotate_right((self.cursor % BUCKETS as u64) as u32)
-                .trailing_zeros(),
-        )
-    }
-
-    /// Files an event into its ring bucket or the overflow list.  Returns
-    /// `true` when the event spilled to overflow.
-    fn place(&mut self, ev: TimelineEvent) -> bool {
-        let idx = ev.time / self.granule_ps;
-        // Kernel pushes always target the present or future of the domain
-        // (see the module docs); re-indexing preserves this because only
-        // undrained events are re-filed.  Clamp anyway so a violation would
-        // at worst deliver late in release builds instead of never.
-        debug_assert!(
-            idx >= self.cursor,
-            "event at {} ps scheduled before the drain cursor",
-            ev.time
-        );
-        let idx = idx.max(self.cursor);
-        if idx >= self.cursor + BUCKETS as u64 {
-            let pos = self.overflow.partition_point(|e| *e > ev);
-            self.overflow.insert(pos, ev);
-            true
-        } else {
-            let pos = (idx % BUCKETS as u64) as usize;
-            self.buckets[pos].push(ev);
-            self.occupied[pos / 64] |= 1 << (pos % 64);
-            false
-        }
-    }
-}
-
-/// The unified per-domain event machinery of the kernel: one calendar
+/// The unified per-domain event machinery of the kernel: one lane-plus-heap
 /// queue (plus ready list) per domain, carrying tagged completion and
 /// wakeup events, drained in a single deterministic pass per domain cycle.
 ///
-/// See the [module documentation](self) for the bucket layout, the
-/// overflow rules and the drain-order invariant.
+/// See the [module documentation](self) for the lane and the drain-order
+/// invariant.
 #[derive(Debug)]
 pub struct DomainTimeline {
-    /// Per-domain lower bound on the earliest pending event time
-    /// (`TimePs::MAX` when none): pushes lower it, slow drains recompute
-    /// it from the occupancy bitmap and the retained scan minimum.  Most
-    /// domain cycles have nothing due, and this bound settles them with a
-    /// single comparison against one shared cache line — the calendar
-    /// equivalent of a heap peek.
+    /// Per-domain earliest pending event time (`TimePs::MAX` when none):
+    /// pushes lower it, slow drains recompute it from the lane front and
+    /// the heap top.  Most domain cycles have nothing due, and this bound
+    /// settles them with a single comparison against one shared cache line.
     next_due_ps: [TimePs; 5],
     domains: Vec<Timeline>,
     stats: EventTrafficStats,
 }
 
+impl Default for DomainTimeline {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DomainTimeline {
-    /// Creates empty timelines with the given per-domain bucket granules
-    /// (index = [`DomainId::index`]; use each domain clock's
-    /// [`mcd_clock::DomainClock::target_period_ps`]).
-    pub fn new(granules_ps: [TimePs; 5]) -> Self {
+    /// Creates empty timelines, one per domain.
+    pub fn new() -> Self {
         DomainTimeline {
             next_due_ps: [TimePs::MAX; 5],
-            domains: granules_ps.iter().map(|&g| Timeline::new(g)).collect(),
+            domains: (0..5).map(|_| Timeline::default()).collect(),
             stats: EventTrafficStats::default(),
         }
     }
@@ -369,83 +243,40 @@ impl DomainTimeline {
         let di = domain.index();
         self.next_due_ps[di] = self.next_due_ps[di].min(ev.time);
         let tl = &mut self.domains[di];
-        #[cfg(debug_assertions)]
-        tl.shadow.push(std::cmp::Reverse(ev));
         // Monotone fast path: an event not earlier than the lane's tail
-        // appends in O(1) with one comparison — no bucket math, and no
-        // re-file cost at granule changes.  Out-of-order events take the
-        // calendar as before.
+        // appends in O(1) with one comparison.  Out-of-order events take
+        // the heap.
         if tl.lane.back().is_none_or(|&back| ev >= back) {
             tl.lane.push_back(ev);
             self.stats.lane_pushes += 1;
-        } else if tl.place(ev) {
-            self.stats.overflow_spills += 1;
+        } else {
+            tl.heap.push(Reverse(ev));
         }
     }
 
-    /// Re-quantizes `domain`'s calendar under a new bucket granule (the
-    /// domain's new settled period after a controller command), re-indexing
-    /// every pending event so the time-to-bucket mapping stays consistent
-    /// between push and drain across the frequency change.  `O(live
-    /// events)`, paid once per retarget.
-    pub fn set_granule(&mut self, domain: DomainId, granule_ps: TimePs) {
-        assert!(granule_ps > 0, "timeline granule must be positive");
-        let tl = &mut self.domains[domain.index()];
-        if granule_ps == tl.granule_ps {
-            return;
-        }
-        let mut pending = std::mem::take(&mut tl.overflow);
-        for bucket in &mut tl.buckets {
-            pending.append(bucket);
-        }
-        tl.occupied = [0; 2];
-        tl.granule_ps = granule_ps;
-        tl.cursor = tl.last_drained_ps / granule_ps;
-        for ev in pending {
-            if tl.place(ev) {
-                self.stats.overflow_spills += 1;
-            }
-        }
-    }
-
-    /// The fast-path check opening one domain cycle's drain: returns
-    /// `false` — with no work beyond one comparison against the next-due
-    /// bound — when nothing can be due at `now`.  Callers skip their
-    /// drain-loop setup entirely in that case; `true` means due events may
-    /// exist and [`DomainTimeline::collect_due`] must run.
+    /// The fast-path check opening one domain cycle's drain: whether any
+    /// event of `domain` is due at `now`, decided by one comparison against
+    /// the next-due time.  Callers skip their drain-loop setup entirely
+    /// when it returns `false`; `true` means [`DomainTimeline::collect_due`]
+    /// has events to deliver.
     #[inline]
     pub fn has_due(&self, domain: DomainId, now: TimePs) -> bool {
-        if now < self.next_due_ps[domain.index()] {
-            #[cfg(debug_assertions)]
-            if let Some(std::cmp::Reverse(head)) = self.domains[domain.index()].shadow.peek() {
-                debug_assert!(
-                    head.time > now,
-                    "next-due bound skipped a due event (due {} <= now {})",
-                    head.time,
-                    now
-                );
-            }
-            return false;
-        }
-        true
+        now >= self.next_due_ps[domain.index()]
     }
 
     /// Collects every event of `domain` due at `now` into `out` (cleared
-    /// first), in `(time, seq, kind)` order, and advances the drain cursor.
+    /// first), in `(time, seq, kind)` order.
     ///
     /// Events pushed *while the caller processes the batch* at exactly
     /// `now` (same-domain completions wake consumers in the same cycle) are
     /// picked up by the next call with the same `now` — callers loop until
-    /// the batch comes back empty.  `now` must be non-decreasing per domain
-    /// (domain time is monotone).
+    /// the batch comes back empty.
     #[inline]
     pub fn collect_due(&mut self, domain: DomainId, now: TimePs, out: &mut Vec<TimelineEvent>) {
         out.clear();
         // Fast path — the common case by far: nothing due.  The next-due
-        // bound is sound (pushes lower it, the slow path recomputes it),
-        // so one comparison settles the cycle, like the peek of the heaps
-        // this structure replaced.  The cursor is left alone; the next
-        // slow drain catches it up.
+        // bound is exact after every drain and only lowered by pushes, so
+        // one comparison settles the cycle.
         if !self.has_due(domain, now) {
             return;
         }
@@ -460,108 +291,16 @@ impl DomainTimeline {
         while tl.lane.front().is_some_and(|ev| ev.time <= now) {
             out.push(tl.lane.pop_front().expect("checked non-empty"));
         }
-        // Overflow: sorted descending, so due events pop from the back.
-        while tl.overflow.last().is_some_and(|ev| ev.time <= now) {
-            out.push(tl.overflow.pop().expect("checked non-empty"));
+        while tl.heap.peek().is_some_and(|Reverse(ev)| ev.time <= now) {
+            out.push(tl.heap.pop().expect("checked non-empty").0);
         }
-        // Scan the occupied buckets up to `now`'s granule, steered by the
-        // occupancy bitmap: the cursor jumps from one occupied bucket to
-        // the next, skipping empty granules entirely.  The bucket
-        // containing `now` may retain events later in the same granule, so
-        // the cursor stays on it and it is re-scanned next drain.  A
-        // re-drain within the same cycle (the caller's drain loop) reuses
-        // the cursor as the target, skipping the division.
-        let target = if now == tl.last_drained_ps {
-            tl.cursor
-        } else {
-            now / tl.granule_ps
-        };
-        let mut kept_min = TimePs::MAX; // min retained in the target bucket
-        let mut scanned = 0u64;
-        // The loop value is the ring's contribution to the next-due bound.
-        let ring_bound: TimePs = loop {
-            let Some(off) = tl.first_occupied_offset() else {
-                break TimePs::MAX; // ring empty
-            };
-            let idx = tl.cursor + u64::from(off);
-            if idx > target {
-                // Earliest occupied bucket lies beyond `now`'s granule;
-                // its granule start bounds every ring event from below.
-                debug_assert_eq!(kept_min, TimePs::MAX, "past bucket retained an event");
-                break idx * tl.granule_ps;
-            }
-            tl.cursor = idx; // no occupied bucket behind: window may advance
-            scanned += 1;
-            let pos = (idx % BUCKETS as u64) as usize;
-            let bucket = &mut tl.buckets[pos];
-            let mut j = 0;
-            while j < bucket.len() {
-                if bucket[j].time <= now {
-                    out.push(bucket.swap_remove(j));
-                } else {
-                    kept_min = kept_min.min(bucket[j].time);
-                    j += 1;
-                }
-            }
-            let emptied = bucket.is_empty();
-            if emptied {
-                tl.occupied[pos / 64] &= !(1 << (pos % 64));
-            }
-            if idx == target {
-                break if !emptied {
-                    // Retained events in the target bucket are the ring's
-                    // earliest (every other occupied bucket is strictly
-                    // later in time).
-                    kept_min
-                } else {
-                    match tl.first_occupied_offset() {
-                        None => TimePs::MAX,
-                        Some(off) => (tl.cursor + u64::from(off)) * tl.granule_ps,
-                    }
-                };
-            }
-            // A bucket strictly before `now`'s granule drains completely
-            // (all its times are below the granule end, hence <= now).
-            debug_assert!(emptied, "past bucket retained an event");
-            tl.cursor = idx + 1;
-        };
-        if tl.cursor < target {
-            // Nothing occupied between the cursor and `now`'s granule:
-            // bring the window base current so pushes see a fresh horizon.
-            tl.cursor = target;
-        }
-        self.stats.bucket_scans += scanned;
-        let overflow_bound = tl.overflow.last().map_or(TimePs::MAX, |ev| ev.time);
         let lane_bound = tl.lane.front().map_or(TimePs::MAX, |ev| ev.time);
-        self.next_due_ps[domain.index()] = ring_bound.min(overflow_bound).min(lane_bound);
-        tl.last_drained_ps = now;
+        let heap_bound = tl.heap.peek().map_or(TimePs::MAX, |Reverse(ev)| ev.time);
+        self.next_due_ps[domain.index()] = lane_bound.min(heap_bound);
         if out.len() > 1 {
             out.sort_unstable();
         }
         self.stats.pops += out.len() as u64;
-        // Cross-check the calendar drain against the reference heap: same
-        // events, same order, nothing due left behind.
-        #[cfg(debug_assertions)]
-        {
-            for ev in out.iter() {
-                let std::cmp::Reverse(head) = tl
-                    .shadow
-                    .pop()
-                    .expect("calendar drained an event the reference heap does not hold");
-                debug_assert_eq!(
-                    head, *ev,
-                    "calendar drain order diverged from the reference heap"
-                );
-            }
-            if let Some(std::cmp::Reverse(head)) = tl.shadow.peek() {
-                debug_assert!(
-                    head.time > now,
-                    "calendar left a due event undrained (due {} <= now {})",
-                    head.time,
-                    now
-                );
-            }
-        }
     }
 
     /// Folds a batch of woken instructions into `domain`'s ready list
@@ -594,8 +333,6 @@ impl DomainTimeline {
 mod tests {
     use super::*;
 
-    const G: [TimePs; 5] = [1_000; 5];
-
     fn drain(t: &mut DomainTimeline, d: DomainId, now: TimePs) -> Vec<TimelineEvent> {
         let mut out = Vec::new();
         t.collect_due(d, now, &mut out);
@@ -612,7 +349,7 @@ mod tests {
 
     #[test]
     fn completions_drain_in_time_then_seq_order_and_respect_due_time() {
-        let mut t = DomainTimeline::new(G);
+        let mut t = DomainTimeline::new();
         let d = DomainId::Integer;
         t.push_completion(d, 300, 7);
         t.push_completion(d, 100, 9);
@@ -629,7 +366,7 @@ mod tests {
 
     #[test]
     fn domains_are_independent() {
-        let mut t = DomainTimeline::new(G);
+        let mut t = DomainTimeline::new();
         t.push_completion(DomainId::Integer, 10, 1);
         t.push_completion(DomainId::LoadStore, 10, 2);
         assert!(drain(&mut t, DomainId::FloatingPoint, 100).is_empty());
@@ -646,7 +383,7 @@ mod tests {
 
     #[test]
     fn completions_order_before_wakeups_at_equal_time_and_seq() {
-        let mut t = DomainTimeline::new(G);
+        let mut t = DomainTimeline::new();
         let d = DomainId::Integer;
         t.push_wakeup(d, 100, 5);
         t.push_completion(d, 100, 5);
@@ -658,7 +395,7 @@ mod tests {
 
     #[test]
     fn due_wakeups_feed_a_seq_sorted_ready_list() {
-        let mut t = DomainTimeline::new(G);
+        let mut t = DomainTimeline::new();
         let d = DomainId::Integer;
         t.push_wakeup(d, 100, 9);
         t.push_wakeup(d, 300, 2);
@@ -680,7 +417,7 @@ mod tests {
 
     #[test]
     fn ready_merge_deduplicates_within_batch_and_against_the_list() {
-        let mut t = DomainTimeline::new(G);
+        let mut t = DomainTimeline::new();
         let d = DomainId::Integer;
         t.extend_ready(d, &mut vec![7, 7, 3]);
         assert_eq!(t.ready(d), &[3, 7]);
@@ -697,7 +434,7 @@ mod tests {
         // with one merge pass rather than k front-inserts — the behaviour
         // this test locks in is correctness; the cost shape is documented
         // in the module docs).
-        let mut t = DomainTimeline::new(G);
+        let mut t = DomainTimeline::new();
         let d = DomainId::Integer;
         let mut batch: Vec<SeqNum> = (0..100).rev().collect();
         t.extend_ready(d, &mut batch);
@@ -713,47 +450,22 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_spill_to_overflow_and_still_drain_in_order() {
-        let mut t = DomainTimeline::new(G);
+    fn far_future_out_of_order_events_drain_in_order() {
+        let mut t = DomainTimeline::new();
         let d = DomainId::LoadStore;
-        let horizon = 1_000 * BUCKETS as u64;
-        t.push_completion(d, horizon + 5_000, 1); // first push: monotone lane
-        t.push_completion(d, horizon + 2_000, 2); // out of order, beyond ring: spills
-        t.push_completion(d, 500, 3); // out of order, in ring
-        assert_eq!(t.stats().overflow_spills, 1);
+        let far = 1_000_000_000;
+        t.push_completion(d, far + 5_000, 1); // first push: monotone lane
+        t.push_completion(d, far + 2_000, 2); // out of order, far future: heap
+        t.push_completion(d, 500, 3); // out of order, near: heap
         assert_eq!(t.stats().lane_pushes, 1);
         assert_eq!(completions(&drain(&mut t, d, 600)), vec![(500, 3)]);
-        // Overflow events surface in (time, seq) order once due.
+        // Far-future events surface in (time, seq) order once due.
         assert_eq!(
-            completions(&drain(&mut t, d, horizon + 10_000)),
-            vec![(horizon + 2_000, 2), (horizon + 5_000, 1)]
+            completions(&drain(&mut t, d, far + 10_000)),
+            vec![(far + 2_000, 2), (far + 5_000, 1)]
         );
         assert_eq!(t.stats().pops, 3);
         assert_eq!(t.stats().pushes, 3);
-    }
-
-    #[test]
-    fn granule_change_reindexes_pending_events() {
-        let mut t = DomainTimeline::new(G);
-        let d = DomainId::Integer;
-        // Drain once so the re-index anchor is a real drain time.
-        assert!(drain(&mut t, d, 1_500).is_empty());
-        t.push_completion(d, 4_000, 1); // monotone lane
-        t.push_completion(d, 2_000, 2); // out of order: ring
-        t.push_wakeup(d, 700_000, 3); // monotone again: lane (no spill)
-        assert_eq!(t.stats().overflow_spills, 0);
-        assert_eq!(t.stats().lane_pushes, 2);
-        // The controller slows the domain to a 4x period: all pending
-        // events re-file under the new mapping (the far-future wakeup now
-        // fits the wider ring).
-        t.set_granule(d, 4_000);
-        assert_eq!(
-            completions(&drain(&mut t, d, 5_000)),
-            vec![(2_000, 2), (4_000, 1)]
-        );
-        let due = drain(&mut t, d, 800_000);
-        assert_eq!(due.len(), 1);
-        assert_eq!((due[0].seq, due[0].kind), (3, EventKind::Wakeup));
     }
 
     #[test]
@@ -761,7 +473,7 @@ mod tests {
         // A same-domain completion at `now` pushes a consumer wakeup at
         // exactly `now`; the kernel's drain loop picks it up by calling
         // collect_due again with the same `now`.
-        let mut t = DomainTimeline::new(G);
+        let mut t = DomainTimeline::new();
         let d = DomainId::FloatingPoint;
         t.push_completion(d, 2_000, 4);
         let due = drain(&mut t, d, 2_000);
@@ -775,7 +487,7 @@ mod tests {
 
     #[test]
     fn traffic_counters_accumulate() {
-        let mut t = DomainTimeline::new(G);
+        let mut t = DomainTimeline::new();
         let d = DomainId::Integer;
         t.push_completion(d, 1_000, 1);
         t.push_wakeup(d, 1_500, 2);
@@ -784,25 +496,25 @@ mod tests {
         assert_eq!(s.pushes, 2);
         assert_eq!(s.pops, 2);
         assert_eq!(s.drains, 1);
-        // Both pushes arrived in order, so the lane absorbed them and the
-        // ring was never scanned.
+        // Both pushes arrived in order, so the lane absorbed them.  The
+        // retired calendar counters stay at zero.
         assert_eq!(s.lane_pushes, 2);
         assert_eq!(s.bucket_scans, 0);
         assert_eq!(s.overflow_spills, 0);
     }
 
     #[test]
-    fn out_of_order_pushes_fall_back_to_the_calendar_and_merge_with_the_lane() {
-        let mut t = DomainTimeline::new(G);
+    fn out_of_order_pushes_fall_back_to_the_heap_and_merge_with_the_lane() {
+        let mut t = DomainTimeline::new();
         let d = DomainId::Integer;
         // Ascending run lands in the lane; an earlier event then takes the
-        // ring, and a later one re-enters the lane.
+        // heap, and a later one re-enters the lane.
         t.push_completion(d, 2_000, 1);
         t.push_completion(d, 2_500, 2);
-        t.push_completion(d, 1_000, 3); // out of order: ring
+        t.push_completion(d, 1_000, 3); // out of order: heap
         t.push_wakeup(d, 3_000, 4); // monotone again: lane
         assert_eq!(t.stats().lane_pushes, 3);
-        // A drain merges lane and ring batches into one ordered sequence.
+        // A drain merges lane and heap batches into one ordered sequence.
         let due = drain(&mut t, d, 2_200);
         assert_eq!(
             due.iter().map(|e| (e.time, e.seq)).collect::<Vec<_>>(),

@@ -52,7 +52,7 @@
 //!   at their (possibly earlier) readiness time.  The timeline's ready-list
 //!   merge deduplicates, so re-wakeups are safe;
 //! * the simulator queues each woken `(consumer, ready-time)` pair in its
-//!   domain (a wakeup event on the domain's calendar timeline —
+//!   domain (a wakeup event on the domain's timeline —
 //!   [`crate::events::DomainTimeline`] — for the execution domains, the
 //!   LSQ's operand-readiness times for memory operations) and never probes
 //!   operands again.

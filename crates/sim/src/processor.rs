@@ -15,8 +15,9 @@
 //! * `exec` — the integer/floating-point domains' wakeup-select-issue
 //!   cycle plus writeback;
 //! * `lsq` — the load/store domain's cycle and the cache hierarchy timing;
-//! * `events` — the per-domain calendar-queue timelines carrying tagged
-//!   completion/wakeup events plus the ready lists they feed;
+//! * `events` — the per-domain timelines (monotone lane plus heap)
+//!   carrying tagged completion/wakeup events plus the ready lists they
+//!   feed;
 //! * `inflight` — the dense, ROB-indexed in-flight instruction slab.
 //!
 //! This file owns the processor structure, construction, the control
@@ -174,7 +175,7 @@ pub struct McdProcessor {
     pub(crate) mem_fus: FuPool,
     pub(crate) l1d: Cache,
     pub(crate) l2: Cache,
-    /// The unified per-domain event machinery: calendar-queue timelines
+    /// The unified per-domain event machinery: lane-plus-heap timelines
     /// carrying tagged completion/wakeup events, drained once per domain
     /// cycle, plus the seq-sorted ready lists the wakeups feed (event-driven
     /// wakeup: producers push, the select stage never re-probes).
@@ -289,14 +290,6 @@ impl McdProcessor {
             config.clock.sync_window_ps
         });
 
-        // Calendar buckets are quantized by each domain's settled period;
-        // `end_interval` re-quantizes when the controller retargets a
-        // domain.
-        let mut granules = [0; 5];
-        for d in DomainId::ALL {
-            granules[d.index()] = clocks[d.index()].target_period_ps();
-        }
-
         let mut cpu = McdProcessor {
             predictor: BranchPredictor::new(config.arch.branch_predictor.clone()),
             l1i: Cache::new(config.arch.l1i),
@@ -320,7 +313,7 @@ impl McdProcessor {
             int_fus: FuPool::new(FuPoolConfig::integer_domain()),
             fp_fus: FuPool::new(FuPoolConfig::fp_domain()),
             mem_fus: FuPool::new(FuPoolConfig::loadstore_domain()),
-            timeline: DomainTimeline::new(granules),
+            timeline: DomainTimeline::new(),
             inflight: InFlightTable::new(config.arch.rob_size),
             pending_predictions: VecDeque::with_capacity(config.arch.fetch_buffer_size),
             scratch_seqs: Vec::with_capacity(config.arch.lsq_size.max(config.arch.rob_size)),
@@ -542,12 +535,6 @@ impl McdProcessor {
             let point = self.table.nearest(cmd.target_freq_mhz);
             let clock = &mut self.clocks[cmd.domain.index()];
             clock.set_target_freq(point.freq_mhz);
-            // Keep the calendar's time-to-bucket quantization in step with
-            // the domain's settled period (a no-op when the target period
-            // is unchanged; re-indexes the domain's pending events
-            // otherwise).
-            self.timeline
-                .set_granule(cmd.domain, clock.target_period_ps());
             self.refresh_charge(cmd.domain);
         }
 

@@ -44,13 +44,11 @@ impl IntervalRecord {
 }
 
 /// Event-queue traffic of one run: how hard the kernel's per-domain
-/// calendar timelines (`sim/src/events.rs`) worked.
+/// timelines (`sim/src/events.rs`) worked.
 ///
-/// These counters quantify the heap-vs-calendar trade per workload — the
-/// push/pop volume the queues carry, how many pushes missed the bucket
-/// ring and spilled to the sorted overflow list, and how many buckets the
-/// drains scanned — so a queue pathology (e.g. a workload whose events
-/// constantly overflow the ring horizon) is visible in the
+/// These counters give the push/pop volume the queues carry and how much
+/// of it the monotone lane absorbed, so a queue pathology (e.g. a workload
+/// whose pushes mostly miss the lane) is visible in the
 /// `BENCH_kernel_micro.json` artefact instead of silently degrading
 /// throughput.  Host-side telemetry only: like the rest of [`HostStats`],
 /// excluded from [`SimResult`] equality.
@@ -60,28 +58,25 @@ pub struct EventTrafficStats {
     pub pushes: u64,
     /// Events delivered by timeline drains.
     pub pops: u64,
-    /// Pushes that landed beyond the bucket ring's horizon and went to the
-    /// sorted overflow list (includes re-files during granule changes).
+    /// Always 0: the timelines have no overflow list since the bucket ring
+    /// was replaced by a plain heap.  Kept until the benchmark harness
+    /// stops reading it.
     pub overflow_spills: u64,
-    /// Ring buckets examined across all drains (the calendar's scan cost).
+    /// Always 0, for the same reason as `overflow_spills`.
     pub bucket_scans: u64,
     /// Timeline drain passes (one or more per domain cycle).
     pub drains: u64,
     /// Pushes absorbed by the monotone lane — the per-domain sorted fast
     /// path that accepts an event in O(1) when it is not earlier than the
-    /// lane's tail, bypassing the bucket ring entirely (and granule
-    /// re-files, since the lane needs no bucket math).
+    /// lane's tail; the rest go to the domain's heap.
     pub lane_pushes: u64,
 }
 
 impl EventTrafficStats {
-    /// Average number of ring buckets examined per drain pass.
+    /// Always 0.0 (see `bucket_scans`).  Kept until the benchmark harness
+    /// stops reading it.
     pub fn avg_bucket_scan(&self) -> f64 {
-        if self.drains == 0 {
-            0.0
-        } else {
-            self.bucket_scans as f64 / self.drains as f64
-        }
+        0.0
     }
 }
 

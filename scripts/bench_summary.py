@@ -47,15 +47,14 @@ def kernel_micro(doc):
     traffic = doc.get("event_traffic", [])
     if traffic:
         print("### Event-timeline traffic (20k-instruction runs)\n")
-        print("| workload | pushes | pops | overflow spills | bucket scans "
-              "| lane pushes | events/commit | ann fed | ann recomputed |")
-        print("|---|---|---|---|---|---|---|---|---|")
+        print("| workload | pushes | pops | lane pushes | events/commit "
+              "| ann fed | ann recomputed |")
+        print("|---|---|---|---|---|---|---|")
         for t in traffic:
             epc = t.get("events_per_commit")
             epc_cell = f"{epc:.3f}" if epc is not None else "-"
             print(
                 f"| {t['workload']} | {t['timeline_pushes']} | {t['timeline_pops']} "
-                f"| {t['overflow_spills']} | {t['bucket_scans']} "
                 f"| {t.get('lane_pushes', '-')} | {epc_cell} "
                 f"| {t.get('ann_fed', '-')} | {t.get('ann_recomputed', '-')} |"
             )

@@ -332,19 +332,36 @@ proptest! {
         }
     }
 
-    /// The per-domain calendar-queue timeline must drain *exactly* the
-    /// events a reference binary min-heap would pop, in the same
-    /// `(time, seq, kind)` order, on arbitrary event streams: random times
-    /// (including far-future events beyond the ring horizon, which take
-    /// the sorted-overflow path), random sequence numbers and kinds
-    /// (exercising the completion-before-wakeup tie-break), pushes
-    /// interleaved with drains at random time steps, and mid-stream bucket
-    /// granule changes (as the controller retargets a domain's period),
-    /// which force a full re-index.
+    /// The rename map never reports the zero register as having a producer.
+    #[test]
+    fn zero_register_never_gets_a_producer(seqs in proptest::collection::vec(0u64..1000, 1..50)) {
+        let mut map = mcd::microarch::RenameMap::new();
+        for seq in seqs {
+            map.set_producer(Reg::int(31), seq);
+            map.set_producer(Reg::fp(31), seq);
+            prop_assert_eq!(map.producer(Reg::int(31)), None);
+            prop_assert_eq!(map.producer(Reg::fp(31)), None);
+        }
+    }
+}
+
+proptest! {
+    // The only reference check of the timelines' drain order outside the
+    // golden dumps, so it runs more cases than the other structure tests.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The per-domain timeline (monotone lane plus heap) must drain
+    /// *exactly* the events a reference binary min-heap would pop, in the
+    /// same `(time, seq, kind)` order, on arbitrary event streams: random
+    /// times (including far-future events, many drain steps ahead), random
+    /// sequence numbers and kinds (exercising the completion-before-wakeup
+    /// tie-break), out-of-order pushes that miss the lane, and pushes
+    /// interleaved with drains at random time steps or exactly at the
+    /// earliest pending event time.
     #[test]
     fn timeline_drains_match_a_reference_heap(
         ops in proptest::collection::vec(
-            (0u8..8, 0u64..600_000, 0u64..64, 0u8..2, 1u64..5_000),
+            (0u8..7, 0u64..600_000, 0u64..64, 0u8..2),
             1..200,
         ),
     ) {
@@ -352,8 +369,7 @@ proptest! {
         use std::collections::BinaryHeap;
 
         let domain = DomainId::Integer;
-        let granule = 1_000;
-        let mut timeline = DomainTimeline::new([granule; 5]);
+        let mut timeline = DomainTimeline::new();
         let mut reference: BinaryHeap<Reverse<TimelineEvent>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut out = Vec::new();
@@ -370,11 +386,10 @@ proptest! {
             prop_assert_eq!(&expected[..], &out[..]);
             Ok(())
         };
-        for (op, delta, seq, kind_sel, new_granule) in ops {
+        for (op, delta, seq, kind_sel) in ops {
             match op {
                 // Push (biased: most ops schedule near-future events; the
-                // range reaches past the 128-bucket ring horizon so some
-                // take the overflow path).
+                // range reaches up to 30 average drain steps ahead).
                 0..=4 => {
                     let time = now + delta;
                     let kind = if kind_sel == 0 {
@@ -388,13 +403,19 @@ proptest! {
                 }
                 // Advance time and drain; both structures must yield the
                 // same events in the same order.
-                5 | 6 => {
+                5 => {
                     now += delta % 20_000;
                     drain_and_compare(&mut timeline, &mut reference, now, &mut out)?;
                 }
-                // Mid-stream period change: re-quantizes every pending
-                // bucket (the drain order must be unaffected).
-                _ => timeline.set_granule(domain, new_granule),
+                // Drain exactly at the earliest pending event time (or
+                // again at `now` when nothing later is pending), so due
+                // times equal to `now` are exercised.
+                _ => {
+                    if let Some(Reverse(ev)) = reference.peek() {
+                        now = now.max(ev.time);
+                    }
+                    drain_and_compare(&mut timeline, &mut reference, now, &mut out)?;
+                }
             }
         }
         // Final drain far past every scheduled event: nothing may be lost.
@@ -402,18 +423,6 @@ proptest! {
         drain_and_compare(&mut timeline, &mut reference, now, &mut out)?;
         prop_assert!(reference.is_empty());
         prop_assert_eq!(timeline.stats().pushes, timeline.stats().pops);
-    }
-
-    /// The rename map never reports the zero register as having a producer.
-    #[test]
-    fn zero_register_never_gets_a_producer(seqs in proptest::collection::vec(0u64..1000, 1..50)) {
-        let mut map = mcd::microarch::RenameMap::new();
-        for seq in seqs {
-            map.set_producer(Reg::int(31), seq);
-            map.set_producer(Reg::fp(31), seq);
-            prop_assert_eq!(map.producer(Reg::int(31)), None);
-            prop_assert_eq!(map.producer(Reg::fp(31)), None);
-        }
     }
 }
 
