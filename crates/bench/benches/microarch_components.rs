@@ -192,10 +192,11 @@ fn bench_workload_generation(c: &mut Criterion) {
 /// passes, monotone-lane absorptions — see `mcd_sim::EventTrafficStats`),
 /// the derived events-per-commit ratio, the dispatch-path counters
 /// (`ann_fed` from an annotation-fed trace replay, `ann_recomputed` from
-/// the live run), and the kernel-step counters (steps per commit and the
-/// idle-step share), making the lane's structural event-traffic cut, the
-/// annotation coverage and the idle-step floor measurable per workload per
-/// commit.
+/// the live run), and the kernel-step counters (steps per commit, the
+/// idle-step share, and the steps and catch-ups of the quiet-time
+/// catch-up), making the lane's structural event-traffic cut, the
+/// annotation coverage, the idle-step floor and the catch-up's coverage
+/// measurable per workload per commit.
 fn export_results(c: &mut Criterion) {
     let results = c.take_results();
     if results.is_empty() {
@@ -251,6 +252,9 @@ fn export_results(c: &mut Criterion) {
         row.insert("ann_recomputed", live.host.ann_recomputed);
         row.insert("steps_per_commit", live.steps_per_commit());
         row.insert("idle_step_fraction", live.host.idle_step_fraction());
+        row.insert("skipped_steps", live.host.skipped_steps.iter().sum::<u64>());
+        row.insert("skipped_step_fraction", live.host.skipped_step_fraction());
+        row.insert("quiet_skips", live.host.quiet_skips);
         row
     })
     .collect();

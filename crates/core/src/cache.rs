@@ -38,8 +38,11 @@ use serde::Serialize;
 /// offset from the exact offset distribution with one alias-table lookup
 /// instead of rounding a Box–Muller sample, so every run with jitter
 /// (MCD clocking) has a new jitter realization; fully synchronous runs
-/// are unchanged.
-pub const KEY_VERSION: u8 = 2;
+/// are unchanged.  v3 — the quiet-time catch-up charges each domain's
+/// idle edges in a batch, so `EnergyBreakdown::idle` is summed per
+/// structure instead of in global edge order and differs in its last
+/// bits; every other result value is unchanged.
+pub const KEY_VERSION: u8 = 3;
 
 /// Traces kept strongly referenced in the most-recent ring.  The engine
 /// registers leases per scheduling wave, so the ring is what carries a

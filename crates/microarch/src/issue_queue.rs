@@ -114,8 +114,14 @@ impl IssueQueue {
     /// hardware is exactly this accumulator (Table 3's "queue utilization
     /// counter").
     pub fn accumulate_occupancy(&mut self) {
-        self.occupancy_accumulator += self.len() as u64;
-        self.accumulated_cycles += 1;
+        self.accumulate_occupancy_for(1);
+    }
+
+    /// Adds the current occupancy for `cycles` domain cycles in which the
+    /// queue did not change.
+    pub fn accumulate_occupancy_for(&mut self, cycles: u64) {
+        self.occupancy_accumulator += self.len() as u64 * cycles;
+        self.accumulated_cycles += cycles;
     }
 
     /// Returns the average occupancy since the last reset and clears the

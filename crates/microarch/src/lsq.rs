@@ -154,11 +154,16 @@ pub struct LoadStoreQueue {
     /// bucket-range walk.  Derived from `store_filter`.
     occupied_bits: u64,
     /// Set when the last [`LoadStoreQueue::issue_candidates_into`] scan,
-    /// with monotone visibility, found no candidate; cleared by the only
-    /// events that can create one — the visible prefix growing and an
-    /// operand-ready flag latching.  While set (and visibility stays
-    /// monotone) the next scan is skipped: every prefix entry is still
-    /// unready or already issued.
+    /// with monotone visibility, found no candidate, or found only loads
+    /// that memory disambiguation blocks
+    /// ([`LoadStoreQueue::memoize_blocked_scan`]); cleared by the only
+    /// events that can create an issuable candidate — the visible prefix
+    /// growing, an operand-ready flag latching (which may also unblock a
+    /// load waiting on an unknown store address) and an entry leaving the
+    /// queue (which may unblock a load behind a partially overlapping
+    /// store).  While set (and visibility stays monotone) the next scan is
+    /// skipped: every prefix entry is still unready, already issued or a
+    /// blocked load.
     no_candidates: bool,
     /// Largest `now_ps` ever passed to a visibility query (debug-only
     /// monotonicity guard).
@@ -436,6 +441,7 @@ impl LoadStoreQueue {
             return false;
         };
         let e = self.entries.remove(pos);
+        self.no_candidates = false;
         if pos < self.visible_len {
             self.visible_len -= 1;
         }
@@ -582,7 +588,9 @@ impl LoadStoreQueue {
             debug_assert!(
                 self.entries[..self.visible_len]
                     .iter()
-                    .all(|e| !e.operands_ready || e.issued),
+                    .all(|e| !e.operands_ready
+                        || e.issued
+                        || (!e.is_store && self.load_issue_decision(e.seq) == LsqIssue::Blocked)),
                 "skipped an issue-candidate scan that had candidates"
             );
             return;
@@ -604,6 +612,43 @@ impl LoadStoreQueue {
             );
         }
         self.no_candidates = monotone && out.len() == before;
+    }
+
+    /// Memoizes a scan at `now_ps` whose every candidate was a load that
+    /// [`LoadStoreQueue::load_issue_decision`] blocked: the next scans are
+    /// skipped like empty ones until a store's operand flag latches, an
+    /// entry leaves the queue or the visible prefix grows — the only
+    /// events that can unblock such a load or add a candidate.  A no-op
+    /// with non-monotone visibility at `now_ps`.  The caller must not
+    /// call it for a scan that lost a candidate to a busy port: that
+    /// candidate is not blocked.
+    pub fn memoize_blocked_scan(&mut self, now_ps: u64) {
+        if self.earliest_pending_ps > now_ps {
+            self.no_candidates = true;
+        }
+    }
+
+    /// Whether the next issue-candidate scan is known to find nothing to
+    /// issue (the scan memo of [`LoadStoreQueue::issue_candidates_into`]);
+    /// it stays so at least until
+    /// [`earliest_pending_ps`](Self::earliest_pending_ps) and
+    /// [`min_unflagged_ready_ps`](Self::min_unflagged_ready_ps), unless
+    /// the queue changes in between.
+    pub fn scan_memoized(&self) -> bool {
+        self.no_candidates
+    }
+
+    /// A lower bound on the earliest time at which the visible prefix can
+    /// grow (`u64::MAX` when every entry is visible).
+    pub fn earliest_pending_ps(&self) -> u64 {
+        self.earliest_pending_ps
+    }
+
+    /// A lower bound on the earliest time at which
+    /// [`LoadStoreQueue::promote_operand_readiness`] can latch an operand
+    /// flag of a visible entry (`u64::MAX` when none can).
+    pub fn min_unflagged_ready_ps(&self) -> u64 {
+        self.min_unflagged_ready_ps
     }
 
     /// Sequence numbers of entries that are visible, ready and not yet
@@ -667,8 +712,14 @@ impl LoadStoreQueue {
     /// Adds the current occupancy to the per-interval accumulator (once per
     /// load/store-domain cycle).
     pub fn accumulate_occupancy(&mut self) {
-        self.occupancy_accumulator += self.entries.len() as u64;
-        self.accumulated_cycles += 1;
+        self.accumulate_occupancy_for(1);
+    }
+
+    /// Adds the current occupancy for `cycles` load/store-domain cycles in
+    /// which the queue did not change.
+    pub fn accumulate_occupancy_for(&mut self, cycles: u64) {
+        self.occupancy_accumulator += self.entries.len() as u64 * cycles;
+        self.accumulated_cycles += cycles;
     }
 
     /// Returns the average occupancy since the last reset and clears the
@@ -899,6 +950,59 @@ mod tests {
         assert!(q.issue_candidates(3_200).is_empty());
         q.set_operands_ready(3);
         assert_eq!(q.issue_candidates(3_300), vec![3]);
+    }
+
+    #[test]
+    fn a_blocked_loads_scan_is_memoized_until_the_store_address_latches() {
+        let mut q = LoadStoreQueue::new(8);
+        q.insert(1, true, mem(0x200, 8), 100).unwrap();
+        q.insert(2, false, mem(0x100, 8), 100).unwrap();
+        q.set_ready_at(1, 2_000);
+        q.set_ready_at(2, 100);
+        q.promote_operand_readiness(1_000);
+        // The load is ready but blocked behind the unknown store address.
+        assert_eq!(q.issue_candidates(1_000), vec![2]);
+        assert_eq!(q.load_issue_decision(2), LsqIssue::Blocked);
+        q.memoize_blocked_scan(1_000);
+        assert!(q.scan_memoized());
+        assert!(q.issue_candidates(1_500).is_empty(), "the scan is skipped");
+        assert_eq!(q.min_unflagged_ready_ps(), 2_000);
+        // The store's flag latch re-arms the scan, and the load is free.
+        q.promote_operand_readiness(2_000);
+        assert!(!q.scan_memoized());
+        assert_eq!(q.issue_candidates(2_000), vec![1, 2]);
+        assert_eq!(q.load_issue_decision(2), LsqIssue::AccessCache);
+    }
+
+    #[test]
+    fn removing_a_partially_overlapping_store_rearms_a_blocked_scan() {
+        let mut q = LoadStoreQueue::new(8);
+        q.insert(1, true, mem(0x104, 4), 0).unwrap();
+        q.insert(2, false, mem(0x100, 8), 0).unwrap();
+        q.set_operands_ready(1);
+        q.set_operands_ready(2);
+        q.mark_issued(1);
+        assert_eq!(q.issue_candidates(100), vec![2]);
+        assert_eq!(q.load_issue_decision(2), LsqIssue::Blocked);
+        q.memoize_blocked_scan(100);
+        assert!(q.issue_candidates(200).is_empty());
+        // The store commits and leaves: the load may access the cache.
+        q.remove(1);
+        assert!(!q.scan_memoized());
+        assert_eq!(q.issue_candidates(300), vec![2]);
+        assert_eq!(q.load_issue_decision(2), LsqIssue::AccessCache);
+    }
+
+    #[test]
+    fn a_blocked_scan_is_not_memoized_with_non_monotone_visibility() {
+        let mut q = LoadStoreQueue::new(8);
+        q.insert(1, true, mem(0x200, 8), 5_000).unwrap();
+        q.insert(2, false, mem(0x100, 8), 1_000).unwrap();
+        q.set_operands_ready(2);
+        // Seq 2 is visible behind the not-yet-visible store seq 1.
+        assert_eq!(q.issue_candidates(1_100), vec![2]);
+        q.memoize_blocked_scan(1_100);
+        assert!(!q.scan_memoized());
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub struct EnergyBreakdown {
     pub by_domain: Vec<(DomainId, f64)>,
     /// Energy of the clock-distribution network (subset of the total).
     pub clock: f64,
-    /// Energy charged while structures were idle (gating floor).
+    /// Energy charged while structures were idle (gating floor), summed
+    /// per structure in [`Structure::ALL`] order.
     pub idle: f64,
 }
 
@@ -68,7 +69,11 @@ impl EnergyBreakdown {
 pub struct EnergyAccount {
     params: EnergyParams,
     by_structure: Vec<f64>,
-    idle: f64,
+    /// The idle (gating-floor) share of each structure's energy, same
+    /// indexing.  Kept per structure, not as one sum, so that the idle
+    /// edges of one clock domain can be charged in a batch without
+    /// interleaving with another domain's (see [`IdleSums`]).
+    idle_by_structure: Vec<f64>,
     accesses: Vec<u64>,
     /// Per-access energy at nominal voltage, indexed by [`Structure::index`]
     /// (0.0 for structures without a per-access cost).
@@ -98,7 +103,7 @@ impl EnergyAccount {
         }
         EnergyAccount {
             by_structure: vec![0.0; Structure::ALL.len()],
-            idle: 0.0,
+            idle_by_structure: vec![0.0; Structure::ALL.len()],
             accesses: vec![0; Structure::ALL.len()],
             access_energy,
             clock_energy,
@@ -147,7 +152,41 @@ impl EnergyAccount {
     #[inline]
     pub fn charge_idle(&mut self, structure: Structure, energy: f64) {
         self.by_structure[structure.index()] += energy;
-        self.idle += energy;
+        self.idle_by_structure[structure.index()] += energy;
+    }
+
+    /// Takes out the running sums that idle cycles of `structures` (at
+    /// most four) and cycles of `domain`'s clock grid add to, so a tight
+    /// loop can charge many idle cycles in local variables.  Put them back
+    /// with [`EnergyAccount::put_idle_sums`] and the same arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than four structures are given.
+    pub fn idle_sums(&self, structures: &[Structure], domain: DomainId) -> IdleSums {
+        assert!(
+            structures.len() <= 4,
+            "at most four idle-charged structures"
+        );
+        let mut sums = IdleSums::default();
+        for (k, s) in structures.iter().enumerate() {
+            sums.energy[k] = self.by_structure[s.index()];
+            sums.idle[k] = self.idle_by_structure[s.index()];
+        }
+        sums.clock = Structure::clock_of(domain).map_or(0.0, |c| self.by_structure[c.index()]);
+        sums
+    }
+
+    /// Puts back sums taken with [`EnergyAccount::idle_sums`] for the same
+    /// `structures` and `domain`.
+    pub fn put_idle_sums(&mut self, structures: &[Structure], domain: DomainId, sums: &IdleSums) {
+        for (k, s) in structures.iter().enumerate() {
+            self.by_structure[s.index()] = sums.energy[k];
+            self.idle_by_structure[s.index()] = sums.idle[k];
+        }
+        if let Some(c) = Structure::clock_of(domain) {
+            self.by_structure[c.index()] = sums.clock;
+        }
     }
 
     /// Charges one cycle of `domain`'s clock grid whose energy was computed
@@ -208,8 +247,40 @@ impl EnergyAccount {
             by_structure,
             by_domain,
             clock,
-            idle: self.idle,
+            idle: self.idle_by_structure.iter().sum(),
         }
+    }
+}
+
+/// The running sums of an [`EnergyAccount`] that idle cycles of one clock
+/// domain add to: each idle-charged structure's energy and idle share,
+/// and the domain's clock-grid energy (see [`EnergyAccount::idle_sums`]).
+///
+/// Each sum receives the same additions in the same order as through
+/// [`EnergyAccount::charge_idle`] and [`EnergyAccount::charge_clock`], so
+/// a batch charged here and put back is bit-identical to charging it
+/// cycle by cycle.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdleSums {
+    /// Energy of each structure, in the order the structures were given.
+    pub energy: [f64; 4],
+    /// Idle share of each structure's energy, same order.
+    pub idle: [f64; 4],
+    /// Energy of the domain's clock grid.
+    pub clock: f64,
+}
+
+impl IdleSums {
+    /// Charges one idle cycle: `idle[k]` to structure slot `k` and `clock`
+    /// to the clock grid.  Slots past the structure count are never put
+    /// back, so their charges (zero in practice) are ignored.
+    #[inline]
+    pub fn add_cycle(&mut self, idle: &[f64; 4], clock: f64) {
+        for ((energy, idle_share), &e) in self.energy.iter_mut().zip(&mut self.idle).zip(idle) {
+            *energy += e;
+            *idle_share += e;
+        }
+        self.clock += clock;
     }
 }
 
@@ -257,6 +328,34 @@ mod tests {
         let expected = EnergyParams::default().access_energy(Structure::FpAlu) * 0.10;
         assert!((a.total_energy() - expected).abs() < 1e-12);
         assert!((a.breakdown().idle - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn idle_sums_charge_exactly_like_single_charges() {
+        let structures = [Structure::Lsq, Structure::L1DCache];
+        let d = DomainId::LoadStore;
+        let mut single = account();
+        let mut batched = account();
+        for a in [&mut single, &mut batched] {
+            a.record_access(Structure::Lsq, 3, 1.1);
+        }
+        let mut sums = batched.idle_sums(&structures, d);
+        for v in [1.2, 0.9, 1.05, 0.7] {
+            let vscale = single.params().voltage_scale(v);
+            let idle = [
+                single.idle_cycle_energy(Structure::Lsq, vscale),
+                single.idle_cycle_energy(Structure::L1DCache, vscale),
+                0.0,
+                0.0,
+            ];
+            let clock = single.clock_cycle_energy(d, vscale, 0.1);
+            single.charge_idle(Structure::Lsq, idle[0]);
+            single.charge_idle(Structure::L1DCache, idle[1]);
+            single.charge_clock(d, clock);
+            sums.add_cycle(&idle, clock);
+        }
+        batched.put_idle_sums(&structures, d, &sums);
+        assert_eq!(single.breakdown(), batched.breakdown());
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub mod account;
 pub mod model;
 pub mod structures;
 
-pub use account::{EnergyAccount, EnergyBreakdown};
+pub use account::{EnergyAccount, EnergyBreakdown, IdleSums};
 pub use model::EnergyParams;
 pub use structures::Structure;

@@ -264,6 +264,13 @@ impl DomainTimeline {
         now >= self.next_due_ps[domain.index()]
     }
 
+    /// The time of `domain`'s earliest pending event (`TimePs::MAX` when
+    /// none): edges of the domain before it drain nothing.
+    #[inline]
+    pub fn next_due(&self, domain: DomainId) -> TimePs {
+        self.next_due_ps[domain.index()]
+    }
+
     /// Collects every event of `domain` due at `now` into `out` (cleared
     /// first), in `(time, seq, kind)` order.
     ///
@@ -356,12 +363,16 @@ mod tests {
         t.push_completion(d, 100, 2);
         t.push_completion(d, 500, 1);
         assert!(drain(&mut t, d, 50).is_empty());
+        assert_eq!(t.next_due(d), 100);
+        assert_eq!(t.next_due(DomainId::LoadStore), TimePs::MAX);
         assert_eq!(
             completions(&drain(&mut t, d, 300)),
             vec![(100, 2), (100, 9), (300, 7)]
         );
         assert!(drain(&mut t, d, 300).is_empty());
+        assert_eq!(t.next_due(d), 500);
         assert_eq!(completions(&drain(&mut t, d, 1_000)), vec![(500, 1)]);
+        assert_eq!(t.next_due(d), TimePs::MAX);
     }
 
     #[test]

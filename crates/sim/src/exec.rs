@@ -9,7 +9,10 @@ use crate::events::EventKind;
 use crate::processor::McdProcessor;
 
 impl McdProcessor {
-    pub(crate) fn exec_domain_cycle(&mut self, domain: DomainId, now: TimePs) {
+    /// One integer or floating-point edge: writeback, wakeup, select and
+    /// issue.  Returns whether the edge was idle (no event due, nothing
+    /// issued).
+    pub(crate) fn exec_domain_cycle(&mut self, domain: DomainId, now: TimePs) -> bool {
         debug_assert!(matches!(
             domain,
             DomainId::Integer | DomainId::FloatingPoint
@@ -47,13 +50,15 @@ impl McdProcessor {
             self.fp_iq.accumulate_occupancy();
         }
         if issued == 0 {
-            self.charge_idle_structures(domain, &[false; 3]);
+            self.charge_idle_edge(domain);
             if !drained {
                 self.idle_steps[domain.index()] += 1;
             }
+        } else {
+            self.charge_clock(domain);
+            self.accumulate_freq(domain);
         }
-        self.charge_clock(domain);
-        self.accumulate_freq(domain);
+        issued == 0 && !drained
     }
 
     /// The select/issue stage of an integer or floating-point edge: issues

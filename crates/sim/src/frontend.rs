@@ -1,7 +1,7 @@
 //! Front-end domain cycle: commit, fetch, rename/dispatch.
 
 use mcd_clock::{DomainId, TimePs};
-use mcd_isa::{InstructionStream, OpClass, SeqNum};
+use mcd_isa::{DynInst, InstructionStream, OpClass, SeqNum};
 use mcd_microarch::RobEntry;
 use mcd_power::Structure;
 
@@ -9,7 +9,14 @@ use crate::inflight::{InFlight, Producers};
 use crate::processor::McdProcessor;
 
 impl McdProcessor {
-    pub(crate) fn frontend_cycle(&mut self, now: TimePs, stream: &mut dyn InstructionStream) {
+    /// One front-end edge: commit, fetch, rename/dispatch.  Returns
+    /// whether the edge was idle (retired, fetched and dispatched
+    /// nothing).
+    pub(crate) fn frontend_cycle(
+        &mut self,
+        now: TimePs,
+        stream: &mut dyn InstructionStream,
+    ) -> bool {
         let voltage = self.voltage(DomainId::FrontEnd);
         let mut accessed_bpred = false;
         let mut accessed_icache = false;
@@ -113,26 +120,14 @@ impl McdProcessor {
             let Some(&inst) = self.fetch_buffer.front() else {
                 break;
             };
-            if self.rob.is_full() {
+            if !self.can_dispatch(&inst) {
                 break;
             }
-            // Structural resources in the target domain.
+            if let Some(dst) = inst.dst.filter(|dst| !dst.is_zero()) {
+                let allocated = self.rename_alloc.try_alloc(dst.class());
+                assert!(allocated, "the dispatch gate checked for a free register");
+            }
             let target_domain = Self::exec_domain_of(inst.op);
-            let queue_ok = match target_domain {
-                DomainId::Integer => !self.int_iq.is_full(),
-                DomainId::FloatingPoint => !self.fp_iq.is_full(),
-                DomainId::LoadStore => !self.lsq.is_full(),
-                _ => true,
-            };
-            if !queue_ok {
-                break;
-            }
-            // Physical register for the destination.
-            if let Some(dst) = inst.dst {
-                if !dst.is_zero() && !self.rename_alloc.try_alloc(dst.class()) {
-                    break;
-                }
-            }
 
             self.fetch_buffer.pop_front();
             accessed_rename = true;
@@ -311,20 +306,43 @@ impl McdProcessor {
 
         // A retire or dispatch touches the ROB and a fetch the I-cache;
         // an edge that touched neither only did bookkeeping.
-        if !(accessed_rob || accessed_icache) {
+        let idle = !(accessed_rob || accessed_icache);
+        if idle {
             self.idle_steps[DomainId::FrontEnd.index()] += 1;
+            self.charge_idle_edge(DomainId::FrontEnd);
+        } else {
+            self.charge_idle_structures(
+                DomainId::FrontEnd,
+                &[
+                    accessed_bpred,
+                    accessed_icache,
+                    accessed_rename,
+                    accessed_rob,
+                ],
+            );
+            self.charge_clock(DomainId::FrontEnd);
+            self.accumulate_freq(DomainId::FrontEnd);
         }
-        self.charge_idle_structures(
-            DomainId::FrontEnd,
-            &[
-                accessed_bpred,
-                accessed_icache,
-                accessed_rename,
-                accessed_rob,
-            ],
-        );
-        self.charge_clock(DomainId::FrontEnd);
-        self.accumulate_freq(DomainId::FrontEnd);
+        idle
+    }
+
+    /// The dispatch gate: whether `inst`, at the head of the fetch buffer,
+    /// finds a ROB slot, room in its target domain's queue and a free
+    /// physical register for its destination.
+    pub(crate) fn can_dispatch(&self, inst: &DynInst) -> bool {
+        if self.rob.is_full() {
+            return false;
+        }
+        let queue_ok = match Self::exec_domain_of(inst.op) {
+            DomainId::Integer => !self.int_iq.is_full(),
+            DomainId::FloatingPoint => !self.fp_iq.is_full(),
+            DomainId::LoadStore => !self.lsq.is_full(),
+            _ => true,
+        };
+        queue_ok
+            && inst
+                .dst
+                .is_none_or(|dst| dst.is_zero() || self.rename_alloc.free(dst.class()) > 0)
     }
 
     /// Consumes the fetch-time prediction of `seq`, if one was recorded.

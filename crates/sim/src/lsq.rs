@@ -7,7 +7,9 @@ use mcd_power::Structure;
 use crate::processor::McdProcessor;
 
 impl McdProcessor {
-    pub(crate) fn loadstore_cycle(&mut self, now: TimePs) {
+    /// One load/store edge: writeback, operand readiness, issue.  Returns
+    /// whether the edge was idle (no event due, nothing issued).
+    pub(crate) fn loadstore_cycle(&mut self, now: TimePs) -> bool {
         let domain = DomainId::LoadStore;
         let voltage = self.voltage(domain);
         let period = self.clock(domain).current_period_ps();
@@ -27,6 +29,7 @@ impl McdProcessor {
         let mut candidates = std::mem::take(&mut self.scratch_seqs);
         self.lsq.issue_candidates_into(now, &mut candidates);
         let mut issued = 0usize;
+        let mut blocked = 0usize;
         for &seq in &candidates {
             if issued >= self.config.arch.mem_issue_width {
                 break;
@@ -43,7 +46,10 @@ impl McdProcessor {
                 Some(one_cycle)
             } else {
                 match self.lsq.load_issue_decision(seq) {
-                    LsqIssue::Blocked => None,
+                    LsqIssue::Blocked => {
+                        blocked += 1;
+                        None
+                    }
                     LsqIssue::Forward(_) => {
                         if self.mem_fus.try_issue(FuKind::MemPort, now, one_cycle) {
                             self.energy.record_access(Structure::Lsq, 1, voltage);
@@ -69,6 +75,13 @@ impl McdProcessor {
                 issued += 1;
             }
         }
+        // A scan whose every candidate memory disambiguation blocked
+        // finds nothing until a store address latches or a store leaves:
+        // memoize it like an empty scan.  A candidate that lost the port
+        // does not count as blocked.
+        if blocked == candidates.len() {
+            self.lsq.memoize_blocked_scan(now);
+        }
         candidates.clear();
         self.scratch_seqs = candidates;
 
@@ -81,13 +94,15 @@ impl McdProcessor {
         counters.issued += issued as u64;
         self.lsq.accumulate_occupancy();
         if issued == 0 {
-            self.charge_idle_structures(domain, &[false; 2]);
+            self.charge_idle_edge(domain);
             if !drained {
                 self.idle_steps[domain.index()] += 1;
             }
+        } else {
+            self.charge_clock(domain);
+            self.accumulate_freq(domain);
         }
-        self.charge_clock(domain);
-        self.accumulate_freq(domain);
+        issued == 0 && !drained
     }
 
     /// Computes the completion time of a load that accesses the cache

@@ -1,13 +1,19 @@
 //! The MCD out-of-order processor model and its simulation loop.
 //!
 //! The simulator is time driven at domain-cycle granularity: each of the
-//! four on-chip domains has its own [`DomainClock`]; the main loop always
-//! advances to the earliest pending clock edge and executes one cycle of
-//! that domain.  Values crossing a domain boundary (dispatch into an issue
-//! queue, cross-domain operand wakeup, completion reports to the ROB,
-//! cache-miss traffic to memory) become visible in the destination domain
-//! only at the capture time computed by the [`SyncWindow`] rule, which is
-//! how the MCD synchronization penalties of the paper arise.
+//! four on-chip domains has its own [`DomainClock`]; the main loop
+//! executes the edges of all four in global time order, one cycle of one
+//! domain per edge.  Values crossing a domain boundary (dispatch into an
+//! issue queue, cross-domain operand wakeup, completion reports to the
+//! ROB, cache-miss traffic to memory) become visible in the destination
+//! domain only at the capture time computed by the [`SyncWindow`] rule,
+//! which is how the MCD synchronization penalties of the paper arise.
+//!
+//! Most edges only do bookkeeping.  After a few such edges in a row the
+//! loop computes the *quiet horizon* — the earliest time at which any
+//! edge can do more — and steps each domain's edges before it in a tight
+//! per-domain loop instead of one at a time through the tournament that
+//! picks the earliest edge (see `McdProcessor::run_for`).
 //!
 //! The kernel is split across focused modules:
 //!
@@ -36,7 +42,7 @@ use mcd_microarch::{
     BranchPredictor, Cache, FuPool, FuPoolConfig, IssueQueue, LoadStoreQueue, Prediction,
     RenameAllocator, RenameMap, ReorderBuffer,
 };
-use mcd_power::{EnergyAccount, Structure};
+use mcd_power::{EnergyAccount, IdleSums, Structure};
 
 use crate::config::{ClockingMode, SimConfig};
 use crate::events::{DomainTimeline, TimelineEvent};
@@ -47,6 +53,10 @@ use crate::telemetry::{DomainTrace, HostStats, IntervalRecord, SimResult};
 /// (catches simulator bugs rather than real behaviour: even a chain of
 /// serialized main-memory misses commits every ~100 ns).
 const COMMIT_WATCHDOG_PS: TimePs = 200_000_000;
+
+/// Consecutive idle kernel steps after which the main loop looks for a
+/// quiet horizon to catch up to.
+const QUIET_STREAK: u32 = 2;
 
 /// Outcome of one [`McdProcessor::run_for`] slice.
 ///
@@ -88,6 +98,14 @@ pub(crate) struct RunState {
     pub(crate) wall_seconds: f64,
     /// Set when the run finished; stepping a finished processor panics.
     pub(crate) done: bool,
+    /// Consecutive idle kernel steps, or the streak that started a
+    /// quiet-time catch-up the slice budget cut short (so the next slice
+    /// resumes it).
+    pub(crate) quiet_streak: u32,
+    /// Test-only switch: step every edge through the tournament, as a
+    /// reference for the catch-up.
+    #[cfg(test)]
+    pub(crate) plain_stepping: bool,
 }
 
 /// Per-domain interval counters feeding the controller.
@@ -143,6 +161,28 @@ pub(crate) struct EdgeCharge {
 pub(crate) struct FreqAccumulator {
     pub(crate) weighted_sum: f64,
     pub(crate) cycles: u64,
+}
+
+/// The float sums an idle edge of one on-chip domain adds to, taken out
+/// of the processor so the quiet-time catch-up can keep them in local
+/// variables across many edges.
+#[derive(Debug, Clone, Copy)]
+struct IdleEdgeSums {
+    energy: IdleSums,
+    freq: f64,
+}
+
+impl IdleEdgeSums {
+    /// What one idle edge charges — an edge whose handler only did
+    /// bookkeeping: the gating floor of each [`IDLE_CHARGED`] structure of
+    /// its domain in order, one cycle of the domain's clock grid, and the
+    /// edge's frequency into the cycle-weighted average.  The handlers'
+    /// idle edges and the quiet-time catch-up both charge through here.
+    #[inline]
+    fn add_edge(&mut self, charge: &EdgeCharge, freq_mhz: MegaHertz) {
+        self.energy.add_cycle(&charge.idle, charge.clock);
+        self.freq += freq_mhz;
+    }
 }
 
 /// The simulated MCD processor.
@@ -214,6 +254,12 @@ pub struct McdProcessor {
     /// Per on-chip domain: edges whose handler only did bookkeeping (host
     /// telemetry only, see `ann_fed`).
     pub(crate) idle_steps: [u64; 4],
+    /// Per on-chip domain: the idle edges the quiet-time catch-up stepped
+    /// (host telemetry only, see `ann_fed`).
+    pub(crate) skipped_steps: [u64; 4],
+    /// Quiet-time catch-ups that stepped at least one edge (host
+    /// telemetry only, see `ann_fed`).
+    pub(crate) quiet_skips: u64,
     pub(crate) mispredict_redirects: u64,
     pub(crate) memory_accesses: u64,
     pub(crate) interval_index: u64,
@@ -326,6 +372,8 @@ impl McdProcessor {
             ann_fed: 0,
             ann_recomputed: 0,
             idle_steps: [0; 4],
+            skipped_steps: [0; 4],
+            quiet_skips: 0,
             mispredict_redirects: 0,
             memory_accesses: 0,
             interval_index: 0,
@@ -443,6 +491,38 @@ impl McdProcessor {
     #[inline]
     pub(crate) fn charge_clock(&mut self, d: DomainId) {
         self.energy.charge_clock(d, self.charges[d.index()].clock);
+    }
+
+    /// Takes out the sums an idle edge of on-chip domain `d` adds to.
+    #[inline]
+    fn idle_sums(&self, d: DomainId) -> IdleEdgeSums {
+        IdleEdgeSums {
+            energy: self.energy.idle_sums(IDLE_CHARGED[d.index()], d),
+            freq: self.freq_acc[d.index()].weighted_sum,
+        }
+    }
+
+    /// Puts back sums taken with [`McdProcessor::idle_sums`] after `edges`
+    /// idle edges were added to them.
+    #[inline]
+    fn put_idle_sums(&mut self, d: DomainId, sums: &IdleEdgeSums, edges: u64) {
+        self.energy
+            .put_idle_sums(IDLE_CHARGED[d.index()], d, &sums.energy);
+        let fa = &mut self.freq_acc[d.index()];
+        fa.weighted_sum = sums.freq;
+        fa.cycles += edges;
+    }
+
+    /// Charges one idle edge of on-chip domain `d` (see
+    /// [`IdleEdgeSums::add_edge`]).
+    #[inline]
+    pub(crate) fn charge_idle_edge(&mut self, d: DomainId) {
+        let mut sums = self.idle_sums(d);
+        sums.add_edge(
+            &self.charges[d.index()],
+            self.clocks[d.index()].current_freq_mhz(),
+        );
+        self.put_idle_sums(d, &sums, 1);
     }
 
     /// Time at which a value produced at `t` in `from` becomes visible in
@@ -582,6 +662,14 @@ impl McdProcessor {
     /// edge of one domain) and pauses, or finishes the run if the
     /// instruction budget is reached or the stream drains first.
     ///
+    /// Edges run in global time order through a tournament over the four
+    /// on-chip clocks, except in quiet time: after a few idle steps in a
+    /// row the loop computes the quiet horizon — the earliest time at
+    /// which any edge can do more than bookkeeping — and steps every
+    /// domain's edges before it in one tight loop per domain, within the
+    /// same step budget.  The result is the one edge-by-edge stepping
+    /// gives (`docs/ARCHITECTURE.md`, "Quiet-time catch-up").
+    ///
     /// The slice boundary is invisible to the simulated machine: all
     /// loop-carried state lives in the processor, so any sequence of
     /// `run_for` calls — with any slice lengths, on any threads — produces
@@ -633,6 +721,17 @@ impl McdProcessor {
             if steps >= max_cycles {
                 break false;
             }
+            if self.run_state.quiet_streak >= QUIET_STREAK && self.catch_up_allowed() {
+                if let Some(horizon) = self.quiet_horizon() {
+                    steps += self.catch_up(horizon, max_cycles - steps);
+                }
+                // A catch-up cut short by the budget keeps the streak, so
+                // the next slice resumes it.
+                if steps < max_cycles {
+                    self.run_state.quiet_streak = 0;
+                }
+                continue;
+            }
             steps += 1;
 
             // Pick the on-chip domain with the earliest pending edge: a
@@ -656,12 +755,17 @@ impl McdProcessor {
             let now = self.clocks[domain.index()].advance();
             self.refresh_charge(domain);
 
-            match domain {
+            let idle = match domain {
                 DomainId::FrontEnd => self.frontend_cycle(now, stream),
                 DomainId::Integer | DomainId::FloatingPoint => self.exec_domain_cycle(domain, now),
                 DomainId::LoadStore => self.loadstore_cycle(now),
-                DomainId::External => {}
-            }
+                DomainId::External => true,
+            };
+            self.run_state.quiet_streak = if idle {
+                self.run_state.quiet_streak.saturating_add(1)
+            } else {
+                0
+            };
 
             // Watchdog against livelock.
             if self.committed > self.run_state.last_commit_check.0 {
@@ -682,6 +786,126 @@ impl McdProcessor {
         } else {
             StepOutcome::Paused
         }
+    }
+
+    /// Whether the main loop may catch quiet time up (always, outside the
+    /// tests that compare it against plain stepping).
+    #[inline]
+    fn catch_up_allowed(&self) -> bool {
+        #[cfg(test)]
+        {
+            !self.run_state.plain_stepping
+        }
+        #[cfg(not(test))]
+        {
+            true
+        }
+    }
+
+    /// The quiet horizon: the earliest simulated time at which an on-chip
+    /// edge can do more than bookkeeping, or `None` when some domain may
+    /// have work at its next edge.
+    ///
+    /// An edge before the horizon finds nothing to do in any domain:
+    ///
+    /// * integer and floating point — no timeline event due
+    ///   ([`DomainTimeline::next_due`]) and an empty ready list (a
+    ///   non-empty one means `None`);
+    /// * load/store — no event due, no entry entering the LSQ's visible
+    ///   prefix or latching its operand flag, and a memoized empty or
+    ///   all-blocked scan (no memo means `None`);
+    /// * front end — the ROB head not yet visibly completed, fetch stalled
+    ///   (when nothing else stops it) and a fetch-buffer head that cannot
+    ///   dispatch (one that can means `None`);
+    /// * the livelock watchdog not yet due.
+    ///
+    /// Idle edges change none of these inputs — only a busy edge does — so
+    /// the horizon holds until the first edge at or after it.
+    fn quiet_horizon(&self) -> Option<TimePs> {
+        if !self.timeline.ready(DomainId::Integer).is_empty()
+            || !self.timeline.ready(DomainId::FloatingPoint).is_empty()
+            || !self.lsq.scan_memoized()
+            || self
+                .fetch_buffer
+                .front()
+                .is_some_and(|inst| self.can_dispatch(inst))
+        {
+            return None;
+        }
+        let watchdog_ps = self
+            .run_state
+            .last_commit_check
+            .1
+            .saturating_add(COMMIT_WATCHDOG_PS + 1);
+        let mut horizon = ON_CHIP_DOMAINS
+            .iter()
+            .map(|&d| self.timeline.next_due(d))
+            .fold(watchdog_ps, TimePs::min)
+            .min(self.lsq.earliest_pending_ps())
+            .min(self.lsq.min_unflagged_ready_ps());
+        if let Some(head) = self.rob.head().filter(|head| head.completed) {
+            horizon = horizon.min(head.completion_visible_ps);
+        }
+        if self.fetch_blocked_by.is_none()
+            && !self.stream_done
+            && self.fetch_buffer.len() < self.config.arch.fetch_buffer_size
+        {
+            horizon = horizon.min(self.fetch_stalled_until);
+        }
+        Some(horizon)
+    }
+
+    /// Steps every on-chip domain, one domain at a time, through its edges
+    /// before `horizon`, charging each as an idle handler would — at most
+    /// `budget` edges in all.  Returns the edges stepped.
+    ///
+    /// Exact: every edge before the horizon is idle, and an idle edge
+    /// touches only its own domain's state (clock, charges, the sums of
+    /// [`IdleEdgeSums`], counters and queue occupancy), so the domains'
+    /// edges commute.  Every per-structure float sum receives its charges
+    /// in the original order.  When the budget stops the catch-up with the
+    /// domains at different times, the tournament still finishes the
+    /// remaining edges before the horizon ahead of any busy edge.
+    fn catch_up(&mut self, horizon: TimePs, budget: u64) -> u64 {
+        let mut stepped = 0;
+        for d in ON_CHIP_DOMAINS {
+            if stepped == budget {
+                break;
+            }
+            stepped += self.catch_up_domain(d, horizon, budget - stepped);
+        }
+        if stepped > 0 {
+            self.quiet_skips += 1;
+        }
+        stepped
+    }
+
+    /// Steps on-chip domain `d` through at most `budget` of its edges
+    /// before `horizon` (see [`McdProcessor::catch_up`]).
+    fn catch_up_domain(&mut self, d: DomainId, horizon: TimePs, budget: u64) -> u64 {
+        let di = d.index();
+        if self.clocks[di].next_edge_ps() >= horizon {
+            return 0;
+        }
+        let mut sums = self.idle_sums(d);
+        let mut edges = 0;
+        while edges < budget && self.clocks[di].next_edge_ps() < horizon {
+            self.clocks[di].advance();
+            self.refresh_charge(d);
+            sums.add_edge(&self.charges[di], self.clocks[di].current_freq_mhz());
+            edges += 1;
+        }
+        self.put_idle_sums(d, &sums, edges);
+        self.domain_counters[di].cycles += edges;
+        self.idle_steps[di] += edges;
+        self.skipped_steps[di] += edges;
+        match d {
+            DomainId::Integer => self.int_iq.accumulate_occupancy_for(edges),
+            DomainId::FloatingPoint => self.fp_iq.accumulate_occupancy_for(edges),
+            DomainId::LoadStore => self.lsq.accumulate_occupancy_for(edges),
+            DomainId::FrontEnd | DomainId::External => {}
+        }
+        edges
     }
 
     fn finish(&mut self) -> SimResult {
@@ -711,6 +935,8 @@ impl McdProcessor {
             host.domain_steps[d.index()] = self.clocks[d.index()].cycles();
         }
         host.idle_steps = self.idle_steps;
+        host.skipped_steps = self.skipped_steps;
+        host.quiet_skips = self.quiet_skips;
 
         SimResult {
             committed_instructions: self.committed,
@@ -736,6 +962,7 @@ mod tests {
     use super::*;
     use mcd_control::{AttackDecayController, AttackDecayParams, FixedController};
     use mcd_workloads::{Benchmark, WorkloadGenerator};
+    use proptest::prelude::*;
 
     fn run_benchmark(
         bench: Benchmark,
@@ -1077,11 +1304,129 @@ mod tests {
             r.frontend_cycles
         );
         for d in mcd_clock::ON_CHIP_DOMAINS {
-            assert!(host.idle_steps[d.index()] <= host.domain_steps[d.index()]);
+            let i = d.index();
+            assert!(host.skipped_steps[i] <= host.idle_steps[i], "{host:?}");
+            assert!(host.idle_steps[i] <= host.domain_steps[i], "{host:?}");
         }
-        // mcf is memory bound: most of its edges do no work.
+        // mcf is memory bound: most of its edges do no work, and most of
+        // those sit in whole-machine quiet time the catch-up steps.
         assert!(host.idle_step_fraction() > 0.5, "{host:?}");
+        assert!(host.skipped_step_fraction() > 0.5, "{host:?}");
+        assert!(host.quiet_skips > 0);
         assert!(r.steps_per_commit() > 4.0);
+    }
+
+    /// The controllers the catch-up exactness test draws from: fixed at
+    /// the maximum, floating point and load/store pinned low, and
+    /// Attack/Decay (which ramps clocks mid-run).
+    fn controller(kind: u8, config: &SimConfig) -> Box<dyn FrequencyController> {
+        match kind {
+            0 => Box::new(FixedController::at_max()),
+            1 => Box::new(FixedController::pinned(vec![
+                (DomainId::FloatingPoint, 250.0),
+                (DomainId::LoadStore, 600.0),
+            ])),
+            _ => {
+                let table = OperatingPointTable::from_params(&config.clock);
+                Box::new(AttackDecayController::new(
+                    AttackDecayParams::paper_defaults(),
+                    &table,
+                ))
+            }
+        }
+    }
+
+    /// Runs a workload in `run_for` slices of `budget` steps, with or
+    /// without the quiet-time catch-up.
+    fn run_with_catch_up(
+        bench: Benchmark,
+        seed: u64,
+        config: &SimConfig,
+        controller_kind: u8,
+        budget: u64,
+        catch_up: bool,
+    ) -> SimResult {
+        let mut stream = WorkloadGenerator::new(&bench.spec(), seed, config.max_instructions);
+        let mut cpu = McdProcessor::new(config.clone(), controller(controller_kind, config));
+        cpu.run_state.plain_stepping = !catch_up;
+        loop {
+            if let StepOutcome::Finished(r) = cpu.run_for(&mut stream, budget) {
+                return r;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The quiet-time catch-up is exact: a run with it equals the run
+        /// that steps every edge through the tournament — over every
+        /// benchmark, seeds, controllers, both clocking modes and pause
+        /// budgets that cut catch-ups short.
+        #[test]
+        fn catch_up_matches_plain_stepping(
+            bench_sel in 0usize..30,
+            seed in 0u64..1_000,
+            controller_kind in 0u8..3,
+            synchronous in 0u8..2,
+            budget_sel in 0u8..4,
+        ) {
+            let bench = Benchmark::ALL[bench_sel % Benchmark::ALL.len()];
+            let insts = 3_000;
+            let mut config = if synchronous == 1 {
+                SimConfig::fully_synchronous(insts)
+            } else {
+                SimConfig::baseline_mcd(insts)
+            };
+            config.seed = seed;
+            // Short control intervals, so Attack/Decay retargets (and the
+            // clocks ramp) within the run.
+            config.interval_instructions = 500;
+            config.record_traces = true;
+            let budget = [1, 7, 1_000, u64::MAX][budget_sel as usize];
+            let plain = run_with_catch_up(bench, seed, &config, controller_kind, u64::MAX, false);
+            let caught_up = run_with_catch_up(bench, seed, &config, controller_kind, budget, true);
+            prop_assert!(
+                caught_up == plain,
+                "{bench:?} seed {seed} controller {controller_kind} budget {budget} diverged"
+            );
+            prop_assert_eq!(plain.host.skipped_steps, [0; 4]);
+            prop_assert!(caught_up.host.quiet_skips > 0, "no catch-up ran");
+        }
+    }
+
+    #[test]
+    fn a_pending_catch_up_never_overruns_the_slice_budget() {
+        let insts = 3_000;
+        let config = SimConfig::baseline_mcd(insts);
+        let reference = run_with_catch_up(Benchmark::Mcf, 42, &config, 0, u64::MAX, true);
+        for budget in [1, 3, 50] {
+            let mut stream = WorkloadGenerator::new(&Benchmark::Mcf.spec(), 42, insts);
+            let mut cpu = McdProcessor::new(config.clone(), Box::new(FixedController::at_max()));
+            let mut cut_catch_ups = 0;
+            let r = loop {
+                let edges = |cpu: &McdProcessor| cpu.clocks.iter().map(|c| c.cycles()).sum::<u64>();
+                let (before, skipped_before) = (edges(&cpu), cpu.skipped_steps);
+                let outcome = cpu.run_for(&mut stream, budget);
+                let stepped = edges(&cpu) - before;
+                assert!(stepped <= budget, "budget {budget}: {stepped} edges");
+                if matches!(outcome, StepOutcome::Paused)
+                    && cpu.run_state.quiet_streak >= QUIET_STREAK
+                    && cpu.skipped_steps != skipped_before
+                {
+                    cut_catch_ups += 1;
+                }
+                if let StepOutcome::Finished(r) = outcome {
+                    break r;
+                }
+            };
+            assert!(
+                cut_catch_ups > 0,
+                "budget {budget} never cut a catch-up short"
+            );
+            assert!(r.host.skipped_step_fraction() > 0.5, "{:?}", r.host);
+            assert_eq!(r, reference, "budget {budget} changed the result");
+        }
     }
 
     #[test]

@@ -119,6 +119,12 @@ pub struct HostStats {
     /// front end — nothing retired, fetched or dispatched; integer,
     /// floating point and load/store — no event due and nothing issued.
     pub idle_steps: [u64; 4],
+    /// Per on-chip domain, the idle steps the quiet-time catch-up stepped
+    /// in its tight per-domain loop instead of through the tournament (a
+    /// subset of `idle_steps`).
+    pub skipped_steps: [u64; 4],
+    /// Quiet-time catch-ups that skipped at least one edge.
+    pub quiet_skips: u64,
 }
 
 impl HostStats {
@@ -130,6 +136,11 @@ impl HostStats {
     /// Share of kernel steps whose handler only did bookkeeping.
     pub fn idle_step_fraction(&self) -> f64 {
         ratio(self.idle_steps.iter().sum(), self.total_steps())
+    }
+
+    /// Share of kernel steps the quiet-time catch-up stepped.
+    pub fn skipped_step_fraction(&self) -> f64 {
+        ratio(self.skipped_steps.iter().sum(), self.total_steps())
     }
 
     /// Derives the throughput numbers from a run's committed-instruction
@@ -157,6 +168,8 @@ impl HostStats {
             ann_recomputed: 0,
             domain_steps: [0; 4],
             idle_steps: [0; 4],
+            skipped_steps: [0; 4],
+            quiet_skips: 0,
         }
     }
 }

@@ -6,7 +6,7 @@ Usage:
 
 Reads the kernel micro-bench artefact (per-bench timings, the per-edge
 clock cost and jitter surcharge, and the event-timeline traffic and
-kernel-step counters) and the Table 6 artefact (suite / Global search
+kernel-step counters, quiet-time catch-up included) and the Table 6 artefact (suite / Global search
 split of the whole `table6::run_with_stats` call), and prints GitHub-flavoured markdown suitable for appending to
 ``$GITHUB_STEP_SUMMARY``.  Missing files are reported but do not fail the
 job — the summary is advisory, the artefacts are the record.
@@ -60,12 +60,15 @@ def kernel_micro(doc):
             )
         print()
         print("### Kernel steps (20k-instruction runs)\n")
-        print("| workload | steps/commit | idle-step fraction |")
-        print("|---|---|---|")
+        print("| workload | steps/commit | idle-step fraction "
+              "| skipped-step fraction | skipped steps | quiet-time catch-ups |")
+        print("|---|---|---|---|---|---|")
         for t in traffic:
             print(
                 f"| {t['workload']} | {fmt(t.get('steps_per_commit'), '.2f')} "
-                f"| {fmt(t.get('idle_step_fraction'), '.3f')} |"
+                f"| {fmt(t.get('idle_step_fraction'), '.3f')} "
+                f"| {fmt(t.get('skipped_step_fraction'), '.3f')} "
+                f"| {t.get('skipped_steps', '-')} | {t.get('quiet_skips', '-')} |"
             )
         print()
     edges = {r["id"]: r["ns_per_iter"] / EDGES_PER_CLOCK_BENCH
