@@ -1,11 +1,10 @@
-//! `mcd-audit` — the workspace's determinism & cache-key static-analysis
-//! pass.
+//! `mcd-audit` — the workspace's determinism static-analysis pass.
 //!
 //! Everything this reproduction claims rests on one invariant: a
 //! [`SimResult`] is a pure function of *(workload, configuration, seed)*.
 //! Golden dumps check that invariant dynamically for a fixed matrix;
 //! this crate checks it *statically*, over all result-affecting sources,
-//! so a violation fails CI before it can ever reach a golden run.  Three
+//! so a violation fails CI before it can ever reach a golden run.  Two
 //! rule families are enforced
 //! (see [`Rule`]):
 //!
@@ -16,16 +15,7 @@
 //!    reads (hidden configuration).  Legitimate uses are recorded in a
 //!    checked-in allowlist with a justification and an occurrence count
 //!    the tool re-verifies on every run.
-//! 2. **Cache-key completeness** ([`check_cache_key`]) diffs the field
-//!    lists of the workload spec family (`WorkloadSpec` and the structs
-//!    it nests) against the identifiers actually folded into
-//!    `StableHasher` by `hash_spec_into` in `crates/core/src/cache.rs`,
-//!    the hash behind every shared-trace key.  A field that is not
-//!    hashed (and not explicitly allowlisted) is a finding: two specs
-//!    differing only in it would share one trace.  Adding such a field
-//!    without bumping `KEY_VERSION` and extending the hash becomes a
-//!    build failure instead of a documented convention.
-//! 3. **Equality exclusion** ([`check_eq_exclusion`]) verifies that
+//! 2. **Equality exclusion** ([`check_eq_exclusion`]) verifies that
 //!    `SimResult`'s manual `PartialEq` compares every simulated field,
 //!    that every excluded field carries an allowlist entry, and that no
 //!    `HostStats` counter is referenced in the comparison — host-side
@@ -73,8 +63,6 @@ pub enum Rule {
     OsEntropy,
     /// `std::env` reads outside the documented knob sites.
     EnvRead,
-    /// A key-relevant struct field not folded into `StableHasher`.
-    CacheKey,
     /// `SimResult` equality drift: uncompped field, or a host counter
     /// re-entering the comparison.
     EqExclusion,
@@ -82,12 +70,11 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 5] = [
         Rule::HashIteration,
         Rule::WallClock,
         Rule::OsEntropy,
         Rule::EnvRead,
-        Rule::CacheKey,
         Rule::EqExclusion,
     ];
 
@@ -98,7 +85,6 @@ impl Rule {
             Rule::WallClock => "wall-clock",
             Rule::OsEntropy => "os-entropy",
             Rule::EnvRead => "env-read",
-            Rule::CacheKey => "cache-key",
             Rule::EqExclusion => "eq-exclusion",
         }
     }
@@ -171,9 +157,7 @@ impl fmt::Display for Finding {
 /// `item` is `token xCOUNT` (e.g. `Instant x3`) — the tool re-counts
 /// occurrences on every run and rejects the entry when the count drifts,
 /// so an allowlisted file cannot silently grow new uses.  For
-/// `cache-key` entries, `scope` is the struct and
-/// `item` the field; for `eq-exclusion`, `scope` is `SimResult` and
-/// `item` the excluded field.
+/// `eq-exclusion`, `scope` is `SimResult` and `item` the excluded field.
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
     /// The rule family the entry covers.
@@ -486,7 +470,7 @@ fn ident_occurrences_offsets(cleaned: &str, name: &str) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------
-// Structural parsing shared by rule families 2 and 3.
+// Structural parsing for rule family 2.
 // ---------------------------------------------------------------------
 
 /// The named fields of `struct name { … }` in `cleaned` text, with their
@@ -635,133 +619,7 @@ pub fn fn_identifiers(cleaned: &str, name: &str) -> Option<Vec<String>> {
 }
 
 // ---------------------------------------------------------------------
-// Rule family 2: cache-key completeness.
-// ---------------------------------------------------------------------
-
-/// One struct whose fields must all be covered by the cache key.
-#[derive(Debug, Clone)]
-pub struct KeyStruct {
-    /// Workspace-relative file holding the definition.
-    pub file: String,
-    /// The struct's name (also the allowlist scope).
-    pub name: String,
-}
-
-/// Checks that every field of every struct in `structs` either appears
-/// as an identifier inside one of the `hash_fns` of `hash_file`, or
-/// carries a `cache-key` allowlist entry explaining why it is
-/// non-behavioural (or derived from hashed inputs).
-///
-/// The identifier-level diff is deliberately conservative: renaming a
-/// hashed field without updating the hash site, or adding a new field
-/// without hashing it, both produce findings.  It cannot prove the hash
-/// *uses* the field correctly — that is what the `KEY_VERSION` rule is
-/// for (see `docs/ARCHITECTURE.md`).
-pub fn check_cache_key(
-    files: &[SourceFile],
-    structs: &[KeyStruct],
-    hash_file: &str,
-    hash_fns: &[&str],
-    allow: &Allowlist,
-    report: &mut Report,
-) {
-    let Some(hash_src) = files.iter().find(|f| f.path == hash_file) else {
-        report.findings.push(Finding {
-            rule: Rule::CacheKey,
-            scope: hash_file.to_string(),
-            item: "<file>".into(),
-            line: 0,
-            message: "hash-site file not found".into(),
-        });
-        report.count(Rule::CacheKey).findings += 1;
-        report.count(Rule::CacheKey).unclassified += 1;
-        return;
-    };
-    let hash_cleaned = clean(&hash_src.text);
-    let mut hashed: Vec<String> = Vec::new();
-    for f in hash_fns {
-        match fn_identifiers(&hash_cleaned, f) {
-            Some(ids) => hashed.extend(ids),
-            None => {
-                report.findings.push(Finding {
-                    rule: Rule::CacheKey,
-                    scope: hash_file.to_string(),
-                    item: (*f).to_string(),
-                    line: 0,
-                    message: "hash function not found at the hash site".into(),
-                });
-                report.count(Rule::CacheKey).findings += 1;
-                report.count(Rule::CacheKey).unclassified += 1;
-            }
-        }
-    }
-
-    let mut used: Vec<(String, String)> = Vec::new();
-    for ks in structs {
-        let Some(src) = files.iter().find(|f| f.path == ks.file) else {
-            report.findings.push(Finding {
-                rule: Rule::CacheKey,
-                scope: ks.name.clone(),
-                item: "<file>".into(),
-                line: 0,
-                message: format!("definition file {} not found", ks.file),
-            });
-            report.count(Rule::CacheKey).findings += 1;
-            report.count(Rule::CacheKey).unclassified += 1;
-            continue;
-        };
-        let cleaned = clean(&src.text);
-        let Some(fields) = struct_fields(&cleaned, &ks.name) else {
-            report.findings.push(Finding {
-                rule: Rule::CacheKey,
-                scope: ks.name.clone(),
-                item: "<struct>".into(),
-                line: 0,
-                message: format!("struct {} not found in {}", ks.name, ks.file),
-            });
-            report.count(Rule::CacheKey).findings += 1;
-            report.count(Rule::CacheKey).unclassified += 1;
-            continue;
-        };
-        for (field, line) in fields {
-            report.count(Rule::CacheKey).findings += 1;
-            if hashed.contains(&field) {
-                report.count(Rule::CacheKey).allowlisted += 1;
-                continue;
-            }
-            match allow.lookup(Rule::CacheKey, &ks.name, &field) {
-                Some(_) => {
-                    report.count(Rule::CacheKey).allowlisted += 1;
-                    used.push((ks.name.clone(), field));
-                }
-                None => {
-                    report.count(Rule::CacheKey).unclassified += 1;
-                    report.findings.push(Finding {
-                        rule: Rule::CacheKey,
-                        scope: ks.name.clone(),
-                        item: field.clone(),
-                        line,
-                        message: format!(
-                            "field is not folded into StableHasher ({hash_file}) and has no non-behavioural allowlist entry; hash it and bump KEY_VERSION, or justify it"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    for entry in allow.of(Rule::CacheKey) {
-        let known_struct = structs.iter().any(|k| k.name == entry.scope);
-        if known_struct && !used.contains(&(entry.scope.clone(), entry.item.clone())) {
-            report.stale.push(format!(
-                "allowlist line {}: {}.{} is hashed or no longer exists — delete the entry",
-                entry.line, entry.scope, entry.item
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule family 3: SimResult equality exclusion.
+// Rule family 2: SimResult equality exclusion.
 // ---------------------------------------------------------------------
 
 /// Verifies the `SimResult`/`HostStats` equality contract inside
@@ -895,31 +753,6 @@ pub fn check_eq_exclusion(
 // self-check test) audit.
 // ---------------------------------------------------------------------
 
-/// The key-relevant structs of this workspace, paired with the hash
-/// site.  Kept here (not in `main.rs`) so the audit's own tests enforce
-/// the binding.
-pub fn workspace_key_structs() -> Vec<KeyStruct> {
-    [
-        ("crates/workloads/src/spec.rs", "WorkloadSpec"),
-        ("crates/workloads/src/spec.rs", "Phase"),
-        ("crates/workloads/src/spec.rs", "InstructionMix"),
-        ("crates/workloads/src/spec.rs", "MemoryBehavior"),
-        ("crates/workloads/src/spec.rs", "BranchBehavior"),
-    ]
-    .into_iter()
-    .map(|(file, name)| KeyStruct {
-        file: file.to_string(),
-        name: name.to_string(),
-    })
-    .collect()
-}
-
-/// The file holding [`StableHasher`] and the key constructors.
-///
-/// [`StableHasher`]: ../mcd_core/cache/struct.StableHasher.html
-pub const HASH_FILE: &str = "crates/core/src/cache.rs";
-/// The functions that fold key material into the hasher.
-pub const HASH_FNS: &[&str] = &["hash_spec_into"];
 /// The file holding `SimResult`/`HostStats` and the manual `PartialEq`.
 pub const TELEMETRY_FILE: &str = "crates/sim/src/telemetry.rs";
 
@@ -973,14 +806,6 @@ pub fn audit_workspace(root: &Path, allowlist_text: &str) -> Result<Report, Stri
     let allow = Allowlist::parse(allowlist_text)?;
     let mut report = Report::default();
     scan_determinism(&files, &allow, &mut report);
-    check_cache_key(
-        &files,
-        &workspace_key_structs(),
-        HASH_FILE,
-        HASH_FNS,
-        &allow,
-        &mut report,
-    );
     check_eq_exclusion(
         &files,
         TELEMETRY_FILE,

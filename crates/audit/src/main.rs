@@ -1,4 +1,4 @@
-//! `mcd-audit` binary: run the determinism & cache-key audit over the
+//! `mcd-audit` binary: run the determinism audit over the
 //! workspace and print a per-rule summary (Markdown, suitable for the
 //! CI job-summary page).
 //!
@@ -48,7 +48,7 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("### mcd-audit — determinism & cache-key static analysis\n");
+    println!("### mcd-audit — determinism static analysis\n");
     println!("{}", report.render_table());
     if !report.findings.is_empty() {
         println!("#### Unclassified findings\n");

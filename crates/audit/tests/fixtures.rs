@@ -6,8 +6,8 @@
 use std::path::Path;
 
 use mcd_audit::{
-    audit_workspace, check_cache_key, check_eq_exclusion, scan_determinism, Allowlist, KeyStruct,
-    Report, Rule, SourceFile, ALLOWLIST_PATH,
+    audit_workspace, check_eq_exclusion, scan_determinism, Allowlist, Report, Rule, SourceFile,
+    ALLOWLIST_PATH,
 };
 
 fn file(path: &str, text: &str) -> SourceFile {
@@ -198,143 +198,7 @@ fn malformed_allowlist_lines_are_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// Rule family 2: cache-key completeness.
-// ---------------------------------------------------------------------
-
-const HASH_SITE: &str = r#"
-pub fn hash_key_into(h: &mut StableHasher, cfg: &KeyCfg) {
-    h.write_u64(cfg.seed);
-    h.write_u64(cfg.budget);
-}
-"#;
-
-fn key_cfg_file(extra_field: &str) -> SourceFile {
-    file(
-        "crates/fake/src/cfg.rs",
-        &format!(
-            "pub struct KeyCfg {{\n    pub seed: u64,\n    pub budget: u64,\n{extra_field}}}\n"
-        ),
-    )
-}
-
-fn key_structs() -> Vec<KeyStruct> {
-    vec![KeyStruct {
-        file: "crates/fake/src/cfg.rs".into(),
-        name: "KeyCfg".into(),
-    }]
-}
-
-#[test]
-fn cache_key_clean_when_all_fields_hashed() {
-    let files = [key_cfg_file(""), file("crates/fake/src/hash.rs", HASH_SITE)];
-    let mut report = Report::default();
-    check_cache_key(
-        &files,
-        &key_structs(),
-        "crates/fake/src/hash.rs",
-        &["hash_key_into"],
-        &empty_allow(),
-        &mut report,
-    );
-    assert!(report.is_clean(), "{report:?}");
-}
-
-#[test]
-fn cache_key_fires_on_synthetic_unhashed_field() {
-    // The acceptance scenario: a behaviour-affecting field is added to a
-    // key struct without extending the hash — the audit must fail.
-    let files = [
-        key_cfg_file("    pub new_knob: f64,\n"),
-        file("crates/fake/src/hash.rs", HASH_SITE),
-    ];
-    let mut report = Report::default();
-    check_cache_key(
-        &files,
-        &key_structs(),
-        "crates/fake/src/hash.rs",
-        &["hash_key_into"],
-        &empty_allow(),
-        &mut report,
-    );
-    assert!(!report.is_clean());
-    let f = report
-        .findings
-        .iter()
-        .find(|f| f.rule == Rule::CacheKey && f.item == "new_knob")
-        .expect("unhashed field must be reported");
-    assert_eq!(f.scope, "KeyCfg");
-    assert_eq!(f.line, 4, "field line in the definition file");
-    assert!(f.message.contains("KEY_VERSION"));
-}
-
-#[test]
-fn cache_key_allowlist_covers_non_behavioural_fields() {
-    let files = [
-        key_cfg_file("    pub progress_bar: bool,\n"),
-        file("crates/fake/src/hash.rs", HASH_SITE),
-    ];
-    let allow = Allowlist::parse(
-        "cache-key | KeyCfg | progress_bar | presentation only, never reaches a run\n",
-    )
-    .unwrap();
-    let mut report = Report::default();
-    check_cache_key(
-        &files,
-        &key_structs(),
-        "crates/fake/src/hash.rs",
-        &["hash_key_into"],
-        &allow,
-        &mut report,
-    );
-    assert!(report.is_clean(), "{report:?}");
-}
-
-#[test]
-fn cache_key_stale_entry_for_hashed_field() {
-    // `seed` IS hashed; an allowlist entry claiming it is non-behavioural
-    // is stale and must be flagged for deletion.
-    let files = [key_cfg_file(""), file("crates/fake/src/hash.rs", HASH_SITE)];
-    let allow = Allowlist::parse("cache-key | KeyCfg | seed | stale claim\n").unwrap();
-    let mut report = Report::default();
-    check_cache_key(
-        &files,
-        &key_structs(),
-        "crates/fake/src/hash.rs",
-        &["hash_key_into"],
-        &allow,
-        &mut report,
-    );
-    assert!(!report.is_clean());
-    assert!(
-        report.stale[0].contains("KeyCfg.seed"),
-        "{}",
-        report.stale[0]
-    );
-}
-
-#[test]
-fn cache_key_fires_on_missing_hash_fn() {
-    let files = [key_cfg_file(""), file("crates/fake/src/hash.rs", HASH_SITE)];
-    let mut report = Report::default();
-    check_cache_key(
-        &files,
-        &key_structs(),
-        "crates/fake/src/hash.rs",
-        &["renamed_hash_fn"],
-        &empty_allow(),
-        &mut report,
-    );
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.rule == Rule::CacheKey && f.item == "renamed_hash_fn"),
-        "renaming a hash function must break the audit: {report:?}"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Rule family 3: equality exclusion.
+// Rule family 2: equality exclusion.
 // ---------------------------------------------------------------------
 
 fn telemetry_fixture(eq_body: &str, extra_result_field: &str) -> SourceFile {
@@ -458,43 +322,5 @@ fn real_workspace_is_clean_under_checked_in_allowlist() {
         report.render_table(),
         report.findings,
         report.stale
-    );
-}
-
-#[test]
-fn real_workspace_audit_fails_on_synthetic_unhashed_field() {
-    // End-to-end version of the acceptance scenario: inject a synthetic
-    // behaviour-affecting field into the real MemoryBehavior source and
-    // re-run the full structural check against the real hash site.
-    let root = workspace_root();
-    let mut files = mcd_audit::load_workspace_sources(root).expect("sources readable");
-    let spec = files
-        .iter_mut()
-        .find(|f| f.path == "crates/workloads/src/spec.rs")
-        .expect("spec.rs is audited");
-    let needle = "pub struct MemoryBehavior {";
-    let at = spec.text.find(needle).expect("MemoryBehavior found");
-    spec.text.insert_str(
-        at + needle.len(),
-        "\n    pub synthetic_behaviour_knob: f64,",
-    );
-
-    let allow_text =
-        std::fs::read_to_string(root.join(ALLOWLIST_PATH)).expect("checked-in allowlist readable");
-    let allow = Allowlist::parse(&allow_text).expect("allowlist parses");
-    let mut report = Report::default();
-    check_cache_key(
-        &files,
-        &mcd_audit::workspace_key_structs(),
-        mcd_audit::HASH_FILE,
-        mcd_audit::HASH_FNS,
-        &allow,
-        &mut report,
-    );
-    assert!(
-        report.findings.iter().any(|f| f.rule == Rule::CacheKey
-            && f.scope == "MemoryBehavior"
-            && f.item == "synthetic_behaviour_knob"),
-        "an unhashed behaviour-affecting field must fail the audit: {report:?}"
     );
 }

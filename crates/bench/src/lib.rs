@@ -22,20 +22,19 @@
 
 use std::path::PathBuf;
 
-use mcd_core::engine::{parse_jobs, parse_no_trace_share, EngineStats};
+use mcd_core::engine::{parse_jobs, EngineStats};
 use mcd_core::experiments::ExperimentSettings;
 
 /// Returns the experiment settings selected by the `MCD_FULL` environment
 /// variable (the paper's full suite when set to `1`, otherwise the quick
 /// subset), with the worker count from `--jobs N`, `--jobs=N` or `-j N`
 /// on the command line, falling back to the `MCD_JOBS` environment
-/// variable and then to the host's parallelism, and trace sharing turned
-/// off by `--no-trace-share` or `MCD_NO_TRACE_SHARE=1`.
+/// variable and then to the host's parallelism.
 ///
-/// Any other argument, a flag given without a value, or a flag,
-/// `MCD_JOBS` or `MCD_NO_TRACE_SHARE` value that does not parse prints the
-/// error and exits with status 2: a requested setting must not be
-/// silently replaced by the default.
+/// Any other argument, a flag given without a value, or a flag or
+/// `MCD_JOBS` value that does not parse prints the error and exits with
+/// status 2: a requested setting must not be silently replaced by the
+/// default.
 pub fn settings_from_env() -> ExperimentSettings {
     or_exit(settings_from_args(std::env::args(), |key| {
         std::env::var(key).ok()
@@ -80,7 +79,7 @@ fn settings_from_args(
     } else {
         ExperimentSettings::quick()
     };
-    let (mut jobs, mut share_traces) = (None, None);
+    let mut jobs = None;
     let mut args = args.into_iter().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--jobs" || arg == "-j" {
@@ -88,11 +87,9 @@ fn settings_from_args(
             jobs = Some(parse_jobs(&arg, &value)?);
         } else if let Some(value) = arg.strip_prefix("--jobs=") {
             jobs = Some(parse_jobs("--jobs", value)?);
-        } else if arg == "--no-trace-share" {
-            share_traces = Some(false);
         } else {
             return Err(format!(
-                "unknown argument {arg:?} (expected --jobs N, --jobs=N, -j N or --no-trace-share)"
+                "unknown argument {arg:?} (expected --jobs N, --jobs=N or -j N)"
             ));
         }
     }
@@ -101,16 +98,8 @@ fn settings_from_args(
             .map(|value| parse_jobs("MCD_JOBS", &value))
             .transpose()?;
     }
-    if share_traces.is_none() {
-        share_traces = env("MCD_NO_TRACE_SHARE")
-            .map(|value| parse_no_trace_share("MCD_NO_TRACE_SHARE", &value))
-            .transpose()?;
-    }
     if let Some(jobs) = jobs {
         settings = settings.with_jobs(jobs);
-    }
-    if let Some(share_traces) = share_traces {
-        settings = settings.with_share_traces(share_traces);
     }
     Ok(settings)
 }
@@ -210,7 +199,7 @@ mod tests {
         let s = parse(&["bin"]).unwrap();
         assert!(s.benchmarks.len() < 30);
         assert!(s.instructions <= 100_000);
-        assert_eq!((s.jobs, s.share_traces), (None, None));
+        assert_eq!(s.jobs, None);
         let full = parse_with_env(&["bin"], "MCD_FULL", "1").unwrap();
         assert_eq!(full.benchmarks.len(), 30);
     }
@@ -264,13 +253,14 @@ mod tests {
             (&["bin", "--job", "1"][..], "--job"),
             (&["bin", "--slice-cycles", "5"], "--slice-cycles"),
             (&["bin", "--jobs", "2", "extra"], "extra"),
+            (&["bin", "--no-trace-share"], "--no-trace-share"),
         ] {
             let err = parse(bad).expect_err("an unknown argument must not run with defaults");
             assert!(err.contains(&format!("{named:?}")), "{err}");
         }
         assert_eq!(
             parse(&["bin", "--job", "1"]).unwrap_err(),
-            "unknown argument \"--job\" (expected --jobs N, --jobs=N, -j N or --no-trace-share)"
+            "unknown argument \"--job\" (expected --jobs N, --jobs=N or -j N)"
         );
     }
 
@@ -328,26 +318,5 @@ mod tests {
         for gone in ["gang_", "checkpoint_", "prefix_cycles", "result_cache"] {
             assert!(!text.contains(gone), "stale {gone} key in {text}");
         }
-    }
-
-    #[test]
-    fn cache_disable_flags_are_detected() {
-        let share = |v: &[&str]| parse(v).map(|s| s.share_traces);
-        assert_eq!(share(&["bin", "--no-trace-share"]), Ok(Some(false)));
-        assert_eq!(share(&["bin"]), Ok(None));
-        let env_share = |v: &[&str], value| {
-            parse_with_env(v, "MCD_NO_TRACE_SHARE", value).map(|s| s.share_traces)
-        };
-        assert_eq!(env_share(&["bin"], "1"), Ok(Some(false)));
-        assert_eq!(env_share(&["bin"], "0"), Ok(Some(true)));
-        assert_eq!(
-            env_share(&["bin", "--no-trace-share"], "0"),
-            Ok(Some(false))
-        );
-        // A typoed escape hatch is an error, not a panic or a silent no-op.
-        assert_eq!(
-            env_share(&["bin"], "yes"),
-            Err("MCD_NO_TRACE_SHARE must be 0 or 1, got \"yes\"".to_string())
-        );
     }
 }

@@ -1,38 +1,36 @@
-//! Content-addressed shared instruction traces, and the stable hash
-//! that keys them.
+//! Shared instruction traces, one per benchmark, and the stable hash
+//! behind the result digests.
 //!
 //! Within a plan, every configuration of one benchmark consumes the same
 //! instruction stream, so the stream is generated once and replayed (see
-//! [`mcd_workloads::SharedTrace`]).  [`TraceCache`] is the plan-level
-//! cache of materialized traces, keyed by [`TraceKey`] (spec hash, seed,
-//! length).  Entries are weak by default: a trace lives only while some
-//! run holds its `Arc`, so the cache never extends peak memory on its
-//! own.  The engine *registers* the expected number of same-workload
-//! leases of a plan up front; registered entries stay pinned (strong)
-//! until their last lease, so same-workload runs share one
-//! materialization even when they do not overlap in time.  A tiny
-//! most-recent ring additionally keeps the last leased traces alive
-//! between registrations.
+//! [`mcd_workloads::SharedTrace`]).  [`TraceCache`] is the runner-level
+//! cache of materialized traces.  A cache fixes its seed and instruction
+//! budget at construction, so it is keyed by [`Benchmark`] alone: every
+//! benchmark has its own spec, so two benchmarks never share a trace.
+//! Entries are weak by default: a trace lives only while some run holds
+//! its `Arc`, so the cache never extends peak memory on its own.  The
+//! engine *registers* the expected number of same-workload leases of a
+//! plan up front; registered entries stay pinned (strong) until their
+//! last lease, so same-workload runs share one materialization even when
+//! they do not overlap in time.  A tiny most-recent ring additionally
+//! keeps the last leased traces alive between registrations.
 //!
-//! **Keys.**  [`StableHasher`] is a versioned canonical hash
-//! ([`KEY_VERSION`]).  A [`TraceKey`] hashes every field of the
-//! [`WorkloadSpec`] (the `mcd-audit` cache-key rule enforces that), so two
-//! specs that generate different streams can never share a trace.  The
-//! same hasher digests run results ([`crate::bundle::result_digest`]).
-//! Nothing hashed here is written to disk: a trace cache lives only as
-//! long as its engine/runner, so cross-process staleness cannot arise.
+//! [`StableHasher`] is a versioned canonical hash ([`KEY_VERSION`]) that
+//! digests run results ([`crate::bundle::result_digest`]).  Nothing here
+//! is written to disk: a trace cache lives only as long as its runner, so
+//! cross-process staleness cannot arise.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, Weak};
 
-use mcd_workloads::{SharedTrace, WorkloadSpec};
+use mcd_workloads::{Benchmark, SharedTrace};
 use serde::Serialize;
 
-/// Version tag that seeds every stable hash: the trace keys and
-/// [`crate::bundle::result_digest`].  Bump when the encoding of
-/// [`WorkloadSpec`] content changes, or when the same trace key starts
-/// to mean different simulated behaviour, so digests from an older
-/// scheme can never be mistaken for current ones.
+/// Version tag that seeds every stable hash:
+/// [`crate::bundle::result_digest`] and the benchmark package's result
+/// digests.  Bump when the same inputs start to mean different simulated
+/// behaviour, so digests from an older scheme can never be mistaken for
+/// current ones.
 ///
 /// History: v2 — each jittered clock edge draws its rounded jitter
 /// offset from the exact offset distribution with one alias-table lookup
@@ -116,60 +114,6 @@ impl StableHasher {
     }
 }
 
-/// Canonical content hash of a workload specification.
-pub fn hash_spec(spec: &WorkloadSpec) -> u128 {
-    let mut h = StableHasher::new();
-    hash_spec_into(&mut h, spec);
-    h.finish()
-}
-
-fn hash_spec_into(h: &mut StableHasher, spec: &WorkloadSpec) {
-    h.write_str(&spec.name);
-    h.write_str(&spec.suite);
-    h.write_f64(spec.paper_window_minstr);
-    h.write_usize(spec.phases.len());
-    for p in &spec.phases {
-        h.write_f64(p.weight);
-        h.write_f64(p.mean_dep_distance);
-        let m = p.mix;
-        for f in [
-            m.int_alu, m.int_mul, m.fp_add, m.fp_mul, m.fp_div, m.load, m.store, m.branch,
-        ] {
-            h.write_f64(f);
-        }
-        let mem = p.memory;
-        h.write_u64(mem.footprint_bytes);
-        h.write_u64(mem.hot_set_bytes);
-        h.write_f64(mem.hot_fraction);
-        h.write_f64(mem.streaming_fraction);
-        h.write_f64(mem.pointer_chase_fraction);
-        let b = p.branches;
-        h.write_f64(b.predictability);
-        h.write_f64(b.taken_bias);
-        h.write_usize(b.static_branches);
-    }
-}
-
-/// Identity of one materialized trace: the content hash of its spec plus
-/// the generation seed and instruction budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TraceKey {
-    spec: u128,
-    seed: u64,
-    len: u64,
-}
-
-impl TraceKey {
-    /// The key of the trace that `(spec, seed, len)` generates.
-    pub fn of(spec: &WorkloadSpec, seed: u64, len: u64) -> Self {
-        TraceKey {
-            spec: hash_spec(spec),
-            seed,
-            len,
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct TraceEntry {
     trace: Weak<SharedTrace>,
@@ -186,7 +130,7 @@ struct TraceInner {
     // result-affecting path — even though this particular fold is
     // order-insensitive, the deterministic structure makes that local
     // argument unnecessary.
-    entries: BTreeMap<TraceKey, TraceEntry>,
+    entries: BTreeMap<Benchmark, TraceEntry>,
     recent: VecDeque<Arc<SharedTrace>>,
     hits: u64,
     materializations: u64,
@@ -209,41 +153,55 @@ pub struct TraceCacheStats {
     pub peak_resident_bytes: u64,
 }
 
-/// A plan-level cache of shared instruction traces.  See the module
-/// documentation for the lifetime rules.
-#[derive(Debug, Default)]
+/// A cache of shared instruction traces of one seed and instruction
+/// budget, keyed by benchmark.  See the module documentation for the
+/// lifetime rules.
+#[derive(Debug)]
 pub struct TraceCache {
+    seed: u64,
+    len: u64,
     inner: Mutex<TraceInner>,
 }
 
 impl TraceCache {
-    /// Announces `uses` upcoming leases of `key`.  The trace stays
+    /// An empty cache of `len`-instruction traces generated with `seed`.
+    pub fn new(seed: u64, len: u64) -> Self {
+        TraceCache {
+            seed,
+            len,
+            inner: Mutex::default(),
+        }
+    }
+
+    /// Announces `uses` upcoming leases of `bench`.  The trace stays
     /// pinned (strongly referenced) from its materialization until the
     /// last registered lease is taken, so registered users share one
     /// materialization even when they never overlap in time.
-    pub fn register(&self, key: TraceKey, uses: usize) {
+    pub fn register(&self, bench: Benchmark, uses: usize) {
         if uses == 0 {
             return;
         }
         let mut inner = self.inner.lock().expect("trace cache poisoned");
-        inner.entries.entry(key).or_default().expected_users += uses;
+        inner.entries.entry(bench).or_default().expected_users += uses;
     }
 
-    /// Returns the shared trace for `(spec, seed, len)`, materializing
-    /// it on first use.  Materialization happens under the cache lock:
-    /// concurrent leases of the *same* key must not generate twice, and
-    /// the serialization of *different* keys is a one-time cost at plan
+    /// Returns the shared trace of `bench`, materializing it on first
+    /// use.  Materialization happens under the cache lock: concurrent
+    /// leases of the *same* benchmark must not generate twice, and the
+    /// serialization of *different* benchmarks is a one-time cost at plan
     /// start, overlapped with already-admitted runs.
-    pub fn lease(&self, spec: &WorkloadSpec, seed: u64, len: u64) -> Arc<SharedTrace> {
-        let key = TraceKey::of(spec, seed, len);
+    pub fn lease(&self, bench: Benchmark) -> Arc<SharedTrace> {
         let mut guard = self.inner.lock().expect("trace cache poisoned");
         let inner = &mut *guard;
         let (trace, hit) = {
-            let entry = inner.entries.entry(key).or_default();
+            let entry = inner.entries.entry(bench).or_default();
             let existing = entry.pinned.clone().or_else(|| entry.trace.upgrade());
             let (trace, hit) = match existing {
                 Some(t) => (t, true),
-                None => (Arc::new(SharedTrace::materialize(spec, seed, len)), false),
+                None => (
+                    Arc::new(SharedTrace::materialize(&bench.spec(), self.seed, self.len)),
+                    false,
+                ),
             };
             entry.trace = Arc::downgrade(&trace);
             if entry.expected_users > 0 {
@@ -302,15 +260,12 @@ impl TraceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcd_workloads::Benchmark;
 
     #[test]
     fn trace_cache_shares_within_registration_and_frees_after() {
-        let cache = TraceCache::default();
-        let spec = Benchmark::Gzip.spec();
-        let key = TraceKey::of(&spec, 3, 500);
-        cache.register(key, 3);
-        let a = cache.lease(&spec, 3, 500);
+        let cache = TraceCache::new(3, 500);
+        cache.register(Benchmark::Gzip, 3);
+        let a = cache.lease(Benchmark::Gzip);
         let stats = cache.stats();
         assert_eq!(stats.materializations, 1);
         assert_eq!(stats.hits, 0);
@@ -319,9 +274,9 @@ mod tests {
         // registered leases remain, so the pin holds it.
         let ptr = Arc::as_ptr(&a);
         drop(a);
-        let b = cache.lease(&spec, 3, 500);
+        let b = cache.lease(Benchmark::Gzip);
         assert_eq!(Arc::as_ptr(&b), ptr, "pinned trace must be reused");
-        let c = cache.lease(&spec, 3, 500);
+        let c = cache.lease(Benchmark::Gzip);
         assert_eq!(Arc::as_ptr(&c), ptr);
         let stats = cache.stats();
         assert_eq!(stats.materializations, 1);
@@ -331,11 +286,10 @@ mod tests {
 
     #[test]
     fn unregistered_leases_share_through_the_recent_ring() {
-        let cache = TraceCache::default();
-        let spec = Benchmark::Swim.spec();
-        let a = cache.lease(&spec, 9, 400);
+        let cache = TraceCache::new(9, 400);
+        let a = cache.lease(Benchmark::Swim);
         drop(a); // the ring keeps it alive
-        let _b = cache.lease(&spec, 9, 400);
+        let _b = cache.lease(Benchmark::Swim);
         let stats = cache.stats();
         assert_eq!(stats.materializations, 1);
         assert_eq!(stats.hits, 1);
@@ -343,15 +297,12 @@ mod tests {
 
     #[test]
     fn distinct_keys_materialize_separately() {
-        let cache = TraceCache::default();
-        let gzip = Benchmark::Gzip.spec();
-        let mcf = Benchmark::Mcf.spec();
-        let a = cache.lease(&gzip, 1, 300);
-        let b = cache.lease(&mcf, 1, 300);
-        let c = cache.lease(&gzip, 2, 300);
-        assert_eq!(cache.stats().materializations, 3);
-        assert_eq!(a.len(), 300);
-        assert_eq!(b.len(), 300);
-        assert_eq!(c.len(), 300);
+        let cache = TraceCache::new(1, 300);
+        let a = cache.lease(Benchmark::Gzip);
+        let b = cache.lease(Benchmark::Mcf);
+        assert_eq!(cache.stats().materializations, 2);
+        assert_eq!((a.len(), a.seed()), (300, 1));
+        assert_eq!((b.len(), b.seed()), (300, 1));
+        assert_ne!(a.insts(), b.insts());
     }
 }

@@ -27,11 +27,12 @@
 //!    engine schedules those profiling runs as an explicit prerequisite
 //!    phase feeding a shared, locked profile cache, so no worker ever
 //!    duplicates a baseline pass.
-//! 3. **Two knobs.**  `--jobs N` / `MCD_JOBS` / [`ExperimentSettings::jobs`]
-//!    select the pool size (default: the host's available parallelism),
-//!    and `--no-trace-share` / `MCD_NO_TRACE_SHARE=1` /
-//!    [`ExperimentSettings::share_traces`] turn off shared instruction
-//!    traces.  Neither changes a simulated result.
+//! 3. **One instruction stream per benchmark.**  Every run of a benchmark
+//!    replays the one shared trace of the runner's
+//!    [`crate::cache::TraceCache`].
+//! 4. **One knob.**  `--jobs N` / `MCD_JOBS` / [`ExperimentSettings::jobs`]
+//!    selects the pool size (default: the host's available parallelism).
+//!    It never changes a simulated result.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,43 +88,6 @@ pub fn parse_jobs(source: &str, value: &str) -> Result<usize, String> {
     value
         .parse()
         .map_err(|_| format!("{source} needs a non-negative integer, got {value:?}"))
-}
-
-/// Resolves whether same-workload runs share one materialized
-/// instruction trace: an explicit request wins, then the
-/// `MCD_NO_TRACE_SHARE` environment variable (see
-/// [`parse_no_trace_share`]), then enabled.
-///
-/// # Panics
-///
-/// Panics on an unparseable `MCD_NO_TRACE_SHARE` — a requested escape
-/// hatch must not be silently ignored (matching [`worker_count`]'s
-/// strictness), or an A/B run with a typoed `MCD_NO_TRACE_SHARE=yes`
-/// would measure the shared path twice.
-pub fn trace_sharing_enabled(explicit: Option<bool>) -> bool {
-    explicit
-        .or_else(|| {
-            std::env::var("MCD_NO_TRACE_SHARE").ok().map(|value| {
-                parse_no_trace_share("MCD_NO_TRACE_SHARE", &value)
-                    .unwrap_or_else(|err| panic!("{err}"))
-            })
-        })
-        .unwrap_or(true)
-}
-
-/// Parses a `MCD_NO_TRACE_SHARE` value given through `source` (named in
-/// the error) and returns whether trace sharing stays enabled: `1`
-/// disables it, `0` leaves it on.
-///
-/// # Errors
-///
-/// Returns a message for any other value.
-pub fn parse_no_trace_share(source: &str, value: &str) -> Result<bool, String> {
-    match value {
-        "0" => Ok(true),
-        "1" => Ok(false),
-        _ => Err(format!("{source} must be 0 or 1, got {value:?}")),
-    }
 }
 
 /// Estimated relative host cost of simulating `bench`, used to order the
@@ -335,14 +299,13 @@ pub struct ExperimentEngine {
 }
 
 impl ExperimentEngine {
-    /// Creates an engine for the given settings (worker count, trace
-    /// sharing, instruction budget, control-interval length, seed) with a
-    /// fresh profile cache.
+    /// Creates an engine for the given settings (worker count, instruction
+    /// budget, control-interval length, seed) with fresh profile and trace
+    /// caches.
     pub fn from_settings(settings: &ExperimentSettings) -> Self {
         ExperimentEngine {
             runner: BenchmarkRunner::new(settings.instructions, settings.seed)
-                .with_interval(settings.interval_instructions)
-                .with_trace_sharing(trace_sharing_enabled(settings.share_traces)),
+                .with_interval(settings.interval_instructions),
             workers: worker_count(settings.jobs),
         }
     }
@@ -373,10 +336,8 @@ impl ExperimentEngine {
         // by about a third.  A per-phase pin holds a trace only from its
         // first to its last lease within the phase; the cache's small
         // recent ring bridges the two waves on small plans.
-        if let Some(cache) = self.runner.trace_cache() {
-            for job in specs {
-                cache.register(self.runner.trace_key(job.benchmark), 1);
-            }
+        for job in specs {
+            self.runner.trace_cache().register(job.benchmark, 1);
         }
         run_to_completion(
             self.workers,
@@ -489,6 +450,8 @@ impl ExperimentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcd_sim::McdProcessor;
+    use mcd_workloads::WorkloadGenerator;
 
     #[test]
     fn worker_count_resolution_order() {
@@ -604,7 +567,6 @@ mod tests {
             seed: 5,
             global_search_iters: 1,
             jobs: Some(2),
-            share_traces: None,
         };
         let engine = ExperimentEngine::from_settings(&settings);
         let plan = RunPlan::suite(&[Benchmark::Adpcm]);
@@ -672,7 +634,6 @@ mod tests {
             seed: 5,
             global_search_iters: 1,
             jobs: Some(2),
-            share_traces: None,
         };
         let engine = ExperimentEngine::from_settings(&settings);
         let plan = RunPlan::suite(&[Benchmark::Adpcm]);
@@ -703,24 +664,39 @@ mod tests {
 
     #[test]
     fn disabling_the_caches_reproduces_identical_results() {
-        let base = ExperimentSettings {
+        // The reference for every plan outcome is a run with no engine
+        // cache at all: the live generator feeding `McdProcessor::run`
+        // directly, under the same config, seed and warm regions.
+        let settings = ExperimentSettings {
             benchmarks: vec![Benchmark::Gzip],
             instructions: 10_000,
             interval_instructions: 1_000,
             seed: 9,
             global_search_iters: 1,
             jobs: Some(2),
-            share_traces: None,
         };
-        let shared = ExperimentEngine::from_settings(&base);
-        let live = ExperimentEngine::from_settings(&base.clone().with_share_traces(false));
+        let engine = ExperimentEngine::from_settings(&settings);
         let plan = RunPlan::suite(&[Benchmark::Gzip]);
-        let (a, with_traces) = shared.execute_with_stats(&plan);
-        let (b, stats) = live.execute_with_stats(&plan);
-        assert_eq!(with_traces.trace_materializations, 1);
-        assert_eq!(stats.trace_materializations, 0, "sharing was disabled");
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.result, y.result, "trace replay must never change results");
+        let (outcomes, stats) = engine.execute_with_stats(&plan);
+        assert_eq!(stats.trace_materializations, 1);
+        let spec = Benchmark::Gzip.spec();
+        let runner = engine.runner();
+        for (job, outcome) in plan.jobs.iter().zip(&outcomes) {
+            let mut cpu = McdProcessor::new(
+                runner.sim_config(&job.config),
+                runner.controller(job.benchmark, &job.config),
+            );
+            cpu.warm_caches(&WorkloadGenerator::warm_regions(&spec));
+            let live = cpu.run(WorkloadGenerator::new(
+                &spec,
+                settings.seed,
+                settings.instructions,
+            ));
+            assert_eq!(
+                outcome.result, live,
+                "trace replay must never change results ({:?})",
+                job.config
+            );
         }
     }
 }

@@ -41,11 +41,6 @@ pub struct ExperimentSettings {
     /// Worker threads of the experiment engine (None: the `MCD_JOBS`
     /// environment variable, then the host's available parallelism).
     pub jobs: Option<usize>,
-    /// Share one materialized instruction trace across same-workload runs
-    /// (None: enabled unless `MCD_NO_TRACE_SHARE=1`).  Traces replay the
-    /// generator bit-identically, so this never affects simulated
-    /// results.
-    pub share_traces: Option<bool>,
 }
 
 impl ExperimentSettings {
@@ -66,7 +61,6 @@ impl ExperimentSettings {
             seed: 42,
             global_search_iters: 3,
             jobs: None,
-            share_traces: None,
         }
     }
 
@@ -80,7 +74,6 @@ impl ExperimentSettings {
             seed: 42,
             global_search_iters: 4,
             jobs: None,
-            share_traces: None,
         }
     }
 
@@ -99,12 +92,6 @@ impl ExperimentSettings {
     /// Builder-style override of the worker count.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = Some(jobs);
-        self
-    }
-
-    /// Builder-style enable/disable of shared instruction traces.
-    pub fn with_share_traces(mut self, share_traces: bool) -> Self {
-        self.share_traces = Some(share_traces);
         self
     }
 
@@ -912,7 +899,6 @@ mod tests {
             seed: 7,
             global_search_iters: 2,
             jobs: None,
-            share_traces: None,
         }
     }
 
@@ -1010,7 +996,6 @@ mod tests {
             seed: 3,
             global_search_iters: 2,
             jobs: None,
-            share_traces: None,
         });
         let fig = figure4::from_outcomes(&outcomes);
         assert_eq!(fig.rows.len(), 2);
@@ -1048,7 +1033,6 @@ mod tests {
             seed: 1,
             global_search_iters: 2,
             jobs: None,
-            share_traces: None,
         };
         let sweep = sensitivity::sweep_decay(&settings, &[0.0005, 0.0075]);
         assert_eq!(sweep.points.len(), 2);

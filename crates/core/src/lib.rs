@@ -15,8 +15,8 @@
 //!   (fully synchronous, baseline MCD, Attack/Decay, off-line Dynamic-N%,
 //!   global voltage scaling), including the two-pass profiling required by
 //!   the off-line oracle.
-//! * [`cache`] — the engine-owned shared-trace cache and the stable
-//!   content hash behind its keys.
+//! * [`cache`] — the per-benchmark shared-trace cache and the stable
+//!   hash behind the result digests.
 //! * [`bundle`] — [`bundle::result_digest`], a stable digest of a run's
 //!   simulated outcome.
 //! * [`metrics`] — the paper's metrics: performance degradation, energy
@@ -48,10 +48,10 @@ pub mod presets;
 pub mod report;
 pub mod runner;
 
-pub use cache::{TraceCache, TraceCacheStats, TraceKey};
+pub use cache::{TraceCache, TraceCacheStats};
 pub use engine::{
-    admission_priority, jobs_from_env, parse_jobs, parse_no_trace_share, trace_sharing_enabled,
-    worker_count, EngineStats, ExperimentEngine, JobSpec, RunPlan,
+    admission_priority, jobs_from_env, parse_jobs, worker_count, EngineStats, ExperimentEngine,
+    JobSpec, RunPlan,
 };
 pub use experiments::ExperimentSettings;
 pub use metrics::{suite_average, Comparison, RunMetrics};

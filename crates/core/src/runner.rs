@@ -3,7 +3,8 @@
 //! The runner knows how to build the simulator for each of the paper's
 //! configurations, including the two-pass flow required by the off-line
 //! oracle (profile at maximum frequency, then re-run with the per-interval
-//! schedule).
+//! schedule).  Every run of a benchmark replays the same materialized
+//! instruction trace from the runner's [`TraceCache`].
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -13,13 +14,11 @@ use mcd_control::{
     AttackDecayController, AttackDecayParams, FixedController, FrequencyController,
     GlobalScalingController, OfflineController, OfflineProfile,
 };
-use mcd_isa::{DynInst, InstructionStream};
 use mcd_sim::{McdProcessor, SimConfig, SimResult};
-use mcd_workloads::{Benchmark, TraceCursor, WorkloadGenerator};
+use mcd_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{TraceCache, TraceCacheStats, TraceKey};
-use crate::engine::trace_sharing_enabled;
+use crate::cache::{TraceCache, TraceCacheStats};
 
 /// Which of the paper's configurations to run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,44 +58,6 @@ impl ConfigKind {
     }
 }
 
-/// The instruction source of one run: a live generator, or a cursor
-/// over a shared materialized trace.  The two are bit-identical by
-/// construction ([`mcd_workloads::SharedTrace`] records a generator run
-/// to completion), so which variant a run uses never affects its
-/// [`SimResult`].
-enum RunStream {
-    /// Generate the stream on the fly (trace sharing disabled).
-    Live(WorkloadGenerator),
-    /// Replay a shared trace (the plan's same-workload runs hold cursors
-    /// into one `Arc<SharedTrace>`).
-    Trace(TraceCursor),
-}
-
-impl InstructionStream for RunStream {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        match self {
-            RunStream::Live(g) => g.next_inst(),
-            RunStream::Trace(c) => c.next_inst(),
-        }
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        match self {
-            RunStream::Live(g) => g.remaining_hint(),
-            RunStream::Trace(c) => c.remaining_hint(),
-        }
-    }
-
-    fn annotations(&self) -> Option<&mcd_isa::TraceAnnotations> {
-        match self {
-            // Live generation carries no precomputed sidecar; the
-            // frontend re-derives dependences from the rename map.
-            RunStream::Live(_) => None,
-            RunStream::Trace(c) => c.annotations(),
-        }
-    }
-}
-
 /// A completed run.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -122,10 +83,11 @@ pub type SharedProfileCache = Arc<Mutex<BTreeMap<Benchmark, OfflineProfile>>>;
 /// and is safe to call from many threads at once.
 #[derive(Debug)]
 pub struct BenchmarkRunner {
-    /// Committed instructions per run.
-    pub instructions: u64,
+    /// Committed instructions per run; fixed for the runner's lifetime,
+    /// like `seed`, because its traces are keyed by benchmark alone.
+    instructions: u64,
     /// Seed for workload generation and clock phases/jitter.
-    pub seed: u64,
+    seed: u64,
     /// Record per-interval traces (needed for the Figure 2/3 experiment).
     pub record_traces: bool,
     /// Committed instructions per control interval.  The paper uses 10 000;
@@ -134,15 +96,14 @@ pub struct BenchmarkRunner {
     /// the algorithms to act (see DESIGN.md, "Substitutions").
     pub interval_instructions: u64,
     profiles: SharedProfileCache,
-    /// Shared-trace cache; `None` generates streams live
-    /// (`MCD_NO_TRACE_SHARE=1` or [`Self::with_trace_sharing`]).
-    traces: Option<Arc<TraceCache>>,
+    /// The instruction stream of every run: one shared trace per
+    /// benchmark.
+    traces: TraceCache,
 }
 
 impl BenchmarkRunner {
-    /// Creates a runner with the given per-run instruction budget.  Trace
-    /// sharing defaults to the `MCD_NO_TRACE_SHARE` environment knob
-    /// (enabled when unset).
+    /// Creates a runner with the given per-run instruction budget and
+    /// seed.
     pub fn new(instructions: u64, seed: u64) -> Self {
         BenchmarkRunner {
             instructions,
@@ -150,7 +111,7 @@ impl BenchmarkRunner {
             record_traces: false,
             interval_instructions: 10_000,
             profiles: Arc::default(),
-            traces: trace_sharing_enabled(None).then(Arc::default),
+            traces: TraceCache::new(seed, instructions),
         }
     }
 
@@ -160,29 +121,14 @@ impl BenchmarkRunner {
         self
     }
 
-    /// Builder-style enable/disable of shared-trace streams.
-    pub fn with_trace_sharing(mut self, enabled: bool) -> Self {
-        self.traces = match (enabled, self.traces.take()) {
-            (true, Some(cache)) => Some(cache),
-            (true, None) => Some(Arc::default()),
-            (false, _) => None,
-        };
-        self
+    /// The runner's trace cache.
+    pub(crate) fn trace_cache(&self) -> &TraceCache {
+        &self.traces
     }
 
-    /// The trace cache, when trace sharing is enabled.
-    pub fn trace_cache(&self) -> Option<&Arc<TraceCache>> {
-        self.traces.as_ref()
-    }
-
-    /// Counters of the trace cache (zeros when sharing is disabled).
+    /// Counters of the trace cache.
     pub fn trace_cache_stats(&self) -> TraceCacheStats {
-        self.traces.as_ref().map(|c| c.stats()).unwrap_or_default()
-    }
-
-    /// The trace-cache key of `bench` under this runner's settings.
-    pub fn trace_key(&self, bench: Benchmark) -> TraceKey {
-        TraceKey::of(&bench.spec(), self.seed, self.instructions)
+        self.traces.stats()
     }
 
     /// Whether the profile of `bench` is already cached.
@@ -193,7 +139,8 @@ impl BenchmarkRunner {
             .contains_key(&bench)
     }
 
-    fn sim_config(&self, kind: &ConfigKind) -> SimConfig {
+    /// The simulator configuration of a run under `kind`.
+    pub(crate) fn sim_config(&self, kind: &ConfigKind) -> SimConfig {
         let mut cfg = match kind {
             ConfigKind::FullySynchronous | ConfigKind::GlobalScaling { .. } => {
                 SimConfig::fully_synchronous(self.instructions)
@@ -206,7 +153,12 @@ impl BenchmarkRunner {
         cfg
     }
 
-    fn controller(&self, bench: Benchmark, kind: &ConfigKind) -> Box<dyn FrequencyController> {
+    /// The frequency controller of a run of `bench` under `kind`.
+    pub(crate) fn controller(
+        &self,
+        bench: Benchmark,
+        kind: &ConfigKind,
+    ) -> Box<dyn FrequencyController> {
         let table = OperatingPointTable::default();
         match kind {
             ConfigKind::FullySynchronous | ConfigKind::BaselineMcd => {
@@ -248,7 +200,9 @@ impl BenchmarkRunner {
 
     /// Runs `bench` under `kind` to completion and returns the outcome.
     /// Takes `&self`: runs are pure functions of the runner's settings, so
-    /// it is safe to call from many threads at once.
+    /// it is safe to call from many threads at once.  The instruction
+    /// stream is a cursor over the benchmark's shared trace, materialized
+    /// on its first lease.
     ///
     /// For [`ConfigKind::OfflineDynamic`] this gathers the profiling pass
     /// first (through the shared cache); the experiment engine schedules
@@ -256,25 +210,12 @@ impl BenchmarkRunner {
     /// Baseline-MCD runs cache their activity profile for the off-line
     /// oracle.
     pub fn run(&self, bench: Benchmark, kind: &ConfigKind) -> RunOutcome {
-        let spec = bench.spec();
-        let (stream, warm_regions, trace_bytes) = match &self.traces {
-            Some(cache) => {
-                let trace = cache.lease(&spec, self.seed, self.instructions);
-                let bytes = trace.bytes();
-                let regions = trace.warm_regions().to_vec();
-                (RunStream::Trace(trace.cursor()), regions, bytes)
-            }
-            None => (
-                RunStream::Live(WorkloadGenerator::new(&spec, self.seed, self.instructions)),
-                WorkloadGenerator::warm_regions(&spec),
-                0,
-            ),
-        };
+        let trace = self.traces.lease(bench);
         let controller = self.controller(bench, kind);
         let mut cpu = McdProcessor::new(self.sim_config(kind), controller);
-        cpu.warm_caches(&warm_regions);
-        let mut result = cpu.run(stream);
-        result.host.trace_bytes = trace_bytes;
+        cpu.warm_caches(trace.warm_regions());
+        let mut result = cpu.run(trace.cursor());
+        result.host.trace_bytes = trace.bytes();
         if matches!(kind, ConfigKind::BaselineMcd) {
             self.profiles
                 .lock()

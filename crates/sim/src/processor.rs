@@ -1361,8 +1361,11 @@ mod tests {
 
         /// The quiet-time catch-up is exact: a run with it equals the run
         /// that steps every edge through the tournament — over every
-        /// benchmark, seeds, controllers, both clocking modes and pause
-        /// budgets that cut catch-ups short.
+        /// benchmark, seeds, controllers, both clocking modes, pause
+        /// budgets that cut catch-ups short and two memory issue widths.
+        /// At width 4 more loads are ready in one scan than the two
+        /// MemPorts take, so loads lose the port; at the paper's width 2
+        /// they never do.
         #[test]
         fn catch_up_matches_plain_stepping(
             bench_sel in 0usize..30,
@@ -1370,6 +1373,7 @@ mod tests {
             controller_kind in 0u8..3,
             synchronous in 0u8..2,
             budget_sel in 0u8..4,
+            wide_mem in 0u8..2,
         ) {
             let bench = Benchmark::ALL[bench_sel % Benchmark::ALL.len()];
             let insts = 3_000;
@@ -1383,6 +1387,7 @@ mod tests {
             // clocks ramp) within the run.
             config.interval_instructions = 500;
             config.record_traces = true;
+            config.arch.mem_issue_width = [2, 4][wide_mem as usize];
             let budget = [1, 7, 1_000, u64::MAX][budget_sel as usize];
             let plain = run_with_catch_up(bench, seed, &config, controller_kind, u64::MAX, false);
             let caught_up = run_with_catch_up(bench, seed, &config, controller_kind, budget, true);

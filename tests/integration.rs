@@ -25,7 +25,6 @@ fn quick_settings(benchmarks: Vec<Benchmark>) -> ExperimentSettings {
         seed: 42,
         global_search_iters: 3,
         jobs: None,
-        share_traces: None,
     }
 }
 

@@ -666,8 +666,8 @@ proptest! {
         let live = || WorkloadGenerator::new(&spec, seed, insts);
         let cpu = || McdProcessor::new(cfg.clone(), controller());
         let whole = finish_with_slices(cpu(), live(), &[]);
-        let share_traces = share_sel == 1;
-        let paused = if share_traces {
+        let replay = share_sel == 1;
+        let paused = if replay {
             let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, seed, insts));
             finish_with_slices(cpu(), trace.cursor(), &pauses)
         } else {
@@ -675,9 +675,9 @@ proptest! {
         };
         prop_assert!(
             paused == whole,
-            "pause chain {:?} changed the result (sharing={})",
+            "pause chain {:?} changed the result (replay={})",
             pauses,
-            share_traces
+            replay
         );
         prop_assert_eq!(paused.committed_instructions, insts);
     }
