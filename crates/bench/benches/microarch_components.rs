@@ -17,14 +17,13 @@ use mcd_workloads::{Benchmark, SharedTrace, WorkloadGenerator};
 
 /// End-to-end simulation kernel throughput: one full `McdProcessor::run`
 /// over a fixed instruction window.  This is the number the event-queue /
-/// slab kernel refactor is measured against (ISSUE 1 acceptance
-/// criterion), and the dominant cost of every experiment in `mcd-core`.
+/// slab kernel is measured against, and the dominant cost of every
+/// experiment in `mcd-core`.
 ///
-/// The `_traced` variants replay a pre-materialized [`SharedTrace`], so
-/// the frontend dispatches from the precomputed annotation sidecar
-/// instead of re-deriving producers from the rename map — the A/B pair
-/// quantifies the annotation-fed dispatch win (trace build cost is paid
-/// once outside the measurement loop, as it is in the engine).
+/// The `_traced` variants replay a pre-materialized [`SharedTrace`]
+/// instead of generating the stream live — the A/B pair measures trace
+/// replay against generation (trace build cost is paid once outside the
+/// measurement loop, as it is in the engine).
 fn bench_processor_kernel(c: &mut Criterion) {
     let run = |bench: Benchmark, insts: u64| {
         let stream = WorkloadGenerator::new(&bench.spec(), 42, insts);
@@ -190,13 +189,11 @@ fn bench_workload_generation(c: &mut Criterion) {
 /// Alongside the timings, one instrumented run per kernel-bench workload
 /// records the event-timeline traffic counters (pushes, pops, drain
 /// passes, monotone-lane absorptions — see `mcd_sim::EventTrafficStats`),
-/// the derived events-per-commit ratio, the dispatch-path counters
-/// (`ann_fed` from an annotation-fed trace replay, `ann_recomputed` from
-/// the live run), and the kernel-step counters (steps per commit, the
-/// idle-step share, and the steps and catch-ups of the quiet-time
-/// catch-up), making the lane's structural event-traffic cut, the
-/// annotation coverage, the idle-step floor and the catch-up's coverage
-/// measurable per workload per commit.
+/// the derived events-per-commit ratio, and the kernel-step counters
+/// (steps per commit, the idle-step share, and the steps and catch-ups of
+/// the quiet-time catch-up), making the lane's structural event-traffic
+/// cut, the idle-step floor and the catch-up's coverage measurable per
+/// workload per commit.
 fn export_results(c: &mut Criterion) {
     let results = c.take_results();
     if results.is_empty() {
@@ -231,9 +228,8 @@ fn export_results(c: &mut Criterion) {
         );
         let live = cpu.run(stream);
         let events = &live.host.events;
-        // A second, annotation-fed run of the same workload: bit-identical
-        // by contract, but its dispatch comes from the trace sidecar, so
-        // its `ann_fed` counter reports annotation coverage.
+        // A second run of the same workload replaying a materialized
+        // trace: bit-identical to the live run by contract.
         let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, 42, 20_000));
         let mut cpu = McdProcessor::new(
             SimConfig::baseline_mcd(20_000),
@@ -248,8 +244,6 @@ fn export_results(c: &mut Criterion) {
         row.insert("lane_pushes", events.lane_pushes);
         row.insert("drain_passes", events.drains);
         row.insert("events_per_commit", live.events_per_commit());
-        row.insert("ann_fed", traced.host.ann_fed);
-        row.insert("ann_recomputed", live.host.ann_recomputed);
         row.insert("steps_per_commit", live.steps_per_commit());
         row.insert("idle_step_fraction", live.host.idle_step_fraction());
         row.insert("skipped_steps", live.host.skipped_steps.iter().sum::<u64>());

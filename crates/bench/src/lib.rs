@@ -17,8 +17,9 @@
 //!   simulation kernel.
 //!
 //! Setting the environment variable `MCD_FULL=1` makes the binaries run the
-//! full 30-benchmark suite with the longer windows used for EXPERIMENTS.md;
-//! the default is a quick cross-suite subset.
+//! full 30-benchmark suite with the longer windows of
+//! `ExperimentSettings::paper` (the README's "Reproduced artefacts" section
+//! lists the binaries); the default is a quick cross-suite subset.
 
 use std::path::PathBuf;
 

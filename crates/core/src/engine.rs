@@ -264,8 +264,10 @@ pub struct EngineStats {
     /// Instruction traces materialized (generator runs) for the plan.
     pub trace_materializations: u64,
     /// High-water mark of trace bytes the trace cache kept strongly
-    /// referenced (pinned registrations plus the recent ring) — the
-    /// plan's peak trace-memory cost.
+    /// referenced (pinned registrations plus the recent ring) over the
+    /// engine's whole lifetime, not this plan alone: the cache is never
+    /// reset, so a later plan on the same engine (say, a later Global
+    /// search round) reports the peak of every earlier plan too.
     pub trace_peak_bytes: u64,
     /// Wall-clock time of the whole plan in seconds.
     pub wall_seconds: f64,

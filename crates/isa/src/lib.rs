@@ -26,15 +26,11 @@
 //! assert!(!add.is_mem());
 //! ```
 
-pub mod annotations;
 pub mod inst;
 pub mod op;
 pub mod reg;
 pub mod stream;
 
-pub use annotations::{
-    TraceAnnotations, ANN_BRANCH, ANN_HAS_DST, ANN_MEM, ANN_NOP, ANN_STORE, ANN_TAKEN,
-};
 pub use inst::{BranchInfo, DynInst, MemInfo, SeqNum};
 pub use op::{ExecClass, OpClass};
 pub use reg::{Reg, RegClass, NUM_ARCH_FP_REGS, NUM_ARCH_INT_REGS};

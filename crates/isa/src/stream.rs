@@ -6,7 +6,6 @@
 //! instructions ([`VecStream`], [`SliceStream`]) are provided here for unit
 //! tests and micro-workloads.
 
-use crate::annotations::TraceAnnotations;
 use crate::inst::{DynInst, SeqNum};
 use crate::op::OpClass;
 
@@ -23,15 +22,6 @@ pub trait InstructionStream {
     /// An optional hint of how many instructions remain (used only for
     /// progress reporting).
     fn remaining_hint(&self) -> Option<u64> {
-        None
-    }
-
-    /// The precomputed per-instruction annotations of the stream's backing
-    /// trace, when it has one (materialized shared traces); `None` for
-    /// live-generated streams, whose consumers re-derive the same facts
-    /// per instruction.  Annotation rows are indexed by sequence number,
-    /// so the accessor is position-independent.
-    fn annotations(&self) -> Option<&TraceAnnotations> {
         None
     }
 
@@ -53,9 +43,6 @@ impl<S: InstructionStream + ?Sized> InstructionStream for Box<S> {
     }
     fn remaining_hint(&self) -> Option<u64> {
         (**self).remaining_hint()
-    }
-    fn annotations(&self) -> Option<&TraceAnnotations> {
-        (**self).annotations()
     }
 }
 

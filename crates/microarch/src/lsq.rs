@@ -51,8 +51,7 @@ const FILTER_BUCKETS: usize = 64;
 const _: () = assert!(FILTER_BUCKETS == u64::BITS as usize, "mask is one u64");
 // The granule geometry (8-byte granules: the widest access size, so any
 // byte overlap implies a shared granule) is canonical in `mcd_isa`
-// (`MemInfo::FILTER_GRANULE_SHIFT`) so trace annotations precompute masks
-// identical to the ones the queue derives itself.
+// (`MemInfo::FILTER_GRANULE_SHIFT`), next to the mask it shapes.
 const _: () = assert!(MemInfo::FILTER_GRANULE_SHIFT == 3, "8-byte granules");
 
 /// State of one memory operation in the LSQ.
@@ -271,30 +270,6 @@ impl LoadStoreQueue {
         mem: MemInfo,
         visible_at_ps: u64,
     ) -> Result<(), SeqNum> {
-        self.insert_masked(seq, is_store, mem, visible_at_ps, mem.filter_mask64())
-    }
-
-    /// Inserts a memory operation whose address-filter bucket mask has
-    /// already been computed (trace annotations precompute it once per
-    /// trace; [`LoadStoreQueue::insert`] derives it on the spot).
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(seq)` if the queue is full or program order would be
-    /// violated.
-    pub fn insert_masked(
-        &mut self,
-        seq: SeqNum,
-        is_store: bool,
-        mem: MemInfo,
-        visible_at_ps: u64,
-        mask: u64,
-    ) -> Result<(), SeqNum> {
-        debug_assert_eq!(
-            mask,
-            mem.filter_mask64(),
-            "precomputed filter mask must match the access"
-        );
         if self.is_full() {
             return Err(seq);
         }
@@ -303,6 +278,7 @@ impl LoadStoreQueue {
                 return Err(seq);
             }
         }
+        let mask = mem.filter_mask64();
         self.entries.push(LsqEntry {
             seq,
             is_store,

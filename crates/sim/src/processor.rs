@@ -244,21 +244,15 @@ pub struct McdProcessor {
 
     // Statistics.
     pub(crate) committed: u64,
-    /// Instructions dispatched through a precomputed trace-annotation
-    /// sidecar (host telemetry only: the counters describe *how* this
-    /// process dispatched, not simulated state).
-    pub(crate) ann_fed: u64,
-    /// Instructions dispatched via live rename-map re-derivation (host
-    /// telemetry only, see `ann_fed`).
-    pub(crate) ann_recomputed: u64,
     /// Per on-chip domain: edges whose handler only did bookkeeping (host
-    /// telemetry only, see `ann_fed`).
+    /// telemetry only: the counters describe *how* this process stepped
+    /// the kernel, not simulated state).
     pub(crate) idle_steps: [u64; 4],
     /// Per on-chip domain: the idle edges the quiet-time catch-up stepped
-    /// (host telemetry only, see `ann_fed`).
+    /// (host telemetry only, see `idle_steps`).
     pub(crate) skipped_steps: [u64; 4],
     /// Quiet-time catch-ups that stepped at least one edge (host
-    /// telemetry only, see `ann_fed`).
+    /// telemetry only, see `idle_steps`).
     pub(crate) quiet_skips: u64,
     pub(crate) mispredict_redirects: u64,
     pub(crate) memory_accesses: u64,
@@ -369,8 +363,6 @@ impl McdProcessor {
             energy: EnergyAccount::new(config.energy.clone()),
             charges: [EdgeCharge::default(); 4],
             committed: 0,
-            ann_fed: 0,
-            ann_recomputed: 0,
             idle_steps: [0; 4],
             skipped_steps: [0; 4],
             quiet_skips: 0,
@@ -929,8 +921,6 @@ impl McdProcessor {
         // have executed on different worker threads).
         let mut host = HostStats::from_run(self.committed, self.run_state.wall_seconds);
         host.events = self.timeline.stats();
-        host.ann_fed = self.ann_fed;
-        host.ann_recomputed = self.ann_recomputed;
         for d in ON_CHIP_DOMAINS {
             host.domain_steps[d.index()] = self.clocks[d.index()].cycles();
         }

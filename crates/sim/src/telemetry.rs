@@ -34,8 +34,6 @@ pub struct IntervalRecord {
     pub domains: Vec<DomainTrace>,
 }
 
-impl DomainTrace {}
-
 impl IntervalRecord {
     /// The trace of one domain, if present.
     pub fn domain(&self, d: DomainId) -> Option<&DomainTrace> {
@@ -105,12 +103,12 @@ pub struct HostStats {
     /// only because the out-of-workspace benchmark package (`perfbench/`)
     /// still reads it, and goes with the next change to that package.
     pub result_cache_hit: bool,
-    /// Instructions dispatched through the precomputed trace-annotation
-    /// sidecar (dependence edges and LSQ filter masks consumed instead of
-    /// re-derived).
+    /// Always `0`.  Every run dispatches from the rename map since the
+    /// trace-annotation sidecar was removed; the field stays only because
+    /// the out-of-workspace benchmark package (`perfbench/`) still reads
+    /// it, and goes with the next change to that package.
     pub ann_fed: u64,
-    /// Instructions dispatched the historical way — dependences re-derived
-    /// from the rename map (live-generated streams carry no sidecar).
+    /// Always `0`, for the same reason as `ann_fed`.
     pub ann_recomputed: u64,
     /// Kernel steps (clock edges) per on-chip domain, indexed by
     /// `DomainId::index`: the clocks' edge counts.

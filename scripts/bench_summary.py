@@ -47,16 +47,14 @@ def kernel_micro(doc):
     traffic = doc.get("event_traffic", [])
     if traffic:
         print("### Event-timeline traffic (20k-instruction runs)\n")
-        print("| workload | pushes | pops | lane pushes | events/commit "
-              "| ann fed | ann recomputed |")
-        print("|---|---|---|---|---|---|---|")
+        print("| workload | pushes | pops | lane pushes | events/commit |")
+        print("|---|---|---|---|---|")
         for t in traffic:
             epc = t.get("events_per_commit")
             epc_cell = f"{epc:.3f}" if epc is not None else "-"
             print(
                 f"| {t['workload']} | {t['timeline_pushes']} | {t['timeline_pops']} "
-                f"| {t.get('lane_pushes', '-')} | {epc_cell} "
-                f"| {t.get('ann_fed', '-')} | {t.get('ann_recomputed', '-')} |"
+                f"| {t.get('lane_pushes', '-')} | {epc_cell} |"
             )
         print()
         print("### Kernel steps (20k-instruction runs)\n")

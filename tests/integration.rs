@@ -80,8 +80,8 @@ fn attack_decay_saves_energy_with_bounded_slowdown_across_suites() {
     // The paper's 19% savings accrue over thousands of 10k-instruction
     // control intervals; this smoke test only spans ~60, so the decay has
     // little room to act.  We require clearly positive savings here and
-    // leave the full-scale numbers to the benchmark harness
-    // (EXPERIMENTS.md).
+    // leave the full-scale numbers to the artefact binaries (`MCD_FULL=1`,
+    // see the README's "Reproduced artefacts" section).
     assert!(
         avg.energy_savings > 0.01,
         "Attack/Decay should save energy, got {:.3}",

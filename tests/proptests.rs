@@ -512,12 +512,18 @@ proptest! {
     /// the replay is additionally chopped by *any* sequence of `run_for`
     /// pause boundaries.  This is the invariant that lets the experiment
     /// engine substitute one materialized trace for every same-workload
-    /// run of a plan.
+    /// run of a plan.  The workload is gzip, swim, mcf or a single-phase
+    /// spec with a random instruction mix.
     #[test]
     fn trace_replay_is_bit_identical_for_random_slice_boundaries(
         raw_slices in proptest::collection::vec((0u8..4, 0u64..45_000), 1..8),
-        bench_sel in 0u8..3,
+        bench_sel in 0u8..4,
         seed in 0u64..1_000,
+        int_alu in 0.1f64..0.6,
+        load in 0.05f64..0.4,
+        store in 0.0f64..0.2,
+        branch in 0.02f64..0.3,
+        fp in 0.0f64..0.4,
     ) {
         let slices: Vec<u64> = raw_slices
             .iter()
@@ -528,9 +534,28 @@ proptest! {
                 _ => 1_000_000 + magnitude,
             })
             .collect();
-        let bench = [Benchmark::Gzip, Benchmark::Swim, Benchmark::Mcf][bench_sel as usize];
+        let spec = match bench_sel {
+            0 => Benchmark::Gzip.spec(),
+            1 => Benchmark::Swim.spec(),
+            2 => Benchmark::Mcf.spec(),
+            _ => {
+                let mix = InstructionMix {
+                    int_alu,
+                    int_mul: 0.01,
+                    fp_add: fp / 2.0,
+                    fp_mul: fp / 2.0,
+                    fp_div: 0.0,
+                    load,
+                    store,
+                    branch,
+                };
+                let phase = Phase::new(1.0, mix)
+                    .with_memory(MemoryBehavior::cache_resident())
+                    .with_branches(BranchBehavior::predictable());
+                WorkloadSpec::new("mix-prop", "proptest", vec![phase], 1.0)
+            }
+        };
         let insts = 4_000;
-        let spec = bench.spec();
         let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, seed, insts));
 
         // Stream-level equality at every position.
@@ -554,72 +579,7 @@ proptest! {
             "trace replay with slices {:?} changed the result",
             slices
         );
-    }
-
-    /// Annotation-fed dispatch bit-identity: a [`SharedTrace`] carries a
-    /// precomputed annotation sidecar (last-writer dependence edges,
-    /// source counts, flags and memory filter masks), and the frontend
-    /// consumes it instead of re-deriving producers from the rename map
-    /// when the stream exposes one.  For *any* generated workload spec,
-    /// seed and sequence of pause boundaries, the annotation-fed replay
-    /// must produce a `SimResult` bit-identical to the live-generator run
-    /// that re-derives everything per dispatch — and every instruction
-    /// must actually take the annotation path, which the host-telemetry
-    /// counters (excluded from equality by design) make observable.
-    #[test]
-    fn annotation_fed_dispatch_matches_live_rename_derivation(
-        int_alu in 0.1f64..0.6,
-        load in 0.05f64..0.4,
-        store in 0.0f64..0.2,
-        branch in 0.02f64..0.3,
-        fp in 0.0f64..0.4,
-        seed in 0u64..1_000,
-        raw_slices in proptest::collection::vec((0u8..4, 0u64..45_000), 1..6),
-    ) {
-        let slices: Vec<u64> = raw_slices
-            .iter()
-            .map(|&(class, magnitude)| match class {
-                0 => 1,
-                1 => 2 + magnitude % 200,
-                2 => 5_000 + magnitude,
-                _ => 1_000_000 + magnitude,
-            })
-            .collect();
-        let mix = InstructionMix {
-            int_alu,
-            int_mul: 0.01,
-            fp_add: fp / 2.0,
-            fp_mul: fp / 2.0,
-            fp_div: 0.0,
-            load,
-            store,
-            branch,
-        };
-        let phase = Phase::new(1.0, mix)
-            .with_memory(MemoryBehavior::cache_resident())
-            .with_branches(BranchBehavior::predictable());
-        let spec = WorkloadSpec::new("ann-prop", "proptest", vec![phase], 1.0);
-        let insts = 3_000;
-        let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, seed, insts));
-        // One annotation row per recorded instruction.
-        prop_assert_eq!(trace.annotations().len(), insts as usize);
-
-        let live = run_stream_with_slices(WorkloadGenerator::new(&spec, seed, insts), insts, &[]);
-        let fed = run_stream_with_slices(trace.cursor(), insts, &slices);
-        prop_assert!(
-            fed == live,
-            "annotation-fed replay with slices {:?} diverged from the live run",
-            slices
-        );
-        prop_assert_eq!(fed.committed_instructions, insts);
-        // Dispatch-path accounting: the replay fed every instruction from
-        // the sidecar, the live run re-derived every one from the rename
-        // map (each instruction dispatches exactly once — there is no
-        // wrong-path refetch).
-        prop_assert_eq!(fed.host.ann_fed, insts);
-        prop_assert_eq!(fed.host.ann_recomputed, 0);
-        prop_assert_eq!(live.host.ann_fed, 0);
-        prop_assert_eq!(live.host.ann_recomputed, insts);
+        prop_assert_eq!(traced_run.committed_instructions, insts);
     }
 
     /// Pause-chain bit-identity under a stateful controller: for *any*
