@@ -512,18 +512,12 @@ proptest! {
     /// the replay is additionally chopped by *any* sequence of `run_for`
     /// pause boundaries.  This is the invariant that lets the experiment
     /// engine substitute one materialized trace for every same-workload
-    /// run of a plan.  The workload is gzip, swim, mcf or a single-phase
-    /// spec with a random instruction mix.
+    /// run of a plan.
     #[test]
     fn trace_replay_is_bit_identical_for_random_slice_boundaries(
         raw_slices in proptest::collection::vec((0u8..4, 0u64..45_000), 1..8),
-        bench_sel in 0u8..4,
+        bench_sel in 0u8..3,
         seed in 0u64..1_000,
-        int_alu in 0.1f64..0.6,
-        load in 0.05f64..0.4,
-        store in 0.0f64..0.2,
-        branch in 0.02f64..0.3,
-        fp in 0.0f64..0.4,
     ) {
         let slices: Vec<u64> = raw_slices
             .iter()
@@ -534,28 +528,9 @@ proptest! {
                 _ => 1_000_000 + magnitude,
             })
             .collect();
-        let spec = match bench_sel {
-            0 => Benchmark::Gzip.spec(),
-            1 => Benchmark::Swim.spec(),
-            2 => Benchmark::Mcf.spec(),
-            _ => {
-                let mix = InstructionMix {
-                    int_alu,
-                    int_mul: 0.01,
-                    fp_add: fp / 2.0,
-                    fp_mul: fp / 2.0,
-                    fp_div: 0.0,
-                    load,
-                    store,
-                    branch,
-                };
-                let phase = Phase::new(1.0, mix)
-                    .with_memory(MemoryBehavior::cache_resident())
-                    .with_branches(BranchBehavior::predictable());
-                WorkloadSpec::new("mix-prop", "proptest", vec![phase], 1.0)
-            }
-        };
+        let bench = [Benchmark::Gzip, Benchmark::Swim, Benchmark::Mcf][bench_sel as usize];
         let insts = 4_000;
+        let spec = bench.spec();
         let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, seed, insts));
 
         // Stream-level equality at every position.
@@ -580,6 +555,62 @@ proptest! {
             slices
         );
         prop_assert_eq!(traced_run.committed_instructions, insts);
+    }
+
+    /// Trace-fed dispatch bit-identity for arbitrary instruction mixes: a
+    /// [`SharedTrace`] replay and the live generator it recorded both
+    /// derive every dispatched instruction's producers from the rename
+    /// map (the trace carries instruction records only — no precomputed
+    /// dependence sidecar).  For *any* single-phase spec with a random
+    /// instruction mix, seed and sequence of pause boundaries, the
+    /// trace-fed run must produce a `SimResult` bit-identical to the
+    /// uninterrupted live run and commit every recorded instruction.
+    #[test]
+    fn annotation_fed_dispatch_matches_live_rename_derivation(
+        int_alu in 0.1f64..0.6,
+        load in 0.05f64..0.4,
+        store in 0.0f64..0.2,
+        branch in 0.02f64..0.3,
+        fp in 0.0f64..0.4,
+        seed in 0u64..1_000,
+        raw_slices in proptest::collection::vec((0u8..4, 0u64..45_000), 1..6),
+    ) {
+        let slices: Vec<u64> = raw_slices
+            .iter()
+            .map(|&(class, magnitude)| match class {
+                0 => 1,
+                1 => 2 + magnitude % 200,
+                2 => 5_000 + magnitude,
+                _ => 1_000_000 + magnitude,
+            })
+            .collect();
+        let mix = InstructionMix {
+            int_alu,
+            int_mul: 0.01,
+            fp_add: fp / 2.0,
+            fp_mul: fp / 2.0,
+            fp_div: 0.0,
+            load,
+            store,
+            branch,
+        };
+        let phase = Phase::new(1.0, mix)
+            .with_memory(MemoryBehavior::cache_resident())
+            .with_branches(BranchBehavior::predictable());
+        let spec = WorkloadSpec::new("mix-prop", "proptest", vec![phase], 1.0);
+        let insts = 3_000;
+        let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, seed, insts));
+        // One instruction record per recorded instruction.
+        prop_assert_eq!(trace.len(), insts);
+
+        let live = run_stream_with_slices(WorkloadGenerator::new(&spec, seed, insts), insts, &[]);
+        let fed = run_stream_with_slices(trace.cursor(), insts, &slices);
+        prop_assert!(
+            fed == live,
+            "trace-fed replay with slices {:?} diverged from the live run",
+            slices
+        );
+        prop_assert_eq!(fed.committed_instructions, insts);
     }
 
     /// Pause-chain bit-identity under a stateful controller: for *any*
