@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the simulator substrates: clock edges, branch
 //! prediction, cache lookups, issue-queue management, the Attack/Decay
-//! control step and workload generation.  These quantify where the simulator spends its time
-//! and act as performance-regression guards for the building blocks.
+//! control step, workload generation and trace replay.  These quantify
+//! where the simulator spends its time and act as performance-regression
+//! guards for the building blocks.
 // The criterion_group! expansion is undocumented generated code.
 #![allow(missing_docs)]
 
@@ -166,6 +167,26 @@ fn bench_sync_window(c: &mut Criterion) {
     });
 }
 
+/// Instructions in the `trace_replay_gzip_60k` trace, the per-benchmark
+/// budget of perfbench's `kernel` workload.
+const TRACE_REPLAY_INSTS: u64 = 60_000;
+
+/// Trace replay alone: one cursor drained over a materialized gzip trace.
+/// Divided by [`TRACE_REPLAY_INSTS`] it is the decode cost per
+/// instruction that every simulated run pays on top of the kernel.
+fn bench_trace_replay(c: &mut Criterion) {
+    let spec = Benchmark::Gzip.spec();
+    let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, 42, TRACE_REPLAY_INSTS));
+    c.bench_function("trace_replay_gzip_60k", |b| {
+        b.iter(|| {
+            let mut cursor = trace.cursor();
+            while let Some(inst) = cursor.next_inst() {
+                black_box(inst);
+            }
+        })
+    });
+}
+
 fn bench_workload_generation(c: &mut Criterion) {
     c.bench_function("workload_generate_10k_insts", |b| {
         let spec = Benchmark::Epic.spec();
@@ -193,7 +214,9 @@ fn bench_workload_generation(c: &mut Criterion) {
 /// (steps per commit, the idle-step share, and the steps and catch-ups of
 /// the quiet-time catch-up), making the lane's structural event-traffic
 /// cut, the idle-step floor and the catch-up's coverage measurable per
-/// workload per commit.
+/// workload per commit.  `trace_bytes_per_inst` records the footprint of
+/// a materialized trace (`SharedTrace::bytes` over `len`, gzip at
+/// [`TRACE_REPLAY_INSTS`] instructions).
 fn export_results(c: &mut Criterion) {
     let results = c.take_results();
     if results.is_empty() {
@@ -213,6 +236,11 @@ fn export_results(c: &mut Criterion) {
         })
         .collect();
     doc.insert("benches", rows);
+    let trace = SharedTrace::materialize(&Benchmark::Gzip.spec(), 42, TRACE_REPLAY_INSTS);
+    doc.insert(
+        "trace_bytes_per_inst",
+        trace.bytes() as f64 / trace.len() as f64,
+    );
     let traffic: Vec<serde_json::Value> = [
         (Benchmark::Gzip, "gzip"),
         (Benchmark::Swim, "swim"),
@@ -266,6 +294,7 @@ criterion_group!(
     bench_attack_decay_step,
     bench_sync_window,
     bench_workload_generation,
+    bench_trace_replay,
     export_results
 );
 criterion_main!(benches);

@@ -333,11 +333,15 @@ impl ExperimentEngine {
         // on purpose.  Registering the whole plan before the profiling
         // wave would let the plan wave reuse the profiling wave's traces
         // (halving `trace_materializations` on a 30-benchmark suite), but
-        // it pins every trace across the profiling wave: the trace cache's
-        // peak grows from ~2 MiB to ~26 MiB there and the process peak RSS
-        // by about a third.  A per-phase pin holds a trace only from its
-        // first to its last lease within the phase; the cache's small
-        // recent ring bridges the two waves on small plans.
+        // it pins every trace across the profiling wave.  With 16-byte
+        // trace records the trace cache's peak on perfbench `table6`
+        // (10 000 instructions) grows from 0.3 MiB to 4.6 MiB; the process
+        // peak RSS median moved 61 → 70 MiB over 6 runs each, inside that
+        // metric's run-to-run spread.  The pin grows with the instruction
+        // budget: 30 benchmarks of 8M instructions would pin 3.8 GB.  A
+        // per-phase pin holds a trace only from its first to its last
+        // lease within the phase; the cache's small recent ring bridges
+        // the two waves on small plans.
         for job in specs {
             self.runner.trace_cache().register(job.benchmark, 1);
         }

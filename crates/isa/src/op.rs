@@ -74,7 +74,9 @@ pub enum ExecClass {
 
 impl OpClass {
     /// All operation classes, useful for exhaustive iteration in tests and
-    /// in the power model.
+    /// in the power model.  They are in declaration order, so
+    /// `OpClass::ALL[op as usize] == op`: compact encodings store an op as
+    /// its index here.
     pub const ALL: [OpClass; 14] = [
         OpClass::IntAlu,
         OpClass::IntMult,
@@ -213,6 +215,13 @@ mod tests {
                 ExecClass::Branch => assert!(op.is_branch()),
                 ExecClass::None => assert_eq!(op, OpClass::Nop),
             }
+        }
+    }
+
+    #[test]
+    fn all_is_in_discriminant_order() {
+        for (i, op) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{op} is not at its code");
         }
     }
 

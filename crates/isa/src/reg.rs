@@ -104,6 +104,30 @@ impl Reg {
         }
     }
 
+    /// The register with dense index `dense`: the inverse of
+    /// [`Reg::dense_index`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dense >= Reg::DENSE_COUNT`.
+    pub const fn from_dense_index(dense: usize) -> Self {
+        assert!(
+            dense < Reg::DENSE_COUNT,
+            "dense register index out of range"
+        );
+        if dense < NUM_ARCH_INT_REGS as usize {
+            Reg {
+                class: RegClass::Int,
+                index: dense as u8,
+            }
+        } else {
+            Reg {
+                class: RegClass::Fp,
+                index: (dense - NUM_ARCH_INT_REGS as usize) as u8,
+            }
+        }
+    }
+
     /// Total number of dense indices ([`Reg::dense_index`] range).
     pub const DENSE_COUNT: usize = NUM_ARCH_INT_REGS as usize + NUM_ARCH_FP_REGS as usize;
 }
@@ -161,6 +185,22 @@ mod tests {
         }
         assert_eq!(seen.len(), Reg::DENSE_COUNT);
         assert!(seen.iter().all(|&d| d < Reg::DENSE_COUNT));
+    }
+
+    #[test]
+    fn from_dense_index_inverts_dense_index() {
+        for i in 0..NUM_ARCH_INT_REGS {
+            let r = Reg::int(i);
+            assert_eq!(Reg::from_dense_index(r.dense_index()), r);
+            let f = Reg::fp(i);
+            assert_eq!(Reg::from_dense_index(f.dense_index()), f);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn dense_index_out_of_range_panics() {
+        let _ = Reg::from_dense_index(Reg::DENSE_COUNT);
     }
 
     #[test]

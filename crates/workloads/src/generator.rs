@@ -25,6 +25,8 @@ pub const DATA_BASE: u64 = 0x1000_0000;
 pub const CODE_BASE: u64 = 0x0040_0000;
 /// Size of the synthetic code segment (see `next_inst`'s PC wrap-around).
 pub const CODE_BYTES: u64 = 16 * 1024;
+/// Distance from an odd (forward) branch site to its target.
+pub(crate) const BRANCH_FORWARD_BYTES: u64 = 512;
 /// Number of distinct integer destination registers used by the generator
 /// (r1..=r28; r0, r29, r30 are treated as stable inputs, r31 is the zero
 /// register).
@@ -261,7 +263,7 @@ impl WorkloadGenerator {
         let target = if site % 2 == 0 {
             branch_pc.saturating_sub(256)
         } else {
-            branch_pc + 512
+            branch_pc + BRANCH_FORWARD_BYTES
         };
         let src = self.pick_src(false);
         let _ = pc;

@@ -3,6 +3,20 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::generator::{BRANCH_FORWARD_BYTES, CODE_BASE, DATA_BASE};
+
+/// Largest accepted [`MemoryBehavior::footprint_bytes`] (3.75 GiB).  The
+/// generator draws every data address below `DATA_BASE + footprint_bytes`,
+/// so with this cap each address fits the 32 bits a shared trace stores.
+pub const MAX_FOOTPRINT_BYTES: u64 = (1 << 32) - DATA_BASE;
+
+/// Largest accepted [`BranchBehavior::static_branches`] (about 2^30).
+/// Branch site `i` sits at `CODE_BASE + 4 i`, and an odd site's target
+/// lies `BRANCH_FORWARD_BYTES` beyond it, so with this cap every branch PC
+/// and target fits the 32 bits a shared trace stores.
+pub const MAX_STATIC_BRANCHES: usize =
+    ((u32::MAX as u64 - CODE_BASE - BRANCH_FORWARD_BYTES) / 4 + 1) as usize;
+
 /// Fractions of each instruction class in the dynamic stream of a phase.
 /// The fields need not sum exactly to one; they are normalised by the
 /// generator.
@@ -173,17 +187,26 @@ impl MemoryBehavior {
         }
     }
 
-    /// Validates ranges (fractions in [0, 1], hot set within footprint).
+    /// Validates ranges (fractions in [0, 1], a hot set of at least 8
+    /// bytes within the footprint, footprint at most
+    /// [`MAX_FOOTPRINT_BYTES`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the problem.
     pub fn validate(&self) -> Result<(), String> {
-        if self.footprint_bytes == 0 || self.hot_set_bytes == 0 {
-            return Err("memory footprint and hot set must be non-zero".into());
+        // The generator draws 8-byte-aligned addresses from both ranges,
+        // so each must hold at least one word.
+        if self.footprint_bytes < 8 || self.hot_set_bytes < 8 {
+            return Err("memory footprint and hot set must be at least 8 bytes".into());
         }
         if self.hot_set_bytes > self.footprint_bytes {
             return Err("hot set cannot exceed the footprint".into());
+        }
+        if self.footprint_bytes > MAX_FOOTPRINT_BYTES {
+            return Err(format!(
+                "memory footprint cannot exceed {MAX_FOOTPRINT_BYTES} bytes"
+            ));
         }
         for (name, f) in [
             ("hot_fraction", self.hot_fraction),
@@ -230,7 +253,8 @@ impl BranchBehavior {
         }
     }
 
-    /// Validates ranges.
+    /// Validates ranges (probabilities in [0, 1], between one and
+    /// [`MAX_STATIC_BRANCHES`] static branches).
     ///
     /// # Errors
     ///
@@ -241,6 +265,11 @@ impl BranchBehavior {
         }
         if self.static_branches == 0 {
             return Err("at least one static branch is required".into());
+        }
+        if self.static_branches > MAX_STATIC_BRANCHES {
+            return Err(format!(
+                "at most {MAX_STATIC_BRANCHES} static branches are allowed"
+            ));
         }
         Ok(())
     }
@@ -435,6 +464,50 @@ mod tests {
         let mut m = MemoryBehavior::cache_resident();
         m.footprint_bytes = 0;
         assert!(m.validate().is_err());
+        // A range below one 8-byte word leaves the generator nothing to draw.
+        let mut m = MemoryBehavior::cache_resident();
+        m.hot_set_bytes = 7;
+        assert!(m.validate().is_err());
+        m.hot_set_bytes = 8;
+        m.validate().unwrap();
+        m.footprint_bytes = 8;
+        m.validate().unwrap();
+    }
+
+    #[test]
+    fn footprint_cap_accepts_its_limit_and_rejects_one_past() {
+        let mut m = MemoryBehavior::cache_resident();
+        m.footprint_bytes = MAX_FOOTPRINT_BYTES;
+        m.validate().unwrap();
+        assert_eq!(DATA_BASE + MAX_FOOTPRINT_BYTES - 1, u32::MAX as u64);
+        m.footprint_bytes = MAX_FOOTPRINT_BYTES + 1;
+        assert!(m.validate().unwrap_err().contains("footprint"));
+        m.footprint_bytes = u64::MAX;
+        assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn static_branch_cap_accepts_its_limit_and_rejects_one_past() {
+        let mut b = BranchBehavior::irregular();
+        b.static_branches = MAX_STATIC_BRANCHES;
+        b.validate().unwrap();
+        let last_pc = CODE_BASE + 4 * (MAX_STATIC_BRANCHES as u64 - 1);
+        assert!(last_pc + BRANCH_FORWARD_BYTES <= u32::MAX as u64);
+        assert!(last_pc + 4 + BRANCH_FORWARD_BYTES > u32::MAX as u64);
+        b.static_branches = MAX_STATIC_BRANCHES + 1;
+        assert!(b.validate().unwrap_err().contains("static branches"));
+        b.static_branches = usize::MAX;
+        assert!(b.validate().is_err());
+    }
+
+    #[test]
+    fn caps_sit_well_above_every_preset() {
+        for bench in crate::Benchmark::ALL {
+            for p in &bench.spec().phases {
+                assert!(p.memory.footprint_bytes * 64 <= MAX_FOOTPRINT_BYTES);
+                assert!(p.branches.static_branches * 1024 <= MAX_STATIC_BRANCHES);
+            }
+        }
     }
 
     #[test]

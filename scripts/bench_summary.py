@@ -5,8 +5,9 @@ Usage:
     bench_summary.py results/BENCH_kernel_micro.json results/BENCH_table6.json
 
 Reads the kernel micro-bench artefact (per-bench timings, the per-edge
-clock cost and jitter surcharge, and the event-timeline traffic and
-kernel-step counters, quiet-time catch-up included) and the Table 6 artefact (suite / Global search
+clock cost and jitter surcharge, the trace footprint and replay cost per
+instruction, and the event-timeline traffic and kernel-step counters,
+quiet-time catch-up included) and the Table 6 artefact (suite / Global search
 split of the whole `table6::run_with_stats` call), and prints GitHub-flavoured markdown suitable for appending to
 ``$GITHUB_STEP_SUMMARY``.  Missing files are reported but do not fail the
 job — the summary is advisory, the artefacts are the record.
@@ -27,6 +28,8 @@ def load(path):
 
 # `advance` calls per iteration of the `clock_edges_*` benches.
 EDGES_PER_CLOCK_BENCH = 65536
+# Instructions drained per iteration of the `trace_replay_gzip_60k` bench.
+INSTS_PER_TRACE_REPLAY = 60000
 
 
 def fmt(value, spec):
@@ -79,6 +82,16 @@ def kernel_micro(doc):
         print(f"- ns per edge: jittered (110 ps) {fmt(jittered, '.2f')}, "
               f"unjittered {fmt(unjittered, '.2f')}")
         print(f"- **jitter surcharge: {fmt(surcharge, '.2f')} ns per edge**")
+        print()
+
+    replay = next((r["ns_per_iter"] / INSTS_PER_TRACE_REPLAY
+                   for r in doc.get("benches", [])
+                   if r["id"] == "trace_replay_gzip_60k"), None)
+    footprint = doc.get("trace_bytes_per_inst")
+    if replay is not None or footprint is not None:
+        print("### Shared traces (gzip, 60k instructions)\n")
+        print(f"- bytes per instruction: {fmt(footprint, '.1f')}")
+        print(f"- **replay: {fmt(replay, '.2f')} ns per instruction**")
         print()
 
 
