@@ -128,6 +128,7 @@ pub fn write_bench_json(
     doc.insert("nproc", nproc());
     doc.insert("workers", stats.workers);
     doc.insert("runs", stats.runs);
+    doc.insert("shared_jobs", stats.shared_jobs);
     doc.insert("wall_seconds", stats.wall_seconds);
     doc.insert("cumulative_seconds", stats.cumulative_seconds);
     doc.insert(
@@ -292,6 +293,7 @@ mod tests {
         let stats = EngineStats {
             workers: 4,
             runs: 15,
+            shared_jobs: 7,
             trace_cache_hits: 12,
             trace_materializations: 3,
             trace_peak_bytes: 640_000,
@@ -307,6 +309,8 @@ mod tests {
             "\"experiment\": \"unit\"",
             "\"nproc\":",
             "\"workers\": 4",
+            "\"runs\": 15",
+            "\"shared_jobs\": 7",
             "\"parallel_speedup\": 3",
             "\"aggregate_simulated_mips\": 0.45",
             "\"trace_cache_hits\": 12",

@@ -21,12 +21,18 @@
 //!    worker count (host-throughput telemetry excluded; see
 //!    [`mcd_sim::telemetry::HostStats`]), and are returned in plan order,
 //!    never completion order.
-//! 2. **Profile prerequisites run exactly once.**  The off-line oracle
-//!    configurations (`Dynamic-1%`, `Dynamic-5%`) need the per-interval
-//!    activity profile of a baseline-MCD run of the same benchmark.  The
-//!    engine schedules those profiling runs as an explicit prerequisite
-//!    phase feeding a shared, locked profile cache, so no worker ever
-//!    duplicates a baseline pass.
+//! 2. **Identical jobs run once.**  Two jobs are identical when their
+//!    configurations are equal and their benchmarks generate the same
+//!    instruction stream; the engine simulates one of them and hands the
+//!    outcome to both, each under its own benchmark label.  Eight of the
+//!    30 Table 6 benchmarks share another's phase spec, so their jobs
+//!    cost nothing.  Profiling prerequisites fall under the same rule:
+//!    the off-line oracle configurations (`Dynamic-1%`, `Dynamic-5%`)
+//!    need the per-interval activity profile of a baseline-MCD run of
+//!    the same stream, and the engine schedules those runs as an
+//!    explicit prerequisite wave feeding a shared, locked profile cache.
+//!    A plan's `BaselineMcd` job is identical to its prerequisite, so no
+//!    worker ever duplicates a baseline pass.
 //! 3. **One instruction stream per benchmark.**  Every run of a benchmark
 //!    replays the one shared trace of the runner's
 //!    [`crate::cache::TraceCache`].
@@ -40,7 +46,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use mcd_workloads::Benchmark;
+use mcd_workloads::{Benchmark, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::ExperimentSettings;
@@ -250,9 +256,15 @@ impl RunPlan {
 pub struct EngineStats {
     /// Worker threads used.
     pub workers: usize,
-    /// Simulations actually executed (including prerequisite profiling
-    /// runs).
+    /// Simulations actually executed: one per distinct job of the plan,
+    /// plus each profiling prerequisite no plan job is identical to (see
+    /// [`ExperimentEngine::execute_with_stats`]).
     pub runs: usize,
+    /// Plan jobs served by a simulation run for another job: a twin (an
+    /// identical job of another benchmark with the same stream, or a
+    /// repeat of the same job) or the profiling prerequisite of a
+    /// `BaselineMcd` job.
+    pub shared_jobs: usize,
     /// Always 0.  Result memoization was removed; the field stays only
     /// because the out-of-workspace benchmark package (`perfbench/`)
     /// still reads it, and goes with the next change to that package.
@@ -332,16 +344,17 @@ impl ExperimentEngine {
         // Registration is per call, i.e. per phase of `execute_with_stats`,
         // on purpose.  Registering the whole plan before the profiling
         // wave would let the plan wave reuse the profiling wave's traces
-        // (halving `trace_materializations` on a 30-benchmark suite), but
-        // it pins every trace across the profiling wave.  With 16-byte
-        // trace records the trace cache's peak on perfbench `table6`
-        // (10 000 instructions) grows from 0.3 MiB to 4.6 MiB; the process
-        // peak RSS median moved 61 → 70 MiB over 6 runs each, inside that
-        // metric's run-to-run spread.  The pin grows with the instruction
-        // budget: 30 benchmarks of 8M instructions would pin 3.8 GB.  A
-        // per-phase pin holds a trace only from its first to its last
-        // lease within the phase; the cache's small recent ring bridges
-        // the two waves on small plans.
+        // (halving `trace_materializations` on the 30-benchmark suite from
+        // 44 to 22, one per distinct stream), but it pins every trace
+        // across the profiling wave.  With 16-byte trace records the trace
+        // cache's peak on perfbench `table6` (10 000 instructions, 30
+        // traces then) grew from 0.3 MiB to 4.6 MiB; the process peak RSS
+        // median moved 61 → 70 MiB over 6 runs each, inside that metric's
+        // run-to-run spread.  The pin grows with the instruction budget:
+        // 22 streams of 8M instructions would pin 2.8 GB.  A per-phase pin
+        // holds a trace only from its first to its last lease within the
+        // phase; the cache's small recent ring bridges the two waves on
+        // small plans.
         for job in specs {
             self.runner.trace_cache().register(job.benchmark, 1);
         }
@@ -359,78 +372,75 @@ impl ExperimentEngine {
     }
 
     /// Executes the plan, also returning host-side statistics.
+    ///
+    /// Identical jobs run once.  Two jobs are identical when their
+    /// configurations are equal and their benchmarks generate the same
+    /// instruction stream ([`mcd_workloads::WorkloadSpec::same_stream`]):
+    /// the runner fixes the seed, the budget and the interval for every
+    /// run, so such jobs simulate bit-identically.  Each job runs as the
+    /// first benchmark of the plan with its stream, and a job identical to
+    /// one already simulated for this plan — a twin, or the profiling
+    /// prerequisite of a `BaselineMcd` job — is served from that
+    /// simulation.  Every outcome carries its own job's `benchmark` and the
+    /// shared simulation's host telemetry.
     pub fn execute_with_stats(&self, plan: &RunPlan) -> (Vec<RunOutcome>, EngineStats) {
         let started = Instant::now();
         let traces_before = self.runner.trace_cache_stats();
 
-        // Phase 1 — prerequisite profiling runs, deduplicated through the
-        // shared cache.  The baseline outcome itself is kept so that a
-        // BaselineMcd job of the same benchmark in the plan does not run
-        // the simulation twice.  These must complete before phase 2 can
-        // *construct* the off-line oracle controllers, so they form their
-        // own scheduling wave.
-        let prerequisites: Vec<JobSpec> = plan
+        // `runs_as[b]`: the first benchmark of the plan with `b`'s stream.
+        let mut streams: Vec<(Benchmark, WorkloadSpec)> = Vec::new();
+        let mut runs_as: BTreeMap<Benchmark, Benchmark> = BTreeMap::new();
+        for job in &plan.jobs {
+            if runs_as.contains_key(&job.benchmark) {
+                continue;
+            }
+            let spec = job.benchmark.spec();
+            let first = match streams.iter().find(|(_, s)| s.same_stream(&spec)) {
+                Some(&(first, _)) => first,
+                None => {
+                    streams.push((job.benchmark, spec));
+                    job.benchmark
+                }
+            };
+            runs_as.insert(job.benchmark, first);
+        }
+        let distinct = |benchmark: Benchmark, config: &ConfigKind| JobSpec {
+            benchmark: runs_as[&benchmark],
+            config: config.clone(),
+        };
+
+        // Phase 1 — prerequisite profiling runs.  These must complete
+        // before phase 2 can *construct* the off-line oracle controllers,
+        // so they form their own scheduling wave.  Each caches the profile
+        // of the benchmark the plan's oracle jobs of that stream run as.
+        let mut ran: Vec<(JobSpec, RunOutcome)> = Vec::new();
+        let prerequisites = plan
             .profile_prerequisites()
             .into_iter()
-            .filter(|b| !self.runner.has_profile(*b))
-            .map(|benchmark| JobSpec {
-                benchmark,
-                config: ConfigKind::BaselineMcd,
-            })
-            .collect();
-        let baseline_outcomes: BTreeMap<Benchmark, RunOutcome> = self
-            .execute_jobs(&prerequisites)
-            .into_iter()
-            .map(|o| (o.benchmark, o))
-            .collect();
+            .map(|b| distinct(b, &ConfigKind::BaselineMcd))
+            .filter(|job| !self.runner.has_profile(job.benchmark));
+        self.run_new(prerequisites, &mut ran);
 
-        // Phase 2 — the plan itself; baseline jobs covered by phase 1
-        // reuse the prerequisite outcome, everything else runs on the
-        // worker pool.
-        let reused = |job: &JobSpec| {
-            job.config == ConfigKind::BaselineMcd && baseline_outcomes.contains_key(&job.benchmark)
-        };
-        let fresh: Vec<JobSpec> = plan.jobs.iter().filter(|j| !reused(j)).cloned().collect();
-        let mut fresh_outcomes = self.execute_jobs(&fresh).into_iter();
-        let outcomes: Vec<RunOutcome> = plan
-            .jobs
-            .iter()
-            .map(|job| {
-                if reused(job) {
-                    baseline_outcomes[&job.benchmark].clone()
-                } else {
-                    fresh_outcomes
-                        .next()
-                        .expect("one fresh outcome per non-reused job")
-                }
-            })
-            .collect();
+        // Phase 2 — the plan itself, less every job phase 1 or an
+        // identical plan job already covers.
+        let plan_runs = self.run_new(
+            plan.jobs.iter().map(|j| distinct(j.benchmark, &j.config)),
+            &mut ran,
+        );
 
         let wall_seconds = started.elapsed().as_secs_f64();
-        // Count each simulation once: plan outcomes that reused a phase-1
-        // baseline run are clones, not fresh runs.
-        let fresh_plan_outcomes = plan
-            .jobs
-            .iter()
-            .zip(outcomes.iter())
-            .filter(|(job, _)| !reused(job))
-            .map(|(_, o)| o);
-        let simulated: Vec<&RunOutcome> = baseline_outcomes
-            .values()
-            .chain(fresh_plan_outcomes)
-            .collect();
-        let runs = simulated.len();
         let traces_after = self.runner.trace_cache_stats();
         // Each run's host stats cover the whole run, so the plan-level
         // cumulative cost is a plain sum.
-        let cumulative_seconds: f64 = simulated.iter().map(|o| o.result.host.wall_seconds).sum();
-        let simulated_instructions: u64 = simulated
+        let cumulative_seconds: f64 = ran.iter().map(|(_, o)| o.result.host.wall_seconds).sum();
+        let simulated_instructions: u64 = ran
             .iter()
-            .map(|o| o.result.committed_instructions)
+            .map(|(_, o)| o.result.committed_instructions)
             .sum();
         let stats = EngineStats {
             workers: self.workers,
-            runs,
+            runs: ran.len(),
+            shared_jobs: plan.jobs.len() - plan_runs,
             result_cache_hits: 0,
             result_cache_misses: 0,
             trace_cache_hits: traces_after.hits - traces_before.hits,
@@ -449,7 +459,43 @@ impl ExperimentEngine {
             checkpoint_restores: 0,
             prefix_cycles_saved: 0,
         };
+
+        let outcomes = plan
+            .jobs
+            .iter()
+            .map(|job| {
+                let key = distinct(job.benchmark, &job.config);
+                let (_, outcome) = ran
+                    .iter()
+                    .find(|(r, _)| *r == key)
+                    .expect("every distinct job ran");
+                RunOutcome {
+                    benchmark: job.benchmark,
+                    ..outcome.clone()
+                }
+            })
+            .collect();
         (outcomes, stats)
+    }
+
+    /// Runs every job of `jobs` that is neither in `ran` nor earlier in
+    /// `jobs`, appends each with its outcome to `ran`, and returns how
+    /// many ran.
+    fn run_new(
+        &self,
+        jobs: impl IntoIterator<Item = JobSpec>,
+        ran: &mut Vec<(JobSpec, RunOutcome)>,
+    ) -> usize {
+        let mut fresh: Vec<JobSpec> = Vec::new();
+        for job in jobs {
+            if !fresh.contains(&job) && !ran.iter().any(|(r, _)| *r == job) {
+                fresh.push(job);
+            }
+        }
+        let outcomes = self.execute_jobs(&fresh);
+        let n = fresh.len();
+        ran.extend(fresh.into_iter().zip(outcomes));
+        n
     }
 }
 
@@ -590,6 +636,94 @@ mod tests {
             5 * settings.instructions,
             "one simulation per distinct job"
         );
+    }
+
+    #[test]
+    fn twins_run_once_and_match_direct_runs() {
+        // Gzip and Bzip2 share a stream, Adpcm has none to share; Vpr's
+        // oracle job runs as Parser, which appears first and has no oracle
+        // job of its own.
+        let settings = ExperimentSettings {
+            benchmarks: Vec::new(),
+            instructions: 5_000,
+            interval_instructions: 500,
+            seed: 3,
+            global_search_iters: 1,
+            jobs: Some(2),
+        };
+        let configs = [
+            ConfigKind::FullySynchronous,
+            ConfigKind::BaselineMcd,
+            ConfigKind::AttackDecay(mcd_control::AttackDecayParams::paper_defaults()),
+            ConfigKind::OfflineDynamic {
+                target_degradation: 0.01,
+            },
+            ConfigKind::OfflineDynamic {
+                target_degradation: 0.05,
+            },
+            ConfigKind::GlobalScaling { freq_mhz: 800.0 },
+        ];
+        let mut plan = RunPlan::new();
+        for bench in [Benchmark::Gzip, Benchmark::Bzip2, Benchmark::Adpcm] {
+            for config in &configs {
+                plan = plan.job(bench, config.clone());
+            }
+        }
+        let plan = plan
+            .job(Benchmark::Parser, ConfigKind::FullySynchronous)
+            .job(Benchmark::Vpr, configs[4].clone());
+        let engine = ExperimentEngine::from_settings(&settings);
+        let (outcomes, stats) = engine.execute_with_stats(&plan);
+
+        let direct = BenchmarkRunner::new(settings.instructions, settings.seed)
+            .with_interval(settings.interval_instructions);
+        assert_eq!(outcomes.len(), plan.jobs.len());
+        for (job, outcome) in plan.jobs.iter().zip(&outcomes) {
+            assert_eq!(outcome.benchmark, job.benchmark);
+            assert_eq!(outcome.config, job.config);
+            let fresh = direct.run(job.benchmark, &job.config);
+            assert_eq!(
+                outcome.result, fresh.result,
+                "{} under {:?}",
+                job.benchmark, job.config
+            );
+        }
+        // Distinct simulations: 6 for the Gzip stream, 6 for Adpcm, and
+        // Parser's fully synchronous, oracle and profiling runs.  Bzip2's
+        // six jobs and the Gzip and Adpcm baselines are shared.
+        assert_eq!(stats.runs, 15);
+        assert_eq!(stats.shared_jobs, 8);
+        assert_eq!(stats.simulated_instructions, 15 * settings.instructions);
+    }
+
+    #[test]
+    fn a_twin_suite_simulates_each_distinct_job_once() {
+        let settings = ExperimentSettings {
+            benchmarks: vec![Benchmark::Gzip, Benchmark::Bzip2],
+            instructions: 5_000,
+            interval_instructions: 500,
+            seed: 3,
+            global_search_iters: 1,
+            jobs: Some(2),
+        };
+        let engine = ExperimentEngine::from_settings(&settings);
+        let plan = RunPlan::suite(&settings.benchmarks);
+        let (outcomes, stats) = engine.execute_with_stats(&plan);
+        assert_eq!(stats.runs, 5, "not 10: Bzip2 replays Gzip's stream");
+        assert_eq!(stats.shared_jobs, 6);
+        assert_eq!(stats.simulated_instructions, 5 * settings.instructions);
+        // Only Gzip's trace is built (once: the cache's recent ring
+        // carries it from the profiling wave to the plan wave).
+        assert_eq!(stats.trace_materializations, 1);
+        let (gzip, bzip2) = outcomes.split_at(5);
+        for (g, b) in gzip.iter().zip(bzip2) {
+            assert_eq!(
+                (g.benchmark, b.benchmark),
+                (Benchmark::Gzip, Benchmark::Bzip2)
+            );
+            assert_eq!(g.config, b.config);
+            assert_eq!(g.result, b.result);
+        }
     }
 
     #[test]

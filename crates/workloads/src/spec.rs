@@ -389,6 +389,18 @@ impl WorkloadSpec {
         Ok(())
     }
 
+    /// Whether `self` and `other` generate the same instruction stream for
+    /// any seed and budget: their phases are equal.
+    ///
+    /// [`crate::WorkloadGenerator::new`] and
+    /// [`crate::WorkloadGenerator::warm_regions`] read nothing of a spec
+    /// but its phases (the name appears only in validation messages), so
+    /// `name`, `suite` and `paper_window_minstr` never change a trace or
+    /// a run.
+    pub fn same_stream(&self, other: &WorkloadSpec) -> bool {
+        self.phases == other.phases
+    }
+
     /// Total phase weight (for normalisation).
     pub fn total_weight(&self) -> f64 {
         self.phases.iter().map(|p| p.weight).sum()

@@ -381,6 +381,60 @@ mod tests {
         assert_eq!(trace.bytes(), 64 * 16);
     }
 
+    /// Every instruction a fresh cursor over `trace` yields.
+    fn replay(trace: &Arc<SharedTrace>) -> Vec<DynInst> {
+        let mut cursor = trace.cursor();
+        std::iter::from_fn(|| cursor.next_inst()).collect()
+    }
+
+    #[test]
+    fn same_stream_holds_exactly_when_traces_replay_identically() {
+        let benches: Vec<Benchmark> = Benchmark::ALL
+            .into_iter()
+            .chain([Benchmark::EpicDecode])
+            .collect();
+        let specs: Vec<WorkloadSpec> = benches.iter().map(|b| b.spec()).collect();
+        let traces: Vec<Arc<SharedTrace>> = specs
+            .iter()
+            .map(|spec| Arc::new(SharedTrace::materialize(spec, 42, 5_000)))
+            .collect();
+        let streams: Vec<Vec<DynInst>> = traces.iter().map(replay).collect();
+        let mut twin_pairs = 0;
+        for i in 0..benches.len() {
+            for j in i + 1..benches.len() {
+                let same = streams[i] == streams[j]
+                    && traces[i].warm_regions() == traces[j].warm_regions();
+                assert_eq!(
+                    specs[i].same_stream(&specs[j]),
+                    same,
+                    "{} vs {}",
+                    benches[i],
+                    benches[j]
+                );
+                twin_pairs += usize::from(same);
+            }
+        }
+        // Bisort/Perimeter/Treeadd/Tsp (6 pairs), Em3d/Health/Mst (3),
+        // Bzip2/Gzip (1), Parser/Vortex/Vpr (3) and Epic/EpicDecode (1).
+        assert_eq!(twin_pairs, 14);
+    }
+
+    #[test]
+    fn identification_fields_do_not_change_the_trace() {
+        let spec = Benchmark::Gzip.spec();
+        let renamed = WorkloadSpec {
+            name: "renamed".into(),
+            suite: "elsewhere".into(),
+            paper_window_minstr: spec.paper_window_minstr * 3.0,
+            ..spec.clone()
+        };
+        assert!(spec.same_stream(&renamed));
+        let a = Arc::new(SharedTrace::materialize(&spec, 42, 5_000));
+        let b = Arc::new(SharedTrace::materialize(&renamed, 42, 5_000));
+        assert_eq!(replay(&a), replay(&b));
+        assert_eq!(a.warm_regions(), b.warm_regions());
+    }
+
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_budget_panics_like_the_generator() {

@@ -8,8 +8,9 @@ Reads the kernel micro-bench artefact (per-bench timings, the per-edge
 clock cost and jitter surcharge, the trace footprint and replay cost per
 instruction, and the event-timeline traffic and kernel-step counters,
 quiet-time catch-up included) and the Table 6 artefact (suite / Global search
-split of the whole `table6::run_with_stats` call), and prints GitHub-flavoured markdown suitable for appending to
-``$GITHUB_STEP_SUMMARY``.  Missing files are reported but do not fail the
+split of the whole `table6::run_with_stats` call, and the suite's simulations
+against the plan jobs that shared one), and prints GitHub-flavoured markdown
+suitable for appending to ``$GITHUB_STEP_SUMMARY``.  Missing files are reported but do not fail the
 job — the summary is advisory, the artefacts are the record.
 """
 
@@ -101,6 +102,8 @@ def table6(doc):
     suite = doc.get("wall_seconds")
     search = doc.get("global_s")
     print(f"- workers: **{doc.get('workers')}**, benchmarks: {doc.get('benchmarks')}")
+    print(f"- suite simulations: {doc.get('runs', '-')}; plan jobs served by "
+          f"another job's simulation: {doc.get('shared_jobs', '-')}")
     print(f"- whole call: {fmt(total, '.2f')}s = suite {fmt(suite, '.2f')}s "
           f"+ Global search {fmt(search, '.2f')}s")
     if total:
