@@ -2,6 +2,8 @@
 //! load/store and floating-point traces under Attack/Decay).
 // The criterion_group! expansion is undocumented generated code.
 #![allow(missing_docs)]
+#![allow(clippy::disallowed_types, reason = "host-side harness")]
+#![allow(clippy::disallowed_methods, reason = "host-side harness")]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcd_core::experiments::traces;

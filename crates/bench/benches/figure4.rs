@@ -2,6 +2,8 @@
 //! against the fully synchronous processor.
 // The criterion_group! expansion is undocumented generated code.
 #![allow(missing_docs)]
+#![allow(clippy::disallowed_types, reason = "host-side harness")]
+#![allow(clippy::disallowed_methods, reason = "host-side harness")]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcd_bench::criterion_settings;

@@ -5,6 +5,8 @@
 //! guards for the building blocks.
 // The criterion_group! expansion is undocumented generated code.
 #![allow(missing_docs)]
+#![allow(clippy::disallowed_types, reason = "host-side harness")]
+#![allow(clippy::disallowed_methods, reason = "host-side harness")]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mcd_clock::{DomainClock, DomainId, OperatingPointTable, SyncWindow};

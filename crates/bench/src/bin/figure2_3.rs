@@ -1,12 +1,14 @@
 //! Regenerates Figures 2 and 3: the `epic decode` load/store and
 //! floating-point domain traces under the Attack/Decay controller.
+#![allow(clippy::disallowed_types, reason = "host-side harness")]
+#![allow(clippy::disallowed_methods, reason = "host-side harness")]
 
-use mcd_bench::{reject_args_from_env, write_artifact};
+use mcd_bench::{full_from_env, reject_args_from_env, write_artifact};
 use mcd_core::experiments::traces;
 
 fn main() {
     reject_args_from_env();
-    let full = std::env::var("MCD_FULL").map(|v| v == "1").unwrap_or(false);
+    let full = full_from_env();
     let instructions = if full { 600_000 } else { 150_000 };
     let data = traces::run(instructions, 42);
     let csv = data.to_csv();

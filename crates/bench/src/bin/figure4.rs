@@ -2,6 +2,8 @@
 //! energy savings and energy-delay-product improvement for the baseline
 //! MCD, Dynamic-1%, Dynamic-5% and Attack/Decay configurations, all
 //! referenced to the fully synchronous processor.
+#![allow(clippy::disallowed_types, reason = "host-side harness")]
+#![allow(clippy::disallowed_methods, reason = "host-side harness")]
 
 use mcd_bench::{settings_from_env, write_artifact, write_bench_json};
 use mcd_core::experiments::figure4;

@@ -1,13 +1,15 @@
 //! Regenerates Figures 6 and 7: sensitivity of the energy-delay-product
 //! improvement (Figure 6) and the power/performance ratio (Figure 7) to the
 //! Decay, ReactionChange and DeviationThreshold parameters.
+#![allow(clippy::disallowed_types, reason = "host-side harness")]
+#![allow(clippy::disallowed_methods, reason = "host-side harness")]
 
-use mcd_bench::{settings_from_env, write_artifact};
+use mcd_bench::{full_from_env, settings_from_env, write_artifact};
 use mcd_core::experiments::sensitivity;
 
 fn main() {
     let settings = settings_from_env();
-    let full = std::env::var("MCD_FULL").map(|v| v == "1").unwrap_or(false);
+    let full = full_from_env();
 
     let decay_points: Vec<f64> = if full {
         vec![0.0005, 0.00175, 0.005, 0.0075, 0.010, 0.015, 0.020]

@@ -1,6 +1,8 @@
 //! Regenerates the static tables of the paper (Tables 1-5): configuration
 //! parameters, Attack/Decay parameter ranges, the hardware-cost estimate,
 //! the architectural parameters and the benchmark inventory.
+#![allow(clippy::disallowed_types, reason = "host-side harness")]
+#![allow(clippy::disallowed_methods, reason = "host-side harness")]
 
 use mcd_bench::{reject_args_from_env, write_artifact};
 use mcd_core::presets;

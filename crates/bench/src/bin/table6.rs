@@ -2,6 +2,8 @@
 //! voltage scaling, relative to the baseline MCD processor.
 //!
 //! Run with `MCD_FULL=1` for the full 30-benchmark suite.
+#![allow(clippy::disallowed_types, reason = "host-side harness")]
+#![allow(clippy::disallowed_methods, reason = "host-side harness")]
 
 use std::time::Instant;
 

@@ -19,7 +19,10 @@
 //! Setting the environment variable `MCD_FULL=1` makes the binaries run the
 //! full 30-benchmark suite with the longer windows of
 //! `ExperimentSettings::paper` (the README's "Reproduced artefacts" section
-//! lists the binaries); the default is a quick cross-suite subset.
+//! lists the binaries); the default (unset or `0`) is a quick cross-suite
+//! subset, and any other value exits with status 2.
+#![allow(clippy::disallowed_types, reason = "host-side harness")]
+#![allow(clippy::disallowed_methods, reason = "host-side harness")]
 
 use std::path::PathBuf;
 
@@ -27,19 +30,40 @@ use mcd_core::engine::{parse_jobs, EngineStats};
 use mcd_core::experiments::ExperimentSettings;
 
 /// Returns the experiment settings selected by the `MCD_FULL` environment
-/// variable (the paper's full suite when set to `1`, otherwise the quick
-/// subset), with the worker count from `--jobs N`, `--jobs=N` or `-j N`
-/// on the command line, falling back to the `MCD_JOBS` environment
-/// variable and then to the host's parallelism.
+/// variable (see [`full_from_env`]), with the worker count from
+/// `--jobs N`, `--jobs=N` or `-j N` on the command line, falling back to
+/// the `MCD_JOBS` environment variable and then to the host's
+/// parallelism.
 ///
-/// Any other argument, a flag given without a value, or a flag or
-/// `MCD_JOBS` value that does not parse prints the error and exits with
-/// status 2: a requested setting must not be silently replaced by the
-/// default.
+/// Any other argument, a flag given without a value, or a flag,
+/// `MCD_FULL` or `MCD_JOBS` value that does not parse prints the error
+/// and exits with status 2: a requested setting must not be silently
+/// replaced by the default.
 pub fn settings_from_env() -> ExperimentSettings {
-    or_exit(settings_from_args(std::env::args(), |key| {
-        std::env::var(key).ok()
-    }))
+    or_exit(settings_from_args(std::env::args(), env_var))
+}
+
+/// Whether `MCD_FULL` selects the paper's full suite: unset or `0` runs
+/// the quick subset and `1` the full suite.  Any other value prints the
+/// error and exits with status 2.
+pub fn full_from_env() -> bool {
+    or_exit(parse_full(env_var("MCD_FULL")))
+}
+
+/// The value of the environment variable `key`, if it is set.  A value
+/// that is not valid Unicode comes back lossily converted, so the parser
+/// rejects it instead of treating the variable as unset.
+fn env_var(key: &str) -> Option<String> {
+    std::env::var_os(key).map(|value| value.to_string_lossy().into_owned())
+}
+
+/// Parses an `MCD_FULL` value (`None` when unset).
+fn parse_full(value: Option<String>) -> Result<bool, String> {
+    match value.as_deref() {
+        None | Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(other) => Err(format!("MCD_FULL must be 0 or 1, got {other:?}")),
+    }
 }
 
 /// Checks the command line of a binary that takes no settings
@@ -75,7 +99,7 @@ fn settings_from_args(
     args: impl IntoIterator<Item = String>,
     env: impl Fn(&str) -> Option<String>,
 ) -> Result<ExperimentSettings, String> {
-    let mut settings = if env("MCD_FULL").is_some_and(|v| v == "1") {
+    let mut settings = if parse_full(env("MCD_FULL"))? {
         ExperimentSettings::paper()
     } else {
         ExperimentSettings::quick()
@@ -164,8 +188,7 @@ pub fn criterion_settings() -> ExperimentSettings {
 /// The directory where the regeneration binaries drop their CSV output
 /// (`<workspace>/results`), created on demand.
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("MCD_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let path = PathBuf::from(dir);
+    let path = std::env::var_os("MCD_RESULTS_DIR").map_or_else(|| "results".into(), PathBuf::from);
     std::fs::create_dir_all(&path).expect("results directory is writable");
     path
 }
@@ -204,6 +227,24 @@ mod tests {
         assert_eq!(s.jobs, None);
         let full = parse_with_env(&["bin"], "MCD_FULL", "1").unwrap();
         assert_eq!(full.benchmarks.len(), 30);
+        let quick = parse_with_env(&["bin"], "MCD_FULL", "0").unwrap();
+        assert_eq!(quick.benchmarks, s.benchmarks);
+        // Any other value is an error, never a silent quick run.
+        for bad in ["yes", ""] {
+            assert_eq!(
+                parse_with_env(&["bin"], "MCD_FULL", bad).unwrap_err(),
+                format!("MCD_FULL must be 0 or 1, got {bad:?}")
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_non_unicode_setting_is_rejected_not_ignored() {
+        use std::os::unix::ffi::OsStrExt;
+        let bytes = std::ffi::OsStr::from_bytes(b"\xff");
+        std::env::set_var("MCD_BENCH_TEST_NON_UNICODE", bytes);
+        assert!(parse_full(env_var("MCD_BENCH_TEST_NON_UNICODE")).is_err());
     }
 
     #[test]

@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_display_works() {
-        let mut set = std::collections::HashSet::new();
+        let mut set = std::collections::BTreeSet::new();
         for d in DomainId::ALL {
             assert!(set.insert(d.name()));
             assert_eq!(d.to_string(), d.name());

@@ -32,6 +32,9 @@ use serde::Serialize;
 /// behaviour, so digests from an older scheme can never be mistaken for
 /// current ones.
 ///
+/// A deliberate behaviour change also re-baselines the golden dump
+/// `examples/golden_dump.expected` in the same commit.
+///
 /// History: v2 — each jittered clock edge draws its rounded jitter
 /// offset from the exact offset distribution with one alias-table lookup
 /// instead of rounding a Box–Muller sample, so every run with jitter
@@ -125,7 +128,7 @@ struct TraceEntry {
 
 #[derive(Debug, Default)]
 struct TraceInner {
-    // Ordered map (the `mcd-audit` hash-iteration lint): `account()`
+    // Ordered map (`clippy.toml` disallows `HashMap`): `account()`
     // iterates the entries, and nothing unordered may be iterated on a
     // result-affecting path — even though this particular fold is
     // order-insensitive, the deterministic structure makes that local

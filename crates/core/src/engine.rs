@@ -44,7 +44,6 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use mcd_workloads::{Benchmark, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -77,6 +76,7 @@ pub fn worker_count(explicit: Option<usize>) -> usize {
 /// # Errors
 ///
 /// As [`parse_jobs`].
+#[expect(clippy::disallowed_methods, reason = "sets the worker count only")]
 pub fn jobs_from_env() -> Result<Option<usize>, String> {
     std::env::var("MCD_JOBS")
         .ok()
@@ -384,7 +384,8 @@ impl ExperimentEngine {
     /// simulation.  Every outcome carries its own job's `benchmark` and the
     /// shared simulation's host telemetry.
     pub fn execute_with_stats(&self, plan: &RunPlan) -> (Vec<RunOutcome>, EngineStats) {
-        let started = Instant::now();
+        #[expect(clippy::disallowed_types, reason = "host wall time for EngineStats")]
+        let started = std::time::Instant::now();
         let traces_before = self.runner.trace_cache_stats();
 
         // `runs_as[b]`: the first benchmark of the plan with `b`'s stream.

@@ -70,9 +70,9 @@ pub struct RunOutcome {
 }
 
 /// A profile cache shareable between runners and the parallel experiment
-/// engine's workers.  Ordered (`BTreeMap`) per the workspace's
-/// hash-iteration lint: only keyed lookups happen today, but nothing on
-/// a result-affecting path may carry unordered iteration order.
+/// engine's workers.  Ordered (`BTreeMap`; `clippy.toml` disallows
+/// `HashMap`): only keyed lookups happen today, but nothing on a
+/// result-affecting path may carry unordered iteration order.
 pub type SharedProfileCache = Arc<Mutex<BTreeMap<Benchmark, OfflineProfile>>>;
 
 /// Runs benchmarks under the paper's configurations, caching the profiling

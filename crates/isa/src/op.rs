@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn mnemonics_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for op in OpClass::ALL {
             assert!(
                 seen.insert(op.mnemonic()),

@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn dense_indices_are_unique_and_in_range() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..NUM_ARCH_INT_REGS {
             assert!(seen.insert(Reg::int(i).dense_index()));
         }

@@ -171,7 +171,7 @@ impl StreamStats {
     /// statistics.
     pub fn gather<S: InstructionStream>(stream: &mut S, limit: u64) -> Self {
         let mut stats = StreamStats::default();
-        // Ordered set (the workspace hash-iteration lint): only
+        // Ordered set (`clippy.toml` disallows `HashSet`): only
         // membership and `len` are used, but result-affecting code keeps
         // deterministic structures throughout.
         let mut lines = std::collections::BTreeSet::new();

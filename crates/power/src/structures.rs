@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn every_structure_has_a_domain_and_unique_name() {
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for s in Structure::ALL {
             let _ = s.domain();
             assert!(names.insert(s.name()), "duplicate name {}", s.name());

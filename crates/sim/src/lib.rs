@@ -50,4 +50,6 @@ pub mod telemetry;
 pub use config::{ArchParams, ClockingMode, SimConfig};
 pub use events::{DomainTimeline, EventKind, TimelineEvent};
 pub use processor::{McdProcessor, StepOutcome};
-pub use telemetry::{DomainTrace, EventTrafficStats, HostStats, IntervalRecord, SimResult};
+pub use telemetry::{
+    DomainTrace, EventTrafficStats, HostStats, IntervalRecord, NotCompared, SimResult,
+};

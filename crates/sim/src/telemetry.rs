@@ -1,5 +1,7 @@
 //! Run results and per-interval telemetry.
 
+use std::ops::{Deref, DerefMut};
+
 use mcd_clock::{DomainId, MegaHertz, TimePs};
 use mcd_control::OfflineProfile;
 use mcd_microarch::{BranchStats, CacheStats};
@@ -181,8 +183,41 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// The result of one simulation run.
+/// A field that equality ignores: any two values compare equal.
+///
+/// Wrapping a field in `NotCompared` keeps it out of a derived
+/// `PartialEq` by construction, so every other field of the struct is
+/// compared without a hand-written impl to keep in step.  `Deref` and
+/// `DerefMut` reach the wrapped value directly.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct NotCompared<T>(pub T);
+
+impl<T> PartialEq for NotCompared<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> Deref for NotCompared<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> DerefMut for NotCompared<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+/// The result of one simulation run.
+///
+/// Equality covers the *simulated* outcome only: the host throughput
+/// varies run to run and sits behind [`NotCompared`], so serial and
+/// parallel executions of the same job compare bit-identical.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimResult {
     /// Committed instructions.
     pub committed_instructions: u64,
@@ -216,28 +251,7 @@ pub struct SimResult {
     /// (cycle-weighted).
     pub avg_domain_freq_mhz: Vec<(DomainId, MegaHertz)>,
     /// Host-side throughput of the run (excluded from equality).
-    pub host: HostStats,
-}
-
-impl PartialEq for SimResult {
-    /// Equality over the *simulated* outcome only: the host-throughput
-    /// numbers vary run to run and are deliberately ignored, so serial and
-    /// parallel executions of the same job compare bit-identical.
-    fn eq(&self, other: &Self) -> bool {
-        self.committed_instructions == other.committed_instructions
-            && self.frontend_cycles == other.frontend_cycles
-            && self.elapsed_ps == other.elapsed_ps
-            && self.energy == other.energy
-            && self.branch_stats == other.branch_stats
-            && self.l1i_stats == other.l1i_stats
-            && self.l1d_stats == other.l1d_stats
-            && self.l2_stats == other.l2_stats
-            && self.memory_accesses == other.memory_accesses
-            && self.mispredict_redirects == other.mispredict_redirects
-            && self.intervals == other.intervals
-            && self.profile == other.profile
-            && self.avg_domain_freq_mhz == other.avg_domain_freq_mhz
-    }
+    pub host: NotCompared<HostStats>,
 }
 
 impl SimResult {
@@ -345,7 +359,7 @@ mod tests {
             intervals: vec![],
             profile: OfflineProfile::new(),
             avg_domain_freq_mhz: vec![(DomainId::Integer, 900.0)],
-            host: HostStats::from_run(instructions, 0.5),
+            host: NotCompared(HostStats::from_run(instructions, 0.5)),
         }
     }
 
@@ -366,7 +380,7 @@ mod tests {
     fn host_stats_are_excluded_from_equality() {
         let mut a = result(10_000, 12_500, 12_500_000);
         let b = result(10_000, 12_500, 12_500_000);
-        a.host = HostStats::from_run(10_000, 2.0);
+        *a.host = HostStats::from_run(10_000, 2.0);
         assert!((a.host.simulated_mips - 0.005).abs() < 1e-12);
         assert_ne!(a.host.wall_seconds, b.host.wall_seconds);
         assert_eq!(a, b, "differing host throughput must not break equality");

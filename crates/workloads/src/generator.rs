@@ -38,6 +38,9 @@ const FP_DST_REGS: u8 = 28;
 #[derive(Debug, Clone)]
 pub struct WorkloadGenerator {
     phases: Vec<(Phase, u64)>,
+    /// Per phase, the log of the geometric dependency-distance draw's
+    /// continuation probability (see [`WorkloadGenerator::dep_distance`]).
+    dep_ln_q: Vec<f64>,
     phase_idx: usize,
     emitted_in_phase: u64,
     total_instructions: u64,
@@ -91,8 +94,17 @@ impl WorkloadGenerator {
             }
         }
 
+        let dep_ln_q = phases
+            .iter()
+            .map(|(p, _)| {
+                let mean = p.mean_dep_distance.max(1.0);
+                (1.0 - 1.0 / mean).max(1e-9).ln()
+            })
+            .collect();
+
         WorkloadGenerator {
             phases,
+            dep_ln_q,
             phase_idx: 0,
             emitted_in_phase: 0,
             total_instructions,
@@ -164,11 +176,8 @@ impl WorkloadGenerator {
     /// Draws a dependency distance with approximately the configured mean
     /// (geometric distribution, minimum 1).
     fn dep_distance(&mut self) -> usize {
-        let mean = self.current_phase_spec().mean_dep_distance.max(1.0);
-        let p = 1.0 / mean;
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let d = (u.ln() / (1.0 - p).max(1e-9).ln()).ceil();
-        (d.max(1.0) as usize).min(64)
+        ceil_distance(u.ln() / self.dep_ln_q[self.current_phase()])
     }
 
     /// Picks a source register from the recent producers of the given
@@ -357,6 +366,18 @@ impl InstructionStream for WorkloadGenerator {
     }
 }
 
+/// `(x.ceil().max(1.0) as usize).min(64)` without `f64::ceil`, which is
+/// an out-of-line call on the default x86-64 target: below 64 the
+/// truncation plus one when it dropped a fraction is exact, and NaN or
+/// anything not above zero yields 1.
+fn ceil_distance(x: f64) -> usize {
+    if x >= 64.0 {
+        return 64;
+    }
+    let t = x as usize;
+    (t + usize::from((t as f64) < x)).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,6 +557,27 @@ mod tests {
         let mut g = WorkloadGenerator::new(&spec, 9, 10_000);
         while let Some(i) = g.next_inst() {
             i.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn ceil_distance_matches_the_ceil_formula() {
+        let reference = |x: f64| (x.ceil().max(1.0) as usize).min(64);
+        let mut inputs = vec![
+            -0.0,
+            f64::MIN_POSITIVE,
+            -1.5,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for k in 0..=65 {
+            let x = f64::from(k);
+            inputs.extend([x, x.next_down(), x.next_up()]);
+        }
+        for x in inputs {
+            assert_eq!(ceil_distance(x), reference(x), "x = {x:e}");
         }
     }
 }

@@ -806,7 +806,7 @@ mod tests {
     #[test]
     fn the_suite_has_30_benchmarks_with_unique_names() {
         assert_eq!(Benchmark::ALL.len(), 30);
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for b in Benchmark::ALL {
             assert!(names.insert(b.name()), "duplicate name {}", b.name());
         }

@@ -35,6 +35,13 @@
 //! MCD_GOLDEN_TRACE=1 cargo run --release --example golden_dump > traced.txt
 //! diff unsliced.txt traced.txt      # any output = trace replay changed behaviour
 //! ```
+//!
+//! **Checked-in baseline:** CI diffs the plain dump against
+//! `examples/golden_dump.expected`.  A deliberate change of simulated
+//! behaviour re-baselines that file (`cargo run --release --example
+//! golden_dump > examples/golden_dump.expected`) in the same commit.
+
+#![allow(clippy::disallowed_methods, reason = "host-side harness")]
 
 use mcd::clock::OperatingPointTable;
 use mcd::control::{

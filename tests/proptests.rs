@@ -139,7 +139,7 @@ proptest! {
         addrs in proptest::collection::vec(0u64..1_000_000, 1..300),
     ) {
         let mut cache = Cache::new(CacheConfig::l1_64k_2way());
-        let mut touched = std::collections::HashSet::new();
+        let mut touched = std::collections::BTreeSet::new();
         for &addr in &addrs {
             let line = addr / 64;
             let hit = cache.access(addr, false);
