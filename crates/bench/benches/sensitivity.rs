@@ -10,15 +10,15 @@ use mcd_core::experiments::sensitivity;
 
 fn bench_sensitivity(c: &mut Criterion) {
     let settings = criterion_settings();
-    let fig5 = sensitivity::sweep_perf_deg_target(&settings, &[0.0, 0.06, 0.12]);
-    let fig6a = sensitivity::sweep_decay(&settings, &[0.00175, 0.0075]);
+    let fig5 = sensitivity::run(&settings, &sensitivity::PERF_DEG_TARGET, &[0.0, 0.06, 0.12]);
+    let fig6a = sensitivity::run(&settings, &sensitivity::DECAY, &[0.00175, 0.0075]);
     println!("Figure 5 (reduced settings)\n{}", fig5.render());
     println!("Figure 6(a)/7(a) (reduced settings)\n{}", fig6a.render());
 
     let mut group = c.benchmark_group("sensitivity");
     group.sample_size(10);
     group.bench_function("one_sweep_point", |b| {
-        b.iter(|| sensitivity::sweep_decay(&criterion_settings(), &[0.0075]))
+        b.iter(|| sensitivity::run(&criterion_settings(), &sensitivity::DECAY, &[0.0075]))
     });
     group.finish();
 }

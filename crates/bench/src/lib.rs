@@ -5,11 +5,10 @@
 //!
 //! Two kinds of targets live in this crate:
 //!
-//! * **Binaries** (`src/bin/*`) — one per paper artefact.  Each regenerates
-//!   the corresponding table or figure and writes both a human-readable
-//!   rendering to stdout and a CSV file under `results/`:
-//!   `paper_tables`, `table6`, `figure2_3`, `figure4`, `figure5`,
-//!   `figure6_7`.
+//! * **Binaries** (`src/bin/*`) — each regenerates paper artefacts and
+//!   writes both a human-readable rendering to stdout and a text or CSV
+//!   file under `results/`: `paper_tables`, `figure2_3`, `reproduce`
+//!   (Table 6 and Figures 4–7 from one plan) and `table6` (Table 6 alone).
 //! * **Criterion benches** (`benches/*`) — one per paper artefact plus a
 //!   micro-benchmark suite of the simulator substrates.  Each bench prints
 //!   the regenerated rows once (with reduced settings so `cargo bench`

@@ -58,7 +58,7 @@ pub struct AttackDecayParams {
 impl AttackDecayParams {
     /// The configuration used for the paper's headline results
     /// (Section 5): 1.75% / 6.0% / 0.175% / 2.5%, endstop 10.
-    pub fn paper_defaults() -> Self {
+    pub const fn paper_defaults() -> Self {
         AttackDecayParams {
             deviation_threshold: 0.0175,
             reaction_change: 0.06,

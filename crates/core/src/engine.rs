@@ -41,6 +41,7 @@
 //!    It never changes a simulated result.
 
 use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -75,12 +76,17 @@ pub fn worker_count(explicit: Option<usize>) -> usize {
 ///
 /// # Errors
 ///
-/// As [`parse_jobs`].
+/// As [`parse_jobs`], also for a value that is not valid Unicode.
 #[expect(clippy::disallowed_methods, reason = "sets the worker count only")]
 pub fn jobs_from_env() -> Result<Option<usize>, String> {
-    std::env::var("MCD_JOBS")
-        .ok()
-        .map(|value| parse_jobs("MCD_JOBS", &value))
+    jobs_from_var(std::env::var_os("MCD_JOBS"))
+}
+
+/// Parses an `MCD_JOBS` value (`None` when unset).  A non-Unicode value
+/// is converted lossily, so it fails to parse instead of counting as unset.
+fn jobs_from_var(value: Option<OsString>) -> Result<Option<usize>, String> {
+    value
+        .map(|value| parse_jobs("MCD_JOBS", &value.to_string_lossy()))
         .transpose()
 }
 
@@ -526,6 +532,18 @@ mod tests {
         );
         assert!(parse_jobs("--jobs", "-1").is_err());
         assert!(parse_jobs("MCD_JOBS", "").is_err());
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_non_unicode_mcd_jobs_is_rejected_not_ignored() {
+        use std::os::unix::ffi::OsStringExt;
+        assert_eq!(jobs_from_var(None), Ok(None));
+        assert_eq!(jobs_from_var(Some("3".into())), Ok(Some(3)));
+        assert_eq!(
+            jobs_from_var(Some(OsString::from_vec(b"\xff".to_vec()))),
+            Err("MCD_JOBS needs a non-negative integer, got \"\u{fffd}\"".to_string())
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! | [`figure4`] | Figure 4(a–c) — per-application results relative to the fully synchronous processor |
 //! | [`traces`] | Figures 2 and 3 — `epic decode` load/store and floating-point traces |
 //! | [`sensitivity`] | Figures 5, 6 and 7 — parameter sensitivity sweeps |
+//! | [`reproduce`] | Table 6 and Figures 4–7 from one plan on one engine |
 
 use mcd_clock::{MegaHertz, OperatingPointTable};
 use mcd_control::AttackDecayParams;
@@ -131,13 +132,16 @@ pub fn run_suite_with_stats(
     settings: &ExperimentSettings,
 ) -> (Vec<BenchmarkOutcomes>, EngineStats) {
     let engine = ExperimentEngine::from_settings(settings);
-    let plan = RunPlan::suite(&settings.benchmarks);
-    let (outcomes, stats) = engine.execute_with_stats(&plan);
+    let (outcomes, stats) = engine.execute_with_stats(&RunPlan::suite(&settings.benchmarks));
+    (group_suite(outcomes), stats)
+}
 
+/// Groups the outcomes of a [`RunPlan::suite`] plan by benchmark.
+fn group_suite(outcomes: Vec<RunOutcome>) -> Vec<BenchmarkOutcomes> {
     // The plan lists five configurations per benchmark, in order; move
     // the results out (each SimResult carries a full offline profile, so
     // cloning here would memcpy the whole suite).
-    let mut grouped = Vec::with_capacity(settings.benchmarks.len());
+    let mut grouped = Vec::with_capacity(outcomes.len() / 5);
     let mut runs = outcomes.into_iter();
     while let Some(sync) = runs.next() {
         let mut next = || {
@@ -153,7 +157,7 @@ pub fn run_suite_with_stats(
             dynamic5: next().result,
         });
     }
-    (grouped, stats)
+    grouped
 }
 
 /// Table 6 — comparison of Attack/Decay, Dynamic-1%, Dynamic-5% and global
@@ -264,11 +268,24 @@ pub mod table6 {
     /// of the returned stats).
     pub fn run_with_stats(settings: &ExperimentSettings) -> (Table6, EngineStats) {
         let (outcomes, stats) = run_suite_with_stats(settings);
-        let mut rows = mcd_rows(&outcomes);
+        // The search's engine is created only now, after the suite's
+        // engine and its caches are dropped, so the two never hold memory
+        // at the same time.
+        let engine = ExperimentEngine::from_settings(settings);
+        let (table, _) = from_outcomes(&engine, &outcomes, settings.global_search_iters);
+        (table, stats)
+    }
 
-        // One search over every (algorithm, benchmark) cell.  Its engine
-        // is created only now, after the suite's engine and its caches
-        // are dropped, so the two never hold memory at the same time.
+    /// Builds Table 6 from per-benchmark outcomes: the MCD rows, then one
+    /// `Global (...)` row per MCD row from one [`global_matching`] search
+    /// on `engine` over every (algorithm, benchmark) cell.  Also returns
+    /// the host-side statistics of each round of the search.
+    pub fn from_outcomes(
+        engine: &ExperimentEngine,
+        outcomes: &[BenchmarkOutcomes],
+        rounds: usize,
+    ) -> (Table6, Vec<EngineStats>) {
+        let mut rows = mcd_rows(outcomes);
         let targets: Vec<(String, f64)> = rows
             .iter()
             .map(|r| (r.algorithm.clone(), r.perf_degradation.max(0.0)))
@@ -277,14 +294,13 @@ pub mod table6 {
             .iter()
             .flat_map(|&(_, target)| outcomes.iter().map(move |o| (o.benchmark, target, &o.sync)))
             .collect();
-        let engine = ExperimentEngine::from_settings(settings);
-        let scaled = global_matching(&engine, &cells, settings.global_search_iters);
+        let (scaled, stats) = global_matching(engine, &cells, rounds);
 
         let n = outcomes.len();
         for (k, (label, _)) in targets.iter().enumerate() {
             let comparisons: Vec<Comparison> = scaled[k * n..(k + 1) * n]
                 .iter()
-                .zip(&outcomes)
+                .zip(outcomes)
                 .map(|((_, run), o)| Comparison::vs(&run.result, &o.sync))
                 .collect();
             rows.push(average_row(&format!("Global ({label})"), &comparisons));
@@ -411,8 +427,9 @@ pub mod table6 {
     ///
     /// Every cell returns the probe of its benchmark with the smallest
     /// time error, the higher frequency on a tie, so a cell's result does
-    /// not depend on the order of the cells.  At the `table6` benchmark
-    /// settings (30 benchmarks, 10 000 instructions, seed 42, 4 rounds)
+    /// not depend on the order of the cells.  The host-side statistics of
+    /// each round's plan come back with the matches.  At the `table6`
+    /// benchmark settings (30 benchmarks, 10 000 instructions, seed 42, 4 rounds)
     /// the search's plans hold 187 probe jobs (30 / 90 / 52 / 15 per
     /// round), which the engine runs as 144 simulations because twin
     /// benchmarks ask for the same frequencies, and it matches its 90
@@ -425,7 +442,7 @@ pub mod table6 {
         engine: &ExperimentEngine,
         cells: &[(Benchmark, f64, &SimResult)],
         rounds: usize,
-    ) -> Vec<(MegaHertz, RunOutcome)> {
+    ) -> (Vec<(MegaHertz, RunOutcome)>, Vec<EngineStats>) {
         let table = OperatingPointTable::default();
         let f_max = table.max_point().freq_mhz;
         let mut pools: Vec<Pool> = Vec::new();
@@ -453,6 +470,7 @@ pub mod table6 {
                 }
             })
             .collect();
+        let mut stats = Vec::new();
         // Round 1: one probe per benchmark, sized for its deepest target
         // as if the workload were fully compute-bound.
         let mut probes: Vec<(usize, MegaHertz)> = pools
@@ -478,7 +496,9 @@ pub mod table6 {
             let plan = probes.iter().fold(RunPlan::new(), |plan, &(p, freq_mhz)| {
                 plan.job(pools[p].bench, ConfigKind::GlobalScaling { freq_mhz })
             });
-            for ((p, freq), run) in probes.drain(..).zip(engine.execute(&plan)) {
+            let (runs, round) = engine.execute_with_stats(&plan);
+            stats.push(round);
+            for ((p, freq), run) in probes.drain(..).zip(runs) {
                 let time = run.result.elapsed_ps as f64;
                 pools[p].probes.push((freq, time));
                 // A run is kept only while it is some cell's best.
@@ -488,13 +508,14 @@ pub mod table6 {
                 }
             }
         }
-        searches
+        let matches = searches
             .into_iter()
             .map(|s| {
                 let (_, freq, run) = s.best.expect("round 1 probes every pool");
                 (freq, Rc::unwrap_or_clone(run))
             })
-            .collect()
+            .collect();
+        (matches, stats)
     }
 }
 
@@ -601,18 +622,6 @@ pub mod figure4 {
             attack_decay: avg(|r| r.attack_decay),
         };
         Figure4 { rows, average }
-    }
-
-    /// Runs the Figure 4 experiment.
-    pub fn run(settings: &ExperimentSettings) -> Figure4 {
-        run_with_stats(settings).0
-    }
-
-    /// Runs the Figure 4 experiment, also returning the engine's host-side
-    /// statistics.
-    pub fn run_with_stats(settings: &ExperimentSettings) -> (Figure4, EngineStats) {
-        let (outcomes, stats) = run_suite_with_stats(settings);
-        (from_outcomes(&outcomes), stats)
     }
 }
 
@@ -785,25 +794,42 @@ pub mod sensitivity {
         }
     }
 
-    /// Runs the Attack/Decay configuration `apply(base, v)` for every
-    /// value `v` and averages its comparisons against the baseline MCD
-    /// over the settings' benchmarks.  One plan holds every benchmark's
-    /// baseline followed by its sweep points, on one engine.
-    fn sweep(
-        settings: &ExperimentSettings,
-        parameter: &str,
-        base: AttackDecayParams,
-        values: &[f64],
-        apply: fn(AttackDecayParams, f64) -> AttackDecayParams,
-    ) -> SweepResult {
+    /// One parameter sweep of Figures 5–7: an Attack/Decay configuration
+    /// with one parameter set to each of a list of values, every point
+    /// averaged over the benchmarks against the baseline MCD.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Sweep {
+        /// The swept parameter's name.
+        pub parameter: &'static str,
+        /// The non-swept parameters.
+        pub base: AttackDecayParams,
+        /// Sets the swept parameter of a configuration to a value.
+        pub apply: fn(&mut AttackDecayParams, f64),
+        /// The swept values at quick settings.
+        pub quick: &'static [f64],
+        /// The swept values at full settings (`MCD_FULL=1`).
+        pub full: &'static [f64],
+    }
+
+    /// The plan of `sweep` at `values`: every benchmark's baseline MCD
+    /// followed by its Attack/Decay configuration at each value.
+    pub fn plan(sweep: &Sweep, benchmarks: &[Benchmark], values: &[f64]) -> RunPlan {
         let mut plan = RunPlan::new();
-        for &b in &settings.benchmarks {
+        for &b in benchmarks {
             plan = plan.job(b, ConfigKind::BaselineMcd);
             for &v in values {
-                plan = plan.job(b, ConfigKind::AttackDecay(apply(base, v)));
+                let mut params = sweep.base;
+                (sweep.apply)(&mut params, v);
+                plan = plan.job(b, ConfigKind::AttackDecay(params));
             }
         }
-        let outcomes = ExperimentEngine::from_settings(settings).execute(&plan);
+        plan
+    }
+
+    /// Builds `sweep` from the outcomes of its [`plan`] at `values`, in
+    /// plan order, averaging each point's comparisons against the
+    /// baseline MCD over the benchmarks.
+    pub fn from_outcomes(sweep: &Sweep, values: &[f64], outcomes: &[RunOutcome]) -> SweepResult {
         let per_benchmark: Vec<&[RunOutcome]> = outcomes.chunks(values.len() + 1).collect();
         let points = values
             .iter()
@@ -825,67 +851,129 @@ pub mod sensitivity {
             })
             .collect();
         SweepResult {
-            parameter: parameter.to_string(),
-            legend: base.legend(),
+            parameter: sweep.parameter.to_string(),
+            legend: sweep.base.legend(),
             points,
         }
     }
 
-    /// Figure 5: sweep of the performance-degradation threshold (target).
-    /// The paper's legend is `1.000_06.0_1.250_X.X`.
-    pub fn sweep_perf_deg_target(settings: &ExperimentSettings, values: &[f64]) -> SweepResult {
-        let base = AttackDecayParams {
+    /// Figure 5: the performance-degradation threshold (target), legend
+    /// `1.000_06.0_1.250_X.X`.
+    pub const PERF_DEG_TARGET: Sweep = Sweep {
+        parameter: "PerfDegThreshold",
+        base: AttackDecayParams {
             deviation_threshold: 0.010,
             reaction_change: 0.06,
             decay: 0.0125,
             perf_deg_threshold: 0.0,
             endstop_count: 10,
-        };
-        sweep(settings, "PerfDegThreshold", base, values, |mut p, v| {
-            p.perf_deg_threshold = v;
-            p
-        })
-    }
+        },
+        apply: |p, v| p.perf_deg_threshold = v,
+        quick: &[0.0, 0.025, 0.06, 0.12],
+        full: &[0.0, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.10, 0.12],
+    };
 
-    /// Figures 6(a)/7(a): sweep of DecayPercent (legend `1.500_04.0_X.XXX_3.0`).
-    pub fn sweep_decay(settings: &ExperimentSettings, values: &[f64]) -> SweepResult {
-        let base = AttackDecayParams {
+    /// Figures 6(a)/7(a): DecayPercent, legend `1.500_04.0_X.XXX_3.0`.
+    pub const DECAY: Sweep = Sweep {
+        parameter: "Decay",
+        base: AttackDecayParams {
             deviation_threshold: 0.015,
             reaction_change: 0.04,
             decay: 0.0,
             perf_deg_threshold: 0.03,
             endstop_count: 10,
-        };
-        sweep(settings, "Decay", base, values, |mut p, v| {
-            p.decay = v;
-            p
-        })
-    }
+        },
+        apply: |p, v| p.decay = v,
+        quick: &[0.00175, 0.0075, 0.020],
+        full: &[0.0005, 0.00175, 0.005, 0.0075, 0.010, 0.015, 0.020],
+    };
 
-    /// Figures 6(b)/7(b): sweep of ReactionChangePercent
-    /// (legend `1.500_XX.X_0.750_3.0`).
-    pub fn sweep_reaction_change(settings: &ExperimentSettings, values: &[f64]) -> SweepResult {
-        let base = AttackDecayParams {
-            deviation_threshold: 0.015,
-            reaction_change: 0.04,
+    /// Figures 6(b)/7(b): ReactionChangePercent, legend
+    /// `1.500_XX.X_0.750_3.0`.
+    pub const REACTION_CHANGE: Sweep = Sweep {
+        parameter: "ReactionChange",
+        base: AttackDecayParams {
             decay: 0.0075,
-            perf_deg_threshold: 0.03,
-            endstop_count: 10,
-        };
-        sweep(settings, "ReactionChange", base, values, |mut p, v| {
-            p.reaction_change = v;
-            p
-        })
-    }
+            ..DECAY.base
+        },
+        apply: |p, v| p.reaction_change = v,
+        quick: &[0.01, 0.06, 0.155],
+        full: &[0.005, 0.02, 0.04, 0.06, 0.09, 0.12, 0.155],
+    };
 
-    /// Figures 6(c)/7(c): sweep of DeviationThresholdPercent
-    /// (legend `X.XXX_06.0_0.175_2.5`).
-    pub fn sweep_deviation_threshold(settings: &ExperimentSettings, values: &[f64]) -> SweepResult {
-        let base = AttackDecayParams::paper_defaults();
-        sweep(settings, "DeviationThreshold", base, values, |mut p, v| {
-            p.deviation_threshold = v;
-            p
-        })
+    /// Figures 6(c)/7(c): DeviationThresholdPercent around the paper's
+    /// defaults, legend `X.XXX_06.0_0.175_2.5`.
+    pub const DEVIATION_THRESHOLD: Sweep = Sweep {
+        parameter: "DeviationThreshold",
+        base: AttackDecayParams::paper_defaults(),
+        apply: |p, v| p.deviation_threshold = v,
+        quick: &[0.0025, 0.0175, 0.025],
+        full: &[0.0, 0.0025, 0.0075, 0.0125, 0.0175, 0.025],
+    };
+
+    /// Every sweep of the evaluation: Figure 5's, then Figures 6–7's.
+    pub const SWEEPS: [Sweep; 4] = [PERF_DEG_TARGET, DECAY, REACTION_CHANGE, DEVIATION_THRESHOLD];
+
+    /// Runs `sweep` at `values` over the settings' benchmarks, as one
+    /// plan on its own engine.
+    pub fn run(settings: &ExperimentSettings, sweep: &Sweep, values: &[f64]) -> SweepResult {
+        let jobs = plan(sweep, &settings.benchmarks, values);
+        let outcomes = ExperimentEngine::from_settings(settings).execute(&jobs);
+        from_outcomes(sweep, values, &outcomes)
+    }
+}
+
+/// Table 6 and Figures 4–7 from one reproduction pass.
+#[derive(Debug, Clone)]
+pub struct Reproduction {
+    /// `(name, text)` of `table6`, `figure4`, `figure5` and `figure6_7`.
+    pub artefacts: [(&'static str, String); 4],
+    /// Host-side statistics of the union plan.
+    pub plan_stats: EngineStats,
+    /// Host-side statistics of each round of the Global search.
+    pub global_stats: Vec<EngineStats>,
+}
+
+/// Builds Table 6 and Figures 4–7 from one union plan, the
+/// [`RunPlan::suite`] jobs and then every [`sensitivity::SWEEPS`] plan at
+/// its `full` or quick values, run once on one engine (which simulates
+/// identical jobs once), then the Global search on that engine.
+pub fn reproduce(settings: &ExperimentSettings, full: bool) -> Reproduction {
+    let benchmarks = &settings.benchmarks;
+    let values = |sweep: &sensitivity::Sweep| if full { sweep.full } else { sweep.quick };
+    let mut plan = RunPlan::suite(benchmarks);
+    let suite_jobs = plan.jobs.len();
+    for sweep in &sensitivity::SWEEPS {
+        plan.jobs
+            .extend(sensitivity::plan(sweep, benchmarks, values(sweep)).jobs);
+    }
+    let engine = ExperimentEngine::from_settings(settings);
+    let (mut outcomes, plan_stats) = engine.execute_with_stats(&plan);
+
+    // Each sweep plan holds a baseline plus one job per value for every
+    // benchmark.
+    let mut rest = &outcomes[suite_jobs..];
+    let mut sweeps = sensitivity::SWEEPS.iter().map(|sweep| {
+        let (own, tail) = rest.split_at(benchmarks.len() * (values(sweep).len() + 1));
+        rest = tail;
+        sensitivity::from_outcomes(sweep, values(sweep), own).render()
+    });
+    let figure5 = sweeps.next().expect("Figure 5's sweep comes first");
+    let figures6_7: String = sweeps.map(|text| text + "\n").collect();
+    outcomes.truncate(suite_jobs);
+    let suite = group_suite(outcomes);
+    let figure4 = figure4::from_outcomes(&suite).render();
+    let (table6, global_stats) =
+        table6::from_outcomes(&engine, &suite, settings.global_search_iters);
+    Reproduction {
+        artefacts: [
+            ("table6", table6.render()),
+            ("figure4", figure4),
+            ("figure5", figure5),
+            ("figure6_7", figures6_7),
+        ],
+        plan_stats,
+        global_stats,
     }
 }
 
@@ -1036,7 +1124,7 @@ mod tests {
             global_search_iters: 2,
             jobs: None,
         };
-        let sweep = sensitivity::sweep_decay(&settings, &[0.0005, 0.0075]);
+        let sweep = sensitivity::run(&settings, &sensitivity::DECAY, &[0.0005, 0.0075]);
         assert_eq!(sweep.points.len(), 2);
         assert!(sweep.points[0].value < sweep.points[1].value);
         // A faster decay lowers frequencies more aggressively and therefore
@@ -1059,7 +1147,7 @@ mod tests {
             .execute(&RunPlan::new().job(Benchmark::Adpcm, ConfigKind::FullySynchronous))
             .remove(0);
         let matches =
-            table6::global_matching(&engine, &[(Benchmark::Adpcm, 0.05, &sync.result)], 3);
+            table6::global_matching(&engine, &[(Benchmark::Adpcm, 0.05, &sync.result)], 3).0;
         let (freq, outcome) = &matches[0];
         assert!(*freq < 1000.0);
         assert_eq!(
@@ -1107,7 +1195,7 @@ mod tests {
         let engine = ExperimentEngine::from_settings(&settings);
         let syncs = sync_runs(&engine, &settings.benchmarks);
         let cells = search_cells(&[0.01, 0.05, 0.15], &syncs);
-        let found = table6::global_matching(&engine, &cells, 12);
+        let (found, _) = table6::global_matching(&engine, &cells, 12);
         let table = OperatingPointTable::default();
         for (&(bench, target, sync), (freq, run)) in cells.iter().zip(&found) {
             let index = table.nearest(*freq).index;
@@ -1152,7 +1240,7 @@ mod tests {
             let cells = search_cells(targets, &syncs);
             for (&(bench, target, _), (freq, _)) in cells
                 .iter()
-                .zip(table6::global_matching(&engine, &cells, 6))
+                .zip(table6::global_matching(&engine, &cells, 6).0)
             {
                 let expected = if target == 0.0 { f_max } else { f_min };
                 assert_eq!(freq, expected, "{bench:?} at target {target}");
@@ -1172,13 +1260,13 @@ mod tests {
         let engine = ExperimentEngine::from_settings(&settings);
         let syncs = sync_runs(&engine, &settings.benchmarks);
         let cells = search_cells(&[0.02, 0.07, 0.2], &syncs);
-        let forward = table6::global_matching(&engine, &cells, 4);
+        let (forward, _) = table6::global_matching(&engine, &cells, 4);
         let mut permuted: Vec<usize> = (0..cells.len()).collect();
         permuted.reverse();
         permuted.rotate_left(2);
         let shuffled: Vec<_> = permuted.iter().map(|&i| cells[i]).collect();
         let fresh = ExperimentEngine::from_settings(&settings);
-        let backward = table6::global_matching(&fresh, &shuffled, 4);
+        let (backward, _) = table6::global_matching(&fresh, &shuffled, 4);
         for (&i, (freq, run)) in permuted.iter().zip(&backward) {
             assert_eq!(*freq, forward[i].0);
             assert_eq!(run.result, forward[i].1.result);
@@ -1197,13 +1285,59 @@ mod tests {
         let engine = ExperimentEngine::from_settings(&settings);
         let syncs = sync_runs(&engine, &[Benchmark::Adpcm, Benchmark::Swim]);
         let cells = search_cells(&[0.01, 0.05, 0.2], &syncs);
-        let together = table6::global_matching(&engine, &cells, 4);
+        let (together, _) = table6::global_matching(&engine, &cells, 4);
         assert_eq!(together.len(), cells.len());
         for (cell, (freq, run)) in cells.iter().zip(&together) {
             let alone = ExperimentEngine::from_settings(&settings);
-            let (f, r) = table6::global_matching(&alone, std::slice::from_ref(cell), 4).remove(0);
+            let (f, r) = table6::global_matching(&alone, std::slice::from_ref(cell), 4)
+                .0
+                .remove(0);
             assert_eq!((*freq, run.benchmark), (f, r.benchmark));
             assert_eq!(run.result, r.result);
+        }
+    }
+
+    #[test]
+    fn one_pass_matches_the_per_artefact_paths_with_fewer_simulations() {
+        // The pass slices one union plan's outcomes into the suite and the
+        // four sweeps.  Each artefact must read exactly as its own path
+        // renders it (Table 6 and Figure 4 from the suite, each sweep on
+        // its own plan and engine), at one and at two workers.  Bzip2
+        // replays Gzip's stream, so two streams simulate.  Per stream the
+        // separate plans take 5 suite runs plus 4 sweep baselines and 13
+        // sweep points; the union shares the baselines and the
+        // DeviationThreshold sweep's paper-default point with the suite.
+        let settings = ExperimentSettings {
+            benchmarks: vec![Benchmark::Adpcm, Benchmark::Gzip, Benchmark::Bzip2],
+            instructions: 10_000,
+            ..tiny_settings()
+        };
+        let (suite, suite_stats) = run_suite_with_stats(&settings);
+        let mut separate_runs = suite_stats.runs;
+        let mut sweeps = Vec::new();
+        for sweep in &sensitivity::SWEEPS {
+            let values = sweep.quick;
+            let engine = ExperimentEngine::from_settings(&settings);
+            let plan = sensitivity::plan(sweep, &settings.benchmarks, values);
+            let (outcomes, stats) = engine.execute_with_stats(&plan);
+            separate_runs += stats.runs;
+            sweeps.push(sensitivity::from_outcomes(sweep, values, &outcomes).render());
+        }
+        let expected = [
+            table6::run(&settings).render(),
+            figure4::from_outcomes(&suite).render(),
+            sweeps[0].clone(),
+            sweeps[1..].iter().map(|text| format!("{text}\n")).collect(),
+        ];
+        assert_eq!(separate_runs, 2 * (5 + 4 + 13));
+        for jobs in [1, 2] {
+            let pass = reproduce(&settings.clone().with_jobs(jobs), false);
+            for ((name, text), want) in pass.artefacts.iter().zip(&expected) {
+                assert_eq!(text, want, "{name} at {jobs} workers");
+            }
+            assert_eq!(pass.plan_stats.runs, 2 * (5 + 13 - 1));
+            assert!(pass.plan_stats.runs < separate_runs);
+            assert!(pass.global_stats.iter().all(|round| round.runs > 0));
         }
     }
 
@@ -1235,8 +1369,8 @@ mod tests {
         assert_eq!(a, b);
         let values = [0.0005, 0.0075];
         assert_eq!(
-            sensitivity::sweep_decay(&one, &values),
-            sensitivity::sweep_decay(&three, &values)
+            sensitivity::run(&one, &sensitivity::DECAY, &values),
+            sensitivity::run(&three, &sensitivity::DECAY, &values)
         );
     }
 }

@@ -25,7 +25,8 @@
 //! * [`experiments`] — one entry point per paper table/figure: Table 6
 //!   (with the search for the global frequency that matches a target
 //!   performance degradation), Figure 4(a–c), the Figure 2/3
-//!   `epic decode` traces, and the Figure 5/6/7 sensitivity sweeps.
+//!   `epic decode` traces, the Figure 5/6/7 sensitivity sweeps, and
+//!   [`experiments::reproduce`], Table 6 and Figures 4–7 from one plan.
 //! * [`presets`] — the Table 1 and Table 4 parameter presets and their
 //!   pretty-printed forms.
 //! * [`report`] — plain-text table and CSV rendering used by the `mcd-bench`

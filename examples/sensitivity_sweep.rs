@@ -13,6 +13,7 @@ fn main() {
     let settings = ExperimentSettings::quick()
         .with_benchmarks(vec![Benchmark::Adpcm, Benchmark::Gzip, Benchmark::Swim])
         .with_instructions(40_000);
-    let sweep = sensitivity::sweep_decay(&settings, &[0.0005, 0.00175, 0.0075, 0.02]);
+    let values = [0.0005, 0.00175, 0.0075, 0.02];
+    let sweep = sensitivity::run(&settings, &sensitivity::DECAY, &values);
     println!("{}", sweep.render());
 }

@@ -2,14 +2,16 @@
 """Render the bench-job artefacts as a GitHub job-summary markdown table.
 
 Usage:
-    bench_summary.py results/BENCH_kernel_micro.json results/BENCH_table6.json
+    bench_summary.py results/BENCH_kernel_micro.json results/BENCH_reproduce.json
 
 Reads the kernel micro-bench artefact (per-bench timings, the per-edge
 clock cost and jitter surcharge, the trace footprint and replay cost per
 instruction, and the event-timeline traffic and kernel-step counters,
-quiet-time catch-up included) and the Table 6 artefact (suite / Global search
+quiet-time catch-up included), the Table 6 artefact (suite / Global search
 split of the whole `table6::run_with_stats` call, and the suite's simulations
-against the plan jobs that shared one), and prints GitHub-flavoured markdown
+against the plan jobs that shared one) and the reproduction pass artefact (wall
+time, simulations and shared jobs of its union plan, Global search and
+render-and-write phases), and prints GitHub-flavoured markdown
 suitable for appending to ``$GITHUB_STEP_SUMMARY``.  Missing files are reported but do not fail the
 job — the summary is advisory, the artefacts are the record.
 """
@@ -111,6 +113,21 @@ def table6(doc):
     print()
 
 
+def reproduce(doc):
+    print("### Reproduction pass (Table 6 and Figures 4-7)\n")
+    print(f"- workers: **{doc.get('workers')}** (nproc {doc.get('nproc')}), "
+          f"benchmarks: {doc.get('benchmarks')}\n")
+    print("| phase | wall (s) | simulations | shared jobs |")
+    print("|---|---|---|---|")
+    for key, label in (("plan", "union plan"), ("global", "Global search")):
+        phase = doc.get(key) or {}
+        print(f"| {label} | {fmt(phase.get('wall_s'), '.2f')} "
+              f"| {phase.get('runs', '-')} | {phase.get('shared_jobs', '-')} |")
+    print(f"| render and write | {fmt(doc.get('render_write_s'), '.3g')} | - | - |")
+    print(f"\n- **whole pass: {fmt(doc.get('reproduce_wall_s'), '.2f')}s**")
+    print()
+
+
 def main(argv):
     for path in argv[1:]:
         doc = load(path)
@@ -120,6 +137,8 @@ def main(argv):
             kernel_micro(doc)
         elif doc.get("experiment") == "table6":
             table6(doc)
+        elif doc.get("experiment") == "reproduce":
+            reproduce(doc)
         else:
             print(f"_bench summary: `{path}` has unknown experiment kind_\n")
     return 0

@@ -175,6 +175,7 @@ fn global_scaling_power_performance_ratio_is_near_two() {
         .map(|s| (s.benchmark, 0.05, &s.result))
         .collect();
     for ((_, scaled), sync) in table6::global_matching(&engine, &cells, 4)
+        .0
         .iter()
         .zip(&syncs)
     {
