@@ -467,18 +467,37 @@ impl ExperimentEngine {
             prefix_cycles_saved: 0,
         };
 
-        let outcomes = plan
+        // Each simulated outcome moves into the last plan job it serves;
+        // only the earlier sharers get clones.
+        let served: Vec<usize> = plan
             .jobs
             .iter()
             .map(|job| {
                 let key = distinct(job.benchmark, &job.config);
-                let (_, outcome) = ran
-                    .iter()
-                    .find(|(r, _)| *r == key)
-                    .expect("every distinct job ran");
+                ran.iter()
+                    .position(|(r, _)| *r == key)
+                    .expect("every distinct job ran")
+            })
+            .collect();
+        let mut uses = vec![0usize; ran.len()];
+        for &i in &served {
+            uses[i] += 1;
+        }
+        let mut ran: Vec<Option<RunOutcome>> = ran.into_iter().map(|(_, o)| Some(o)).collect();
+        let outcomes = plan
+            .jobs
+            .iter()
+            .zip(served)
+            .map(|(job, i)| {
+                uses[i] -= 1;
+                let outcome = if uses[i] == 0 {
+                    ran[i].take()
+                } else {
+                    ran[i].clone()
+                };
                 RunOutcome {
                     benchmark: job.benchmark,
-                    ..outcome.clone()
+                    ..outcome.expect("a run's outcome moves out at its last use")
                 }
             })
             .collect();

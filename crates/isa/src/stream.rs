@@ -46,6 +46,15 @@ impl<S: InstructionStream + ?Sized> InstructionStream for Box<S> {
     }
 }
 
+impl<S: InstructionStream + ?Sized> InstructionStream for &mut S {
+    fn next_inst(&mut self) -> Option<DynInst> {
+        (**self).next_inst()
+    }
+    fn remaining_hint(&self) -> Option<u64> {
+        (**self).remaining_hint()
+    }
+}
+
 /// Adapter returned by [`InstructionStream::take_insts`].
 #[derive(Debug, Clone)]
 pub struct Take<S> {

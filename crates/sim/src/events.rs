@@ -50,13 +50,6 @@
 //! `Vec::insert` whose worst case (events arriving in descending sequence
 //! order) degraded to `O(k·n)` memmoves per cycle.  An append fast path
 //! keeps the common in-order case allocation- and shift-free.
-//!
-//! # Pause/resume
-//!
-//! The timeline is plain owned state inside `McdProcessor`, so `run_for`
-//! slice boundaries are invisible to it: lanes, heaps and ready lists all
-//! survive a pause untouched (re-verified by the slice proptest and the
-//! `MCD_GOLDEN_SLICE` golden diffs).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

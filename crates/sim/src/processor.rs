@@ -13,7 +13,7 @@
 //! loop computes the *quiet horizon* — the earliest time at which any
 //! edge can do more — and steps each domain's edges before it in a tight
 //! per-domain loop instead of one at a time through the tournament that
-//! picks the earliest edge (see `McdProcessor::run_for`).
+//! picks the earliest edge (see [`McdProcessor::run`]).
 //!
 //! The kernel is split across focused modules:
 //!
@@ -57,54 +57,19 @@ const COMMIT_WATCHDOG_PS: TimePs = 200_000_000;
 /// quiet horizon to catch up to.
 const QUIET_STREAK: u32 = 2;
 
-/// Outcome of one [`McdProcessor::run_for`] slice.
+/// What [`McdProcessor::run_for`] returns: always `Finished`.
 ///
-/// A paused run is resumable from exactly where it stopped: every piece of
-/// loop-carried simulation state (front end, in-flight slab, event queues,
-/// LSQ, clock/ramp state, controller state, telemetry accumulators, the
-/// livelock watchdog and the host wall-clock accumulator) lives in the
-/// processor, so the sequence of slice boundaries is invisible to the
-/// simulated machine and the final [`SimResult`] is bit-identical no matter
-/// how the run was sliced.
-// `Finished` carries the full telemetry; the size gap to the unit `Paused`
-// variant is intentional — the value is matched once per slice, never
-// stored in bulk.
+/// Exists only for the out-of-workspace benchmark package (`perfbench/`),
+/// which still matches it, and goes with the next change to that package.
+// `Finished` carries the full telemetry; the value is matched once per
+// run, never stored in bulk.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum StepOutcome {
-    /// The cycle budget of the slice was exhausted before the run finished;
-    /// call [`McdProcessor::run_for`] again (with the same stream) to
-    /// continue.
+    /// Never built: runs no longer pause.
     Paused,
-    /// The run completed and produced its telemetry.  The processor must
-    /// not be stepped again.
+    /// The run completed and produced its telemetry.
     Finished(SimResult),
-}
-
-/// Loop-carried state of the main event loop that is not part of the
-/// simulated machine itself: established on the first kernel step and kept
-/// in the processor so a run can pause and resume at any cycle boundary.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RunState {
-    /// Simulated time of the first pending edge when the run started
-    /// (`None` until the first `run_for` call).
-    pub(crate) start_ps: Option<TimePs>,
-    /// Livelock watchdog: committed-instruction count and simulated time of
-    /// the most recent forward progress.
-    pub(crate) last_commit_check: (u64, TimePs),
-    /// Host wall-clock seconds spent inside `run_for` so far, summed across
-    /// all slices (which may execute on different worker threads).
-    pub(crate) wall_seconds: f64,
-    /// Set when the run finished; stepping a finished processor panics.
-    pub(crate) done: bool,
-    /// Consecutive idle kernel steps, or the streak that started a
-    /// quiet-time catch-up the slice budget cut short (so the next slice
-    /// resumes it).
-    pub(crate) quiet_streak: u32,
-    /// Test-only switch: step every edge through the tournament, as a
-    /// reference for the catch-up.
-    #[cfg(test)]
-    pub(crate) plain_stepping: bool,
 }
 
 /// Per-domain interval counters feeding the controller.
@@ -264,17 +229,11 @@ pub struct McdProcessor {
     pub(crate) intervals: Vec<IntervalRecord>,
     pub(crate) profile: OfflineProfile,
 
-    // Main-loop state surviving across `run_for` pauses.
-    pub(crate) run_state: RunState,
+    /// Test-only switch: step every edge through the tournament, as a
+    /// reference for the quiet-time catch-up.
+    #[cfg(test)]
+    pub(crate) plain_stepping: bool,
 }
-
-// A paused run may resume on another thread than the one that paused
-// it; everything inside (including the boxed controller, whose trait
-// requires `Send`) must be owned state.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<McdProcessor>();
-};
 
 impl McdProcessor {
     /// Builds a processor from a configuration and a frequency controller.
@@ -375,7 +334,8 @@ impl McdProcessor {
             last_commit_ps: 0,
             intervals: Vec::new(),
             profile: OfflineProfile::new(),
-            run_state: RunState::default(),
+            #[cfg(test)]
+            plain_stepping: false,
             clocks,
             sync,
             table,
@@ -635,96 +595,57 @@ impl McdProcessor {
     /// instruction budget is committed or the stream is exhausted and the
     /// pipeline has drained.  Returns the run telemetry.
     ///
-    /// Equivalent to a single unbounded [`McdProcessor::run_for`] slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation makes no forward progress for an extended
-    /// period (an internal invariant violation, not a legitimate outcome).
-    pub fn run<S: InstructionStream>(&mut self, mut stream: S) -> SimResult {
-        loop {
-            if let StepOutcome::Finished(result) = self.run_for(&mut stream, u64::MAX) {
-                return result;
-            }
-        }
-    }
-
-    /// Runs at most `max_cycles` kernel steps (one step = one domain-clock
-    /// edge of one domain) and pauses, or finishes the run if the
-    /// instruction budget is reached or the stream drains first.
-    ///
     /// Edges run in global time order through a tournament over the four
     /// on-chip clocks, except in quiet time: after a few idle steps in a
     /// row the loop computes the quiet horizon — the earliest time at
     /// which any edge can do more than bookkeeping — and steps every
-    /// domain's edges before it in one tight loop per domain, within the
-    /// same step budget.  The result is the one edge-by-edge stepping
-    /// gives (`docs/ARCHITECTURE.md`, "Quiet-time catch-up").
-    ///
-    /// The slice boundary is invisible to the simulated machine: all
-    /// loop-carried state lives in the processor, so any sequence of
-    /// `run_for` calls — with any slice lengths, on any threads — produces
-    /// a [`SimResult`] bit-identical to an unsliced [`McdProcessor::run`],
-    /// provided every call resumes with the same (stateful) stream.  Host
-    /// wall-clock is accumulated across slices, so the final
-    /// [`HostStats`] describe the whole run, not the last slice.
+    /// domain's edges before it in one tight loop per domain.  The result
+    /// is the one edge-by-edge stepping gives (`docs/ARCHITECTURE.md`,
+    /// "Quiet-time catch-up").
     ///
     /// # Panics
     ///
-    /// Panics if `max_cycles` is zero (a zero budget makes no progress, so
-    /// the documented resume loop would spin forever), if called again
-    /// after it returned [`StepOutcome::Finished`], or on a livelock (no
-    /// commit for an extended simulated period).
-    pub fn run_for<S: InstructionStream>(
-        &mut self,
-        stream: &mut S,
-        max_cycles: u64,
-    ) -> StepOutcome {
-        assert!(max_cycles > 0, "slice budget must be positive");
+    /// Panics if the processor has already run (a processor simulates one
+    /// window), or if the simulation makes no forward progress for an
+    /// extended period (an internal invariant violation, not a legitimate
+    /// outcome).
+    pub fn run<S: InstructionStream>(&mut self, mut stream: S) -> SimResult {
         assert!(
-            !self.run_state.done,
-            "run_for called on a finished processor"
+            self.clocks.iter().all(|c| c.cycles() == 0),
+            "run called on a processor that already ran"
         );
         #[expect(clippy::disallowed_types, reason = "host wall time for HostStats")]
         let wall_start = std::time::Instant::now();
-        if self.run_state.start_ps.is_none() {
-            let start_ps = self
-                .clocks
-                .iter()
-                .map(|c| c.next_edge_ps())
-                .min()
-                .unwrap_or(0);
-            self.run_state.start_ps = Some(start_ps);
-            self.run_state.last_commit_check = (0, start_ps);
-        }
+        let start_ps = self
+            .clocks
+            .iter()
+            .map(|c| c.next_edge_ps())
+            .min()
+            .unwrap_or(0);
+        // Livelock watchdog: committed-instruction count and simulated
+        // time of the most recent forward progress.
+        let mut progress = (0, start_ps);
+        // Consecutive idle kernel steps.
+        let mut quiet_streak = 0u32;
 
-        let mut steps = 0u64;
-        let finished = loop {
+        loop {
             if self.committed >= self.config.max_instructions {
-                break true;
+                break;
             }
             if self.stream_done
                 && self.fetch_buffer.is_empty()
                 && self.rob.is_empty()
                 && self.inflight.is_empty()
             {
-                break true;
+                break;
             }
-            if steps >= max_cycles {
-                break false;
-            }
-            if self.run_state.quiet_streak >= QUIET_STREAK && self.catch_up_allowed() {
-                if let Some(horizon) = self.quiet_horizon() {
-                    steps += self.catch_up(horizon, max_cycles - steps);
+            if quiet_streak >= QUIET_STREAK && self.catch_up_allowed() {
+                if let Some(horizon) = self.quiet_horizon(progress.1) {
+                    self.catch_up(horizon);
                 }
-                // A catch-up cut short by the budget keeps the streak, so
-                // the next slice resumes it.
-                if steps < max_cycles {
-                    self.run_state.quiet_streak = 0;
-                }
+                quiet_streak = 0;
                 continue;
             }
-            steps += 1;
 
             // Pick the on-chip domain with the earliest pending edge: a
             // fixed two-round tournament over the four domains.  Ties must
@@ -748,36 +669,42 @@ impl McdProcessor {
             self.refresh_charge(domain);
 
             let idle = match domain {
-                DomainId::FrontEnd => self.frontend_cycle(now, stream),
+                DomainId::FrontEnd => self.frontend_cycle(now, &mut stream),
                 DomainId::Integer | DomainId::FloatingPoint => self.exec_domain_cycle(domain, now),
                 DomainId::LoadStore => self.loadstore_cycle(now),
                 DomainId::External => true,
             };
-            self.run_state.quiet_streak = if idle {
-                self.run_state.quiet_streak.saturating_add(1)
+            quiet_streak = if idle {
+                quiet_streak.saturating_add(1)
             } else {
                 0
             };
 
             // Watchdog against livelock.
-            if self.committed > self.run_state.last_commit_check.0 {
-                self.run_state.last_commit_check = (self.committed, now);
-            } else if now.saturating_sub(self.run_state.last_commit_check.1) > COMMIT_WATCHDOG_PS {
+            if self.committed > progress.0 {
+                progress = (self.committed, now);
+            } else if now.saturating_sub(progress.1) > COMMIT_WATCHDOG_PS {
                 panic!(
                     "simulator livelock: no commit for {} ps at instruction {}",
-                    now - self.run_state.last_commit_check.1,
+                    now - progress.1,
                     self.committed
                 );
             }
-        };
-
-        self.run_state.wall_seconds += wall_start.elapsed().as_secs_f64();
-        if finished {
-            self.run_state.done = true;
-            StepOutcome::Finished(self.finish())
-        } else {
-            StepOutcome::Paused
         }
+
+        self.finish(start_ps, wall_start.elapsed().as_secs_f64())
+    }
+
+    /// Runs the whole window with [`McdProcessor::run`]; `_max_cycles` is
+    /// ignored.  Exists only for the out-of-workspace benchmark package
+    /// (`perfbench/`), which still calls it, and goes with the next change
+    /// to that package.
+    pub fn run_for<S: InstructionStream>(
+        &mut self,
+        stream: &mut S,
+        _max_cycles: u64,
+    ) -> StepOutcome {
+        StepOutcome::Finished(self.run(stream))
     }
 
     /// Whether the main loop may catch quiet time up (always, outside the
@@ -786,7 +713,7 @@ impl McdProcessor {
     fn catch_up_allowed(&self) -> bool {
         #[cfg(test)]
         {
-            !self.run_state.plain_stepping
+            !self.plain_stepping
         }
         #[cfg(not(test))]
         {
@@ -809,11 +736,12 @@ impl McdProcessor {
     /// * front end — the ROB head not yet visibly completed, fetch stalled
     ///   (when nothing else stops it) and a fetch-buffer head that cannot
     ///   dispatch (one that can means `None`);
-    /// * the livelock watchdog not yet due.
+    /// * the livelock watchdog, armed by the last forward progress at
+    ///   `progress_ps`, not yet due.
     ///
     /// Idle edges change none of these inputs — only a busy edge does — so
     /// the horizon holds until the first edge at or after it.
-    fn quiet_horizon(&self) -> Option<TimePs> {
+    fn quiet_horizon(&self, progress_ps: TimePs) -> Option<TimePs> {
         if !self.timeline.ready(DomainId::Integer).is_empty()
             || !self.timeline.ready(DomainId::FloatingPoint).is_empty()
             || !self.lsq.scan_memoized()
@@ -824,11 +752,7 @@ impl McdProcessor {
         {
             return None;
         }
-        let watchdog_ps = self
-            .run_state
-            .last_commit_check
-            .1
-            .saturating_add(COMMIT_WATCHDOG_PS + 1);
+        let watchdog_ps = progress_ps.saturating_add(COMMIT_WATCHDOG_PS + 1);
         let mut horizon = ON_CHIP_DOMAINS
             .iter()
             .map(|&d| self.timeline.next_due(d))
@@ -848,40 +772,33 @@ impl McdProcessor {
     }
 
     /// Steps every on-chip domain, one domain at a time, through its edges
-    /// before `horizon`, charging each as an idle handler would — at most
-    /// `budget` edges in all.  Returns the edges stepped.
+    /// before `horizon`, charging each as an idle handler would.
     ///
     /// Exact: every edge before the horizon is idle, and an idle edge
     /// touches only its own domain's state (clock, charges, the sums of
     /// [`IdleEdgeSums`], counters and queue occupancy), so the domains'
     /// edges commute.  Every per-structure float sum receives its charges
-    /// in the original order.  When the budget stops the catch-up with the
-    /// domains at different times, the tournament still finishes the
-    /// remaining edges before the horizon ahead of any busy edge.
-    fn catch_up(&mut self, horizon: TimePs, budget: u64) -> u64 {
+    /// in the original order.
+    fn catch_up(&mut self, horizon: TimePs) {
         let mut stepped = 0;
         for d in ON_CHIP_DOMAINS {
-            if stepped == budget {
-                break;
-            }
-            stepped += self.catch_up_domain(d, horizon, budget - stepped);
+            stepped += self.catch_up_domain(d, horizon);
         }
         if stepped > 0 {
             self.quiet_skips += 1;
         }
-        stepped
     }
 
-    /// Steps on-chip domain `d` through at most `budget` of its edges
-    /// before `horizon` (see [`McdProcessor::catch_up`]).
-    fn catch_up_domain(&mut self, d: DomainId, horizon: TimePs, budget: u64) -> u64 {
+    /// Steps on-chip domain `d` through its edges before `horizon` (see
+    /// [`McdProcessor::catch_up`]) and returns how many it stepped.
+    fn catch_up_domain(&mut self, d: DomainId, horizon: TimePs) -> u64 {
         let di = d.index();
         if self.clocks[di].next_edge_ps() >= horizon {
             return 0;
         }
         let mut sums = self.idle_sums(d);
         let mut edges = 0;
-        while edges < budget && self.clocks[di].next_edge_ps() < horizon {
+        while self.clocks[di].next_edge_ps() < horizon {
             self.clocks[di].advance();
             self.refresh_charge(d);
             sums.add_edge(&self.charges[di], self.clocks[di].current_freq_mhz());
@@ -900,9 +817,10 @@ impl McdProcessor {
         edges
     }
 
-    fn finish(&mut self) -> SimResult {
+    /// The telemetry of a run that started at `start_ps` and took
+    /// `wall_seconds` on the host.
+    fn finish(&mut self, start_ps: TimePs, wall_seconds: f64) -> SimResult {
         self.controller.finish();
-        let start_ps = self.run_state.start_ps.unwrap_or(0);
         let elapsed = self.last_commit_ps.saturating_sub(start_ps).max(1);
         let avg_domain_freq_mhz = CONTROLLABLE_DOMAINS
             .iter()
@@ -917,9 +835,7 @@ impl McdProcessor {
             })
             .collect();
 
-        // Wall-clock accumulated over every slice of the run (slices may
-        // have executed on different worker threads).
-        let mut host = HostStats::from_run(self.committed, self.run_state.wall_seconds);
+        let mut host = HostStats::from_run(self.committed, wall_seconds);
         host.events = self.timeline.stats();
         for d in ON_CHIP_DOMAINS {
             host.domain_steps[d.index()] = self.clocks[d.index()].cycles();
@@ -978,9 +894,11 @@ mod tests {
         assert!(r.elapsed_ps > 0);
         assert!(r.chip_energy() > 0.0);
         assert!(r.branch_stats.direction_predictions > 0);
-        // Host-throughput telemetry is populated.
+        // Host-throughput telemetry is populated, and the simulated MIPS
+        // are derived from the run's wall-clock.
         assert!(r.host.wall_seconds > 0.0);
-        assert!(r.host.simulated_mips > 0.0);
+        let implied_mips = r.committed_instructions as f64 / r.host.wall_seconds / 1e6;
+        assert!((r.host.simulated_mips - implied_mips).abs() < 1e-9);
     }
 
     #[test]
@@ -1178,116 +1096,19 @@ mod tests {
         let _ = McdProcessor::new(cfg, Box::new(FixedController::at_max()));
     }
 
-    /// Runs `bench` pausing every `slice` kernel steps; the slice
-    /// boundaries must be invisible in the result.
-    fn run_sliced(bench: Benchmark, insts: u64, cfg: SimConfig, slice: u64) -> (SimResult, u64) {
-        let mut stream = WorkloadGenerator::new(&bench.spec(), 42, insts);
-        let mut cpu = McdProcessor::new(cfg, Box::new(FixedController::at_max()));
-        let mut pauses = 0;
-        loop {
-            match cpu.run_for(&mut stream, slice) {
-                StepOutcome::Paused => pauses += 1,
-                StepOutcome::Finished(r) => return (r, pauses),
-            }
-        }
-    }
-
-    #[test]
-    fn sliced_run_is_bit_identical_to_unsliced() {
-        let insts = 8_000;
-        let unsliced = run_benchmark(
-            Benchmark::Gzip,
-            insts,
-            SimConfig::baseline_mcd(insts),
-            Box::new(FixedController::at_max()),
-        );
-        for slice in [1_000, 7, 1] {
-            let (sliced, pauses) = run_sliced(
-                Benchmark::Gzip,
-                insts,
-                SimConfig::baseline_mcd(insts),
-                slice,
-            );
-            assert!(pauses > 0, "slice {slice} must actually pause");
-            assert_eq!(sliced, unsliced, "slice length {slice} changed the result");
-        }
-        // A slice larger than the whole run finishes without pausing.
-        let (big, pauses) = run_sliced(
-            Benchmark::Gzip,
-            insts,
-            SimConfig::baseline_mcd(insts),
-            u64::MAX,
-        );
-        assert_eq!(pauses, 0);
-        assert_eq!(big, unsliced);
-    }
-
-    #[test]
-    #[expect(clippy::disallowed_types, reason = "times each slice on the host")]
-    fn sliced_host_stats_accumulate_across_slices() {
-        // HostStats must describe the whole run, not the last slice.  Time
-        // every slice externally: the reported wall-clock must be close to
-        // the externally measured total (it can never exceed it, and a
-        // regression to "last slice only" would report a small fraction of
-        // it), and the simulated MIPS must be derived from that total.
-        let insts = 5_000;
-        let mut stream = WorkloadGenerator::new(&Benchmark::Gzip.spec(), 42, insts);
-        let mut cpu = McdProcessor::new(
-            SimConfig::baseline_mcd(insts),
-            Box::new(FixedController::at_max()),
-        );
-        let mut external_total = 0.0f64;
-        let mut slices = Vec::new();
-        let r = loop {
-            let t = std::time::Instant::now();
-            let outcome = cpu.run_for(&mut stream, 500);
-            let elapsed = t.elapsed().as_secs_f64();
-            external_total += elapsed;
-            slices.push(elapsed);
-            if let StepOutcome::Finished(r) = outcome {
-                break r;
-            }
-        };
-        assert!(slices.len() > 10, "the run must have spanned many slices");
-        assert!(
-            r.host.wall_seconds <= external_total,
-            "reported wall-clock cannot exceed the externally timed total"
-        );
-        let max_slice = slices.iter().cloned().fold(0.0f64, f64::max);
-        assert!(
-            r.host.wall_seconds > external_total - 2.0 * max_slice,
-            "reported wall-clock ({}) must cover (nearly) all {} slices \
-             (external total {external_total}), not just the last one",
-            r.host.wall_seconds,
-            slices.len()
-        );
-        let implied_mips = r.committed_instructions as f64 / r.host.wall_seconds / 1e6;
-        assert!(
-            (r.host.simulated_mips - implied_mips).abs() < 1e-9,
-            "simulated MIPS must be derived from the accumulated wall-clock"
-        );
-    }
-
     #[test]
     fn step_counters_account_for_every_kernel_step() {
         // Every kernel step is one edge of one on-chip domain, so the
-        // per-domain step counts sum to the steps taken, and idle steps
-        // are a subset of each domain's steps.
+        // per-domain step counts sum to the edges the clocks advanced, and
+        // idle steps are a subset of each domain's steps.
         let insts = 5_000;
-        let mut stream = WorkloadGenerator::new(&Benchmark::Mcf.spec(), 42, insts);
+        let stream = WorkloadGenerator::new(&Benchmark::Mcf.spec(), 42, insts);
         let mut cpu = McdProcessor::new(
             SimConfig::baseline_mcd(insts),
             Box::new(FixedController::at_max()),
         );
-        let mut steps = 0u64;
-        let r = loop {
-            let before: u64 = cpu.clocks.iter().map(|c| c.cycles()).sum();
-            let outcome = cpu.run_for(&mut stream, 1_000);
-            steps += cpu.clocks.iter().map(|c| c.cycles()).sum::<u64>() - before;
-            if let StepOutcome::Finished(r) = outcome {
-                break r;
-            }
-        };
+        let r = cpu.run(stream);
+        let steps: u64 = cpu.clocks.iter().map(|c| c.cycles()).sum();
         let host = &r.host;
         assert_eq!(host.total_steps(), steps);
         assert_eq!(
@@ -1327,24 +1148,18 @@ mod tests {
         }
     }
 
-    /// Runs a workload in `run_for` slices of `budget` steps, with or
-    /// without the quiet-time catch-up.
+    /// Runs a workload with or without the quiet-time catch-up.
     fn run_with_catch_up(
         bench: Benchmark,
         seed: u64,
         config: &SimConfig,
         controller_kind: u8,
-        budget: u64,
         catch_up: bool,
     ) -> SimResult {
-        let mut stream = WorkloadGenerator::new(&bench.spec(), seed, config.max_instructions);
+        let stream = WorkloadGenerator::new(&bench.spec(), seed, config.max_instructions);
         let mut cpu = McdProcessor::new(config.clone(), controller(controller_kind, config));
-        cpu.run_state.plain_stepping = !catch_up;
-        loop {
-            if let StepOutcome::Finished(r) = cpu.run_for(&mut stream, budget) {
-                return r;
-            }
-        }
+        cpu.plain_stepping = !catch_up;
+        cpu.run(stream)
     }
 
     proptest! {
@@ -1352,18 +1167,16 @@ mod tests {
 
         /// The quiet-time catch-up is exact: a run with it equals the run
         /// that steps every edge through the tournament — over every
-        /// benchmark, seeds, controllers, both clocking modes, pause
-        /// budgets that cut catch-ups short and two memory issue widths.
-        /// At width 4 more loads are ready in one scan than the two
-        /// MemPorts take, so loads lose the port; at the paper's width 2
-        /// they never do.
+        /// benchmark, seeds, controllers, both clocking modes and two
+        /// memory issue widths.  At width 4 more loads are ready in one
+        /// scan than the two MemPorts take, so loads lose the port; at the
+        /// paper's width 2 they never do.
         #[test]
         fn catch_up_matches_plain_stepping(
             bench_sel in 0usize..30,
             seed in 0u64..1_000,
             controller_kind in 0u8..3,
             synchronous in 0u8..2,
-            budget_sel in 0u8..4,
             wide_mem in 0u8..2,
         ) {
             let bench = Benchmark::ALL[bench_sel % Benchmark::ALL.len()];
@@ -1379,12 +1192,11 @@ mod tests {
             config.interval_instructions = 500;
             config.record_traces = true;
             config.arch.mem_issue_width = [2, 4][wide_mem as usize];
-            let budget = [1, 7, 1_000, u64::MAX][budget_sel as usize];
-            let plain = run_with_catch_up(bench, seed, &config, controller_kind, u64::MAX, false);
-            let caught_up = run_with_catch_up(bench, seed, &config, controller_kind, budget, true);
+            let plain = run_with_catch_up(bench, seed, &config, controller_kind, false);
+            let caught_up = run_with_catch_up(bench, seed, &config, controller_kind, true);
             prop_assert!(
                 caught_up == plain,
-                "{bench:?} seed {seed} controller {controller_kind} budget {budget} diverged"
+                "{bench:?} seed {seed} controller {controller_kind} diverged"
             );
             prop_assert_eq!(plain.host.skipped_steps, [0; 4]);
             prop_assert!(caught_up.host.quiet_skips > 0, "no catch-up ran");
@@ -1392,121 +1204,15 @@ mod tests {
     }
 
     #[test]
-    fn a_pending_catch_up_never_overruns_the_slice_budget() {
-        let insts = 3_000;
-        let config = SimConfig::baseline_mcd(insts);
-        let reference = run_with_catch_up(Benchmark::Mcf, 42, &config, 0, u64::MAX, true);
-        for budget in [1, 3, 50] {
-            let mut stream = WorkloadGenerator::new(&Benchmark::Mcf.spec(), 42, insts);
-            let mut cpu = McdProcessor::new(config.clone(), Box::new(FixedController::at_max()));
-            let mut cut_catch_ups = 0;
-            let r = loop {
-                let edges = |cpu: &McdProcessor| cpu.clocks.iter().map(|c| c.cycles()).sum::<u64>();
-                let (before, skipped_before) = (edges(&cpu), cpu.skipped_steps);
-                let outcome = cpu.run_for(&mut stream, budget);
-                let stepped = edges(&cpu) - before;
-                assert!(stepped <= budget, "budget {budget}: {stepped} edges");
-                if matches!(outcome, StepOutcome::Paused)
-                    && cpu.run_state.quiet_streak >= QUIET_STREAK
-                    && cpu.skipped_steps != skipped_before
-                {
-                    cut_catch_ups += 1;
-                }
-                if let StepOutcome::Finished(r) = outcome {
-                    break r;
-                }
-            };
-            assert!(
-                cut_catch_ups > 0,
-                "budget {budget} never cut a catch-up short"
-            );
-            assert!(r.host.skipped_step_fraction() > 0.5, "{:?}", r.host);
-            assert_eq!(r, reference, "budget {budget} changed the result");
-        }
-    }
-
-    #[test]
-    fn run_for_reports_paused_until_finished() {
-        let insts = 2_000;
-        let mut stream = WorkloadGenerator::new(&Benchmark::Adpcm.spec(), 42, insts);
+    #[should_panic(expected = "already ran")]
+    fn running_a_processor_twice_panics() {
+        let insts = 500;
+        let spec = Benchmark::Adpcm.spec();
         let mut cpu = McdProcessor::new(
             SimConfig::baseline_mcd(insts),
             Box::new(FixedController::at_max()),
         );
-        // One kernel step cannot commit the whole budget.
-        assert!(matches!(cpu.run_for(&mut stream, 1), StepOutcome::Paused));
-        assert!(cpu.committed < insts);
-        let r = loop {
-            if let StepOutcome::Finished(r) = cpu.run_for(&mut stream, 10_000) {
-                break r;
-            }
-        };
-        assert_eq!(r.committed_instructions, insts);
-    }
-
-    /// Runs `bench` to `pause_at` kernel steps, pauses, and finishes the
-    /// run in one more slice; the result must be bit-identical to an
-    /// uninterrupted run.  Exercises the state a pause carries: clocks
-    /// mid-ramp, in-flight slab, LSQ, timelines, telemetry and the
-    /// controller's state machine.
-    fn pause_resume_round_trip(
-        cfg: SimConfig,
-        make_controller: impl Fn() -> Box<dyn FrequencyController>,
-        pause_at: u64,
-    ) {
-        let insts = cfg.max_instructions;
-        let spec = Benchmark::Gzip.spec();
-        let stream = WorkloadGenerator::new(&spec, 42, insts);
-        let mut reference = McdProcessor::new(cfg.clone(), make_controller());
-        let unsliced = reference.run(stream);
-
-        let mut stream = WorkloadGenerator::new(&spec, 42, insts);
-        let mut cpu = McdProcessor::new(cfg, make_controller());
-        assert!(matches!(
-            cpu.run_for(&mut stream, pause_at),
-            StepOutcome::Paused
-        ));
-        let StepOutcome::Finished(resumed) = cpu.run_for(&mut stream, u64::MAX) else {
-            panic!("an unbounded slice runs to completion");
-        };
-        assert_eq!(resumed, unsliced, "a pause at step {pause_at} diverged");
-    }
-
-    #[test]
-    fn pause_is_bit_identical_mid_ramp_with_attack_decay() {
-        // 35k instructions crosses several control intervals, so pausing at
-        // an odd step count lands mid-ramp with the controller's
-        // state machine warm and traces partially recorded.
-        let mut cfg = SimConfig::baseline_mcd(35_000);
-        cfg.record_traces = true;
-        let table = OperatingPointTable::from_params(&cfg.clock);
-        for pause_at in [7_321, 60_001] {
-            pause_resume_round_trip(
-                cfg.clone(),
-                || {
-                    Box::new(AttackDecayController::new(
-                        AttackDecayParams::paper_defaults(),
-                        &table,
-                    ))
-                },
-                pause_at,
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "finished processor")]
-    fn stepping_a_finished_processor_panics() {
-        let mut stream = WorkloadGenerator::new(&Benchmark::Adpcm.spec(), 42, 500);
-        let mut cpu = McdProcessor::new(
-            SimConfig::baseline_mcd(500),
-            Box::new(FixedController::at_max()),
-        );
-        loop {
-            if let StepOutcome::Finished(_) = cpu.run_for(&mut stream, u64::MAX) {
-                break;
-            }
-        }
-        let _ = cpu.run_for(&mut stream, 1);
+        let _ = cpu.run(WorkloadGenerator::new(&spec, 42, insts));
+        let _ = cpu.run(WorkloadGenerator::new(&spec, 42, insts));
     }
 }

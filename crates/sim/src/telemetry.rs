@@ -90,7 +90,8 @@ impl EventTrafficStats {
 /// host took.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct HostStats {
-    /// Wall-clock time of the run in seconds.
+    /// Host wall-clock time of the whole `McdProcessor::run` call, in
+    /// seconds.
     pub wall_seconds: f64,
     /// Simulated millions of committed instructions per wall-clock second.
     pub simulated_mips: f64,
@@ -144,14 +145,8 @@ impl HostStats {
     }
 
     /// Derives the throughput numbers from a run's committed-instruction
-    /// count and wall-clock duration.
-    ///
-    /// For a run executed in `run_for` slices the kernel accumulates the
-    /// wall-clock across all slices (even when they execute on different
-    /// worker threads) and calls this once at the end, so the stats always
-    /// describe the whole run — never the last slice.  Plan-level
-    /// aggregation in the experiment engine is a plain sum of these
-    /// per-run wall times.
+    /// count and wall-clock duration.  Plan-level aggregation in the
+    /// experiment engine is a plain sum of these per-run wall times.
     pub fn from_run(committed_instructions: u64, wall_seconds: f64) -> Self {
         let simulated_mips = if wall_seconds > 0.0 {
             committed_instructions as f64 / wall_seconds / 1e6

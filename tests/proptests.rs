@@ -12,9 +12,7 @@ use mcd::microarch::{
     Cache, CacheConfig, IssueQueue, LoadStoreQueue, LsqIssue, ReorderBuffer, RobEntry,
 };
 use mcd::power::{EnergyAccount, EnergyParams, Structure};
-use mcd::sim::{
-    DomainTimeline, EventKind, McdProcessor, SimConfig, SimResult, StepOutcome, TimelineEvent,
-};
+use mcd::sim::{DomainTimeline, EventKind, McdProcessor, SimConfig, SimResult, TimelineEvent};
 use mcd::workloads::{
     Benchmark, BranchBehavior, InstructionMix, MemoryBehavior, Phase, SharedTrace,
     WorkloadGenerator, WorkloadSpec,
@@ -426,108 +424,30 @@ proptest! {
     }
 }
 
-/// Runs `stream` on `cpu`, pausing at the given slice boundaries (cycled
-/// through repeatedly until the run finishes).  An empty sequence means
-/// one unbounded slice.
-fn finish_with_slices<S: InstructionStream>(
-    mut cpu: McdProcessor,
-    mut stream: S,
-    slices: &[u64],
-) -> SimResult {
-    let mut boundary = slices.iter().copied().cycle();
-    loop {
-        let slice = boundary.next().unwrap_or(u64::MAX);
-        if let StepOutcome::Finished(r) = cpu.run_for(&mut stream, slice) {
-            return r;
-        }
-    }
-}
-
-/// [`finish_with_slices`] for `insts` instructions under the baseline
-/// MCD configuration.
-fn run_stream_with_slices<S: InstructionStream>(
-    stream: S,
-    insts: u64,
-    slices: &[u64],
-) -> SimResult {
-    let cpu = McdProcessor::new(
+/// Runs `stream` for `insts` instructions under the baseline MCD
+/// configuration.
+fn run_baseline<S: InstructionStream>(stream: S, insts: u64) -> SimResult {
+    let mut cpu = McdProcessor::new(
         SimConfig::baseline_mcd(insts),
         Box::new(mcd::control::FixedController::at_max()),
     );
-    finish_with_slices(cpu, stream, slices)
-}
-
-/// [`run_stream_with_slices`] over `bench`'s live generator at seed 42.
-fn run_with_slices(bench: Benchmark, insts: u64, slices: &[u64]) -> SimResult {
-    run_stream_with_slices(
-        WorkloadGenerator::new(&bench.spec(), 42, insts),
-        insts,
-        slices,
-    )
+    cpu.run(stream)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Pause/resume bit-identity of the simulation kernel: for *any*
-    /// sequence of slice boundaries — including single-step slices and
-    /// slices far larger than the whole run — a sliced execution must
-    /// produce a `SimResult` equal to the unsliced run (host-throughput
-    /// telemetry is excluded from equality by design): every pause point
-    /// is invisible in the result.
-    #[test]
-    fn sliced_runs_are_bit_identical_for_random_slice_boundaries(
-        raw_slices in proptest::collection::vec((0u8..4, 0u64..45_000), 1..8),
-        bench_sel in 0u8..2,
-    ) {
-        // Each drawn pair picks a slice-length class and a magnitude
-        // within it: degenerate single-step slices, small slices (many
-        // pauses), mid-size slices (a handful of pauses), and slices far
-        // larger than the whole run (no pause at all).
-        let slices: Vec<u64> = raw_slices
-            .iter()
-            .map(|&(class, magnitude)| match class {
-                0 => 1,
-                1 => 2 + magnitude % 200,
-                2 => 5_000 + magnitude,
-                _ => 1_000_000 + magnitude,
-            })
-            .collect();
-        let bench = if bench_sel == 0 { Benchmark::Gzip } else { Benchmark::Swim };
-        let insts = 4_000;
-        let unsliced = run_with_slices(bench, insts, &[]);
-        let sliced = run_with_slices(bench, insts, &slices);
-        prop_assert!(
-            sliced == unsliced,
-            "slice sequence {:?} changed the result",
-            slices
-        );
-        prop_assert_eq!(sliced.committed_instructions, insts);
-    }
-
     /// Shared-trace replay bit-identity: a [`SharedTrace`] cursor must be
     /// indistinguishable from the live generator it recorded — the same
     /// instruction at every position, the same `remaining_hint` (the
-    /// frontend uses it for fetch gating), and the same `SimResult` when
-    /// the replay is additionally chopped by *any* sequence of `run_for`
-    /// pause boundaries.  This is the invariant that lets the experiment
-    /// engine substitute one materialized trace for every same-workload
-    /// run of a plan.
+    /// frontend uses it for fetch gating), and the same `SimResult`.  This
+    /// is the invariant that lets the experiment engine substitute one
+    /// materialized trace for every same-workload run of a plan.
     #[test]
-    fn trace_replay_is_bit_identical_for_random_slice_boundaries(
-        raw_slices in proptest::collection::vec((0u8..4, 0u64..45_000), 1..8),
+    fn trace_replay_is_bit_identical_to_the_live_generator(
         bench_sel in 0u8..3,
         seed in 0u64..1_000,
     ) {
-        let slices: Vec<u64> = raw_slices
-            .iter()
-            .map(|&(class, magnitude)| match class {
-                0 => 1,
-                1 => 2 + magnitude % 200,
-                2 => 5_000 + magnitude,
-                _ => 1_000_000 + magnitude,
-            })
-            .collect();
         let bench = [Benchmark::Gzip, Benchmark::Swim, Benchmark::Mcf][bench_sel as usize];
         let insts = 4_000;
         let spec = bench.spec();
@@ -544,16 +464,10 @@ proptest! {
             }
         }
 
-        // Simulated-result equality: live unsliced vs replay sliced at
-        // arbitrary pause boundaries.
-        let live_run =
-            run_stream_with_slices(WorkloadGenerator::new(&spec, seed, insts), insts, &[]);
-        let traced_run = run_stream_with_slices(trace.cursor(), insts, &slices);
-        prop_assert!(
-            traced_run == live_run,
-            "trace replay with slices {:?} changed the result",
-            slices
-        );
+        // Simulated-result equality: live run vs replay.
+        let live_run = run_baseline(WorkloadGenerator::new(&spec, seed, insts), insts);
+        let traced_run = run_baseline(trace.cursor(), insts);
+        prop_assert!(traced_run == live_run, "trace replay changed the result");
         prop_assert_eq!(traced_run.committed_instructions, insts);
     }
 
@@ -562,28 +476,18 @@ proptest! {
     /// derive every dispatched instruction's producers from the rename
     /// map (the trace carries instruction records only — no precomputed
     /// dependence sidecar).  For *any* single-phase spec with a random
-    /// instruction mix, seed and sequence of pause boundaries, the
-    /// trace-fed run must produce a `SimResult` bit-identical to the
-    /// uninterrupted live run and commit every recorded instruction.
+    /// instruction mix and seed, the trace-fed run must produce a
+    /// `SimResult` bit-identical to the live run and commit every recorded
+    /// instruction.
     #[test]
-    fn annotation_fed_dispatch_matches_live_rename_derivation(
+    fn trace_fed_dispatch_matches_live_rename_derivation(
         int_alu in 0.1f64..0.6,
         load in 0.05f64..0.4,
         store in 0.0f64..0.2,
         branch in 0.02f64..0.3,
         fp in 0.0f64..0.4,
         seed in 0u64..1_000,
-        raw_slices in proptest::collection::vec((0u8..4, 0u64..45_000), 1..6),
     ) {
-        let slices: Vec<u64> = raw_slices
-            .iter()
-            .map(|&(class, magnitude)| match class {
-                0 => 1,
-                1 => 2 + magnitude % 200,
-                2 => 5_000 + magnitude,
-                _ => 1_000_000 + magnitude,
-            })
-            .collect();
         let mix = InstructionMix {
             int_alu,
             int_mul: 0.01,
@@ -603,74 +507,10 @@ proptest! {
         // One instruction record per recorded instruction.
         prop_assert_eq!(trace.len(), insts);
 
-        let live = run_stream_with_slices(WorkloadGenerator::new(&spec, seed, insts), insts, &[]);
-        let fed = run_stream_with_slices(trace.cursor(), insts, &slices);
-        prop_assert!(
-            fed == live,
-            "trace-fed replay with slices {:?} diverged from the live run",
-            slices
-        );
+        let live = run_baseline(WorkloadGenerator::new(&spec, seed, insts), insts);
+        let fed = run_baseline(trace.cursor(), insts);
+        prop_assert!(fed == live, "trace-fed replay diverged from the live run");
         prop_assert_eq!(fed.committed_instructions, insts);
-    }
-
-    /// Pause-chain bit-identity under a stateful controller: for *any*
-    /// chain of pause points (cycled until the run finishes) — including
-    /// degenerate single-step pauses, pauses mid-frequency-ramp
-    /// (Attack/Decay under a short control interval) and pauses past the
-    /// end of the run — with a live or a trace-fed stream, the final
-    /// `SimResult` must equal the uninterrupted live run.
-    #[test]
-    fn pause_chains_are_bit_identical(
-        raw_pauses in proptest::collection::vec((0u8..4, 0u64..45_000), 1..6),
-        bench_sel in 0u8..2,
-        share_sel in 0u8..2,
-        config_sel in 0u8..2,
-        seed in 0u64..1_000,
-    ) {
-        let pauses: Vec<u64> = raw_pauses
-            .iter()
-            .map(|&(class, magnitude)| match class {
-                0 => 1,
-                1 => 2 + magnitude % 200,
-                2 => 5_000 + magnitude,
-                _ => 1_000_000 + magnitude,
-            })
-            .collect();
-        let bench = if bench_sel == 0 { Benchmark::Gzip } else { Benchmark::Swim };
-        let insts = 3_000;
-        let mut cfg = SimConfig::baseline_mcd(insts);
-        cfg.seed = seed;
-        // The short control interval forces frequency ramps under
-        // Attack/Decay, so some pause points land mid-ramp.
-        cfg.interval_instructions = 500;
-        let controller = || -> Box<dyn FrequencyController> {
-            if config_sel == 0 {
-                Box::new(AttackDecayController::new(
-                    AttackDecayParams::paper_defaults(),
-                    &OperatingPointTable::default(),
-                ))
-            } else {
-                Box::new(mcd::control::FixedController::at_max())
-            }
-        };
-        let spec = bench.spec();
-        let live = || WorkloadGenerator::new(&spec, seed, insts);
-        let cpu = || McdProcessor::new(cfg.clone(), controller());
-        let whole = finish_with_slices(cpu(), live(), &[]);
-        let replay = share_sel == 1;
-        let paused = if replay {
-            let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, seed, insts));
-            finish_with_slices(cpu(), trace.cursor(), &pauses)
-        } else {
-            finish_with_slices(cpu(), live(), &pauses)
-        };
-        prop_assert!(
-            paused == whole,
-            "pause chain {:?} changed the result (replay={})",
-            pauses,
-            replay
-        );
-        prop_assert_eq!(paused.committed_instructions, insts);
     }
 }
 
