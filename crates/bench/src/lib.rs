@@ -137,6 +137,22 @@ pub fn nproc() -> u64 {
         .unwrap_or(1)
 }
 
+/// This process's peak resident set in MiB, read from the `VmHWM` line of
+/// `/proc/self/status`; `None` where that file is absent (non-Linux
+/// hosts).
+pub fn peak_rss_mib() -> Option<f64> {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| vm_hwm_mib(&status))
+}
+
+/// The `VmHWM:   <n> kB` value of a `/proc/<pid>/status` text, in MiB.
+fn vm_hwm_mib(status: &str) -> Option<f64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 /// Writes the host-throughput artefact of one experiment run
 /// (`BENCH_<name>.json` in the results directory): engine statistics plus
 /// any experiment-specific extras.  This is what makes simulator-kernel
@@ -322,6 +338,18 @@ mod tests {
             reject_args(args(&["bin", "--bogus"])).unwrap_err(),
             "unknown argument \"--bogus\" (this binary takes no arguments)"
         );
+    }
+
+    #[test]
+    fn vm_hwm_line_is_parsed_in_mib() {
+        let status =
+            "Name:\treproduce\nVmPeak:\t  204800 kB\nVmHWM:\t   118784 kB\nVmRSS:\t 1024 kB\n";
+        assert_eq!(vm_hwm_mib(status), Some(116.0));
+        assert_eq!(vm_hwm_mib("VmRSS:\t1024 kB\n"), None);
+        assert_eq!(vm_hwm_mib("VmHWM:\t12 MB\n"), None);
+        assert_eq!(vm_hwm_mib("VmHWM:\tlots kB\n"), None);
+        #[cfg(target_os = "linux")]
+        assert!(peak_rss_mib().is_some_and(|mib| mib > 0.0));
     }
 
     #[test]

@@ -48,5 +48,5 @@ pub use controller::{ControllerKind, FrequencyController};
 pub use fixed::FixedController;
 pub use global::GlobalScalingController;
 pub use hardware::{HardwareComponent, HardwareEstimate};
-pub use offline::{OfflineController, OfflineProfile, OfflineTuning};
+pub use offline::OfflineController;
 pub use sample::{DomainSample, FrequencyCommand, IntervalSample, INTERVAL_INSTRUCTIONS};

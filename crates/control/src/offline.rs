@@ -22,54 +22,12 @@
 //! grows.
 
 use mcd_clock::{DomainId, MegaHertz, OperatingPointTable, CONTROLLABLE_DOMAINS};
-use serde::{Deserialize, Serialize};
 
 use crate::controller::FrequencyController;
 use crate::sample::{DomainSample, FrequencyCommand, IntervalSample};
 
-/// Per-interval, per-domain activity profile recorded during a
-/// maximum-frequency run, used to build the off-line schedule.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct OfflineProfile {
-    /// `intervals[i]` holds the samples of interval `i` for the
-    /// controllable domains.
-    pub intervals: Vec<Vec<DomainSample>>,
-}
-
-impl OfflineProfile {
-    /// Creates an empty profile.
-    pub fn new() -> Self {
-        OfflineProfile {
-            intervals: Vec::new(),
-        }
-    }
-
-    /// Appends one interval's domain samples (called by the simulator's
-    /// telemetry when profiling is enabled).
-    pub fn push_interval(&mut self, samples: Vec<DomainSample>) {
-        self.intervals.push(samples);
-    }
-
-    /// Number of recorded intervals.
-    pub fn len(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// Whether the profile is empty.
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
-    }
-
-    /// The sample of `domain` in interval `i`, if recorded.
-    pub fn sample(&self, interval: usize, domain: DomainId) -> Option<&DomainSample> {
-        self.intervals
-            .get(interval)
-            .and_then(|v| v.iter().find(|s| s.domain == domain))
-    }
-}
-
-/// Tuning constants mapping a degradation target to the slack cushion of
-/// the oracle's frequency formula.
+/// The slack cushion of the oracle's frequency formula for a degradation
+/// target.
 ///
 /// For a domain whose profiled *activity ratio* in an interval is `rho`
 /// (issued instructions per maximum-frequency cycle, normalised by the
@@ -77,46 +35,19 @@ impl OfflineProfile {
 ///
 /// ```text
 /// f = f_max * clamp(rho + cushion, f_min/f_max, 1.0)
-/// cushion = base_cushion - slope * target_degradation   (floored)
+/// cushion = 0.40 - 4.0 * target_degradation   (floored at 0.12)
 /// ```
 ///
 /// A tighter (smaller) cushion saves more energy but risks more slowdown,
 /// which is exactly the Dynamic-1% versus Dynamic-5% trade-off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OfflineTuning {
-    /// Cushion at a 0% degradation target.
-    pub base_cushion: f64,
-    /// How quickly the cushion shrinks per unit of degradation target.
-    pub cushion_slope: f64,
-    /// Minimum cushion.
-    pub min_cushion: f64,
-}
-
-impl Default for OfflineTuning {
-    fn default() -> Self {
-        OfflineTuning {
-            base_cushion: 0.40,
-            cushion_slope: 4.0,
-            min_cushion: 0.12,
-        }
-    }
-}
-
-impl OfflineTuning {
-    /// The cushion for a given degradation target.
-    pub fn cushion(&self, target_degradation: f64) -> f64 {
-        (self.base_cushion - self.cushion_slope * target_degradation).max(self.min_cushion)
-    }
+fn cushion(target_degradation: f64) -> f64 {
+    (0.40 - 4.0 * target_degradation).max(0.12)
 }
 
 /// The off-line oracle controller (Dynamic-1%, Dynamic-5%, ... depending on
 /// the degradation target).
 #[derive(Debug, Clone)]
 pub struct OfflineController {
-    profile: OfflineProfile,
-    target_degradation: f64,
-    tuning: OfflineTuning,
-    min_freq: MegaHertz,
     max_freq: MegaHertz,
     name: String,
     /// Precomputed schedule: `schedule[i][d]` is the frequency for
@@ -125,7 +56,8 @@ pub struct OfflineController {
 }
 
 impl OfflineController {
-    /// Builds the oracle from a profile gathered at maximum frequency.
+    /// Builds the oracle from the per-interval record of a profiling run
+    /// at maximum frequency.
     ///
     /// `target_degradation` is the performance-degradation cap as a
     /// fraction (0.01 reproduces Dynamic-1%, 0.05 Dynamic-5%).
@@ -134,22 +66,8 @@ impl OfflineController {
     ///
     /// Panics if `target_degradation` is negative.
     pub fn from_profile(
-        profile: OfflineProfile,
+        profile: &[IntervalSample],
         target_degradation: f64,
-        table: &OperatingPointTable,
-    ) -> Self {
-        Self::with_tuning(profile, target_degradation, OfflineTuning::default(), table)
-    }
-
-    /// Builds the oracle with explicit tuning constants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_degradation` is negative.
-    pub fn with_tuning(
-        profile: OfflineProfile,
-        target_degradation: f64,
-        tuning: OfflineTuning,
         table: &OperatingPointTable,
     ) -> Self {
         assert!(
@@ -158,16 +76,15 @@ impl OfflineController {
         );
         let min_freq = table.min_point().freq_mhz;
         let max_freq = table.max_point().freq_mhz;
-        let cushion = tuning.cushion(target_degradation);
+        let cushion = cushion(target_degradation);
 
         let schedule = profile
-            .intervals
             .iter()
-            .map(|samples| {
+            .map(|interval| {
                 CONTROLLABLE_DOMAINS
                     .iter()
                     .map(|&domain| {
-                        let f = match samples.iter().find(|s| s.domain == domain) {
+                        let f = match interval.domain(domain) {
                             Some(s) => {
                                 let rho = Self::activity_ratio(s);
                                 let scale = (rho + cushion).clamp(min_freq / max_freq, 1.0);
@@ -183,10 +100,6 @@ impl OfflineController {
 
         let name = format!("dynamic-{}pct", (target_degradation * 100.0).round() as u32);
         OfflineController {
-            profile,
-            target_degradation,
-            tuning,
-            min_freq,
             max_freq,
             name,
             schedule,
@@ -225,16 +138,6 @@ impl OfflineController {
             .min(1.0)
     }
 
-    /// The degradation target this oracle was built for.
-    pub fn target_degradation(&self) -> f64 {
-        self.target_degradation
-    }
-
-    /// The tuning constants in use.
-    pub fn tuning(&self) -> OfflineTuning {
-        self.tuning
-    }
-
     /// The precomputed frequency for `domain` in interval `i` (clamped to
     /// the last scheduled interval when the re-run executes longer than the
     /// profiling run).
@@ -248,16 +151,6 @@ impl OfflineController {
             .find(|(d, _)| *d == domain)
             .map(|(_, f)| *f)
             .unwrap_or(self.max_freq)
-    }
-
-    /// The profile the oracle was built from.
-    pub fn profile(&self) -> &OfflineProfile {
-        &self.profile
-    }
-
-    /// Minimum frequency of the operating-point table.
-    pub fn min_freq(&self) -> MegaHertz {
-        self.min_freq
     }
 }
 
@@ -301,25 +194,30 @@ mod tests {
         }
     }
 
-    fn profile_with(intervals: Vec<[(u64, u64); 3]>) -> OfflineProfile {
-        let mut p = OfflineProfile::new();
-        for [int, fp, ls] in intervals {
-            p.push_interval(vec![
-                sample(DomainId::Integer, int.0, int.1, 10_000),
-                sample(DomainId::FloatingPoint, fp.0, fp.1, 10_000),
-                sample(DomainId::LoadStore, ls.0, ls.1, 10_000),
-            ]);
-        }
-        p
+    fn profile_with(intervals: Vec<[(u64, u64); 3]>) -> Vec<IntervalSample> {
+        intervals
+            .into_iter()
+            .enumerate()
+            .map(|(i, [int, fp, ls])| IntervalSample {
+                interval: i as u64,
+                instructions: 10_000,
+                frontend_cycles: 10_000,
+                ipc: 1.0,
+                domains: vec![
+                    sample(DomainId::Integer, int.0, int.1, 10_000),
+                    sample(DomainId::FloatingPoint, fp.0, fp.1, 10_000),
+                    sample(DomainId::LoadStore, ls.0, ls.1, 10_000),
+                ],
+            })
+            .collect()
     }
 
     #[test]
     fn empty_profile_defaults_to_max_frequency() {
         let table = OperatingPointTable::default();
-        let ctrl = OfflineController::from_profile(OfflineProfile::new(), 0.01, &table);
+        let ctrl = OfflineController::from_profile(&[], 0.01, &table);
         assert_eq!(ctrl.scheduled_freq(0, DomainId::Integer), 1000.0);
         assert_eq!(ctrl.scheduled_freq(99, DomainId::LoadStore), 1000.0);
-        assert!(ctrl.profile().is_empty());
     }
 
     #[test]
@@ -327,7 +225,7 @@ mod tests {
         let table = OperatingPointTable::default();
         // FP completely idle, integer busy.
         let profile = profile_with(vec![[(30_000, 9_000), (0, 0), (5_000, 4_000)]]);
-        let ctrl = OfflineController::from_profile(profile, 0.05, &table);
+        let ctrl = OfflineController::from_profile(&profile, 0.05, &table);
         let fp = ctrl.scheduled_freq(0, DomainId::FloatingPoint);
         let int = ctrl.scheduled_freq(0, DomainId::Integer);
         assert!(fp < 400.0, "idle FP domain should be parked low, got {fp}");
@@ -341,8 +239,8 @@ mod tests {
     fn higher_degradation_target_selects_lower_frequencies() {
         let table = OperatingPointTable::default();
         let profile = profile_with(vec![[(20_000, 6_000), (4_000, 2_500), (8_000, 5_000)]; 4]);
-        let d1 = OfflineController::from_profile(profile.clone(), 0.01, &table);
-        let d5 = OfflineController::from_profile(profile, 0.05, &table);
+        let d1 = OfflineController::from_profile(&profile, 0.01, &table);
+        let d5 = OfflineController::from_profile(&profile, 0.05, &table);
         for domain in CONTROLLABLE_DOMAINS {
             assert!(
                 d5.scheduled_freq(0, domain) <= d1.scheduled_freq(0, domain),
@@ -364,7 +262,7 @@ mod tests {
             [(20_000, 6_000), (15_000, 9_000), (6_000, 4_000)],
             [(20_000, 6_000), (0, 0), (6_000, 4_000)],
         ]);
-        let ctrl = OfflineController::from_profile(profile, 0.01, &table);
+        let ctrl = OfflineController::from_profile(&profile, 0.01, &table);
         let f0 = ctrl.scheduled_freq(0, DomainId::FloatingPoint);
         let f1 = ctrl.scheduled_freq(1, DomainId::FloatingPoint);
         let f2 = ctrl.scheduled_freq(2, DomainId::FloatingPoint);
@@ -379,7 +277,7 @@ mod tests {
             [(20_000, 6_000), (0, 0), (6_000, 4_000)],
             [(20_000, 6_000), (18_000, 9_500), (6_000, 4_000)],
         ]);
-        let mut ctrl = OfflineController::from_profile(profile, 0.01, &table);
+        let mut ctrl = OfflineController::from_profile(&profile, 0.01, &table);
         let sample0 = IntervalSample {
             interval: 0,
             instructions: 10_000,
@@ -416,7 +314,7 @@ mod tests {
     fn initial_frequency_comes_from_interval_zero() {
         let table = OperatingPointTable::default();
         let profile = profile_with(vec![[(30_000, 9_500), (0, 0), (2_000, 1_500)]]);
-        let ctrl = OfflineController::from_profile(profile, 0.05, &table);
+        let ctrl = OfflineController::from_profile(&profile, 0.05, &table);
         assert_eq!(
             ctrl.initial_freq_mhz(DomainId::FloatingPoint),
             Some(ctrl.scheduled_freq(0, DomainId::FloatingPoint))
@@ -427,22 +325,20 @@ mod tests {
     #[test]
     fn names_match_paper_configurations() {
         let table = OperatingPointTable::default();
-        let p = OfflineProfile::new();
         assert_eq!(
-            OfflineController::from_profile(p.clone(), 0.01, &table).name(),
+            OfflineController::from_profile(&[], 0.01, &table).name(),
             "dynamic-1pct"
         );
         assert_eq!(
-            OfflineController::from_profile(p, 0.05, &table).name(),
+            OfflineController::from_profile(&[], 0.05, &table).name(),
             "dynamic-5pct"
         );
     }
 
     #[test]
     fn cushion_shrinks_with_target_but_is_floored() {
-        let t = OfflineTuning::default();
-        assert!(t.cushion(0.01) > t.cushion(0.05));
-        assert!(t.cushion(10.0) >= t.min_cushion);
+        assert!(cushion(0.01) > cushion(0.05));
+        assert_eq!(cushion(10.0), 0.12);
     }
 
     #[test]
@@ -459,6 +355,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_target_panics() {
         let table = OperatingPointTable::default();
-        let _ = OfflineController::from_profile(OfflineProfile::new(), -0.1, &table);
+        let _ = OfflineController::from_profile(&[], -0.1, &table);
     }
 }

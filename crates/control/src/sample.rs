@@ -32,7 +32,11 @@ pub struct DomainSample {
     pub busy_cycles: u64,
     /// Number of instructions the domain issued during the interval.
     pub issued_instructions: u64,
-    /// The domain's (target) frequency during the interval, in MHz.
+    /// The domain's target frequency, in MHz.  A controller receives the
+    /// target in force during the interval; a recorded sample
+    /// (`SimResult::intervals`) holds the target the controller set at
+    /// the interval's end.  No controller reads this field, and a
+    /// profiling run holds every domain at maximum, where the two agree.
     pub freq_mhz: MegaHertz,
 }
 
@@ -52,9 +56,10 @@ impl DomainSample {
 pub struct IntervalSample {
     /// Zero-based interval index.
     pub interval: u64,
-    /// Committed instructions in the interval (normally
-    /// [`INTERVAL_INSTRUCTIONS`]; the final interval of a run may be
-    /// shorter).
+    /// Committed instructions in the interval: always the configured
+    /// interval length (normally [`INTERVAL_INSTRUCTIONS`]).  An interval
+    /// ends only when the committed count reaches a multiple of it, so a
+    /// trailing partial interval is never sampled.
     pub instructions: u64,
     /// Front-end clock cycles elapsed during the interval.
     pub frontend_cycles: u64,

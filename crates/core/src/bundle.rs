@@ -46,27 +46,19 @@ pub fn result_digest(r: &SimResult) -> u128 {
     h.write_u64(r.memory_accesses);
     h.write_u64(r.mispredict_redirects);
     h.write_usize(r.intervals.len());
-    for rec in &r.intervals {
-        h.write_u64(rec.interval);
-        h.write_u64(rec.committed);
-        h.write_f64(rec.ipc);
-        h.write_usize(rec.domains.len());
-        for d in &rec.domains {
+    for sample in &r.intervals {
+        h.write_u64(sample.interval);
+        h.write_u64(sample.instructions);
+        h.write_u64(sample.frontend_cycles);
+        h.write_f64(sample.ipc);
+        h.write_usize(sample.domains.len());
+        for d in &sample.domains {
             h.write_usize(d.domain.index());
             h.write_f64(d.queue_utilization);
+            h.write_u64(d.domain_cycles);
+            h.write_u64(d.busy_cycles);
+            h.write_u64(d.issued_instructions);
             h.write_f64(d.freq_mhz);
-        }
-    }
-    h.write_usize(r.profile.intervals.len());
-    for interval in &r.profile.intervals {
-        h.write_usize(interval.len());
-        for s in interval {
-            h.write_usize(s.domain.index());
-            h.write_f64(s.queue_utilization);
-            h.write_u64(s.domain_cycles);
-            h.write_u64(s.busy_cycles);
-            h.write_u64(s.issued_instructions);
-            h.write_f64(s.freq_mhz);
         }
     }
     h.write_usize(r.avg_domain_freq_mhz.len());

@@ -139,8 +139,7 @@ pub fn run_suite_with_stats(
 /// Groups the outcomes of a [`RunPlan::suite`] plan by benchmark.
 fn group_suite(outcomes: Vec<RunOutcome>) -> Vec<BenchmarkOutcomes> {
     // The plan lists five configurations per benchmark, in order; move
-    // the results out (each SimResult carries a full offline profile, so
-    // cloning here would memcpy the whole suite).
+    // the results out rather than clone them.
     let mut grouped = Vec::with_capacity(outcomes.len() / 5);
     let mut runs = outcomes.into_iter();
     while let Some(sync) = runs.next() {
@@ -703,15 +702,14 @@ pub mod traces {
         // the order of 150 intervals, as the paper's multi-million
         // instruction windows do at 10 000 instructions per interval.
         let interval = (instructions / 150).clamp(500, 10_000);
-        let mut runner = BenchmarkRunner::new(instructions, seed).with_interval(interval);
-        runner.record_traces = true;
-        let outcome = runner.run(
-            Benchmark::EpicDecode,
-            &ConfigKind::AttackDecay(AttackDecayParams::paper_defaults()),
-        );
-        let mut points = Vec::with_capacity(outcome.result.intervals.len());
+        let runner = BenchmarkRunner::new(instructions, seed).with_interval(interval);
+        let kind = ConfigKind::AttackDecay(AttackDecayParams::paper_defaults());
+        let mut config = runner.sim_config(&kind);
+        config.record_intervals = true;
+        let result = runner.simulate(Benchmark::EpicDecode, &kind, config);
+        let mut points = Vec::with_capacity(result.intervals.len());
         let mut prev_lsq: Option<f64> = None;
-        for rec in &outcome.result.intervals {
+        for rec in &result.intervals {
             let lsq = rec.domain(DomainId::LoadStore);
             let fp = rec.domain(DomainId::FloatingPoint);
             let lsq_util = lsq.map(|d| d.queue_utilization).unwrap_or(0.0);
@@ -722,7 +720,7 @@ pub mod traces {
             prev_lsq = Some(lsq_util);
             points.push(TracePoint {
                 interval: rec.interval,
-                committed: rec.committed,
+                committed: (rec.interval + 1) * rec.instructions,
                 lsq_utilization: lsq_util,
                 lsq_change_pct: change,
                 loadstore_freq_ghz: lsq.map(|d| d.freq_mhz / 1000.0).unwrap_or(1.0),

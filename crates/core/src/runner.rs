@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use mcd_clock::{MegaHertz, OperatingPointTable};
 use mcd_control::{
     AttackDecayController, AttackDecayParams, FixedController, FrequencyController,
-    GlobalScalingController, OfflineController, OfflineProfile,
+    GlobalScalingController, IntervalSample, OfflineController,
 };
 use mcd_sim::{McdProcessor, SimConfig, SimResult};
 use mcd_workloads::Benchmark;
@@ -69,12 +69,6 @@ pub struct RunOutcome {
     pub result: SimResult,
 }
 
-/// A profile cache shareable between runners and the parallel experiment
-/// engine's workers.  Ordered (`BTreeMap`; `clippy.toml` disallows
-/// `HashMap`): only keyed lookups happen today, but nothing on a
-/// result-affecting path may carry unordered iteration order.
-pub type SharedProfileCache = Arc<Mutex<BTreeMap<Benchmark, OfflineProfile>>>;
-
 /// Runs benchmarks under the paper's configurations, caching the profiling
 /// runs needed by the off-line oracle.
 ///
@@ -88,14 +82,17 @@ pub struct BenchmarkRunner {
     instructions: u64,
     /// Seed for workload generation and clock phases/jitter.
     seed: u64,
-    /// Record per-interval traces (needed for the Figure 2/3 experiment).
-    pub record_traces: bool,
     /// Committed instructions per control interval.  The paper uses 10 000;
     /// the experiment harness scales this down together with the simulation
     /// window so that short runs still contain enough control intervals for
     /// the algorithms to act (see docs/ARCHITECTURE.md, "Substitutions").
-    pub interval_instructions: u64,
-    profiles: SharedProfileCache,
+    interval_instructions: u64,
+    /// The off-line oracle's profile cache: each benchmark's baseline-MCD
+    /// interval record, shared by every oracle built from it.  Ordered
+    /// (`BTreeMap`; `clippy.toml` disallows `HashMap`): only keyed lookups
+    /// happen today, but nothing on a result-affecting path may carry
+    /// unordered iteration order.
+    profiles: Mutex<BTreeMap<Benchmark, Arc<[IntervalSample]>>>,
     /// The instruction stream of every run: one shared trace per
     /// benchmark.
     traces: TraceCache,
@@ -108,9 +105,8 @@ impl BenchmarkRunner {
         BenchmarkRunner {
             instructions,
             seed,
-            record_traces: false,
             interval_instructions: 10_000,
-            profiles: Arc::default(),
+            profiles: Mutex::default(),
             traces: TraceCache::new(seed, instructions),
         }
     }
@@ -139,7 +135,9 @@ impl BenchmarkRunner {
             .contains_key(&bench)
     }
 
-    /// The simulator configuration of a run under `kind`.
+    /// The simulator configuration of a run under `kind`.  Only the
+    /// off-line oracle's profile source, `BaselineMcd`, records its
+    /// intervals.
     pub(crate) fn sim_config(&self, kind: &ConfigKind) -> SimConfig {
         let mut cfg = match kind {
             ConfigKind::FullySynchronous | ConfigKind::GlobalScaling { .. } => {
@@ -148,7 +146,7 @@ impl BenchmarkRunner {
             _ => SimConfig::baseline_mcd(self.instructions),
         };
         cfg.seed = self.seed;
-        cfg.record_traces = self.record_traces;
+        cfg.record_intervals = matches!(kind, ConfigKind::BaselineMcd);
         cfg.interval_instructions = self.interval_instructions;
         cfg
     }
@@ -168,9 +166,8 @@ impl BenchmarkRunner {
                 Box::new(AttackDecayController::new(*params, &table))
             }
             ConfigKind::OfflineDynamic { target_degradation } => {
-                let profile = self.profile_for(bench);
                 Box::new(OfflineController::from_profile(
-                    profile,
+                    &self.profile_for(bench),
                     *target_degradation,
                     &table,
                 ))
@@ -181,21 +178,23 @@ impl BenchmarkRunner {
         }
     }
 
-    /// The per-interval activity profile of `bench` gathered from a
-    /// baseline-MCD run at maximum frequency (cached across calls; this is
-    /// the "first pass" of the off-line algorithm).
-    pub fn profile_for(&self, bench: Benchmark) -> OfflineProfile {
+    /// The interval record of a baseline-MCD run of `bench` at maximum
+    /// frequency (cached across calls; this is the "first pass" of the
+    /// off-line algorithm).
+    fn profile_for(&self, bench: Benchmark) -> Arc<[IntervalSample]> {
         if let Some(p) = self
             .profiles
             .lock()
             .expect("profile cache poisoned")
             .get(&bench)
         {
-            return p.clone();
+            return Arc::clone(p);
         }
         // The baseline run below re-checks and fills the cache.
-        let result = self.run(bench, &ConfigKind::BaselineMcd);
-        result.result.profile
+        self.run(bench, &ConfigKind::BaselineMcd)
+            .result
+            .intervals
+            .into()
     }
 
     /// Runs `bench` under `kind` to completion and returns the outcome.
@@ -207,27 +206,38 @@ impl BenchmarkRunner {
     /// For [`ConfigKind::OfflineDynamic`] this gathers the profiling pass
     /// first (through the shared cache); the experiment engine schedules
     /// those as explicit prerequisites so the cache is already warm.
-    /// Baseline-MCD runs cache their activity profile for the off-line
-    /// oracle.
+    /// Baseline-MCD runs carry their interval record and cache it for the
+    /// off-line oracle.
     pub fn run(&self, bench: Benchmark, kind: &ConfigKind) -> RunOutcome {
-        let trace = self.traces.lease(bench);
-        let controller = self.controller(bench, kind);
-        let mut cpu = McdProcessor::new(self.sim_config(kind), controller);
-        cpu.warm_caches(trace.warm_regions());
-        let mut result = cpu.run(trace.cursor());
-        result.host.trace_bytes = trace.bytes();
+        let result = self.simulate(bench, kind, self.sim_config(kind));
         if matches!(kind, ConfigKind::BaselineMcd) {
             self.profiles
                 .lock()
                 .expect("profile cache poisoned")
                 .entry(bench)
-                .or_insert_with(|| result.profile.clone());
+                .or_insert_with(|| result.intervals.as_slice().into());
         }
         RunOutcome {
             benchmark: bench,
             config: kind.clone(),
             result,
         }
+    }
+
+    /// Simulates `bench` under `kind`'s controller with `config`,
+    /// replaying the benchmark's shared trace.
+    pub(crate) fn simulate(
+        &self,
+        bench: Benchmark,
+        kind: &ConfigKind,
+        config: SimConfig,
+    ) -> SimResult {
+        let trace = self.traces.lease(bench);
+        let mut cpu = McdProcessor::new(config, self.controller(bench, kind));
+        cpu.warm_caches(trace.warm_regions());
+        let mut result = cpu.run(trace.cursor());
+        result.host.trace_bytes = trace.bytes();
+        result
     }
 }
 
@@ -259,9 +269,10 @@ mod tests {
         let runner = BenchmarkRunner::new(25_000, 7);
         let baseline = runner.run(Benchmark::Adpcm, &ConfigKind::BaselineMcd);
         assert_eq!(baseline.result.committed_instructions, 25_000);
-        // The profile is now cached: the offline configuration reuses it.
+        // The record is now cached: the offline configuration reuses it.
+        assert!(runner.has_profile(Benchmark::Adpcm));
         let profile = runner.profile_for(Benchmark::Adpcm);
-        assert_eq!(profile.len(), baseline.result.profile.len());
+        assert_eq!(profile[..], baseline.result.intervals[..]);
         let offline = runner.run(
             Benchmark::Adpcm,
             &ConfigKind::OfflineDynamic {
@@ -269,6 +280,43 @@ mod tests {
             },
         );
         assert_eq!(offline.result.committed_instructions, 25_000);
+    }
+
+    #[test]
+    fn only_baseline_runs_record_and_the_cached_record_feeds_the_oracle() {
+        let runner = BenchmarkRunner::new(20_000, 3).with_interval(1_000);
+        let dynamic5 = ConfigKind::OfflineDynamic {
+            target_degradation: 0.05,
+        };
+        for kind in [
+            ConfigKind::FullySynchronous,
+            ConfigKind::BaselineMcd,
+            ConfigKind::AttackDecay(AttackDecayParams::paper_defaults()),
+            dynamic5.clone(),
+            ConfigKind::GlobalScaling { freq_mhz: 875.0 },
+        ] {
+            let outcome = runner.run(Benchmark::Gzip, &kind);
+            let recorded = matches!(kind, ConfigKind::BaselineMcd);
+            assert_eq!(
+                outcome.result.intervals.len(),
+                if recorded { 20 } else { 0 }
+            );
+        }
+
+        // The reference oracle is built from a fresh runner's baseline
+        // record, outside the profile cache.
+        let cached = runner.run(Benchmark::Gzip, &dynamic5).result;
+        let fresh = BenchmarkRunner::new(20_000, 3).with_interval(1_000);
+        let baseline = fresh.run(Benchmark::Gzip, &ConfigKind::BaselineMcd).result;
+        let oracle = OfflineController::from_profile(
+            &baseline.intervals,
+            0.05,
+            &OperatingPointTable::default(),
+        );
+        let trace = fresh.traces.lease(Benchmark::Gzip);
+        let mut cpu = McdProcessor::new(fresh.sim_config(&dynamic5), Box::new(oracle));
+        cpu.warm_caches(trace.warm_regions());
+        assert_eq!(cached, cpu.run(trace.cursor()));
     }
 
     #[test]

@@ -132,9 +132,11 @@ pub struct SimConfig {
     pub max_instructions: u64,
     /// Seed for clock phases, jitter and any stochastic tie-breaks.
     pub seed: u64,
-    /// Record per-interval frequency/utilization traces (needed for the
-    /// Figure 2/3 reproductions; adds memory proportional to run length).
-    pub record_traces: bool,
+    /// Record every control interval's `IntervalSample` into
+    /// `SimResult::intervals`: the off-line oracle's profile and the
+    /// Figure 2/3 traces.  Off, nothing is recorded per interval; on, the
+    /// record grows with run length.  Never changes the simulation.
+    pub record_intervals: bool,
 }
 
 impl SimConfig {
@@ -150,7 +152,7 @@ impl SimConfig {
             interval_instructions: 10_000,
             max_instructions,
             seed: 0xC0FFEE,
-            record_traces: false,
+            record_intervals: false,
         }
     }
 

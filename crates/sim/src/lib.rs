@@ -50,6 +50,4 @@ pub mod telemetry;
 pub use config::{ArchParams, ClockingMode, SimConfig};
 pub use events::{DomainTimeline, EventKind, TimelineEvent};
 pub use processor::{McdProcessor, StepOutcome};
-pub use telemetry::{
-    DomainTrace, EventTrafficStats, HostStats, IntervalRecord, NotCompared, SimResult,
-};
+pub use telemetry::{EventTrafficStats, HostStats, NotCompared, SimResult};

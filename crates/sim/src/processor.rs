@@ -35,7 +35,7 @@ use mcd_clock::{
     DomainClock, DomainId, MegaHertz, OperatingPointTable, SyncWindow, TimePs,
     CONTROLLABLE_DOMAINS, ON_CHIP_DOMAINS,
 };
-use mcd_control::{DomainSample, FrequencyController, IntervalSample, OfflineProfile};
+use mcd_control::{DomainSample, FrequencyController, IntervalSample};
 use mcd_isa::{DynInst, InstructionStream, OpClass, SeqNum};
 use mcd_microarch::{
     BranchPredictor, Cache, FuPool, FuPoolConfig, IssueQueue, LoadStoreQueue, Prediction,
@@ -46,7 +46,7 @@ use mcd_power::{EnergyAccount, IdleSums, Structure};
 use crate::config::{ClockingMode, SimConfig};
 use crate::events::{DomainTimeline, TimelineEvent};
 use crate::inflight::{InFlightTable, Woken};
-use crate::telemetry::{DomainTrace, HostStats, IntervalRecord, NotCompared, SimResult};
+use crate::telemetry::{HostStats, NotCompared, SimResult};
 
 /// Abort the run if no instruction commits for this much simulated time
 /// (catches simulator bugs rather than real behaviour: even a chain of
@@ -226,8 +226,9 @@ pub struct McdProcessor {
     pub(crate) freq_acc: [FreqAccumulator; 5],
     pub(crate) first_commit_ps: Option<TimePs>,
     pub(crate) last_commit_ps: TimePs,
-    pub(crate) intervals: Vec<IntervalRecord>,
-    pub(crate) profile: OfflineProfile,
+    /// The recorded interval samples (empty unless
+    /// `SimConfig::record_intervals` is set).
+    pub(crate) intervals: Vec<IntervalSample>,
 
     /// Test-only switch: step every edge through the tournament, as a
     /// reference for the quiet-time catch-up.
@@ -333,7 +334,6 @@ impl McdProcessor {
             first_commit_ps: None,
             last_commit_ps: 0,
             intervals: Vec::new(),
-            profile: OfflineProfile::new(),
             #[cfg(test)]
             plain_stepping: false,
             clocks,
@@ -548,15 +548,12 @@ impl McdProcessor {
             });
         }
 
-        // Profile for the off-line oracle.
-        self.profile.push_interval(domain_samples.clone());
-
-        let sample = IntervalSample {
+        let mut sample = IntervalSample {
             interval: self.interval_index,
             instructions,
             frontend_cycles,
             ipc,
-            domains: domain_samples.clone(),
+            domains: domain_samples,
         };
         let commands = self.controller.interval_update(&sample);
         for cmd in commands {
@@ -569,20 +566,12 @@ impl McdProcessor {
             self.refresh_charge(cmd.domain);
         }
 
-        if self.config.record_traces {
-            self.intervals.push(IntervalRecord {
-                interval: self.interval_index,
-                committed: self.committed,
-                ipc,
-                domains: domain_samples
-                    .iter()
-                    .map(|s| DomainTrace {
-                        domain: s.domain,
-                        queue_utilization: s.queue_utilization,
-                        freq_mhz: self.clocks[s.domain.index()].target_freq_mhz(),
-                    })
-                    .collect(),
-            });
+        if self.config.record_intervals {
+            // The record holds the targets the controller just set.
+            for d in &mut sample.domains {
+                d.freq_mhz = self.clocks[d.domain.index()].target_freq_mhz();
+            }
+            self.intervals.push(sample);
         }
         self.interval_index += 1;
     }
@@ -856,7 +845,6 @@ impl McdProcessor {
             memory_accesses: self.memory_accesses,
             mispredict_redirects: self.mispredict_redirects,
             intervals: std::mem::take(&mut self.intervals),
-            profile: std::mem::take(&mut self.profile),
             avg_domain_freq_mhz,
             host: NotCompared(host),
         }
@@ -1025,7 +1013,7 @@ mod tests {
     #[test]
     fn attack_decay_controller_changes_domain_frequencies() {
         let mut cfg = SimConfig::baseline_mcd(120_000);
-        cfg.record_traces = true;
+        cfg.record_intervals = true;
         let table = OperatingPointTable::from_params(&cfg.clock);
         let ctrl = AttackDecayController::new(AttackDecayParams::paper_defaults(), &table);
         let r = run_benchmark(Benchmark::Gzip, 120_000, cfg, Box::new(ctrl));
@@ -1048,13 +1036,68 @@ mod tests {
 
     #[test]
     fn profile_is_recorded_for_offline_oracle() {
+        let mut cfg = SimConfig::baseline_mcd(40_000);
+        cfg.record_intervals = true;
         let r = run_benchmark(
             Benchmark::Epic,
             40_000,
-            SimConfig::baseline_mcd(40_000),
+            cfg,
             Box::new(FixedController::at_max()),
         );
-        assert_eq!(r.profile.len() as u64, 40_000 / 10_000);
+        assert_eq!(r.intervals.len() as u64, 40_000 / 10_000);
+        for (i, sample) in r.intervals.iter().enumerate() {
+            assert_eq!(sample.interval, i as u64);
+            assert_eq!(sample.instructions, 10_000);
+            assert!(sample.frontend_cycles > 0);
+            assert_eq!(sample.domains.len(), CONTROLLABLE_DOMAINS.len());
+        }
+    }
+
+    #[test]
+    fn a_trailing_partial_interval_is_not_recorded() {
+        let mut cfg = SimConfig::baseline_mcd(2_500);
+        cfg.interval_instructions = 1_000;
+        cfg.record_intervals = true;
+        let r = run_benchmark(
+            Benchmark::Gzip,
+            2_500,
+            cfg,
+            Box::new(FixedController::at_max()),
+        );
+        assert_eq!(r.committed_instructions, 2_500);
+        assert_eq!(r.intervals.len(), 2);
+        assert!(r.intervals.iter().all(|s| s.instructions == 1_000));
+    }
+
+    #[test]
+    fn recording_intervals_never_changes_the_simulation() {
+        let table = OperatingPointTable::default();
+        let insts = 20_000;
+        type Controller = fn(&OperatingPointTable) -> Box<dyn FrequencyController>;
+        let runs: [(SimConfig, Controller); 3] = [
+            (SimConfig::fully_synchronous(insts), |_| {
+                Box::new(FixedController::at_max())
+            }),
+            (SimConfig::baseline_mcd(insts), |_| {
+                Box::new(FixedController::at_max())
+            }),
+            (SimConfig::baseline_mcd(insts), |t| {
+                Box::new(AttackDecayController::new(
+                    AttackDecayParams::paper_defaults(),
+                    t,
+                ))
+            }),
+        ];
+        for (mut cfg, controller) in runs {
+            cfg.interval_instructions = 1_000;
+            let plain = run_benchmark(Benchmark::Gzip, insts, cfg.clone(), controller(&table));
+            assert!(plain.intervals.is_empty(), "nothing is recorded by default");
+            cfg.record_intervals = true;
+            let mut recorded = run_benchmark(Benchmark::Gzip, insts, cfg, controller(&table));
+            assert_eq!(recorded.intervals.len(), 20);
+            recorded.intervals.clear();
+            assert_eq!(recorded, plain);
+        }
     }
 
     #[test]
@@ -1190,7 +1233,7 @@ mod tests {
             // Short control intervals, so Attack/Decay retargets (and the
             // clocks ramp) within the run.
             config.interval_instructions = 500;
-            config.record_traces = true;
+            config.record_intervals = true;
             config.arch.mem_issue_width = [2, 4][wide_mem as usize];
             let plain = run_with_catch_up(bench, seed, &config, controller_kind, false);
             let caught_up = run_with_catch_up(bench, seed, &config, controller_kind, true);

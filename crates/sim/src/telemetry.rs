@@ -3,45 +3,12 @@
 use std::ops::{Deref, DerefMut};
 
 use mcd_clock::{DomainId, MegaHertz, TimePs};
-use mcd_control::OfflineProfile;
+use mcd_control::IntervalSample;
 use mcd_microarch::{BranchStats, CacheStats};
 use mcd_power::EnergyBreakdown;
 use serde::{Deserialize, Serialize};
 
 pub use mcd_microarch::bpred::BranchStats as BranchStatistics;
-
-/// One controllable domain's state during one control interval, as recorded
-/// for traces (Figures 2 and 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DomainTrace {
-    /// Domain the record describes.
-    pub domain: DomainId,
-    /// Average input-queue occupancy over the interval.
-    pub queue_utilization: f64,
-    /// Target frequency at the end of the interval (after the controller's
-    /// decision), in MHz.
-    pub freq_mhz: MegaHertz,
-}
-
-/// Telemetry of one control interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IntervalRecord {
-    /// Zero-based interval index.
-    pub interval: u64,
-    /// Cumulative committed instructions at the end of the interval.
-    pub committed: u64,
-    /// IPC over the interval (committed / front-end cycles).
-    pub ipc: f64,
-    /// Per-domain traces (integer, floating point, load/store).
-    pub domains: Vec<DomainTrace>,
-}
-
-impl IntervalRecord {
-    /// The trace of one domain, if present.
-    pub fn domain(&self, d: DomainId) -> Option<&DomainTrace> {
-        self.domains.iter().find(|t| t.domain == d)
-    }
-}
 
 /// Event-queue traffic of one run: how hard the kernel's per-domain
 /// timelines (`sim/src/events.rs`) worked.
@@ -235,13 +202,11 @@ pub struct SimResult {
     pub memory_accesses: u64,
     /// Branch mispredictions that caused a front-end redirect.
     pub mispredict_redirects: u64,
-    /// Per-interval telemetry (only populated when trace recording was
-    /// enabled in the configuration; always contains the last interval of
-    /// profiling data otherwise).
-    pub intervals: Vec<IntervalRecord>,
-    /// Per-interval, per-domain profile usable to construct the off-line
-    /// oracle controller.
-    pub profile: OfflineProfile,
+    /// Every control interval's sample, in order, when the configuration
+    /// set `record_intervals`; empty otherwise.  Each sample covers a full
+    /// interval, so interval `i` ends at `(i + 1) * instructions`
+    /// committed instructions.
+    pub intervals: Vec<IntervalSample>,
     /// Average frequency of each controllable domain over the run, in MHz
     /// (cycle-weighted).
     pub avg_domain_freq_mhz: Vec<(DomainId, MegaHertz)>,
@@ -352,7 +317,6 @@ mod tests {
             memory_accesses: 1,
             mispredict_redirects: 0,
             intervals: vec![],
-            profile: OfflineProfile::new(),
             avg_domain_freq_mhz: vec![(DomainId::Integer, 900.0)],
             host: NotCompared(HostStats::from_run(instructions, 0.5)),
         }
@@ -399,21 +363,5 @@ mod tests {
         assert_eq!(r.ipc(), 0.0);
         assert_eq!(r.epi(), 0.0);
         assert_eq!(r.avg_power(), 0.0);
-    }
-
-    #[test]
-    fn interval_record_lookup() {
-        let rec = IntervalRecord {
-            interval: 2,
-            committed: 30_000,
-            ipc: 0.9,
-            domains: vec![DomainTrace {
-                domain: DomainId::LoadStore,
-                queue_utilization: 17.0,
-                freq_mhz: 750.0,
-            }],
-        };
-        assert!(rec.domain(DomainId::LoadStore).is_some());
-        assert!(rec.domain(DomainId::Integer).is_none());
     }
 }

@@ -88,7 +88,7 @@ fn print_result(name: &str, r: &SimResult) {
         println!(
             "  interval {} committed={} ipc={:?} freqs={:?}",
             iv.interval,
-            iv.committed,
+            (iv.interval + 1) * iv.instructions,
             iv.ipc,
             iv.domains.iter().map(|d| d.freq_mhz).collect::<Vec<_>>()
         );
@@ -116,7 +116,7 @@ fn main() {
             Box::new(FixedController::at_max()),
         );
         let mut cfg = SimConfig::baseline_mcd(60_000);
-        cfg.record_traces = true;
+        cfg.record_intervals = true;
         let table = OperatingPointTable::from_params(&cfg.clock);
         let controller = AttackDecayController::new(AttackDecayParams::paper_defaults(), &table);
         dump(&format!("{name}_ad"), b, 60_000, cfg, Box::new(controller));

@@ -10,8 +10,9 @@ instruction, and the event-timeline traffic and kernel-step counters,
 quiet-time catch-up included), the Table 6 artefact (suite / Global search
 split of the whole `table6::run_with_stats` call, and the suite's simulations
 against the plan jobs that shared one) and the reproduction pass artefact (wall
-time, simulations and shared jobs of its union plan, Global search and
-render-and-write phases), and prints GitHub-flavoured markdown
+time, simulations, shared jobs and scheduler utilization of its union
+plan, Global search and render-and-write phases, and the process's peak
+RSS), and prints GitHub-flavoured markdown
 suitable for appending to ``$GITHUB_STEP_SUMMARY``.  Missing files are reported but do not fail the
 job — the summary is advisory, the artefacts are the record.
 """
@@ -117,14 +118,16 @@ def reproduce(doc):
     print("### Reproduction pass (Table 6 and Figures 4-7)\n")
     print(f"- workers: **{doc.get('workers')}** (nproc {doc.get('nproc')}), "
           f"benchmarks: {doc.get('benchmarks')}\n")
-    print("| phase | wall (s) | simulations | shared jobs |")
-    print("|---|---|---|---|")
+    print("| phase | wall (s) | simulations | shared jobs | utilization |")
+    print("|---|---|---|---|---|")
     for key, label in (("plan", "union plan"), ("global", "Global search")):
         phase = doc.get(key) or {}
         print(f"| {label} | {fmt(phase.get('wall_s'), '.2f')} "
-              f"| {phase.get('runs', '-')} | {phase.get('shared_jobs', '-')} |")
-    print(f"| render and write | {fmt(doc.get('render_write_s'), '.3g')} | - | - |")
-    print(f"\n- **whole pass: {fmt(doc.get('reproduce_wall_s'), '.2f')}s**")
+              f"| {phase.get('runs', '-')} | {phase.get('shared_jobs', '-')} "
+              f"| {fmt(phase.get('utilization'), '.2f')} |")
+    print(f"| render and write | {fmt(doc.get('render_write_s'), '.3g')} | - | - | - |")
+    print(f"\n- **whole pass: {fmt(doc.get('reproduce_wall_s'), '.2f')}s**, "
+          f"peak RSS {fmt(doc.get('peak_rss_mib'), '.1f')} MiB")
     print()
 
 
