@@ -329,11 +329,13 @@ impl DomainClock {
     }
 
     /// Absolute time of the next rising edge.
+    #[inline]
     pub fn next_edge_ps(&self) -> TimePs {
         self.next_edge_ps
     }
 
     /// Number of edges generated so far.
+    #[inline]
     pub fn cycles(&self) -> u64 {
         self.cycles
     }

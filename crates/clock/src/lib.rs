@@ -65,6 +65,7 @@ pub type MegaHertz = f64;
 /// # Panics
 ///
 /// Panics if `freq_mhz` is not strictly positive.
+#[inline]
 pub fn freq_mhz_to_period_ps(freq_mhz: MegaHertz) -> TimePs {
     assert!(freq_mhz > 0.0, "frequency must be positive");
     round_pos(1_000_000.0 / freq_mhz)

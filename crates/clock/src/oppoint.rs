@@ -96,11 +96,13 @@ impl OperatingPointTable {
     }
 
     /// The lowest-frequency operating point.
+    #[inline]
     pub fn min_point(&self) -> OperatingPoint {
         self.points[0]
     }
 
     /// The highest-frequency operating point.
+    #[inline]
     pub fn max_point(&self) -> OperatingPoint {
         *self.points.last().expect("table is never empty")
     }
@@ -136,6 +138,7 @@ impl OperatingPointTable {
     /// The voltage the supply must provide for a given frequency (linear
     /// interpolation, not snapped to a discrete point).  Used by the ramp
     /// model while a transition is in flight.
+    #[inline]
     pub fn voltage_for_freq(&self, freq_mhz: MegaHertz) -> f64 {
         let min = self.min_point();
         let max = self.max_point();

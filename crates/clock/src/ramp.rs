@@ -78,6 +78,7 @@ impl FrequencyRamp {
     ///
     /// Times before the start of the current transition return the
     /// transition's starting frequency.
+    #[inline]
     pub fn freq_at(&self, now_ps: TimePs) -> MegaHertz {
         if self.rate_ns_per_mhz == 0.0 || (self.target_freq - self.start_freq).abs() < f64::EPSILON
         {

@@ -46,6 +46,7 @@ impl SyncWindow {
     ///
     /// Returns the absolute capture time, which is always at least
     /// `src_time_ps`.
+    #[inline]
     pub fn capture_time(
         &self,
         src_time_ps: TimePs,

@@ -48,6 +48,47 @@ impl Default for BranchPredictorConfig {
     }
 }
 
+impl BranchPredictorConfig {
+    /// Validates the geometry: every table size a positive power of two
+    /// (the predictor indexes its tables by mask), at least one BTB way,
+    /// a non-empty return-address stack and fewer than 16 history bits
+    /// (the per-branch history registers are 16 bits wide).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency found.
+    pub fn validate(&self) -> Result<(), String> {
+        let tables = [
+            ("l1_entries", self.l1_entries),
+            ("l2_entries", self.l2_entries),
+            ("bimodal_entries", self.bimodal_entries),
+            ("chooser_entries", self.chooser_entries),
+            ("btb_sets", self.btb_sets),
+        ];
+        for (name, v) in tables {
+            if !v.is_power_of_two() {
+                return Err(format!(
+                    "branch predictor {name} must be a positive power of two, got {v}"
+                ));
+            }
+        }
+        if self.btb_ways == 0 {
+            return Err("branch predictor btb_ways must be at least 1".to_string());
+        }
+        if self.ras_depth == 0 {
+            return Err("branch predictor ras_depth must be at least 1".to_string());
+        }
+        if self.history_bits >= u16::BITS {
+            return Err(format!(
+                "branch predictor history_bits must be below {}, got {}",
+                u16::BITS,
+                self.history_bits
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The outcome of a prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Prediction {
@@ -88,9 +129,20 @@ struct BtbEntry {
 }
 
 /// The combining branch predictor.
+///
+/// Every table size is a power of two ([`BranchPredictorConfig::validate`]),
+/// so each table is indexed by masking instead of a remainder.
 #[derive(Debug, Clone)]
 pub struct BranchPredictor {
     config: BranchPredictorConfig,
+    /// Table size minus one, per table: `x & mask` is `x % size`.
+    bimodal_mask: usize,
+    l1_mask: usize,
+    l2_mask: usize,
+    chooser_mask: usize,
+    btb_mask: usize,
+    /// The low `history_bits` bits set.
+    history_mask: u16,
     bimodal: Vec<u8>,
     l1_history: Vec<u16>,
     l2_pht: Vec<u8>,
@@ -113,9 +165,22 @@ fn saturating_update(counter: &mut u8, taken: bool) {
 impl BranchPredictor {
     /// Creates a predictor with the given configuration.  All counters are
     /// initialised to weakly-taken, histories to zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`BranchPredictorConfig::validate`].
     pub fn new(config: BranchPredictorConfig) -> Self {
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid branch predictor configuration: {e}"));
         let btb = vec![BtbEntry::default(); config.btb_sets * config.btb_ways];
         BranchPredictor {
+            bimodal_mask: config.bimodal_entries - 1,
+            l1_mask: config.l1_entries - 1,
+            l2_mask: config.l2_entries - 1,
+            chooser_mask: config.chooser_entries - 1,
+            btb_mask: config.btb_sets - 1,
+            history_mask: (1u16 << config.history_bits) - 1,
             bimodal: vec![2; config.bimodal_entries],
             l1_history: vec![0; config.l1_entries],
             l2_pht: vec![2; config.l2_entries],
@@ -138,24 +203,24 @@ impl BranchPredictor {
     }
 
     fn bimodal_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) % self.config.bimodal_entries
+        ((pc >> 2) as usize) & self.bimodal_mask
     }
 
     fn l1_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) % self.config.l1_entries
+        ((pc >> 2) as usize) & self.l1_mask
     }
 
     fn l2_index(&self, pc: u64) -> usize {
         let hist = self.l1_history[self.l1_index(pc)] as usize;
-        hist % self.config.l2_entries
+        hist & self.l2_mask
     }
 
     fn chooser_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) % self.config.chooser_entries
+        ((pc >> 2) as usize) & self.chooser_mask
     }
 
     fn btb_slot(&self, pc: u64) -> (usize, u64) {
-        let set = ((pc >> 2) as usize) % self.config.btb_sets;
+        let set = ((pc >> 2) as usize) & self.btb_mask;
         let tag = pc >> 2;
         (set, tag)
     }
@@ -257,8 +322,8 @@ impl BranchPredictor {
             saturating_update(&mut self.l2_pht[l2_idx], taken);
             // Update the per-branch history register.
             let l1_idx = self.l1_index(pc);
-            let mask = (1u16 << self.config.history_bits) - 1;
-            self.l1_history[l1_idx] = ((self.l1_history[l1_idx] << 1) | u16::from(taken)) & mask;
+            self.l1_history[l1_idx] =
+                ((self.l1_history[l1_idx] << 1) | u16::from(taken)) & self.history_mask;
         }
 
         if taken {
@@ -322,6 +387,86 @@ mod tests {
         assert_eq!(c.chooser_entries, 4096);
         assert_eq!(c.btb_sets, 4096);
         assert_eq!(c.btb_ways, 2);
+    }
+
+    #[test]
+    fn default_config_is_valid() {
+        BranchPredictorConfig::default().validate().unwrap();
+    }
+
+    /// `validate` rejects the configuration `edit` makes from the default,
+    /// naming `field`.
+    fn assert_rejected(field: &str, edit: impl FnOnce(&mut BranchPredictorConfig)) {
+        let mut c = BranchPredictorConfig::default();
+        edit(&mut c);
+        let err = c.validate().expect_err(field);
+        assert!(err.contains(field), "{err}");
+    }
+
+    #[test]
+    fn zero_or_non_power_of_two_l1_entries_are_rejected() {
+        assert_rejected("l1_entries", |c| c.l1_entries = 0);
+        assert_rejected("l1_entries", |c| c.l1_entries = 1000);
+    }
+
+    #[test]
+    fn zero_or_non_power_of_two_l2_entries_are_rejected() {
+        assert_rejected("l2_entries", |c| c.l2_entries = 0);
+        assert_rejected("l2_entries", |c| c.l2_entries = 1000);
+    }
+
+    #[test]
+    fn zero_or_non_power_of_two_bimodal_entries_are_rejected() {
+        assert_rejected("bimodal_entries", |c| c.bimodal_entries = 0);
+        assert_rejected("bimodal_entries", |c| c.bimodal_entries = 3);
+    }
+
+    #[test]
+    fn zero_or_non_power_of_two_chooser_entries_are_rejected() {
+        assert_rejected("chooser_entries", |c| c.chooser_entries = 0);
+        assert_rejected("chooser_entries", |c| c.chooser_entries = 4095);
+    }
+
+    #[test]
+    fn zero_or_non_power_of_two_btb_sets_are_rejected() {
+        assert_rejected("btb_sets", |c| c.btb_sets = 0);
+        assert_rejected("btb_sets", |c| c.btb_sets = 96);
+    }
+
+    #[test]
+    fn zero_btb_ways_are_rejected() {
+        assert_rejected("btb_ways", |c| c.btb_ways = 0);
+        // Associativity only multiplies: any positive count is fine.
+        let c = BranchPredictorConfig {
+            btb_ways: 3,
+            ..Default::default()
+        };
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn empty_return_address_stack_is_rejected() {
+        assert_rejected("ras_depth", |c| c.ras_depth = 0);
+    }
+
+    #[test]
+    fn history_wider_than_its_register_is_rejected() {
+        assert_rejected("history_bits", |c| c.history_bits = 16);
+        assert_rejected("history_bits", |c| c.history_bits = 70);
+        let c = BranchPredictorConfig {
+            history_bits: 15,
+            ..Default::default()
+        };
+        c.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid branch predictor configuration")]
+    fn constructor_panics_on_invalid_config() {
+        let _ = BranchPredictor::new(BranchPredictorConfig {
+            bimodal_entries: 0,
+            ..Default::default()
+        });
     }
 
     #[test]

@@ -46,7 +46,9 @@ impl CacheConfig {
         (self.size_bytes / (self.line_bytes * self.ways as u64)) as usize
     }
 
-    /// Validates the geometry (power-of-two line size, consistent sizes).
+    /// Validates the geometry (power-of-two line size and set count,
+    /// consistent sizes).  Both powers of two let [`Cache`] index by shift
+    /// and mask; both paper geometries satisfy them.
     ///
     /// # Errors
     ///
@@ -66,6 +68,12 @@ impl CacheConfig {
         }
         if self.num_sets() == 0 {
             return Err("cache must have at least one set".to_string());
+        }
+        if !self.num_sets().is_power_of_two() {
+            return Err(format!(
+                "set count must be a power of two, got {}",
+                self.num_sets()
+            ));
         }
         Ok(())
     }
@@ -113,6 +121,12 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`: `addr >> line_shift` is the line address.
+    line_shift: u32,
+    /// `log2(num_sets)`: `line >> set_shift` is the tag.
+    set_shift: u32,
+    /// `num_sets - 1`: `line & set_mask` is the set index.
+    set_mask: u64,
     lines: Vec<Line>,
     stats: CacheStats,
 }
@@ -127,9 +141,13 @@ impl Cache {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid cache configuration: {e}"));
-        let lines = vec![Line::default(); config.num_sets() * config.ways];
+        let sets = config.num_sets();
+        let lines = vec![Line::default(); sets * config.ways];
         Cache {
             config,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets as u64 - 1,
             lines,
             stats: CacheStats::default(),
         }
@@ -150,16 +168,18 @@ impl Cache {
         self.config.latency_cycles
     }
 
+    /// The set index and tag of `addr`: `line % sets` and `line / sets`
+    /// of its line address, by mask and shift.
+    #[inline]
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes;
-        let set = (line as usize) % self.config.num_sets();
-        let tag = line / self.config.num_sets() as u64;
-        (set, tag)
+        let line = addr >> self.line_shift;
+        ((line & self.set_mask) as usize, line >> self.set_shift)
     }
 
     /// Performs an access.  Returns `true` on a hit.  On a miss, the line is
     /// allocated (fetch-on-miss, write-allocate) and the victim, if dirty,
     /// is counted as a writeback.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
         if is_write {
             self.stats.writes += 1;
@@ -284,6 +304,69 @@ mod tests {
             latency_cycles: 1,
         };
         assert!(bad.validate().is_err());
+        // 3 sets of 2 ways: consistent sizes, but not maskable.
+        let bad = CacheConfig {
+            size_bytes: 3 * 2 * 64,
+            ways: 2,
+            line_bytes: 64,
+            latency_cycles: 1,
+        };
+        let err = bad.validate().unwrap_err();
+        assert!(err.contains("power of two"), "{err}");
+    }
+
+    #[test]
+    fn masked_set_and_tag_equal_division_and_remainder() {
+        // Random addresses over several valid geometries: the shift/mask
+        // index is the historical `addr / line`, `% sets`, `/ sets`.
+        let geometries = [
+            CacheConfig::l1_64k_2way(),
+            CacheConfig::l2_1m_direct(),
+            CacheConfig {
+                size_bytes: 64,
+                ways: 1,
+                line_bytes: 64,
+                latency_cycles: 1,
+            },
+            CacheConfig {
+                size_bytes: 32 * 1024,
+                ways: 4,
+                line_bytes: 32,
+                latency_cycles: 1,
+            },
+            CacheConfig {
+                size_bytes: 3 * 128 * 256,
+                ways: 3,
+                line_bytes: 128,
+                latency_cycles: 1,
+            },
+            CacheConfig {
+                size_bytes: 8 * 1024 * 1024,
+                ways: 8,
+                line_bytes: 1,
+                latency_cycles: 1,
+            },
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for cfg in geometries {
+            let cache = Cache::new(cfg);
+            let sets = cfg.num_sets() as u64;
+            for i in 0..10_000u64 {
+                // splitmix64 draws, plus the extremes.
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                let addr = match i {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => z ^ (z >> 31),
+                };
+                let line = addr / cfg.line_bytes;
+                let expected = ((line % sets) as usize, line / sets);
+                assert_eq!(cache.set_and_tag(addr), expected, "{cfg:?} addr {addr:#x}");
+            }
+        }
     }
 
     #[test]

@@ -57,6 +57,7 @@ impl IssueQueue {
     }
 
     /// Current number of valid entries.
+    #[inline]
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -67,6 +68,7 @@ impl IssueQueue {
     }
 
     /// Whether the queue is full (dispatch must stall).
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.len() >= self.capacity
     }
@@ -81,6 +83,7 @@ impl IssueQueue {
     /// # Errors
     ///
     /// Returns `Err(seq)` if the queue is full.
+    #[inline]
     pub fn insert(&mut self, seq: SeqNum) -> Result<(), SeqNum> {
         if self.is_full() {
             return Err(seq);
@@ -96,6 +99,7 @@ impl IssueQueue {
     }
 
     /// Removes an entry (at issue time).  Returns `true` if it was present.
+    #[inline]
     pub fn remove(&mut self, seq: SeqNum) -> bool {
         if let Ok(pos) = self.entries.binary_search(&seq) {
             self.entries.remove(pos);
@@ -113,12 +117,14 @@ impl IssueQueue {
     /// simulator calls this once per domain cycle; the Attack/Decay
     /// hardware is exactly this accumulator (Table 3's "queue utilization
     /// counter").
+    #[inline]
     pub fn accumulate_occupancy(&mut self) {
         self.accumulate_occupancy_for(1);
     }
 
     /// Adds the current occupancy for `cycles` domain cycles in which the
     /// queue did not change.
+    #[inline]
     pub fn accumulate_occupancy_for(&mut self, cycles: u64) {
         self.occupancy_accumulator += self.len() as u64 * cycles;
         self.accumulated_cycles += cycles;

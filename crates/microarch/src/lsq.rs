@@ -219,6 +219,7 @@ impl LoadStoreQueue {
     }
 
     /// Whether the LSQ is full (dispatch of memory operations must stall).
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
@@ -303,11 +304,13 @@ impl LoadStoreQueue {
 
     /// Index of `seq` (entries are program-ordered, so a binary search
     /// suffices).
+    #[inline]
     fn position(&self, seq: SeqNum) -> Option<usize> {
         self.entries.binary_search_by_key(&seq, |e| e.seq).ok()
     }
 
     /// Looks up an entry.
+    #[inline]
     pub fn get(&self, seq: SeqNum) -> Option<&LsqEntry> {
         let pos = self.position(seq)?;
         Some(&self.entries[pos])
@@ -316,6 +319,7 @@ impl LoadStoreQueue {
     /// Records the time at which the operands of `seq` become visible to
     /// the load/store domain (pushed by the simulator when the entry's
     /// last outstanding producer completes, or at dispatch when none is).
+    #[inline]
     pub fn set_ready_at(&mut self, seq: SeqNum, ready_at_ps: u64) -> bool {
         let Some(pos) = self.position(seq) else {
             return false;
@@ -337,6 +341,7 @@ impl LoadStoreQueue {
     /// before its result's cross-domain visibility arrives: architectural
     /// state needs no synchronization crossing).  A no-op once the ready
     /// flag has latched.
+    #[inline]
     pub fn lower_ready_at(&mut self, seq: SeqNum, ready_at_ps: u64) -> bool {
         let Some(pos) = self.position(seq) else {
             return false;
@@ -394,6 +399,7 @@ impl LoadStoreQueue {
     }
 
     /// Marks an entry as issued.
+    #[inline]
     pub fn mark_issued(&mut self, seq: SeqNum) -> bool {
         let Some(pos) = self.position(seq) else {
             return false;
@@ -403,6 +409,7 @@ impl LoadStoreQueue {
     }
 
     /// Marks an entry as completed.
+    #[inline]
     pub fn mark_completed(&mut self, seq: SeqNum) -> bool {
         let Some(pos) = self.position(seq) else {
             return false;
@@ -610,12 +617,14 @@ impl LoadStoreQueue {
     /// [`earliest_pending_ps`](Self::earliest_pending_ps) and
     /// [`min_unflagged_ready_ps`](Self::min_unflagged_ready_ps), unless
     /// the queue changes in between.
+    #[inline]
     pub fn scan_memoized(&self) -> bool {
         self.no_candidates
     }
 
     /// A lower bound on the earliest time at which the visible prefix can
     /// grow (`u64::MAX` when every entry is visible).
+    #[inline]
     pub fn earliest_pending_ps(&self) -> u64 {
         self.earliest_pending_ps
     }
@@ -623,6 +632,7 @@ impl LoadStoreQueue {
     /// A lower bound on the earliest time at which
     /// [`LoadStoreQueue::promote_operand_readiness`] can latch an operand
     /// flag of a visible entry (`u64::MAX` when none can).
+    #[inline]
     pub fn min_unflagged_ready_ps(&self) -> u64 {
         self.min_unflagged_ready_ps
     }
@@ -687,12 +697,14 @@ impl LoadStoreQueue {
 
     /// Adds the current occupancy to the per-interval accumulator (once per
     /// load/store-domain cycle).
+    #[inline]
     pub fn accumulate_occupancy(&mut self) {
         self.accumulate_occupancy_for(1);
     }
 
     /// Adds the current occupancy for `cycles` load/store-domain cycles in
     /// which the queue did not change.
+    #[inline]
     pub fn accumulate_occupancy_for(&mut self, cycles: u64) {
         self.occupancy_accumulator += self.entries.len() as u64 * cycles;
         self.accumulated_cycles += cycles;

@@ -78,11 +78,13 @@ impl ReorderBuffer {
     }
 
     /// Whether the ROB holds no instructions.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Whether the ROB is full (dispatch must stall).
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
@@ -98,6 +100,7 @@ impl ReorderBuffer {
     ///
     /// Returns the entry back if the ROB is full or if the sequence number
     /// does not follow program order.
+    #[inline]
     pub fn push(&mut self, entry: RobEntry) -> Result<(), RobEntry> {
         if self.is_full() {
             return Err(entry);
@@ -113,6 +116,7 @@ impl ReorderBuffer {
     }
 
     /// The oldest in-flight instruction, if any.
+    #[inline]
     pub fn head(&self) -> Option<&RobEntry> {
         self.entries.front()
     }
@@ -120,6 +124,7 @@ impl ReorderBuffer {
     /// Index of `seq`, using direct offset arithmetic when the window is
     /// contiguous (the common case: the simulator dispatches consecutive
     /// sequence numbers) and a linear scan otherwise.
+    #[inline]
     fn position_of(&self, seq: SeqNum) -> Option<usize> {
         let head = self.entries.front()?.seq;
         let back = self.entries.back().expect("non-empty").seq;
@@ -135,6 +140,7 @@ impl ReorderBuffer {
 
     /// Marks an instruction as completed, with the given visibility time.
     /// Returns `true` if the instruction was found.
+    #[inline]
     pub fn mark_completed(&mut self, seq: SeqNum, visible_ps: u64) -> bool {
         match self.position_of(seq) {
             Some(pos) => {
@@ -162,6 +168,7 @@ impl ReorderBuffer {
 
     /// Retires the head instruction if it has completed and its completion
     /// is visible at `now_ps`.  Returns the retired entry.
+    #[inline]
     pub fn retire_head(&mut self, now_ps: u64) -> Option<RobEntry> {
         match self.entries.front() {
             Some(head) if head.completed && head.completion_visible_ps <= now_ps => {

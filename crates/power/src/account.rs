@@ -1,8 +1,8 @@
 //! Energy accounting.
 //!
 //! [`EnergyAccount`] accumulates energy as the simulator runs: the timing
-//! model reports structure accesses (with the owning domain's instantaneous
-//! voltage), idle-cycle gating charges, per-domain clock cycles and main
+//! model reports structure accesses (with the voltage scale of the owning
+//! domain's instantaneous voltage), idle-cycle gating charges, per-domain clock cycles and main
 //! memory accesses; the account converts them to energy with the
 //! [`EnergyParams`] scaling laws and keeps per-structure and per-domain
 //! breakdowns for the reports.
@@ -116,14 +116,16 @@ impl EnergyAccount {
         &self.params
     }
 
-    /// Records `count` accesses to `structure` at the given supply voltage.
+    /// Records `count` accesses to `structure` at voltage scale `vscale`
+    /// (= [`EnergyParams::voltage_scale`] of the supply voltage; the
+    /// simulator computes it once per frequency, so no access divides).
     #[inline]
-    pub fn record_access(&mut self, structure: Structure, count: u64, voltage: f64) {
+    pub fn record_access(&mut self, structure: Structure, count: u64, vscale: f64) {
         if count == 0 {
             return;
         }
         let idx = structure.index();
-        let e = self.access_energy[idx] * self.params.voltage_scale(voltage) * count as f64;
+        let e = self.access_energy[idx] * vscale * count as f64;
         self.by_structure[idx] += e;
         self.accesses[idx] += count;
     }
@@ -131,6 +133,7 @@ impl EnergyAccount {
     /// Energy of one idle (clock-gated) cycle of `structure` at voltage
     /// scale `vscale` (= [`EnergyParams::voltage_scale`] of the domain's
     /// voltage): the gating floor fraction of one access energy.
+    #[inline]
     pub fn idle_cycle_energy(&self, structure: Structure, vscale: f64) -> f64 {
         self.access_energy[structure.index()] * self.params.gating_floor * vscale
     }
@@ -140,6 +143,7 @@ impl EnergyAccount {
     /// `mcd_overhead` is the extra clock energy fraction of the MCD design
     /// (0.10 in the paper's assumption, 0.0 for the fully synchronous
     /// baseline).
+    #[inline]
     pub fn clock_cycle_energy(&self, domain: DomainId, vscale: f64, mcd_overhead: f64) -> f64 {
         Structure::clock_of(domain).map_or(0.0, |clock| {
             self.clock_energy[clock.index()] * (1.0 + mcd_overhead) * vscale
@@ -163,6 +167,7 @@ impl EnergyAccount {
     /// # Panics
     ///
     /// Panics if more than four structures are given.
+    #[inline]
     pub fn idle_sums(&self, structures: &[Structure], domain: DomainId) -> IdleSums {
         assert!(
             structures.len() <= 4,
@@ -179,6 +184,7 @@ impl EnergyAccount {
 
     /// Puts back sums taken with [`EnergyAccount::idle_sums`] for the same
     /// `structures` and `domain`.
+    #[inline]
     pub fn put_idle_sums(&mut self, structures: &[Structure], domain: DomainId, sums: &IdleSums) {
         for (k, s) in structures.iter().enumerate() {
             self.by_structure[s.index()] = sums.energy[k];
@@ -292,6 +298,11 @@ mod tests {
         EnergyAccount::new(EnergyParams::default())
     }
 
+    /// The voltage scale of `v` under the default parameters.
+    fn scale(v: f64) -> f64 {
+        EnergyParams::default().voltage_scale(v)
+    }
+
     #[test]
     fn empty_account_has_zero_energy() {
         let a = account();
@@ -306,8 +317,8 @@ mod tests {
     fn access_energy_scales_with_voltage_squared() {
         let mut hi = account();
         let mut lo = account();
-        hi.record_access(Structure::IntAlu, 100, 1.2);
-        lo.record_access(Structure::IntAlu, 100, 0.6);
+        hi.record_access(Structure::IntAlu, 100, scale(1.2));
+        lo.record_access(Structure::IntAlu, 100, scale(0.6));
         assert!((lo.total_energy() / hi.total_energy() - 0.25).abs() < 1e-9);
         assert_eq!(hi.access_count(Structure::IntAlu), 100);
     }
@@ -315,7 +326,7 @@ mod tests {
     #[test]
     fn zero_count_access_is_free() {
         let mut a = account();
-        a.record_access(Structure::L2Cache, 0, 1.2);
+        a.record_access(Structure::L2Cache, 0, scale(1.2));
         assert_eq!(a.total_energy(), 0.0);
         assert_eq!(a.access_count(Structure::L2Cache), 0);
     }
@@ -337,7 +348,7 @@ mod tests {
         let mut single = account();
         let mut batched = account();
         for a in [&mut single, &mut batched] {
-            a.record_access(Structure::Lsq, 3, 1.1);
+            a.record_access(Structure::Lsq, 3, scale(1.1));
         }
         let mut sums = batched.idle_sums(&structures, d);
         for v in [1.2, 0.9, 1.05, 0.7] {
@@ -385,7 +396,7 @@ mod tests {
     fn memory_access_is_not_voltage_scaled_and_excluded_from_chip_energy() {
         let mut a = account();
         a.record_memory_access();
-        a.record_access(Structure::L2Cache, 1, 1.2);
+        a.record_access(Structure::L2Cache, 1, scale(1.2));
         let mem = EnergyParams::default().main_memory_access_energy;
         assert!((a.total_energy() - a.chip_energy() - mem).abs() < 1e-12);
         assert!(a.chip_energy() > 0.0);
@@ -394,9 +405,9 @@ mod tests {
     #[test]
     fn breakdown_sums_match_total_and_domains() {
         let mut a = account();
-        a.record_access(Structure::IntAlu, 50, 1.1);
-        a.record_access(Structure::L1DCache, 30, 0.9);
-        a.record_access(Structure::FpAlu, 10, 1.2);
+        a.record_access(Structure::IntAlu, 50, scale(1.1));
+        a.record_access(Structure::L1DCache, 30, scale(0.9));
+        a.record_access(Structure::FpAlu, 10, scale(1.2));
         let clock = a.clock_cycle_energy(DomainId::FrontEnd, 1.0, 0.1);
         a.charge_clock(DomainId::FrontEnd, clock);
         let idle = a.idle_cycle_energy(Structure::Lsq, a.params().voltage_scale(1.0));
@@ -418,7 +429,6 @@ mod tests {
     fn lower_voltage_clock_cycles_save_energy() {
         let mut hi = account();
         let mut lo = account();
-        let scale = |v: f64| EnergyParams::default().voltage_scale(v);
         let e_hi = hi.clock_cycle_energy(DomainId::FloatingPoint, scale(1.2), 0.1);
         let e_lo = lo.clock_cycle_energy(DomainId::FloatingPoint, scale(0.65), 0.1);
         for _ in 0..100 {

@@ -21,9 +21,10 @@
 //! ```
 //! use mcd_power::{EnergyAccount, EnergyParams, Structure};
 //!
-//! let mut acct = EnergyAccount::new(EnergyParams::default());
-//! acct.record_access(Structure::IntAlu, 2, 1.2);
-//! acct.record_access(Structure::IntAlu, 2, 0.65);
+//! let params = EnergyParams::default();
+//! let mut acct = EnergyAccount::new(params.clone());
+//! acct.record_access(Structure::IntAlu, 2, params.voltage_scale(1.2));
+//! acct.record_access(Structure::IntAlu, 2, params.voltage_scale(0.65));
 //! assert!(acct.total_energy() > 0.0);
 //! // The low-voltage accesses cost (0.65/1.2)^2 of the nominal energy.
 //! ```

@@ -96,6 +96,7 @@ impl EnergyParams {
     }
 
     /// The `(v / nominal)^2` voltage scaling factor.
+    #[inline]
     pub fn voltage_scale(&self, voltage: f64) -> f64 {
         let r = voltage / self.nominal_voltage;
         r * r

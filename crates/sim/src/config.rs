@@ -108,6 +108,7 @@ impl ArchParams {
         if self.int_phys_regs <= 32 || self.fp_phys_regs <= 32 {
             return Err("physical register files must exceed 32 architectural registers".into());
         }
+        self.branch_predictor.validate()?;
         self.l1i.validate()?;
         self.l1d.validate()?;
         self.l2.validate()?;
@@ -302,5 +303,25 @@ mod tests {
         let mut cfg = SimConfig::baseline_mcd(1_000);
         cfg.arch.int_phys_regs = 16;
         assert!(cfg.validate().is_err());
+
+        let mut cfg = SimConfig::baseline_mcd(1_000);
+        cfg.arch.l2.size_bytes = 768 * 1024; // 12 288 direct-mapped sets
+        assert!(cfg.validate().is_err());
+
+        // Each of these passed validation once and then panicked in the
+        // run (a remainder by zero, an empty BTB set, a history-mask
+        // shift overflow).
+        let edits: [fn(&mut BranchPredictorConfig); 4] = [
+            |bp| bp.bimodal_entries = 0,
+            |bp| bp.btb_sets = 0,
+            |bp| bp.btb_ways = 0,
+            |bp| bp.history_bits = 70,
+        ];
+        for edit in edits {
+            let mut cfg = SimConfig::baseline_mcd(1_000);
+            edit(&mut cfg.arch.branch_predictor);
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("branch predictor"), "{err}");
+        }
     }
 }

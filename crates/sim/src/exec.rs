@@ -17,7 +17,7 @@ impl McdProcessor {
             domain,
             DomainId::Integer | DomainId::FloatingPoint
         ));
-        let voltage = self.voltage(domain);
+        let vscale = self.vscale(domain);
         let period = self.clock(domain).current_period_ps();
 
         // ---- Writeback + wakeup promotion (one timeline drain) ----
@@ -33,7 +33,7 @@ impl McdProcessor {
         let issued = if self.timeline.ready(domain).is_empty() {
             0
         } else {
-            self.issue_ready(domain, now, period, voltage)
+            self.issue_ready(domain, now, period, vscale)
         };
 
         // ---- Occupancy / counters / gating ----
@@ -64,13 +64,7 @@ impl McdProcessor {
     /// The select/issue stage of an integer or floating-point edge: issues
     /// up to the domain's width from its ready list, oldest first, and
     /// returns how many issued.
-    fn issue_ready(
-        &mut self,
-        domain: DomainId,
-        now: TimePs,
-        period: TimePs,
-        voltage: f64,
-    ) -> usize {
+    fn issue_ready(&mut self, domain: DomainId, now: TimePs, period: TimePs, vscale: f64) -> usize {
         let issue_width = if domain == DomainId::Integer {
             self.config.arch.int_issue_width
         } else {
@@ -124,15 +118,15 @@ impl McdProcessor {
             if domain == DomainId::Integer {
                 self.int_iq.remove(seq);
                 self.energy
-                    .record_access(Structure::IntIssueQueue, 1, voltage);
-                self.energy.record_access(Structure::IntRegFile, 2, voltage);
-                self.energy.record_access(Structure::IntAlu, 1, voltage);
+                    .record_access(Structure::IntIssueQueue, 1, vscale);
+                self.energy.record_access(Structure::IntRegFile, 2, vscale);
+                self.energy.record_access(Structure::IntAlu, 1, vscale);
             } else {
                 self.fp_iq.remove(seq);
                 self.energy
-                    .record_access(Structure::FpIssueQueue, 1, voltage);
-                self.energy.record_access(Structure::FpRegFile, 2, voltage);
-                self.energy.record_access(Structure::FpAlu, 1, voltage);
+                    .record_access(Structure::FpIssueQueue, 1, vscale);
+                self.energy.record_access(Structure::FpRegFile, 2, vscale);
+                self.energy.record_access(Structure::FpAlu, 1, vscale);
             }
             self.timeline.remove_ready(domain, seq);
             self.inflight.mark_issued(seq);
@@ -239,7 +233,7 @@ impl McdProcessor {
         let fe_visible = visible[DomainId::FrontEnd.index()];
         self.rob.mark_completed(seq, fe_visible);
         self.energy
-            .record_access(Structure::ResultBus, 1, self.voltage(DomainId::FrontEnd));
+            .record_access(Structure::ResultBus, 1, self.vscale(DomainId::FrontEnd));
         if is_load {
             self.lsq.mark_completed(seq);
         }

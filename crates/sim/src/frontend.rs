@@ -17,7 +17,7 @@ impl McdProcessor {
         now: TimePs,
         stream: &mut dyn InstructionStream,
     ) -> bool {
-        let voltage = self.voltage(DomainId::FrontEnd);
+        let vscale = self.vscale(DomainId::FrontEnd);
         let mut accessed_bpred = false;
         let mut accessed_icache = false;
         let mut accessed_rename = false;
@@ -32,7 +32,7 @@ impl McdProcessor {
                 break;
             };
             accessed_rob = true;
-            self.energy.record_access(Structure::Rob, 1, voltage);
+            self.energy.record_access(Structure::Rob, 1, vscale);
             self.retire(entry, now);
             retired += 1;
             if self
@@ -60,7 +60,7 @@ impl McdProcessor {
                 };
                 accessed_icache = true;
                 let icache_hit = self.l1i.access(inst.pc, false);
-                self.energy.record_access(Structure::L1ICache, 1, voltage);
+                self.energy.record_access(Structure::L1ICache, 1, vscale);
                 if !icache_hit {
                     // Instruction fetch miss: probe the L2 and stall fetch for
                     // the refill latency (misses to memory are rare for the
@@ -69,7 +69,7 @@ impl McdProcessor {
                     self.energy.record_access(
                         Structure::L2Cache,
                         1,
-                        self.voltage(DomainId::LoadStore),
+                        self.vscale(DomainId::LoadStore),
                     );
                     let period = self.clock(DomainId::FrontEnd).current_period_ps();
                     let l2_lat = u64::from(self.config.arch.l2.latency_cycles) * period;
@@ -86,7 +86,7 @@ impl McdProcessor {
                 if inst.op.is_branch() {
                     accessed_bpred = true;
                     self.energy
-                        .record_access(Structure::BranchPredictor, 1, voltage);
+                        .record_access(Structure::BranchPredictor, 1, vscale);
                     let pred = self.predictor.predict(inst.pc, inst.op);
                     self.fetch_buffer.push_back(inst);
                     // Stash the prediction until dispatch; predictions are
@@ -132,8 +132,8 @@ impl McdProcessor {
             self.fetch_buffer.pop_front();
             accessed_rename = true;
             accessed_rob = true;
-            self.energy.record_access(Structure::Rename, 1, voltage);
-            self.energy.record_access(Structure::Rob, 1, voltage);
+            self.energy.record_access(Structure::Rename, 1, vscale);
+            self.energy.record_access(Structure::Rob, 1, vscale);
 
             // Rename: record producers, then claim the destination.
             let mut producers = Producers::default();
@@ -158,7 +158,7 @@ impl McdProcessor {
                     self.energy.record_access(
                         Structure::IntIssueQueue,
                         1,
-                        self.voltage(DomainId::Integer),
+                        self.vscale(DomainId::Integer),
                     );
                 }
                 DomainId::FloatingPoint => {
@@ -166,7 +166,7 @@ impl McdProcessor {
                     self.energy.record_access(
                         Structure::FpIssueQueue,
                         1,
-                        self.voltage(DomainId::FloatingPoint),
+                        self.vscale(DomainId::FloatingPoint),
                     );
                 }
                 DomainId::LoadStore => {
@@ -175,7 +175,7 @@ impl McdProcessor {
                         .insert(inst.seq, inst.is_store(), mem, visible_at)
                         .expect("checked not full");
                     self.energy
-                        .record_access(Structure::Lsq, 1, self.voltage(DomainId::LoadStore));
+                        .record_access(Structure::Lsq, 1, self.vscale(DomainId::LoadStore));
                 }
                 _ => {}
             }
@@ -336,13 +336,12 @@ impl McdProcessor {
             // Stores write the data cache at commit.
             if fl.inst.is_store() {
                 if let Some(mem) = fl.inst.mem {
-                    let ls_voltage = self.voltage(DomainId::LoadStore);
+                    let ls_vscale = self.vscale(DomainId::LoadStore);
                     let hit = self.l1d.access(mem.addr, true);
-                    self.energy
-                        .record_access(Structure::L1DCache, 1, ls_voltage);
+                    self.energy.record_access(Structure::L1DCache, 1, ls_vscale);
                     if !hit {
                         let l2_hit = self.l2.access(mem.addr, true);
-                        self.energy.record_access(Structure::L2Cache, 1, ls_voltage);
+                        self.energy.record_access(Structure::L2Cache, 1, ls_vscale);
                         if !l2_hit {
                             self.memory_accesses += 1;
                             self.energy.record_memory_access();

@@ -5,13 +5,15 @@
 //! entry) and destroyed at retire, so at most `rob_size` of them are ever
 //! live, and — because sequence numbers are assigned consecutively in
 //! program order — the live window spans at most `rob_size` consecutive
-//! sequence numbers.  That makes `seq % rob_size` a perfect slot index: no
+//! sequence numbers.  The slab's capacity is `rob_size` rounded up to a
+//! power of two, so `seq & (capacity - 1)` is a perfect slot index: any
+//! `capacity` consecutive sequence numbers land in distinct slots, and no
 //! two live instructions can collide.
 //!
 //! [`InFlightTable`] exploits this to replace the historical
 //! `HashMap<SeqNum, InFlight>` with a flat slab.  Every lookup — and the
 //! hot paths perform several per issue candidate per domain cycle — becomes
-//! one modulo plus one array access, with a *generation check* (the stored
+//! one mask plus one array access, with a *generation check* (the stored
 //! sequence number must equal the queried one) so that queries for retired
 //! producers correctly return `None` instead of aliasing a newer
 //! instruction that reuses the slot after the sequence space wraps past the
@@ -212,7 +214,7 @@ pub(crate) struct ColdInfo {
 /// issueable there.
 pub(crate) type Woken = (SeqNum, DomainId, TimePs);
 
-/// Slab of in-flight instructions indexed by `seq % capacity`, split into
+/// Slab of in-flight instructions indexed by `seq & mask`, split into
 /// hot (wakeup) and cold (writeback/retire) parallel arrays, plus a third
 /// parallel array of consumer lists (the seq numbers waiting on each
 /// slot's result).  The consumer `Vec`s keep their capacity across slot
@@ -222,24 +224,30 @@ pub(crate) struct InFlightTable {
     hot: Box<[HotSlot]>,
     cold: Box<[Option<ColdInfo>]>,
     consumers: Box<[Vec<SeqNum>]>,
+    /// Slot count minus one (the slot count is a power of two).
+    mask: u64,
     live: usize,
 }
 
 impl InFlightTable {
-    /// Creates a table able to hold `capacity` (= ROB size) live entries.
+    /// Creates a table able to hold `capacity` (= ROB size) live entries
+    /// with consecutive sequence numbers; it allocates `capacity` rounded
+    /// up to a power of two slots.
     pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "in-flight capacity must be positive");
+        let slots = capacity.next_power_of_two();
         InFlightTable {
-            hot: vec![HotSlot::empty(); capacity].into_boxed_slice(),
-            cold: vec![None; capacity].into_boxed_slice(),
-            consumers: vec![Vec::new(); capacity].into_boxed_slice(),
+            hot: vec![HotSlot::empty(); slots].into_boxed_slice(),
+            cold: vec![None; slots].into_boxed_slice(),
+            consumers: vec![Vec::new(); slots].into_boxed_slice(),
+            mask: slots as u64 - 1,
             live: 0,
         }
     }
 
     #[inline]
     fn slot_of(&self, seq: SeqNum) -> usize {
-        (seq % self.hot.len() as u64) as usize
+        (seq & self.mask) as usize
     }
 
     /// Number of live entries.
@@ -257,8 +265,9 @@ impl InFlightTable {
     ///
     /// # Panics
     ///
-    /// Panics if the slot is still occupied — that would mean more than
-    /// `capacity` instructions are in flight, i.e. the ROB bound was
+    /// Panics if the slot is still occupied — that would mean the live
+    /// window spans more sequence numbers than the slab has slots, i.e.
+    /// the ROB bound was
     /// violated and slot aliasing would silently corrupt dependence
     /// tracking.
     pub(crate) fn insert(&mut self, entry: InFlight) {
@@ -682,6 +691,29 @@ mod tests {
         let mut t = InFlightTable::new(4);
         t.insert(entry(1));
         t.insert(entry(5)); // 5 % 4 == 1 % 4
+    }
+
+    #[test]
+    fn non_power_of_two_capacities_keep_a_full_window_collision_free() {
+        // The ROB sizes a configuration may choose need not be powers of
+        // two; the slab rounds up and masks.  A window of `capacity` live
+        // consecutive sequence numbers, slid through many wraps of the
+        // slot space, never collides and never aliases a retired entry.
+        for capacity in [80usize, 96, 100] {
+            let mut t = InFlightTable::new(capacity);
+            assert!(t.hot.len().is_power_of_two() && t.hot.len() >= capacity);
+            let cap = capacity as u64;
+            for seq in 0..cap {
+                t.insert(entry(seq));
+            }
+            for seq in cap..cap * 40 {
+                t.remove(seq - cap, 0, &mut Vec::new()).unwrap();
+                t.insert(entry(seq));
+                assert!(t.op_of(seq - cap).is_none(), "stale {} aliased", seq - cap);
+                assert_eq!(t.op_of(seq - cap + 1), Some(OpClass::IntAlu));
+            }
+            assert_eq!(t.len(), capacity);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ impl McdProcessor {
     /// whether the edge was idle (no event due, nothing issued).
     pub(crate) fn loadstore_cycle(&mut self, now: TimePs) -> bool {
         let domain = DomainId::LoadStore;
-        let voltage = self.voltage(domain);
+        let vscale = self.vscale(domain);
         let period = self.clock(domain).current_period_ps();
 
         // ---- Writeback of finished memory operations ----
@@ -52,7 +52,7 @@ impl McdProcessor {
                     }
                     LsqIssue::Forward(_) => {
                         if self.mem_fus.try_issue(FuKind::MemPort, now, one_cycle) {
-                            self.energy.record_access(Structure::Lsq, 1, voltage);
+                            self.energy.record_access(Structure::Lsq, 1, vscale);
                             Some(one_cycle)
                         } else {
                             None
@@ -60,8 +60,8 @@ impl McdProcessor {
                     }
                     LsqIssue::AccessCache => {
                         if self.mem_fus.try_issue(FuKind::MemPort, now, one_cycle) {
-                            self.energy.record_access(Structure::Lsq, 1, voltage);
-                            Some(self.data_access_latency(entry.mem.addr, now, period, voltage))
+                            self.energy.record_access(Structure::Lsq, 1, vscale);
+                            Some(self.data_access_latency(entry.mem.addr, now, period, vscale))
                         } else {
                             None
                         }
@@ -112,18 +112,18 @@ impl McdProcessor {
         addr: u64,
         now: TimePs,
         period: TimePs,
-        voltage: f64,
+        vscale: f64,
     ) -> TimePs {
         // Half-period scheduling margin (see `exec_domain_cycle`).
         let margin = period / 2;
         let l1_hit = self.l1d.access(addr, false);
-        self.energy.record_access(Structure::L1DCache, 1, voltage);
+        self.energy.record_access(Structure::L1DCache, 1, vscale);
         let l1_lat = u64::from(self.config.arch.l1d.latency_cycles) * period;
         if l1_hit {
             return now + l1_lat - margin;
         }
         let l2_hit = self.l2.access(addr, false);
-        self.energy.record_access(Structure::L2Cache, 1, voltage);
+        self.energy.record_access(Structure::L2Cache, 1, vscale);
         let l2_lat = u64::from(self.config.arch.l2.latency_cycles) * period;
         if l2_hit {
             return now + l1_lat + l2_lat - margin;

@@ -112,12 +112,40 @@ pub(crate) const IDLE_CHARGED: [&[Structure]; 4] = [
 pub(crate) struct EdgeCharge {
     /// Bits of the frequency the charges were computed at.
     freq_bits: u64,
-    /// Supply voltage at that frequency.
-    pub(crate) voltage: f64,
+    /// Voltage scale ([`mcd_power::EnergyParams::voltage_scale`]) of the
+    /// supply voltage at that frequency, the factor every access charged
+    /// in the domain is multiplied by.
+    pub(crate) vscale: f64,
     /// Idle-cycle energy of each [`IDLE_CHARGED`] structure of the domain.
     pub(crate) idle: [f64; 4],
     /// Energy of one cycle of the domain's clock grid.
     pub(crate) clock: f64,
+}
+
+/// The charges of on-chip domain `d`'s edges at frequency `freq_mhz`;
+/// `mcd_overhead` is the MCD clock-energy surcharge.  A free function, so
+/// the quiet-time catch-up can re-derive a charge while it holds the
+/// domain's clock mutably borrowed.
+fn edge_charge_of(
+    table: &OperatingPointTable,
+    energy: &EnergyAccount,
+    mcd_overhead: f64,
+    d: DomainId,
+    freq_mhz: MegaHertz,
+) -> EdgeCharge {
+    let vscale = energy
+        .params()
+        .voltage_scale(table.voltage_for_freq(freq_mhz));
+    let mut idle = [0.0; 4];
+    for (slot, &s) in idle.iter_mut().zip(IDLE_CHARGED[d.index()]) {
+        *slot = energy.idle_cycle_energy(s, vscale);
+    }
+    EdgeCharge {
+        freq_bits: freq_mhz.to_bits(),
+        vscale,
+        idle,
+        clock: energy.clock_cycle_energy(d, vscale, mcd_overhead),
+    }
 }
 
 /// Per-domain cycle-weighted frequency accumulator (for reports).
@@ -140,8 +168,10 @@ impl IdleEdgeSums {
     /// What one idle edge charges — an edge whose handler only did
     /// bookkeeping: the gating floor of each [`IDLE_CHARGED`] structure of
     /// its domain in order, one cycle of the domain's clock grid, and the
-    /// edge's frequency into the cycle-weighted average.  The handlers'
-    /// idle edges and the quiet-time catch-up both charge through here.
+    /// edge's frequency into the cycle-weighted average.  The quiet-time
+    /// catch-up charges through here; the handlers' idle edges add the
+    /// same charges in the same order straight into the account
+    /// ([`McdProcessor::charge_idle_edge`]).
     #[inline]
     fn add_edge(&mut self, charge: &EdgeCharge, freq_mhz: MegaHertz) {
         self.energy.add_cycle(&charge.idle, charge.clock);
@@ -379,10 +409,11 @@ impl McdProcessor {
         &self.clocks[d.index()]
     }
 
-    /// The current supply voltage of on-chip domain `d`.
+    /// The voltage scale of on-chip domain `d`'s current supply voltage
+    /// (what [`EnergyAccount::record_access`] multiplies by).
     #[inline]
-    pub(crate) fn voltage(&self, d: DomainId) -> f64 {
-        self.charges[d.index()].voltage
+    pub(crate) fn vscale(&self, d: DomainId) -> f64 {
+        self.charges[d.index()].vscale
     }
 
     fn mcd_overhead(&self) -> f64 {
@@ -392,28 +423,14 @@ impl McdProcessor {
         }
     }
 
-    /// The charges of on-chip domain `d` at frequency `freq_mhz`.
-    fn edge_charge(&self, d: DomainId, freq_mhz: MegaHertz) -> EdgeCharge {
-        let voltage = self.table.voltage_for_freq(freq_mhz);
-        let vscale = self.energy.params().voltage_scale(voltage);
-        let mut idle = [0.0; 4];
-        for (slot, &s) in idle.iter_mut().zip(IDLE_CHARGED[d.index()]) {
-            *slot = self.energy.idle_cycle_energy(s, vscale);
-        }
-        EdgeCharge {
-            freq_bits: freq_mhz.to_bits(),
-            voltage,
-            idle,
-            clock: self
-                .energy
-                .clock_cycle_energy(d, vscale, self.mcd_overhead()),
-        }
-    }
-
     /// Fresh charges of every on-chip domain at its clock's current
     /// frequency.
     fn edge_charges(&self) -> [EdgeCharge; 4] {
-        ON_CHIP_DOMAINS.map(|d| self.edge_charge(d, self.clocks[d.index()].current_freq_mhz()))
+        let overhead = self.mcd_overhead();
+        ON_CHIP_DOMAINS.map(|d| {
+            let freq = self.clocks[d.index()].current_freq_mhz();
+            edge_charge_of(&self.table, &self.energy, overhead, d, freq)
+        })
     }
 
     /// Re-derives domain `d`'s charges if its clock's frequency moved
@@ -422,7 +439,8 @@ impl McdProcessor {
     pub(crate) fn refresh_charge(&mut self, d: DomainId) {
         let freq = self.clocks[d.index()].current_freq_mhz();
         if freq.to_bits() != self.charges[d.index()].freq_bits {
-            self.charges[d.index()] = self.edge_charge(d, freq);
+            self.charges[d.index()] =
+                edge_charge_of(&self.table, &self.energy, self.mcd_overhead(), d, freq);
         }
     }
 
@@ -464,16 +482,17 @@ impl McdProcessor {
         fa.cycles += edges;
     }
 
-    /// Charges one idle edge of on-chip domain `d` (see
-    /// [`IdleEdgeSums::add_edge`]).
+    /// Charges one idle edge of on-chip domain `d` straight into the
+    /// account and the frequency accumulator: what
+    /// [`IdleEdgeSums::add_edge`] adds, in the same order.
     #[inline]
     pub(crate) fn charge_idle_edge(&mut self, d: DomainId) {
-        let mut sums = self.idle_sums(d);
-        sums.add_edge(
-            &self.charges[d.index()],
-            self.clocks[d.index()].current_freq_mhz(),
-        );
-        self.put_idle_sums(d, &sums, 1);
+        let charge = &self.charges[d.index()];
+        for (&s, &e) in IDLE_CHARGED[d.index()].iter().zip(&charge.idle) {
+            self.energy.charge_idle(s, e);
+        }
+        self.energy.charge_clock(d, charge.clock);
+        self.accumulate_freq(d);
     }
 
     /// Time at which a value produced at `t` in `from` becomes visible in
@@ -488,10 +507,16 @@ impl McdProcessor {
     }
 
     /// Fills the per-domain visibility vector for a result produced at `t`
-    /// in `from`.
+    /// in on-chip domain `from`.
+    ///
+    /// Only the on-chip entries are computed: no instruction executes in
+    /// the external domain, so its entry is never read and stays `t`.
+    /// Its clock never advances, so its capture time would cost a
+    /// division per writeback; the on-chip clocks' next edges are never
+    /// behind the writeback time, so theirs divide nothing.
     pub(crate) fn visibility_vector(&self, t: TimePs, from: DomainId) -> [TimePs; 5] {
         let mut v = [t; 5];
-        for d in DomainId::ALL {
+        for d in ON_CHIP_DOMAINS {
             v[d.index()] = self.cross_domain_visible(t, from, d);
         }
         v
@@ -502,6 +527,7 @@ impl McdProcessor {
     }
 
     /// Per-cycle frequency bookkeeping shared by all domain cycles.
+    #[inline]
     pub(crate) fn accumulate_freq(&mut self, domain: DomainId) {
         let fa = &mut self.freq_acc[domain.index()];
         fa.weighted_sum += self.clocks[domain.index()].current_freq_mhz();
@@ -786,13 +812,22 @@ impl McdProcessor {
             return 0;
         }
         let mut sums = self.idle_sums(d);
+        let overhead = self.mcd_overhead();
+        let (table, energy) = (&self.table, &self.energy);
+        let clock = &mut self.clocks[di];
+        let mut charge = self.charges[di];
         let mut edges = 0;
-        while self.clocks[di].next_edge_ps() < horizon {
-            self.clocks[di].advance();
-            self.refresh_charge(d);
-            sums.add_edge(&self.charges[di], self.clocks[di].current_freq_mhz());
+        while clock.next_edge_ps() < horizon {
+            clock.advance();
+            // `refresh_charge` on a local: only ramp edges re-derive.
+            let freq = clock.current_freq_mhz();
+            if freq.to_bits() != charge.freq_bits {
+                charge = edge_charge_of(table, energy, overhead, d, freq);
+            }
+            sums.add_edge(&charge, freq);
             edges += 1;
         }
+        self.charges[di] = charge;
         self.put_idle_sums(d, &sums, edges);
         self.domain_counters[di].cycles += edges;
         self.idle_steps[di] += edges;
@@ -1120,15 +1155,20 @@ mod tests {
         // to be reused dozens of times.  Any aliasing of stale entries
         // would either trip the slab's collision panic, deadlock issue
         // (operands never ready -> watchdog panic), or corrupt the commit
-        // count.
+        // count.  The paper's 80-entry ROB and the other sizes are not
+        // powers of two: the slab rounds them up and indexes by mask.
         let insts = 25_000; // ~300x the 80-entry ROB
-        let r = run_benchmark(
-            Benchmark::Gsm,
-            insts,
-            SimConfig::baseline_mcd(insts),
-            Box::new(FixedController::at_max()),
-        );
-        assert_eq!(r.committed_instructions, insts);
+        for rob_size in [80, 96, 100] {
+            let mut config = SimConfig::baseline_mcd(insts);
+            config.arch.rob_size = rob_size;
+            let r = run_benchmark(
+                Benchmark::Gsm,
+                insts,
+                config,
+                Box::new(FixedController::at_max()),
+            );
+            assert_eq!(r.committed_instructions, insts, "rob_size {rob_size}");
+        }
     }
 
     #[test]
@@ -1243,6 +1283,37 @@ mod tests {
             );
             prop_assert_eq!(plain.host.skipped_steps, [0; 4]);
             prop_assert!(caught_up.host.quiet_skips > 0, "no catch-up ran");
+        }
+    }
+
+    #[test]
+    fn edge_charge_scale_records_accesses_like_the_voltage_form() {
+        // `record_access` takes the voltage scale an `EdgeCharge` carries.
+        // At every operating point, recording through it adds exactly the
+        // bits the historical form `access_energy * voltage_scale(voltage)
+        // * count` added.
+        let config = SimConfig::baseline_mcd(1_000);
+        let table = OperatingPointTable::from_params(&config.clock);
+        let params = config.energy.clone();
+        assert_eq!(table.len(), 320);
+        for p in table.iter() {
+            let mut account = EnergyAccount::new(params.clone());
+            let charge = edge_charge_of(&table, &account, 0.1, DomainId::Integer, p.freq_mhz);
+            let vscale = params.voltage_scale(table.voltage_for_freq(p.freq_mhz));
+            for s in [Structure::IntRegFile, Structure::L2Cache, Structure::Rob] {
+                let mut expected = 0.0f64;
+                for count in [1u64, 2, 3, 7] {
+                    account.record_access(s, count, charge.vscale);
+                    expected += params.access_energy(s) * vscale * count as f64;
+                }
+                let got = account.breakdown().structure(s);
+                assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "{s:?} at {} MHz",
+                    p.freq_mhz
+                );
+            }
         }
     }
 

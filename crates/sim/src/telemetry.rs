@@ -302,8 +302,9 @@ mod tests {
     use mcd_power::{EnergyAccount, EnergyParams, Structure};
 
     fn result(instructions: u64, cycles: u64, elapsed_ps: u64) -> SimResult {
-        let mut acct = EnergyAccount::new(EnergyParams::default());
-        acct.record_access(Structure::IntAlu, instructions, 1.2);
+        let params = EnergyParams::default();
+        let mut acct = EnergyAccount::new(params.clone());
+        acct.record_access(Structure::IntAlu, instructions, params.voltage_scale(1.2));
         acct.record_memory_access();
         SimResult {
             committed_instructions: instructions,

@@ -319,7 +319,7 @@ proptest! {
         let mut prev = 0.0;
         for (idx, count, voltage) in accesses {
             let s = structures[idx % structures.len()];
-            acct.record_access(s, count, voltage);
+            acct.record_access(s, count, params.voltage_scale(voltage));
             let total = acct.total_energy();
             prop_assert!(total >= prev);
             prev = total;
