@@ -335,7 +335,6 @@ impl DomainClock {
     }
 
     /// Number of edges generated so far.
-    #[inline]
     pub fn cycles(&self) -> u64 {
         self.cycles
     }

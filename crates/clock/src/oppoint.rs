@@ -96,13 +96,11 @@ impl OperatingPointTable {
     }
 
     /// The lowest-frequency operating point.
-    #[inline]
     pub fn min_point(&self) -> OperatingPoint {
         self.points[0]
     }
 
     /// The highest-frequency operating point.
-    #[inline]
     pub fn max_point(&self) -> OperatingPoint {
         *self.points.last().expect("table is never empty")
     }

@@ -117,14 +117,12 @@ impl IssueQueue {
     /// simulator calls this once per domain cycle; the Attack/Decay
     /// hardware is exactly this accumulator (Table 3's "queue utilization
     /// counter").
-    #[inline]
     pub fn accumulate_occupancy(&mut self) {
         self.accumulate_occupancy_for(1);
     }
 
     /// Adds the current occupancy for `cycles` domain cycles in which the
     /// queue did not change.
-    #[inline]
     pub fn accumulate_occupancy_for(&mut self, cycles: u64) {
         self.occupancy_accumulator += self.len() as u64 * cycles;
         self.accumulated_cycles += cycles;

@@ -617,14 +617,12 @@ impl LoadStoreQueue {
     /// [`earliest_pending_ps`](Self::earliest_pending_ps) and
     /// [`min_unflagged_ready_ps`](Self::min_unflagged_ready_ps), unless
     /// the queue changes in between.
-    #[inline]
     pub fn scan_memoized(&self) -> bool {
         self.no_candidates
     }
 
     /// A lower bound on the earliest time at which the visible prefix can
     /// grow (`u64::MAX` when every entry is visible).
-    #[inline]
     pub fn earliest_pending_ps(&self) -> u64 {
         self.earliest_pending_ps
     }
@@ -632,7 +630,6 @@ impl LoadStoreQueue {
     /// A lower bound on the earliest time at which
     /// [`LoadStoreQueue::promote_operand_readiness`] can latch an operand
     /// flag of a visible entry (`u64::MAX` when none can).
-    #[inline]
     pub fn min_unflagged_ready_ps(&self) -> u64 {
         self.min_unflagged_ready_ps
     }
@@ -697,14 +694,12 @@ impl LoadStoreQueue {
 
     /// Adds the current occupancy to the per-interval accumulator (once per
     /// load/store-domain cycle).
-    #[inline]
     pub fn accumulate_occupancy(&mut self) {
         self.accumulate_occupancy_for(1);
     }
 
     /// Adds the current occupancy for `cycles` load/store-domain cycles in
     /// which the queue did not change.
-    #[inline]
     pub fn accumulate_occupancy_for(&mut self, cycles: u64) {
         self.occupancy_accumulator += self.entries.len() as u64 * cycles;
         self.accumulated_cycles += cycles;

@@ -168,10 +168,8 @@ impl IdleEdgeSums {
     /// What one idle edge charges — an edge whose handler only did
     /// bookkeeping: the gating floor of each [`IDLE_CHARGED`] structure of
     /// its domain in order, one cycle of the domain's clock grid, and the
-    /// edge's frequency into the cycle-weighted average.  The quiet-time
-    /// catch-up charges through here; the handlers' idle edges add the
-    /// same charges in the same order straight into the account
-    /// ([`McdProcessor::charge_idle_edge`]).
+    /// edge's frequency into the cycle-weighted average.  The handlers'
+    /// idle edges and the quiet-time catch-up both charge through here.
     #[inline]
     fn add_edge(&mut self, charge: &EdgeCharge, freq_mhz: MegaHertz) {
         self.energy.add_cycle(&charge.idle, charge.clock);
@@ -482,17 +480,16 @@ impl McdProcessor {
         fa.cycles += edges;
     }
 
-    /// Charges one idle edge of on-chip domain `d` straight into the
-    /// account and the frequency accumulator: what
-    /// [`IdleEdgeSums::add_edge`] adds, in the same order.
+    /// Charges one idle edge of on-chip domain `d` (see
+    /// [`IdleEdgeSums::add_edge`]).
     #[inline]
     pub(crate) fn charge_idle_edge(&mut self, d: DomainId) {
-        let charge = &self.charges[d.index()];
-        for (&s, &e) in IDLE_CHARGED[d.index()].iter().zip(&charge.idle) {
-            self.energy.charge_idle(s, e);
-        }
-        self.energy.charge_clock(d, charge.clock);
-        self.accumulate_freq(d);
+        let mut sums = self.idle_sums(d);
+        sums.add_edge(
+            &self.charges[d.index()],
+            self.clocks[d.index()].current_freq_mhz(),
+        );
+        self.put_idle_sums(d, &sums, 1);
     }
 
     /// Time at which a value produced at `t` in `from` becomes visible in

@@ -2,9 +2,10 @@
 """Compare two perfbench binaries over interleaved pairs of runs.
 
 Usage:
-    perfbench_pairs.py PARENT_BIN CHANGE_BIN WORKLOAD N [--seconds S] [--seed K]
+    perfbench_pairs.py PARENT_BIN CHANGE_BIN WORKLOAD N [--seconds S]
 
-Runs N pairs of ``--workload WORKLOAD`` processes, one with each binary.
+Runs N pairs of ``--workload WORKLOAD`` processes, one with each binary,
+at perfbench's default seed.
 Pair i runs the parent first when i is even and the change first when it
 is odd, so a drift in the host's speed hits both sides alike.  For every
 end-to-end metric listed in the repository's ``BENCHMARK.json`` it then
@@ -40,9 +41,9 @@ def end_to_end_metrics():
     return [(m["name"], m["unit"], m["better"]) for m in bench["end_to_end"]]
 
 
-def run_once(binary, workload, seconds, seed):
+def run_once(binary, workload, seconds):
     """Runs one perfbench process; returns (summary, provenance) dicts."""
-    cmd = [binary, "--workload", workload, "--seconds", str(seconds), "--seed", str(seed)]
+    cmd = [binary, "--workload", workload, "--seconds", str(seconds)]
     proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     if proc.returncode != 0 or not lines:
@@ -67,12 +68,11 @@ def quartiles(values):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
+    parser.add_argument("parent", type=os.path.abspath)
+    parser.add_argument("change", type=os.path.abspath)
     parser.add_argument("workload")
     parser.add_argument("n", type=int)
     parser.add_argument("--seconds", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
     if args.n < 1:
         parser.error("N must be at least 1")
@@ -85,7 +85,7 @@ def main():
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             binary = args.parent if side == "parent" else args.change
-            summary, provenance = run_once(binary, args.workload, args.seconds, args.seed)
+            summary, provenance = run_once(binary, args.workload, args.seconds)
             if summary.get("correct") is not True or summary.get("failed", 0) != 0:
                 bad.append(f"pair {i + 1} {side}: correct={summary.get('correct')} "
                            f"failed={summary.get('failed')}")
@@ -95,7 +95,7 @@ def main():
         print(f"pair {i + 1}/{args.n} done ({' then '.join(order)})", file=sys.stderr)
 
     print(f"workload {args.workload}, {args.n} interleaved pairs, --seconds {args.seconds}, "
-          f"--seed {args.seed}, nproc {os.cpu_count()}")
+          f"nproc {os.cpu_count()}")
     print(f"{'metric':<14} {'parent median [q1-q3]':<34} {'change median [q1-q3]':<34} "
           f"{'pair ratio':>10}  change better")
     for name, unit, better in metrics:
